@@ -17,6 +17,7 @@ array by exact ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,9 @@ from .systems import (
     orbit_coords,
 )
 
-MAX_SUP_GRID = 1 << 28  # frequency-grid hard cap; eps floor is 2*pi*N*B / this
+MAX_SUP_GRID = 1 << 28  # finest sweep resolution; eps floor is pi*(N-1)*U / this
+_COARSE_MIN = 1 << 12  # coarse FFT size: a power of two >= 16N, within these
+_COARSE_CAP = 1 << 22  # (but never below N)
 
 
 def _times(index_base: int, count: int) -> np.ndarray:
@@ -103,50 +106,95 @@ class SupResult:
                         self.error_bound)
 
 
+def _refine(u: np.ndarray, cells: np.ndarray, s: int, p: int, rows: int):
+    """Sweep values at the dyadic nodes (k*s + i) / 2^p, 0 < |i| <= s/2, of each cell k.
+
+    e(j t) splits into e(j k s / 2^p) e(j i / 2^p); both arguments are
+    reduced mod 1 exactly in int64, and every node's sum runs through the
+    pairwise tree. Blocks hold at most `rows` phase rows of length N.
+    Returns (nodes, values), cell-major.
+    """
+    j = np.arange(u.size, dtype=np.int64)
+    mask = (1 << p) - 1
+
+    def phases(r):  # one row per node
+        return unit_phase(((r[:, None] * j) & mask) / float(1 << p))
+
+    steps = np.arange(-(s // 2), s // 2 + 1, dtype=np.int64)
+    steps = steps[steps != 0]
+    centred = u * phases(cells * s)
+    vals = np.empty((cells.size, steps.size))
+    for lo in range(0, steps.size, rows):
+        w = phases(steps[lo:lo + rows])
+        for c, row in enumerate(centred):
+            vals[c, lo:lo + rows] = np.abs(pairwise_sum((row * w).T))
+    return (cells[:, None] * s + steps).ravel(), vals.ravel() / u.size
+
+
 def sup_over_frequency(u: np.ndarray, eps: float, index_base: int = 1) -> SupResult:
     """Certified maximum of t -> |(1/N) sum_n u_n e(n t)| over t in [0, 1).
 
-    The target is a trigonometric polynomial with derivative bounded by
-    2*pi*N*B (B = max |u_n|), so a uniform grid of spacing eps/(2*pi*N*B)
-    pins the sup to within eps. Evaluation is a zero-padded FFT, split into
-    fractionally shifted passes so memory stays bounded for fine grids.
+    The modulus does not depend on where n starts, so `u` is placed at
+    offsets 0..N-1 whatever `index_base` is. Centred on its middle offset the
+    sum is a trigonometric polynomial of degree N-1 in t/2, so by Bernstein's
+    inequality its modulus has slope in t at most pi*(N-1) times its sup S.
+
+    Stage 1 is one FFT on m0 >= 16N nodes of spacing h = 1/m0. Its maximum G
+    certifies S <= U = min(max|u_n|, G / (1 - pi*(N-1)*h/2)); set
+    L = pi*(N-1)*U. Stage 2 refines, highest first, every coarse cell whose
+    bound value + L*h/2 exceeds the running maximum plus eps/2, on dyadic
+    nodes of spacing at most eps/L. `error_bound` is the largest cell bound
+    minus the reported maximum, at most eps/2; `grid_size` counts evaluated
+    nodes and `grid_spacing` is the finest spacing used. Raises
+    GridTooFineError when eps/L < 1/MAX_SUP_GRID.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     u = np.asarray(u, dtype=np.complex128)
     N = u.size
     B = float(np.abs(u).max()) if N else 0.0
+    if not np.isfinite(B):
+        raise ValueError("sequence values must be finite")
     if B == 0.0:
         return SupResult(0.0, 0.0, 1, 1.0, 0.0)
-    lipschitz = 2 * np.pi * (index_base + N - 1) * B
-    M = int(np.ceil(lipschitz / eps))
-    if M > MAX_SUP_GRID:
+    m0 = _COARSE_MIN
+    while m0 < 16 * N and m0 < _COARSE_CAP:
+        m0 <<= 1
+    while m0 < N:
+        m0 <<= 1
+    coarse = np.abs(np.fft.ifft(u, m0)) * (m0 / N)
+    k_best = int(np.argmax(coarse))
+    best = float(coarse[k_best])
+    t_star = k_best / m0
+    slack = np.pi * (N - 1) / (2 * m0)  # slope bound times h/2, per unit of sup
+    U = min(B, best / (1.0 - slack)) if slack < 1.0 else B
+    L = np.pi * (N - 1) * U
+    if L > eps * MAX_SUP_GRID:
         raise GridTooFineError(
-            f"eps={eps} needs a grid of {M} > {MAX_SUP_GRID} nodes; "
-            f"floor for this sequence is eps >= {lipschitz / MAX_SUP_GRID:.3e}"
+            f"eps={eps} needs a grid spacing of {eps / L:.3e} < 1/{MAX_SUP_GRID}; "
+            f"floor for this sequence is eps >= {L / MAX_SUP_GRID:.3e}"
         )
-    m0 = 1 << 12
-    while m0 < N + index_base + 1:
-        m0 <<= 1
-    while m0 < min(M, 1 << 22):
-        m0 <<= 1
-    K = max(1, -(-M // m0))
-    grid = K * m0
-    offsets = np.arange(index_base, index_base + N, dtype=np.int64)
-    padded = np.zeros(m0, dtype=np.complex128)
-    best = -1.0
-    best_m = 0
-    for r in range(K):
-        padded[:] = 0.0
-        shift = unit_phase(frac(offsets * (r / grid)))
-        padded[offsets] = u * shift
-        vals = np.abs(np.fft.ifft(padded)) * (m0 / N)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_m = j * K + r
-    spacing = 1.0 / grid
-    return SupResult(best, best_m / grid, grid, spacing, lipschitz * spacing / 2.0)
+    half = slack * U  # L*h/2: how far a coarse cell can rise above its node
+    cand = np.flatnonzero(coarse + half > best + eps / 2)
+    cand = cand[np.argsort(-coarse[cand], kind="stable")]
+    p = max(m0.bit_length(), math.frexp(L / eps)[1])  # 2^p >= 2*m0 and >= L/eps
+    s = (1 << p) // m0  # fine nodes per coarse cell
+    rows = max(1, m0 // N)  # refinement blocks hold at most m0 terms
+    fine_top = -np.inf
+    done = 0
+    while done < cand.size and coarse[cand[done]] + half > best + eps / 2:
+        batch = cand[done:done + rows]
+        done += batch.size
+        nodes, vals = _refine(u, batch, s, p, rows)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            t_star = float(nodes[i] & ((1 << p) - 1)) / (1 << p)
+        fine_top = max(fine_top, float(vals.max()), float(coarse[batch].max()))
+    coarse[cand[:done]] = -np.inf  # refined cells are bounded by their fine nodes
+    top = max(float(coarse.max()) + half, fine_top + L / (2 << p))
+    spacing = 1.0 / ((1 << p) if done else m0)
+    return SupResult(best, t_star, m0 + done * s, spacing, top - best)
 
 
 def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,

@@ -3,7 +3,10 @@
 One config describes one experiment (an operation name plus its inputs).
 Data rows are deterministic: re-running a config, with any worker count,
 yields byte-identical CSV bytes. Wall-clock metadata lives only in the
-summary file and is excluded from that contract.
+summary file and is excluded from that contract. So do the certificates
+behind the numbers: the summary's ``diagnostics`` list, per sample point,
+the error budget of each average and the grid size, spacing and error bound
+of each certified sup.
 
 CSV schema (fixed): ``experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped``
 with absent fields left empty and floats printed with 17 significant digits
@@ -389,6 +392,18 @@ def _report_rows(rid: str, rep: ConvergenceReport) -> list[Row]:
     return rows
 
 
+def _diagnostics(rid: str, rep: ConvergenceReport) -> dict:
+    """How far a report's numbers can be trusted; goes to the summary, never the CSV."""
+    diag: dict = {"id": rid, "error_budget": rep.error_budget}
+    if rep.sup_data is not None:
+        diag["sup"] = [
+            {"N": n, "grid_size": s.grid_size, "grid_spacing": s.grid_spacing,
+             "error_bound": s.error_bound}
+            for n, s in zip(rep.schedule, rep.sup_data)
+        ]
+    return diag
+
+
 def _schedule_params(cfg: ExperimentConfig, x0) -> tuple[str, dict]:
     e = cfg.experiment
     if e == "birkhoff_avg":
@@ -415,7 +430,7 @@ def _schedule_params(cfg: ExperimentConfig, x0) -> tuple[str, dict]:
     raise ConfigError(f"no schedule runner for {e}")
 
 
-def _run_one_point(cfg: ExperimentConfig, rid: str, x0) -> tuple[list[Row], dict]:
+def _run_one_point(cfg: ExperimentConfig, rid: str, x0) -> tuple[list[Row], dict, list[dict]]:
     e = cfg.experiment
     extra: dict = {}
     if e == "vanishing_experiment":
@@ -423,7 +438,7 @@ def _run_one_point(cfg: ExperimentConfig, rid: str, x0) -> tuple[list[Row], dict
             cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
             cfg.weight, cfg.k, cfg.schedule, cfg.index_base,
         )
-        return _report_rows(rid, rep), extra
+        return _report_rows(rid, rep), extra, [_diagnostics(rid, rep)]
     if e == "ghk_seminorm":
         rows = []
         for n in cfg.schedule:
@@ -431,7 +446,7 @@ def _run_one_point(cfg: ExperimentConfig, rid: str, x0) -> tuple[list[Row], dict
             est = seminorms.ghk_seminorm(cfg.system, cfg.observable, x0, cfg.k, h, n,
                                          cfg.index_base)
             rows.append(Row(rid, N=n, seminorm=est.value, clamped=est.clamped))
-        return rows, extra
+        return rows, extra, []
     if e == "product_formula_check":
         rep = joinings.product_formula_check(
             cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
@@ -443,20 +458,20 @@ def _run_one_point(cfg: ExperimentConfig, rid: str, x0) -> tuple[list[Row], dict
         ]
         extra["passed"] = rep.passed
         extra["gap"] = abs(rep.lhs - rep.rhs)
-        return rows, extra
+        return rows, extra, []
     kind, params = _schedule_params(cfg, x0)
     rep = averages.run_schedule(kind, params, cfg.schedule, cfg.index_base)
-    return _report_rows(rid, rep), extra
+    return _report_rows(rid, rep), extra, [_diagnostics(rid, rep)]
 
 
-def _run_sequence_experiment(cfg: ExperimentConfig) -> tuple[list[Row], dict]:
+def _run_sequence_experiment(cfg: ExperimentConfig) -> tuple[list[Row], dict, list[dict]]:
     e = cfg.experiment
     rid = cfg.id
     extra: dict = {}
     if e == "cesaro_nilseq":
         rep = averages.run_schedule("cesaro", dict(weight=cfg.weight), cfg.schedule,
                                     cfg.index_base)
-        return _report_rows(rid, rep), extra
+        return _report_rows(rid, rep), extra, [_diagnostics(rid, rep)]
     if e == "local_seminorm":
         rows = []
         for n in cfg.schedule:
@@ -464,7 +479,7 @@ def _run_sequence_experiment(cfg: ExperimentConfig) -> tuple[list[Row], dict]:
             seq = nilseq.weight_samples(cfg.weight, n + cfg.k * h, cfg.index_base)
             est = seminorms.local_seminorm(seq, cfg.k, h, n)
             rows.append(Row(rid, N=n, seminorm=est.value, clamped=est.clamped))
-        return rows, extra
+        return rows, extra, []
     if e == "vdc_bound":
         seq = nilseq.weight_samples(cfg.weight, cfg.N, cfg.index_base)
         rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
@@ -472,13 +487,13 @@ def _run_sequence_experiment(cfg: ExperimentConfig) -> tuple[list[Row], dict]:
         return [
             Row(rid + ":lhs", N=cfg.N, abs=rep.lhs),
             Row(rid + ":rhs", N=cfg.N, abs=rep.rhs),
-        ], extra
+        ], extra, []
     if e == "cube_average":
         length = cfg.N + 3 * (cfg.H - 1)
         s1 = nilseq.weight_samples(cfg.weight1, length, cfg.index_base)
         s2 = nilseq.weight_samples(cfg.weight2, length, cfg.index_base)
         v = seminorms.cube_average(s1, s2, cfg.H)
-        return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], extra
+        return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], extra, []
     raise ConfigError(f"no sequence runner for {e}")
 
 
@@ -582,10 +597,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
                 results = list(pool.map(lambda t: _run_one_point(cfg, *t), tasks))
         else:
             results = [_run_one_point(cfg, rid, x0) for rid, x0 in tasks]
-        rows = [r for rs, _ in results for r in rs]
-        extras = [x for _, x in results]
+        rows = [r for rs, _, _ in results for r in rs]
+        extras = [x for _, x, _ in results]
+        diagnostics = [d for _, _, ds in results for d in ds]
     else:
-        rows, extra = _run_sequence_experiment(cfg)
+        rows, extra, diagnostics = _run_sequence_experiment(cfg)
         extras = [extra]
 
     verdicts = []
@@ -613,6 +629,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
                  for k, v in x.items()}
                 for x in extras
             ],
+            "diagnostics": diagnostics,
             "verdicts": verdicts,
             "all_passed": all_passed,
             "wall_time_seconds": wall,  # excluded from the determinism contract

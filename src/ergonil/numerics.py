@@ -126,19 +126,20 @@ def unit_phase(theta):
 
 
 def pairwise_sum(x):
-    """Sum with a fixed adjacent-pair reduction tree.
+    """Sum over the first axis with a fixed adjacent-pair reduction tree.
 
     The tree shape depends only on the length, so results are bit-identical
-    regardless of how callers block or parallelize the surrounding work.
+    regardless of how callers block or parallelize the surrounding work; each
+    column of a 2-D input sums exactly as it would alone.
     Error grows like O(log n) ulp instead of O(n).
     """
     x = np.asarray(x)
     if x.size == 0:
         return x.dtype.type(0)
-    while x.size > 1:
-        m = x.size // 2
+    while len(x) > 1:
+        m = len(x) // 2
         y = x[0 : 2 * m : 2] + x[1 : 2 * m : 2]
-        if x.size % 2:
+        if len(x) % 2:
             y = np.concatenate([y, x[2 * m :]])
         x = y
     return x[0]

@@ -31,6 +31,8 @@ from .numerics import frac, frac_combine, is_prime, unit_phase
 
 Angle = Union[float, Fraction]
 
+_MAX_MODULUS = 1 << 53  # lattice coordinates residue/q are exact doubles below this
+
 
 def _angle_float(a: Angle) -> float:
     x = float(a)
@@ -118,6 +120,10 @@ class ToralAutomorphism:
             p = _mat_mul(p, m)
             if p == ((1, 0), (0, 1)):
                 raise ValueError(f"matrix has finite order {k}; eigenvalues are roots of unity")
+        if self.modulus >= _MAX_MODULUS:
+            raise ValueError(
+                f"modulus {self.modulus} must be below 2^53 so residue/q is exact in float"
+            )
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} must be prime")
 
@@ -332,10 +338,6 @@ def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
         k = np.asarray(freq, dtype=np.float64)
         out += coeff * unit_phase(frac(coords @ k))
     return out
-
-
-def eval_on_lattice(obs: Observable, residues: np.ndarray, modulus: int) -> np.ndarray:
-    return eval_observable_many(obs, residues.astype(np.float64) / modulus)
 
 
 def integrate_observable(obs: Observable) -> complex:

@@ -29,6 +29,7 @@ from ergonil import (
     ww_sup,
     wwdr_avg,
 )
+from ergonil.averages import MAX_SUP_GRID
 from ergonil.errors import SequenceTooShortError
 
 import oracles
@@ -129,6 +130,79 @@ class TestWWSup:
         rot = RotationTorus((PHI,))
         with pytest.raises(GridTooFineError):
             ww_sup(rot, E1, (0.2,), 1 << 16, 1e-9)
+
+
+def _sweep_input(kind: str, N: int, rng) -> np.ndarray:
+    n = np.arange(N)
+    if kind == "random":
+        return rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    if kind == "peaked":
+        return 0.8 * np.exp(2j * np.pi * (PHI * n + 0.1))
+    if kind == "real":
+        return np.cos(2 * np.pi * SQRT2M1 * n) + 0.3 * rng.standard_normal(N)
+    raise ValueError(kind)
+
+
+def _dense_scan(u: np.ndarray, index_base: int, m: int = 1 << 20):
+    """|(1/N) sum u_n e(n t)| at t = k/m, with u placed at its own indices n."""
+    x = np.zeros(m, dtype=complex)
+    x[(index_base + np.arange(u.size)) % m] = u
+    return np.abs(np.fft.ifft(x)) * (m / u.size)
+
+
+def _value_at(u: np.ndarray, index_base: int, t: float) -> float:
+    n = np.arange(index_base, index_base + u.size)
+    return abs(np.mean(u * np.exp(2j * np.pi * n * t)))
+
+
+class TestSweepCertificate:
+    @pytest.mark.parametrize("kind", ["random", "peaked", "real"])
+    @pytest.mark.parametrize("N,index_base", [(1, 1), (1, 0), (255, 1), (256, 0), (301, 0),
+                                              (512, 1)])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_dense_scan_within_error_bound(self, kind, N, index_base, eps):
+        u = _sweep_input(kind, N, np.random.default_rng(N + index_base))
+        res = sup_over_frequency(u, eps, index_base)
+        dense = _dense_scan(u, index_base)
+        assert dense.max() - res.sup_value <= res.error_bound + 1e-12
+        assert 0.0 <= res.error_bound <= eps / 2
+        # the reported maximum is attained at t_star
+        assert abs(_value_at(u, index_base, res.t_star) - res.sup_value) < 1e-12
+        if kind == "peaked":
+            assert 0.8 - res.sup_value <= res.error_bound + 1e-12
+            # a sound bound covers at least half a node spacing at the Bernstein slope
+            assert res.error_bound >= np.pi * (N - 1) * 0.8 * res.grid_spacing / 2 - 1e-15
+        if N == 1:
+            assert res.sup_value == pytest.approx(abs(u[0]), abs=1e-15)
+            assert res.error_bound == 0.0
+
+    def test_index_base_does_not_move_the_sup(self):
+        u = _sweep_input("random", 300, np.random.default_rng(3))
+        r0 = sup_over_frequency(u, 1e-3, 0)
+        r1 = sup_over_frequency(u, 1e-3, 1)
+        assert r0 == r1
+
+    def test_refinement_reported(self):
+        u = _sweep_input("peaked", 1024, None)
+        res = sup_over_frequency(u, 1e-3)
+        # refined cells add nodes below the coarse spacing 1/(16N)
+        assert res.grid_size > 16 * 1024
+        assert res.grid_spacing <= 1e-3 / (np.pi * 1023 * 0.8)
+
+    def test_previous_floor_still_accepted(self):
+        # the earlier sweep rejected eps below 2*pi*(index_base + N - 1)*max|u| / 2^28
+        N = 64
+        u = np.exp(2j * np.pi * PHI * np.arange(1, N + 1))
+        eps = 1.01 * 2 * np.pi * N / MAX_SUP_GRID
+        res = sup_over_frequency(u, eps)
+        assert 1.0 - res.sup_value <= res.error_bound <= eps / 2
+
+    def test_floor_follows_bernstein_bound(self):
+        # sup = 1, so L >= pi*(N-1) and eps below pi*(N-1)/2^28 cannot be met
+        N = 64
+        u = np.exp(2j * np.pi * PHI * np.arange(1, N + 1))
+        with pytest.raises(GridTooFineError):
+            sup_over_frequency(u, 0.99 * np.pi * (N - 1) / MAX_SUP_GRID)
 
 
 class TestDoubleRecurrence:

@@ -9,6 +9,7 @@ import pytest
 from ergonil.cli import main as cli_main
 from ergonil.errors import ConfigError
 from ergonil.harness import (
+    CSV_HEADER,
     Row,
     config_from_dict,
     list_experiments,
@@ -52,6 +53,17 @@ class TestConfigParsing:
             "b": 2,
         }
         with pytest.raises(ConfigError, match="distinct"):
+            config_from_dict(doc)
+
+    def test_oversized_lattice_modulus_is_config_error(self):
+        doc = {
+            "experiment": "birkhoff_avg",
+            "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]],
+                       "modulus": (1 << 53) + 5},
+            "observable": {"terms": [[[1, 0], 1.0]]},
+            "x0": [[1, 0]],
+        }
+        with pytest.raises(ConfigError, match="system.*2\\^53"):
             config_from_dict(doc)
 
     def test_fraction_string_declares_rational(self):
@@ -161,6 +173,53 @@ class TestRunExperiment:
             rep = run_experiment(cfg, out_dir=tmp_path / str(i), workers=workers)
             outs.append(rep.csv_path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_peaked_sweep_determinism_across_workers(self, tmp_path):
+        # eigenfunction sweeps refine around the resonance; rows must not move
+        doc = {
+            "experiment": "ww_sup", "id": "det_peak",
+            "system": {"kind": "rotation_torus", "alpha": [PHI]},
+            "observable": {"terms": [[[1], [1.0, 0.0]]]},
+            "x0": [[0.2], [0.5], [0.8]], "eps": 0.01,
+            "schedule": [1024, 4096],
+        }
+        outs = []
+        for i, workers in enumerate((1, 2, 1)):
+            rep = run_experiment(config_from_dict(doc), out_dir=tmp_path / str(i),
+                                 workers=workers)
+            outs.append(rep.csv_path.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert all(r.sup >= 0.99 for r in rep.rows)
+
+    def test_summary_carries_sup_certificates(self, tmp_path):
+        doc = {
+            "experiment": "ww_sup", "id": "cert",
+            "system": {"kind": "rotation_torus", "alpha": [PHI]},
+            "observable": {"terms": [[[1], [1.0, 0.0]]]},
+            "x0": [[0.2], [0.5]], "eps": 0.01, "schedule": [512, 1024],
+        }
+        rep = run_experiment(config_from_dict(doc), out_dir=tmp_path)
+        diag = json.loads(rep.summary_path.read_text())["diagnostics"]
+        assert [d["id"] for d in diag] == ["cert/x0", "cert/x1"]
+        for d in diag:
+            assert d["error_budget"] == 0.0
+            assert [p["N"] for p in d["sup"]] == [512, 1024]
+            for p in d["sup"]:
+                assert p["grid_size"] >= 16 * p["N"]
+                assert 0.0 < p["grid_spacing"] <= 1.0 / (16 * p["N"])
+                assert 0.0 <= p["error_bound"] <= 0.005
+        # certificates stay out of the data rows
+        assert rep.csv_path.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_summary_carries_error_budget(self, tmp_path):
+        (tmp_path / "w.csv").write_text("n,re,im\n0,1,0\n1,0,1\n")
+        doc = {
+            "experiment": "cesaro_nilseq", "id": "budget", "schedule": [1, 2],
+            "weight": {"kind": "table", "path": "w.csv", "sup_error_budget": 0.25},
+        }
+        rep = run_experiment(config_from_dict(doc, base_dir=tmp_path), out_dir=tmp_path)
+        diag = json.loads(rep.summary_path.read_text())["diagnostics"]
+        assert diag == [{"id": "budget", "error_budget": 0.25}]
 
     def test_failed_assertion_reported(self, tmp_path):
         cfg = config_from_dict(ww_config(assertions=[

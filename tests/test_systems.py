@@ -121,6 +121,15 @@ class TestLattice:
         with pytest.raises(ValueError, match="prime"):
             ToralAutomorphism(((2, 1), (1, 1)), modulus=91)
 
+    def test_modulus_must_keep_residues_exact(self):
+        # 2^53 + 5 is prime, but residue / q is no longer exact in float
+        with pytest.raises(ValueError, match="2\\^53"):
+            ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 53) + 5)
+        with pytest.raises(ValueError, match="2\\^53"):
+            ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 64) + 13)
+        big = ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 53) - 111)  # largest prime
+        assert orbit_point(big, orbit_point(big, (3, 5), 7), -7) == (3, 5)
+
     def test_fibonacci_matrix_allowed(self):
         # det = -1, trace 1: hyperbolic, no root-of-unity eigenvalues
         ToralAutomorphism(((1, 1), (1, 0)))
