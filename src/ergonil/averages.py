@@ -9,10 +9,14 @@ default (the seminorm module defaults to 0; both are accepted everywhere).
 Sums use the fixed-shape pairwise tree from `numerics`, so identical inputs
 give bit-identical outputs regardless of blocking or worker count.
 
-Exact reductions hold bit-for-bit by construction: a frequency weight t is
-evaluated through the same polynomial-phase path as the weight object
-`PolynomialPhase((0, t))`, and a zero/constant weight multiplies the term
-array by exact ones.
+Every weighted average is (1/N) sum f1(T^{an} x0) f2(T^{bn} x0) b_n with some
+factors absent, and every term array comes from one core, `orbit_terms`. A
+frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
+`PolynomialPhase(p)`; an absent factor is skipped, not multiplied as ones.
+Factors multiply in the fixed order f1 * f2 * b, so the exact reductions
+(t = 0, constant weights) hold bit for bit. Observables and weights fix their
+operand order too, so no term's bits depend on the array length, and
+`run_schedule` returns the one-shot values bit for bit at every scheduled N.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .errors import (
     SequenceTooShortError,
     UnsupportedSystemError,
 )
-from .nilseq import WeightSequence
+from .nilseq import PolynomialPhase, WeightSequence
 from .numerics import frac, frac_poly, pairwise_mean, pairwise_sum, unit_phase
-from .report import ConvergenceReport, SupPoint, make_report
+from .report import ConvergenceReport, SupPoint, check_schedule, make_report
 from .systems import (
     Observable,
     RotationTorus,
@@ -48,27 +52,56 @@ def _times(index_base: int, count: int) -> np.ndarray:
     return np.arange(index_base, index_base + count, dtype=np.int64)
 
 
-def _orbit_values(system: System, obs: Observable, x0, exponent: int, n: np.ndarray):
-    coords = orbit_coords(system, x0, exponent * n)
-    return eval_observable_many(obs, coords)
-
-
-def _check_exponents(a: int, b: int):
+def check_exponents(a: int, b: int):
+    """Double-recurrence exponents must be distinct and nonzero."""
     if a == b or a == 0 or b == 0:
         raise InvalidExponentsError(f"exponents must be distinct and nonzero, got a={a}, b={b}")
+
+
+def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | None,
+                a: int = 1, obs2: Observable | None = None, b: int | None = None,
+                weight: WeightSequence | None = None) -> np.ndarray:
+    """Terms f1(T^{an} x0) * f2(T^{bn} x0) * weight(n) on the int64 times `n`.
+
+    A factor left as None is skipped; with neither observable the terms are
+    the weight alone. Exponents are checked when obs2 is given, and a
+    finite-length weight must cover every time in `n`.
+    """
+    if obs2 is not None:
+        check_exponents(a, b)
+    if weight is not None and weight.length is not None and n.size and n.max() >= weight.length:
+        raise SequenceTooShortError(
+            f"weight defined for n < {weight.length}, average needs n < {int(n.max()) + 1}"
+        )
+
+    def orbit(obs, e):
+        return eval_observable_many(obs, orbit_coords(system, x0, e * n))
+
+    # the weight is evaluated first, while no other term array is alive: its
+    # temporaries are the largest (a theta weight peaks near ten arrays of N)
+    w = weight.eval_many(n) if weight is not None else None
+    # in place, left to right: numpy's temporary elision may evaluate `x * f()`
+    # as `f() * x`, and complex products differ in the last bit by operand order
+    terms = orbit(obs1, a) if obs1 is not None else w
+    if obs2 is not None:
+        terms *= orbit(obs2, b)
+    if obs1 is not None and w is not None:
+        terms *= w
+    return terms
 
 
 def double_terms(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                  count: int, index_base: int = 1) -> np.ndarray:
     """Term array f1(T^{an} x0) f2(T^{bn} x0) for n = index_base .. +count-1."""
-    _check_exponents(a, b)
-    n = _times(index_base, count)
-    return _orbit_values(system, obs1, x0, a, n) * _orbit_values(system, obs2, x0, b, n)
+    return orbit_terms(system, x0, _times(index_base, count), obs1, a, obs2, b)
 
 
-def frequency_phases(t: float, n: np.ndarray) -> np.ndarray:
-    """e(n t) via the polynomial-phase evaluator (degree-1 path)."""
-    return unit_phase(frac_poly((0.0, float(t)), n))
+def _mean(system: System, x0, N: int, index_base: int, *args, **kwargs) -> complex:
+    """(1/N) sum over n = index_base .. +N-1 of `orbit_terms(system, x0, n, *args, **kwargs)`."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    terms = orbit_terms(system, x0, _times(index_base, N), *args, **kwargs)
+    return complex(pairwise_mean(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +111,12 @@ def frequency_phases(t: float, n: np.ndarray) -> np.ndarray:
 
 def birkhoff_avg(system: System, obs: Observable, x0, N: int, index_base: int = 1) -> complex:
     """(1/N) sum f(T^n x0)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n = _times(index_base, N)
-    return complex(pairwise_mean(_orbit_values(system, obs, x0, 1, n)))
+    return _mean(system, x0, N, index_base, obs)
 
 
 def ww_avg(system: System, obs: Observable, x0, t: float, N: int, index_base: int = 1) -> complex:
     """(1/N) sum f(T^n x0) e(n t)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n = _times(index_base, N)
-    terms = _orbit_values(system, obs, x0, 1, n) * frequency_phases(t, n)
-    return complex(pairwise_mean(terms))
+    return _mean(system, x0, N, index_base, obs, weight=PolynomialPhase((0.0, t)))
 
 
 @dataclass(frozen=True)
@@ -202,9 +228,7 @@ def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,
     """Certified sup over the frequency t of |(1/N) sum f(T^n x0) e(n t)|."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = _times(index_base, N)
-    u = _orbit_values(system, obs, x0, 1, n)
-    return sup_over_frequency(u, eps, index_base)
+    return sup_over_frequency(orbit_terms(system, x0, _times(index_base, N), obs), eps, index_base)
 
 
 # ---------------------------------------------------------------------------
@@ -215,44 +239,25 @@ def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,
 def double_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                N: int, index_base: int = 1) -> complex:
     """(1/N) sum f1(T^{an} x0) f2(T^{bn} x0)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return complex(pairwise_mean(double_terms(system, obs1, obs2, x0, a, b, N, index_base)))
+    return _mean(system, x0, N, index_base, obs1, a, obs2, b)
 
 
 def wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
              t: float, N: int, index_base: int = 1) -> complex:
     """Double recurrence with frequency weight e(n t); t = 0 reduces bit-for-bit."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n = _times(index_base, N)
-    terms = double_terms(system, obs1, obs2, x0, a, b, N, index_base) * frequency_phases(t, n)
-    return complex(pairwise_mean(terms))
+    return _mean(system, x0, N, index_base, obs1, a, obs2, b, PolynomialPhase((0.0, t)))
 
 
 def poly_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                   p, N: int, index_base: int = 1) -> complex:
     """Double recurrence with polynomial weight e(p(n))."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n = _times(index_base, N)
-    phases = unit_phase(frac_poly(tuple(p), n))
-    terms = double_terms(system, obs1, obs2, x0, a, b, N, index_base) * phases
-    return complex(pairwise_mean(terms))
+    return _mean(system, x0, N, index_base, obs1, a, obs2, b, PolynomialPhase(p))
 
 
 def nil_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                  w: WeightSequence, N: int, index_base: int = 1) -> complex:
     """Double recurrence against an arbitrary weight sequence."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n = _times(index_base, N)
-    if w.length is not None and index_base + N > w.length:
-        raise SequenceTooShortError(
-            f"weight defined for n < {w.length}, average needs n < {index_base + N}"
-        )
-    terms = double_terms(system, obs1, obs2, x0, a, b, N, index_base) * w.eval_many(n)
-    return complex(pairwise_mean(terms))
+    return _mean(system, x0, N, index_base, obs1, a, obs2, b, w)
 
 
 # ---------------------------------------------------------------------------
@@ -306,60 +311,34 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
 # schedule driver
 # ---------------------------------------------------------------------------
 
-_PREFIX_OPS = {"birkhoff", "ww", "double", "wwdr", "poly_wwdr", "nil_wwdr", "cesaro"}
+
+def _pair(p: dict) -> dict:
+    return dict(obs1=p["obs1"], a=p["a"], obs2=p["obs2"], b=p["b"])
 
 
-def _schedule_terms(kind: str, params: dict, max_n: int, index_base: int) -> np.ndarray:
-    n = _times(index_base, max_n)
-    if kind == "birkhoff":
-        return _orbit_values(params["system"], params["obs"], params["x0"], 1, n)
-    if kind == "ww":
-        u = _orbit_values(params["system"], params["obs"], params["x0"], 1, n)
-        return u * frequency_phases(params["t"], n)
-    if kind == "cesaro":
-        return params["weight"].eval_many(n)
-    base = double_terms(
-        params["system"], params["obs1"], params["obs2"], params["x0"],
-        params["a"], params["b"], max_n, index_base,
-    )
-    if kind == "double":
-        return base
-    if kind == "wwdr":
-        return base * frequency_phases(params["t"], n)
-    if kind == "poly_wwdr":
-        return base * unit_phase(frac_poly(tuple(params["p"]), n))
-    if kind == "nil_wwdr":
-        return base * params["weight"].eval_many(n)
-    raise ValueError(f"unknown schedule op {kind!r}")
+# prefix kind of `run_schedule` -> its `orbit_terms` keyword arguments, from the params
+_PREFIX_KINDS = {
+    "birkhoff": lambda p: dict(obs1=p["obs"]),
+    "ww": lambda p: dict(obs1=p["obs"], weight=PolynomialPhase((0.0, p["t"]))),
+    "double": _pair,
+    "wwdr": lambda p: dict(_pair(p), weight=PolynomialPhase((0.0, p["t"]))),
+    "poly_wwdr": lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])),
+    "nil_wwdr": lambda p: dict(_pair(p), weight=p["weight"]),
+    "cesaro": lambda p: dict(obs1=None, weight=p["weight"]),
+}
 
 
 def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> ConvergenceReport:
     """Evaluate one average along an increasing schedule in a single pass.
 
-    Term arrays are built once at the largest N; each scheduled prefix is
-    reduced with the same pairwise tree it would get standalone, so the
-    reported A_N match the one-shot operations bit-for-bit.
+    The prefix kinds (birkhoff, ww, double, wwdr, poly_wwdr, nil_wwdr, and
+    cesaro for a weight alone) build their terms once at the largest N through
+    `orbit_terms`, the core of the one-shot functions, and reduce each
+    scheduled prefix with the pairwise tree it would get standalone, so every
+    A_N equals the one-shot value bit for bit. `ww_sup` sweeps each prefix of
+    the orbit values; `dual_system` reports the L2 norm at each N.
     """
-    schedule = [int(v) for v in schedule]
-    if not schedule or any(y <= x for x, y in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be nonempty and strictly increasing")
-    budget = 0.0
-    w = params.get("weight")
-    if w is not None and getattr(w, "error_budget", 0.0):
-        budget = w.error_budget
-    if kind in _PREFIX_OPS:
-        terms = _schedule_terms(kind, params, schedule[-1], index_base)
-        values = [pairwise_sum(terms[:n]) / n for n in schedule]
-        return make_report(schedule, values, error_budget=budget)
-    if kind == "ww_sup":
-        n = _times(index_base, schedule[-1])
-        u = _orbit_values(params["system"], params["obs"], params["x0"], 1, n)
-        sups = [sup_over_frequency(u[:n_], params["eps"], index_base) for n_ in schedule]
-        return make_report(
-            schedule,
-            [s.sup_value for s in sups],
-            sup_data=tuple(s.as_sup_point() for s in sups),
-        )
+    schedule = check_schedule(schedule)
     if kind == "dual_system":
         results = [
             dual_system_avg(
@@ -370,4 +349,19 @@ def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> Conv
             for n_ in schedule
         ]
         return make_report(schedule, [r.l2_norm for r in results])
-    raise ValueError(f"unknown schedule op {kind!r}")
+    n = _times(index_base, schedule[-1])
+    if kind == "ww_sup":
+        u = orbit_terms(params["system"], params["x0"], n, params["obs"])
+        sups = [sup_over_frequency(u[:n_], params["eps"], index_base) for n_ in schedule]
+        return make_report(
+            schedule,
+            [s.sup_value for s in sups],
+            sup_data=tuple(s.as_sup_point() for s in sups),
+        )
+    if kind not in _PREFIX_KINDS:
+        raise ValueError(f"unknown schedule op {kind!r}")
+    kw = _PREFIX_KINDS[kind](params)
+    terms = orbit_terms(params.get("system"), params.get("x0"), n, **kw)
+    values = [pairwise_sum(terms[:n_]) / n_ for n_ in schedule]
+    return make_report(schedule, values,
+                       error_budget=getattr(kw.get("weight"), "error_budget", 0.0))

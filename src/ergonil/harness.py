@@ -5,8 +5,9 @@ Data rows are deterministic: re-running a config, with any worker count,
 yields byte-identical CSV bytes. Wall-clock metadata lives only in the
 summary file and is excluded from that contract. So do the certificates
 behind the numbers: the summary's ``diagnostics`` list, per sample point,
-the error budget of each average and the grid size, spacing and error bound
-of each certified sup.
+the error budget of each average, the grid size, spacing and error bound of
+each certified sup, and the box size H, pre-root average and clamp flag of
+each seminorm estimate.
 
 CSV schema (fixed): ``experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped``
 with absent fields left empty and floats printed with 17 significant digits
@@ -16,18 +17,21 @@ so every row round-trips losslessly.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import averages, joinings, nilseq, seminorms
+from . import averages, joinings, nilseq, seminorms, systems
 from .errors import ConfigError
-from .report import ConvergenceReport
+from .report import ConvergenceReport, check_schedule
 from .systems import (
     AnzaiSkew,
     Observable,
@@ -39,13 +43,6 @@ from .systems import (
 CSV_HEADER = "experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped"
 
 DEFAULT_SCHEDULE = tuple(1 << k for k in range(10, 17))
-
-# operations that average over n = 1..N by default; the sequence/seminorm
-# family counts from 0
-_BASE0_EXPERIMENTS = {
-    "cesaro_nilseq", "local_seminorm", "ghk_seminorm",
-    "vanishing_experiment", "vdc_bound", "cube_average",
-}
 
 
 @dataclass(frozen=True)
@@ -96,22 +93,45 @@ def parse_row(line: str) -> Row:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _field(name: str):
+    """Report a malformed value met in the block as a ConfigError on `name`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing parameter {exc}", field=name) from None
+    except (TypeError, ValueError, ArithmeticError, AttributeError, IndexError, OSError) as exc:
+        raise ConfigError(str(exc), field=name) from None
+
+
+def _int(value) -> int:
+    """A JSON integer; 8.7, "8" and true are rejected rather than converted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _angle_from_json(value, field_name: str):
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad fraction {value!r}: {exc}", field=field_name)
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"angle must be a number or 'p/q' string, got {value!r}", field=field_name)
+    """A 'p/q' string declares a rational angle (a Fraction); a number stays a float."""
+    with _field(field_name):
+        return Fraction(value) if isinstance(value, str) else _real(value)
 
 
 def build_system(spec, field_name: str = "system") -> System:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("system spec needs a 'kind'", field=field_name)
     kind = spec["kind"]
-    try:
+    with _field(field_name):
         if kind in ("rotation_torus", "rotation"):
             alpha = spec.get("alpha")
             if alpha is None:
@@ -128,13 +148,9 @@ def build_system(spec, field_name: str = "system") -> System:
             if matrix is None:
                 raise ConfigError("automorphism needs 'matrix'", field=field_name)
             return ToralAutomorphism(
-                tuple(tuple(int(v) for v in row) for row in matrix),
-                int(spec.get("modulus", (1 << 31) - 1)),
+                tuple(tuple(_int(v) for v in row) for row in matrix),
+                _int(spec.get("modulus", (1 << 31) - 1)),
             )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field=field_name)
     raise ConfigError(f"unknown system kind {kind!r}", field=field_name)
 
 
@@ -142,61 +158,56 @@ def _coeff_from_json(value, field_name: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0]), _real(value[1]))
     raise ConfigError(f"coefficient must be a number or [re, im], got {value!r}", field=field_name)
 
 
-def build_observable(spec, field_name: str, dimension: int | None = None) -> Observable:
+def build_observable(spec, field_name: str) -> Observable:
     if not isinstance(spec, dict) or "terms" not in spec:
         raise ConfigError("observable spec needs 'terms'", field=field_name)
-    terms = []
-    for i, entry in enumerate(spec["terms"]):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"term {i} must be [frequency, coefficient]", field=field_name)
-        freq, coeff = entry
-        freq = tuple(int(v) for v in freq) if isinstance(freq, list) else (int(freq),)
-        terms.append((freq, _coeff_from_json(coeff, field_name)))
-    if dimension is None:
+    with _field(field_name):
+        terms = []
+        for i, entry in enumerate(spec["terms"]):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ConfigError(f"term {i} must be [frequency, coefficient]", field=field_name)
+            freq, coeff = entry
+            freq = tuple(_int(v) for v in freq) if isinstance(freq, list) else (_int(freq),)
+            terms.append((freq, _coeff_from_json(coeff, field_name)))
         dimension = spec.get("dimension")
-    try:
         if dimension is None:
             if not terms:
                 raise ConfigError("cannot infer dimension of an empty observable", field=field_name)
             dimension = len(terms[0][0])
-        return Observable(int(dimension), tuple(terms))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field=field_name)
+        return Observable(_int(dimension), tuple(terms))
 
 
 def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("weight spec needs a 'kind'", field=field_name)
     kind = spec["kind"]
-    try:
+    with _field(field_name):
         if kind == "polynomial_phase":
-            return nilseq.PolynomialPhase(tuple(float(c) for c in spec["coefficients"]))
+            return nilseq.PolynomialPhase(tuple(_real(c) for c in spec["coefficients"]))
         if kind == "torus_nilseq":
             func = build_observable(spec["observable"], field_name + ".observable")
             return nilseq.TorusNilseq(
-                tuple(float(a) for a in spec["alpha"]),
+                tuple(_real(a) for a in spec["alpha"]),
                 func,
-                tuple(float(b) for b in spec.get("base", [0.0] * func.dimension)),
+                tuple(_real(b) for b in spec.get("base", [0.0] * func.dimension)),
             )
         if kind == "heisenberg_nilseq":
             inv = spec.get("invariant", {})
             ikind = inv.get("kind")
             if ikind == "torus_char":
-                func = nilseq.TorusChar(int(inv["m"]), int(inv["k"]))
+                func = nilseq.TorusChar(_int(inv["m"]), _int(inv["k"]))
             elif ikind == "theta":
                 func = nilseq.ThetaType(
-                    int(inv["ell"]), int(inv.get("truncation", 8)), float(inv.get("width", 1.0))
+                    _int(inv["ell"]), _int(inv.get("truncation", 8)), _real(inv.get("width", 1.0))
                 )
             else:
                 raise ConfigError(f"unknown invariant kind {ikind!r}", field=field_name + ".invariant")
-            g = nilseq.HeisenbergElement(*(float(v) for v in spec["g"]))
-            base = nilseq.HeisenbergElement(*(float(v) for v in spec.get("base", [0, 0, 0])))
+            g = nilseq.HeisenbergElement(*(_real(v) for v in spec["g"]))
+            base = nilseq.HeisenbergElement(*(_real(v) for v in spec.get("base", [0, 0, 0])))
             return nilseq.HeisenbergNilseq(g, base, func)
         if kind == "product":
             return nilseq.Product(
@@ -212,40 +223,31 @@ def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence
             path = Path(spec["path"])
             if not path.is_absolute():
                 path = base_dir / path
-            return nilseq.table_from_csv(path, float(spec.get("sup_error_budget", 0.0)))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"missing weight parameter {exc}", field=field_name)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field=field_name)
+            return nilseq.table_from_csv(path, _real(spec.get("sup_error_budget", 0.0)))
     raise ConfigError(f"unknown weight kind {kind!r}", field=field_name)
 
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "birkhoff_avg": ("system", "observable", "x0"),
-    "ww_avg": ("system", "observable", "x0", "t"),
-    "ww_sup": ("system", "observable", "x0", "eps"),
-    "double_avg": ("system", "observable1", "observable2", "x0", "a", "b"),
-    "wwdr_avg": ("system", "observable1", "observable2", "x0", "a", "b", "t"),
-    "poly_wwdr_avg": ("system", "observable1", "observable2", "x0", "a", "b", "p"),
-    "nil_wwdr_avg": ("system", "observable1", "observable2", "x0", "a", "b", "weight"),
-    "dual_system_avg": ("system", "observable1", "observable2", "x0", "a", "b",
-                        "system_s", "g_list"),
-    "cesaro_nilseq": ("weight",),
-    "local_seminorm": ("weight", "k"),
-    "ghk_seminorm": ("system", "observable", "x0", "k"),
-    "vdc_bound": ("weight", "N", "K"),
-    "cube_average": ("weight1", "weight2", "H", "N"),
-    "vanishing_experiment": ("system", "observable1", "observable2", "x0", "a", "b",
-                             "weight", "k"),
-    "product_formula_check": ("system", "observable1", "observable2", "x0", "a", "b",
-                              "N", "tol"),
+# assertion check -> (keys it reads, row column it tests at N, test of one value);
+# "N", "from", "small" and "large" are integers
+_CHECKS = {
+    "passed": ((), None, None),
+    "abs_below": (("N", "value"), "abs", lambda v, spec: v < spec["value"]),
+    "sup_below": (("N", "value"), "sup", lambda v, spec: v < spec["value"]),
+    "sup_at_least": (("N", "value"), "sup", lambda v, spec: v >= spec["value"]),
+    "seminorm_below": (("N", "value"), "seminorm", lambda v, spec: v <= spec["value"]),
+    "seminorm_between": (("N", "low", "high"), "seminorm",
+                         lambda v, spec: spec["low"] <= v <= spec["high"]),
+    "deltas_below_first": (("from",), None, None),
+    "delta_trend": (("small", "large"), None, None),
 }
 
 
-def list_experiments() -> list[str]:
-    return sorted(_REQUIRED)
+def _check_assertion(spec) -> dict:
+    if not isinstance(spec, dict) or spec.get("check") not in _CHECKS:
+        raise ValueError(f"an assertion needs a 'check' among {sorted(_CHECKS)}, got {spec!r}")
+    for key in _CHECKS[spec["check"]][0]:
+        (_int if key in ("N", "from", "small", "large") else _real)(spec[key])
+    return spec
 
 
 @dataclass
@@ -279,23 +281,24 @@ class ExperimentConfig:
     seed: int | None = None
     assertions: list = field(default_factory=list)
 
-    def echo(self) -> str:
-        """Canonical serialization of the raw config (sorted keys)."""
-        return json.dumps(self.raw, sort_keys=True, indent=2)
-
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     base_dir = base_dir or Path(".")
     experiment = doc.get("experiment")
-    if experiment not in _REQUIRED:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown or missing experiment {experiment!r}; see list-experiments",
             field="experiment",
         )
-    cfg = ExperimentConfig(experiment=experiment, id=doc.get("id", experiment), raw=doc)
-    missing = [name for name in _REQUIRED[experiment] if name not in doc]
+    entry = _EXPERIMENTS[experiment]
+    rid = doc.get("id", experiment)
+    # the id names the output files, which must stay inside the output directory
+    if not isinstance(rid, str) or rid in ("", ".", "..") or any(c in rid for c in "/\\\0"):
+        raise ConfigError(f"id must be a plain file name, got {rid!r}", field="id")
+    cfg = ExperimentConfig(experiment=experiment, id=rid, raw=doc, index_base=entry.index_base)
+    missing = [name for name in entry.required if name not in doc]
     if missing:
         raise ConfigError(f"{experiment} requires {', '.join(missing)}", field=missing[0])
 
@@ -307,9 +310,10 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
         if name in doc:
             setattr(cfg, name, build_observable(doc[name], name))
     if "g_list" in doc:
-        cfg.g_list = [
-            build_observable(spec, f"g_list[{i}]") for i, spec in enumerate(doc["g_list"])
-        ]
+        with _field("g_list"):
+            cfg.g_list = [
+                build_observable(spec, f"g_list[{i}]") for i, spec in enumerate(doc["g_list"])
+            ]
     for name in ("weight", "weight1", "weight2"):
         if name in doc:
             setattr(cfg, name, build_weight(doc[name], name, base_dir))
@@ -320,42 +324,29 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
             raise ConfigError("x0 must be a nonempty list of points", field="x0")
         if not isinstance(pts[0], list):
             pts = [pts]
-        if isinstance(cfg.system, ToralAutomorphism):
-            cfg.x0 = [tuple(int(v) for v in p) for p in pts]
-        else:
-            cfg.x0 = [tuple(float(v) for v in p) for p in pts]
+        conv = _int if isinstance(cfg.system, ToralAutomorphism) else _real
+        with _field("x0"):
+            cfg.x0 = [tuple(conv(v) for v in p) for p in pts]
+            for p in cfg.x0 if cfg.system is not None else ():
+                systems.orbit_point(cfg.system, p, 0)  # a point off the system is a config error
 
-    for name, conv in (("a", int), ("b", int), ("t", float), ("k", int), ("H", int),
-                       ("N", int), ("K", int), ("eps", float), ("tol", float),
-                       ("grid_size", int), ("index_base", int), ("seed", int)):
+    for name, conv in (("a", _int), ("b", _int), ("t", _real), ("k", _int), ("H", _int),
+                       ("N", _int), ("K", _int), ("eps", _real), ("tol", _real),
+                       ("grid_size", _int), ("index_base", _int), ("seed", _int),
+                       ("p", lambda v: tuple(_real(c) for c in v)),
+                       ("schedule", lambda v: check_schedule(_int(n) for n in v)),
+                       ("assertions", lambda v: [_check_assertion(a) for a in v])):
         if name in doc:
-            try:
+            with _field(name):
                 setattr(cfg, name, conv(doc[name]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc), field=name)
-    if "p" in doc:
-        cfg.p = tuple(float(c) for c in doc["p"])
-    if "index_base" not in doc:
-        cfg.index_base = 0 if experiment in _BASE0_EXPERIMENTS else 1
-
-    if "schedule" in doc:
-        sched = doc["schedule"]
-        if not isinstance(sched, list) or not sched:
-            raise ConfigError("schedule must be a nonempty list", field="schedule")
-        cfg.schedule = tuple(int(n) for n in sched)
-    if any(y <= x for x, y in zip(cfg.schedule, cfg.schedule[1:])) or cfg.schedule[0] < 1:
-        raise ConfigError("schedule must be strictly increasing and positive", field="schedule")
 
     if cfg.a is not None and cfg.b is not None:
-        if cfg.a == cfg.b or cfg.a == 0 or cfg.b == 0:
-            raise ConfigError("exponents must be distinct and nonzero", field="a")
+        with _field("a"):
+            averages.check_exponents(cfg.a, cfg.b)
     if cfg.experiment == "dual_system_avg" and not 1 <= len(cfg.g_list) <= 3:
         raise ConfigError("g_list must hold 1..3 observables", field="g_list")
     if cfg.index_base not in (0, 1):
         raise ConfigError("index_base must be 0 or 1", field="index_base")
-    cfg.assertions = doc.get("assertions", [])
-    if not isinstance(cfg.assertions, list):
-        raise ConfigError("assertions must be a list", field="assertions")
     return cfg
 
 
@@ -377,7 +368,8 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _report_rows(rid: str, rep: ConvergenceReport) -> list[Row]:
+def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict, list[dict]]:
+    """A report's CSV rows, and how far its numbers can be trusted (summary only)."""
     rows = []
     for i, n in enumerate(rep.schedule):
         v = rep.values[i]
@@ -389,11 +381,6 @@ def _report_rows(rid: str, rep: ConvergenceReport) -> list[Row]:
             kw["seminorm"] = rep.seminorm_values[i]
             kw["clamped"] = rep.seminorm_clamped[i]
         rows.append(Row(rid, **kw))
-    return rows
-
-
-def _diagnostics(rid: str, rep: ConvergenceReport) -> dict:
-    """How far a report's numbers can be trusted; goes to the summary, never the CSV."""
     diag: dict = {"id": rid, "error_budget": rep.error_budget}
     if rep.sup_data is not None:
         diag["sup"] = [
@@ -401,100 +388,108 @@ def _diagnostics(rid: str, rep: ConvergenceReport) -> dict:
              "error_bound": s.error_bound}
             for n, s in zip(rep.schedule, rep.sup_data)
         ]
-    return diag
+    return rows, {}, [diag]
 
 
-def _schedule_params(cfg: ExperimentConfig, x0) -> tuple[str, dict]:
-    e = cfg.experiment
-    if e == "birkhoff_avg":
-        return "birkhoff", dict(system=cfg.system, obs=cfg.observable, x0=x0)
-    if e == "ww_avg":
-        return "ww", dict(system=cfg.system, obs=cfg.observable, x0=x0, t=cfg.t)
-    if e == "ww_sup":
-        return "ww_sup", dict(system=cfg.system, obs=cfg.observable, x0=x0, eps=cfg.eps)
-    if e == "cesaro_nilseq":
-        return "cesaro", dict(weight=cfg.weight)
-    common = dict(system=cfg.system, obs1=cfg.observable1, obs2=cfg.observable2,
-                  x0=x0, a=cfg.a, b=cfg.b)
-    if e == "double_avg":
-        return "double", common
-    if e == "wwdr_avg":
-        return "wwdr", dict(common, t=cfg.t)
-    if e == "poly_wwdr_avg":
-        return "poly_wwdr", dict(common, p=cfg.p)
-    if e == "nil_wwdr_avg":
-        return "nil_wwdr", dict(common, weight=cfg.weight)
-    if e == "dual_system_avg":
-        return "dual_system", dict(common, system_s=cfg.system_s, g_list=cfg.g_list,
-                                   grid_size=cfg.grid_size)
-    raise ConfigError(f"no schedule runner for {e}")
+def _scheduled(kind: str) -> Callable:
+    """Runner evaluating the average `kind` of `averages.run_schedule`."""
+    def run(cfg: ExperimentConfig, rid: str, x0):
+        params = dict(system=cfg.system, x0=x0, obs=cfg.observable, obs1=cfg.observable1,
+                      obs2=cfg.observable2, a=cfg.a, b=cfg.b, t=cfg.t, p=cfg.p,
+                      weight=cfg.weight, eps=cfg.eps, system_s=cfg.system_s,
+                      g_list=cfg.g_list, grid_size=cfg.grid_size)
+        return _from_report(rid, averages.run_schedule(kind, params, cfg.schedule,
+                                                       cfg.index_base))
+    return run
 
 
-def _run_one_point(cfg: ExperimentConfig, rid: str, x0) -> tuple[list[Row], dict, list[dict]]:
-    e = cfg.experiment
-    extra: dict = {}
-    if e == "vanishing_experiment":
-        rep = seminorms.vanishing_experiment(
-            cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
-            cfg.weight, cfg.k, cfg.schedule, cfg.index_base,
-        )
-        return _report_rows(rid, rep), extra, [_diagnostics(rid, rep)]
-    if e == "ghk_seminorm":
-        rows = []
-        for n in cfg.schedule:
-            h = cfg.H if cfg.H is not None else seminorms.coupled_box_size(n)
-            est = seminorms.ghk_seminorm(cfg.system, cfg.observable, x0, cfg.k, h, n,
-                                         cfg.index_base)
-            rows.append(Row(rid, N=n, seminorm=est.value, clamped=est.clamped))
-        return rows, extra, []
-    if e == "product_formula_check":
-        rep = joinings.product_formula_check(
-            cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
-            cfg.N, cfg.tol, cfg.index_base,
-        )
-        rows = [
-            Row(rid + ":lhs", N=rep.N, re=rep.lhs.real, im=rep.lhs.imag, abs=abs(rep.lhs)),
-            Row(rid + ":rhs", N=rep.N, re=rep.rhs.real, im=rep.rhs.imag, abs=abs(rep.rhs)),
-        ]
-        extra["passed"] = rep.passed
-        extra["gap"] = abs(rep.lhs - rep.rhs)
-        return rows, extra, []
-    kind, params = _schedule_params(cfg, x0)
-    rep = averages.run_schedule(kind, params, cfg.schedule, cfg.index_base)
-    return _report_rows(rid, rep), extra, [_diagnostics(rid, rep)]
+def _seminorm_rows(cfg: ExperimentConfig, rid: str, estimate: Callable):
+    """One row per scheduled N of `estimate(N, H)`; its certificate goes to diagnostics."""
+    rows, certs = [], []
+    for n in cfg.schedule:
+        h = cfg.H if cfg.H is not None else seminorms.coupled_box_size(n)
+        est = estimate(n, h)
+        rows.append(Row(rid, N=n, seminorm=est.value, clamped=est.clamped))
+        certs.append({"N": n, "H": h, "pre_root_average": est.pre_root_average,
+                      "clamped": est.clamped})
+    return rows, {}, [{"id": rid, "seminorm": certs}]
 
 
-def _run_sequence_experiment(cfg: ExperimentConfig) -> tuple[list[Row], dict, list[dict]]:
-    e = cfg.experiment
-    rid = cfg.id
-    extra: dict = {}
-    if e == "cesaro_nilseq":
-        rep = averages.run_schedule("cesaro", dict(weight=cfg.weight), cfg.schedule,
-                                    cfg.index_base)
-        return _report_rows(rid, rep), extra, [_diagnostics(rid, rep)]
-    if e == "local_seminorm":
-        rows = []
-        for n in cfg.schedule:
-            h = cfg.H if cfg.H is not None else seminorms.coupled_box_size(n)
-            seq = nilseq.weight_samples(cfg.weight, n + cfg.k * h, cfg.index_base)
-            est = seminorms.local_seminorm(seq, cfg.k, h, n)
-            rows.append(Row(rid, N=n, seminorm=est.value, clamped=est.clamped))
-        return rows, extra, []
-    if e == "vdc_bound":
-        seq = nilseq.weight_samples(cfg.weight, cfg.N, cfg.index_base)
-        rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
-        extra["passed"] = rep.passed
-        return [
-            Row(rid + ":lhs", N=cfg.N, abs=rep.lhs),
-            Row(rid + ":rhs", N=cfg.N, abs=rep.rhs),
-        ], extra, []
-    if e == "cube_average":
-        length = cfg.N + 3 * (cfg.H - 1)
-        s1 = nilseq.weight_samples(cfg.weight1, length, cfg.index_base)
-        s2 = nilseq.weight_samples(cfg.weight2, length, cfg.index_base)
-        v = seminorms.cube_average(s1, s2, cfg.H)
-        return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], extra, []
-    raise ConfigError(f"no sequence runner for {e}")
+def _run_local_seminorm(cfg: ExperimentConfig, rid: str, x0):
+    def estimate(n, h):
+        seq = nilseq.weight_samples(cfg.weight, n + cfg.k * h, cfg.index_base)
+        return seminorms.local_seminorm(seq, cfg.k, h, n)
+    return _seminorm_rows(cfg, rid, estimate)
+
+
+def _run_ghk_seminorm(cfg: ExperimentConfig, rid: str, x0):
+    return _seminorm_rows(cfg, rid, lambda n, h: seminorms.ghk_seminorm(
+        cfg.system, cfg.observable, x0, cfg.k, h, n, cfg.index_base))
+
+
+def _run_vanishing(cfg: ExperimentConfig, rid: str, x0):
+    return _from_report(rid, seminorms.vanishing_experiment(
+        cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
+        cfg.weight, cfg.k, cfg.schedule, cfg.index_base,
+    ))
+
+
+def _run_product_formula(cfg: ExperimentConfig, rid: str, x0):
+    rep = joinings.product_formula_check(
+        cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
+        cfg.N, cfg.tol, cfg.index_base,
+    )
+    rows = [Row(f"{rid}:{side}", N=rep.N, re=v.real, im=v.imag, abs=abs(v))
+            for side, v in (("lhs", rep.lhs), ("rhs", rep.rhs))]
+    return rows, {"passed": rep.passed, "gap": abs(rep.lhs - rep.rhs)}, []
+
+
+def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
+    seq = nilseq.weight_samples(cfg.weight, cfg.N, cfg.index_base)
+    rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
+    rows = [Row(rid + ":lhs", N=cfg.N, abs=rep.lhs), Row(rid + ":rhs", N=cfg.N, abs=rep.rhs)]
+    return rows, {"passed": rep.passed}, []
+
+
+def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
+    length = cfg.N + 3 * (cfg.H - 1)
+    s1 = nilseq.weight_samples(cfg.weight1, length, cfg.index_base)
+    s2 = nilseq.weight_samples(cfg.weight2, length, cfg.index_base)
+    v = seminorms.cube_average(s1, s2, cfg.H)
+    return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {}, []
+
+
+class _Experiment(NamedTuple):
+    required: tuple[str, ...]  # runs once per starting point when it holds "x0"
+    index_base: int  # default first n
+    run: Callable  # (cfg, rid, x0) -> (rows, extras, diagnostics); x0 None if not pointwise
+
+
+_ORBIT = ("system", "observable", "x0")
+_PAIR = ("system", "observable1", "observable2", "x0", "a", "b")
+
+# averages count n from 1 by default; the sequence/seminorm family from 0
+_EXPERIMENTS = {
+    "birkhoff_avg": _Experiment(_ORBIT, 1, _scheduled("birkhoff")),
+    "ww_avg": _Experiment(_ORBIT + ("t",), 1, _scheduled("ww")),
+    "ww_sup": _Experiment(_ORBIT + ("eps",), 1, _scheduled("ww_sup")),
+    "double_avg": _Experiment(_PAIR, 1, _scheduled("double")),
+    "wwdr_avg": _Experiment(_PAIR + ("t",), 1, _scheduled("wwdr")),
+    "poly_wwdr_avg": _Experiment(_PAIR + ("p",), 1, _scheduled("poly_wwdr")),
+    "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), 1, _scheduled("nil_wwdr")),
+    "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), 1, _scheduled("dual_system")),
+    "cesaro_nilseq": _Experiment(("weight",), 0, _scheduled("cesaro")),
+    "local_seminorm": _Experiment(("weight", "k"), 0, _run_local_seminorm),
+    "ghk_seminorm": _Experiment(_ORBIT + ("k",), 0, _run_ghk_seminorm),
+    "vdc_bound": _Experiment(("weight", "N", "K"), 0, _run_vdc_bound),
+    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), 0, _run_cube_average),
+    "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), 0, _run_vanishing),
+    "product_formula_check": _Experiment(_PAIR + ("N", "tol"), 1, _run_product_formula),
+}
+
+
+def list_experiments() -> list[str]:
+    return sorted(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +502,15 @@ def _eval_assertion(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bo
     if check == "passed":
         oks = [x.get("passed") for x in extras if "passed" in x]
         return (bool(oks) and all(oks), f"pass flags: {oks}")
-    if check in ("abs_below", "sup_below", "sup_at_least", "seminorm_below", "seminorm_between"):
+    _, column, test = _CHECKS.get(check, ((), None, None))
+    if column is not None:
         n = int(spec["N"])
-        picked = [r for r in rows if r.N == n]
+        picked = [getattr(r, column) for r in rows if r.N == n]
         if not picked:
             return False, f"no rows at N={n}"
-        if check == "abs_below":
-            vals = [r.abs for r in picked if r.abs is not None]
-            return (bool(vals) and all(v < spec["value"] for v in vals),
-                    f"|A_{n}| = {vals}")
-        if check == "sup_below":
-            vals = [r.sup for r in picked if r.sup is not None]
-            return (bool(vals) and all(v < spec["value"] for v in vals), f"sup = {vals}")
-        if check == "sup_at_least":
-            vals = [r.sup for r in picked if r.sup is not None]
-            return (bool(vals) and all(v >= spec["value"] for v in vals), f"sup = {vals}")
-        vals = [r.seminorm for r in picked if r.seminorm is not None]
-        if check == "seminorm_below":
-            return (bool(vals) and all(v <= spec["value"] for v in vals), f"seminorm = {vals}")
-        lo, hi = float(spec["low"]), float(spec["high"])
-        return (bool(vals) and all(lo <= v <= hi for v in vals), f"seminorm = {vals}")
+        vals = [v for v in picked if v is not None]
+        label = f"|A_{n}|" if column == "abs" else column
+        return bool(vals) and all(test(v, spec) for v in vals), f"{label} = {vals}"
     if check in ("deltas_below_first", "delta_trend"):
         # group rows by experiment_id, recompute deltas from the value column
         by_id: dict[str, list[Row]] = {}
@@ -576,9 +560,6 @@ class ExperimentReport:
     wall_time: float
 
 
-_POINTWISE = {k for k in _REQUIRED if "x0" in _REQUIRED[k]}
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> ExperimentReport:
     """Run one experiment, optionally writing ``<id>.csv`` and ``<id>.summary.json``.
 
@@ -586,23 +567,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
     configured order, so the data rows do not depend on the worker count.
     """
     t0 = time.perf_counter()
-    extras: list[dict] = []
-    if cfg.experiment in _POINTWISE:
-        tasks = [
-            (f"{cfg.id}/x{i}" if len(cfg.x0) > 1 else cfg.id, x0)
-            for i, x0 in enumerate(cfg.x0)
-        ]
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda t: _run_one_point(cfg, *t), tasks))
-        else:
-            results = [_run_one_point(cfg, rid, x0) for rid, x0 in tasks]
-        rows = [r for rs, _, _ in results for r in rs]
-        extras = [x for _, x, _ in results]
-        diagnostics = [d for _, _, ds in results for d in ds]
+    entry = _EXPERIMENTS[cfg.experiment]
+    points = cfg.x0 if "x0" in entry.required else [None]
+    tasks = [(f"{cfg.id}/x{i}" if len(points) > 1 else cfg.id, x0)
+             for i, x0 in enumerate(points)]
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda t: entry.run(cfg, *t), tasks))
     else:
-        rows, extra, diagnostics = _run_sequence_experiment(cfg)
-        extras = [extra]
+        results = [entry.run(cfg, *t) for t in tasks]
+    rows = [r for rs, _, _ in results for r in rs]
+    extras = [x for _, x, _ in results]
+    diagnostics = [d for _, _, ds in results for d in ds]
 
     verdicts = []
     all_passed = True

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SequenceTooShortError
 from .numerics import frac, frac_combine, frac_poly, pairwise_sum, two_prod, unit_phase
-from .report import ConvergenceReport, make_report
+from .report import ConvergenceReport, check_schedule, make_report
 from .systems import Observable, eval_observable_many
 
 
@@ -128,7 +128,7 @@ class ThetaType:
         acc = np.zeros(np.broadcast(x, y, z).shape, dtype=np.complex128)
         for j in range(-self.truncation, self.truncation + 1):
             acc = acc + self._bump(y + j) * unit_phase(frac(self.ell * j * x))
-        return acc * unit_phase(frac(self.ell * z))
+        return unit_phase(frac(self.ell * z)) * acc  # operand order as in eval_observable_many
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ def check_gamma_invariance(func, sample_count: int, tol: float, seed: int = 0) -
 
 
 class WeightSequence:
-    """Bounded complex sequence with a recorded sup bound.
+    """Bounded complex sequence with a recorded sup bound; every weight
+    class derives from it.
 
     Subclasses implement `eval_many`; `length` is None except for
     table-backed data; `error_budget` is the additive sup uncertainty.
@@ -189,14 +190,12 @@ class PolynomialPhase(WeightSequence):
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
-    bound = 1.0
-
     def eval_many(self, n):
         return unit_phase(frac_poly(self.coefficients, n))
 
 
 @dataclass(frozen=True)
-class TorusNilseq:
+class TorusNilseq(WeightSequence):
     """b_n = F(base + n alpha) for a trigonometric polynomial F on T^d."""
 
     alpha: tuple[float, ...]
@@ -208,9 +207,6 @@ class TorusNilseq:
         object.__setattr__(self, "base", tuple(float(b) for b in self.base))
         if len(self.alpha) != self.func.dimension or len(self.base) != self.func.dimension:
             raise ValueError("alpha, base, and F must share one dimension")
-
-    length = None
-    error_budget = 0.0
 
     @property
     def bound(self) -> float:
@@ -224,11 +220,9 @@ class TorusNilseq:
         ]
         return eval_observable_many(self.func, np.stack(cols, axis=-1))
 
-    eval = WeightSequence.eval
-
 
 @dataclass(frozen=True)
-class HeisenbergNilseq:
+class HeisenbergNilseq(WeightSequence):
     """Basic 2-step sequence b_n = F(g^n * base) on the Heisenberg quotient.
 
     Coordinates of g^n * base are reduced mod the lattice with compensated
@@ -239,9 +233,6 @@ class HeisenbergNilseq:
     g: HeisenbergElement
     base: HeisenbergElement
     func: TorusChar | ThetaType
-
-    length = None
-    error_budget = 0.0
 
     @property
     def bound(self) -> float:
@@ -272,11 +263,9 @@ class HeisenbergNilseq:
         z = frac(z_raw - twist)
         return self.func.eval_raw(x, y, z)
 
-    eval = WeightSequence.eval
-
 
 @dataclass(frozen=True)
-class Product:
+class Product(WeightSequence):
     left: WeightSequence
     right: WeightSequence
 
@@ -297,11 +286,9 @@ class Product:
     def eval_many(self, n):
         return self.left.eval_many(n) * self.right.eval_many(n)
 
-    eval = WeightSequence.eval
-
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(WeightSequence):
     scale: complex
     inner: WeightSequence
 
@@ -318,9 +305,7 @@ class Scaled:
         return abs(self.scale) * self.inner.error_budget
 
     def eval_many(self, n):
-        return complex(self.scale) * self.inner.eval_many(n)
-
-    eval = WeightSequence.eval
+        return self.inner.eval_many(n) * complex(self.scale)  # order as in eval_observable_many
 
 
 class Table(WeightSequence):
@@ -391,9 +376,7 @@ def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray
 
 def cesaro_nilseq(w: WeightSequence, schedule) -> ConvergenceReport:
     """A_N = (1/N) sum_{n=0}^{N-1} w(n) for each N in an increasing schedule."""
-    schedule = [int(n) for n in schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be nonempty and strictly increasing")
+    schedule = check_schedule(schedule)
     terms = weight_samples(w, schedule[-1])
     values = [pairwise_sum(terms[:n]) / n for n in schedule]
     return make_report(schedule, values, error_budget=w.error_budget)

@@ -42,6 +42,16 @@ class ConvergenceReport:
         return self.dyadic_deltas[self.schedule.index(n)]
 
 
+def check_schedule(schedule) -> tuple[int, ...]:
+    """The schedule as ints; it must be nonempty, integral, positive and strictly increasing."""
+    given = tuple(schedule)
+    schedule = tuple(int(n) for n in given)
+    if (not schedule or schedule != given or schedule[0] < 1
+            or any(y <= x for x, y in zip(schedule, schedule[1:]))):
+        raise ValueError("schedule must hold positive integers in strictly increasing order")
+    return schedule
+
+
 def make_report(schedule, values, **kwargs) -> ConvergenceReport:
     values = tuple(complex(v) for v in values)
     deltas = tuple(abs(values[i + 1] - values[i]) for i in range(len(values) - 1))

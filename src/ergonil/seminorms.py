@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponentsError, SequenceTooShortError
+from .averages import double_terms, orbit_terms
+from .errors import SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
-from .report import ConvergenceReport, make_report
-from .systems import Observable, System, eval_observable_many, orbit_coords, zk_complement
+from .report import ConvergenceReport, check_schedule, make_report
+from .systems import Observable, System, zk_complement
 
 MAX_ORDER = 4  # cost grows as H^(k-1) 2^k; 4 covers every exponent used here
 
@@ -70,6 +71,11 @@ def _as_sequence(a) -> np.ndarray:
     return arr
 
 
+def _check_order(k: int):
+    if k < 1 or k > MAX_ORDER:
+        raise ValueError(f"order k must be in 1..{MAX_ORDER}")
+
+
 def _require_length(a: np.ndarray, needed: int, what: str):
     if a.size < needed:
         raise SequenceTooShortError(f"{what} needs {needed} samples, sequence has {a.size}")
@@ -79,8 +85,7 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
     """(1/N) sum_n of the order-k conjugated cube product at offsets eps.h."""
     a = _as_sequence(a)
     h = tuple(int(v) for v in h)
-    if k < 1 or k > MAX_ORDER:
-        raise ValueError(f"order k must be in 1..{MAX_ORDER}")
+    _check_order(k)
     if len(h) != k:
         raise ValueError(f"offset vector has length {len(h)}, expected {k}")
     if any(v < 0 for v in h):
@@ -113,8 +118,7 @@ def _box_average(seq: np.ndarray, k: int, H: int, N: int) -> complex:
 def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
     """Order-k sequence seminorm estimate at box size H and inner scale N."""
     a = _as_sequence(a)
-    if k < 1 or k > MAX_ORDER:
-        raise ValueError(f"order k must be in 1..{MAX_ORDER}")
+    _check_order(k)
     if H < 1:
         raise ValueError("H must be >= 1")
     if N < H * H:
@@ -129,12 +133,7 @@ def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
 def orbit_product_sequence(system: System, obs1: Observable, obs2: Observable, x0,
                            a: int, b: int, length: int, index_base: int = 0) -> np.ndarray:
     """Materialize a_n = f1(T^{an} x0) f2(T^{bn} x0) for n = index_base .. +length-1."""
-    if a == b or a == 0 or b == 0:
-        raise InvalidExponentsError(f"exponents must be distinct and nonzero, got a={a}, b={b}")
-    n = np.arange(index_base, index_base + length, dtype=np.int64)
-    va = eval_observable_many(obs1, orbit_coords(system, x0, a * n))
-    vb = eval_observable_many(obs2, orbit_coords(system, x0, b * n))
-    return va * vb
+    return double_terms(system, obs1, obs2, x0, a, b, length, index_base)
 
 
 def _ghk_recursive(u: np.ndarray, k: int, H: int, N: int) -> float:
@@ -159,13 +158,12 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
     are means of nonnegative numbers, so clamping never fires here; the flag
     is kept for schema compatibility.
     """
-    if k < 1 or k > MAX_ORDER:
-        raise ValueError(f"order k must be in 1..{MAX_ORDER}")
+    _check_order(k)
     if H < 1:
         raise ValueError("H must be >= 1")
     length = N + (k - 1) * H
     n = np.arange(index_base, index_base + length, dtype=np.int64)
-    u = eval_observable_many(obs, orbit_coords(system, x0, n))
+    u = orbit_terms(system, x0, n, obs)
     value = _ghk_recursive(u, k, H, N)
     return SeminormEstimate("ghk_function", k, H, N, float(value), False, float(value) ** (1 << k))
 
@@ -270,11 +268,8 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     weighted averages against any lower-step weight must vanish too, and this
     report lets that implication be eyeballed and thresholded.
     """
-    schedule = [int(v) for v in schedule]
-    if not schedule or any(y <= x for x, y in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be nonempty and strictly increasing")
-    if k < 1 or k > MAX_ORDER:
-        raise ValueError(f"order k must be in 1..{MAX_ORDER}")
+    schedule = check_schedule(schedule)
+    _check_order(k)
     g1 = zk_complement(system, obs1, k - 1) if k > 1 else obs1
     g2 = zk_complement(system, obs2, k - 1) if k > 1 else obs2
     max_n = schedule[-1]

@@ -336,7 +336,9 @@ def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
     out = np.zeros(coords.shape[0], dtype=np.complex128)
     for freq, coeff in obs.terms:
         k = np.asarray(freq, dtype=np.float64)
-        out += coeff * unit_phase(frac(coords @ k))
+        # the temporary goes first: numpy's elision turns `c * f()` into f() * c
+        # on large arrays, and the order of a complex product moves its last bit
+        out += unit_phase(frac(coords @ k)) * coeff
     return out
 
 

@@ -12,10 +12,13 @@ from ergonil import (
     InvalidExponentsError,
     PolynomialPhase,
     RotationTorus,
+    Scaled,
     Table,
+    ThetaType,
     ToralAutomorphism,
     TorusChar,
     birkhoff_avg,
+    cesaro_nilseq,
     constant_observable,
     constant_weight,
     double_avg,
@@ -389,12 +392,37 @@ class TestDualSystem:
 
 class TestSchedule:
     def test_schedule_values_match_single_shots(self):
+        # past 2**14 complex terms numpy's temporary elision can swap the
+        # operands of a product, so the schedule reaches 2**15
         rot = RotationTorus((PHI,))
+        anz = AnzaiSkew(SQRT2M1)
         obs = observable([((0,), 0.4), ((1,), 0.6)])
-        sched = [100, 200, 400]
-        rep = run_schedule("ww", dict(system=rot, obs=obs, x0=(0.2,), t=0.31), sched)
-        for n in sched:
-            assert rep.value_at(n) == ww_avg(rot, obs, (0.2,), 0.31, n)
+        f1 = observable([((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
+        f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
+        w = Scaled(0.6 + 0.8j, HeisenbergNilseq(HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1),
+                                                HeisenbergElement.identity(), ThetaType(1)))
+        pair = dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3), a=1, b=2)
+        p = (0.1, 0.3, PHI)
+        cases = [
+            ("birkhoff", dict(system=rot, obs=obs, x0=(0.2,)),
+             lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
+            ("ww", dict(system=rot, obs=obs, x0=(0.2,), t=0.31),
+             lambda n: ww_avg(rot, obs, (0.2,), 0.31, n)),
+            ("double", pair, lambda n: double_avg(anz, f1, f2, (0.2, 0.3), 1, 2, n)),
+            ("wwdr", dict(pair, t=0.31),
+             lambda n: wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, 0.31, n)),
+            ("poly_wwdr", dict(pair, p=p),
+             lambda n: poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, n)),
+            ("nil_wwdr", dict(pair, weight=w),
+             lambda n: nil_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, w, n)),
+        ]
+        sched = [100, 1 << 14, 1 << 15]
+        for kind, params, one_shot in cases:
+            rep = run_schedule(kind, params, sched)
+            for n in sched:
+                assert rep.value_at(n) == one_shot(n), (kind, n)
+        rep = run_schedule("cesaro", dict(weight=w), sched, index_base=0)
+        assert rep.values == cesaro_nilseq(w, sched).values
 
     def test_deltas_are_consecutive_differences(self):
         rot = RotationTorus((PHI,))
@@ -413,5 +441,6 @@ class TestSchedule:
 
     def test_rejects_bad_schedule(self):
         rot = RotationTorus((PHI,))
-        with pytest.raises(ValueError):
-            run_schedule("birkhoff", dict(system=rot, obs=E1, x0=(0.2,)), [64, 64])
+        for bad in ([64, 64], [], [0, 64], [8.7, 16]):
+            with pytest.raises(ValueError):
+                run_schedule("birkhoff", dict(system=rot, obs=E1, x0=(0.2,)), bad)

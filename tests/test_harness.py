@@ -84,6 +84,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("rid", ["../escaped", "a/b", "a\\b", ".", "..", "", 7])
+    def test_id_must_be_a_plain_file_name(self, rid, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(ww_config(id=rid))
+        assert err.value.field == "id"
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(ww_config(id=rid)))
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["c.json"]
+
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"experiment": "ww_avg",\n  broken\n}')
@@ -266,6 +276,30 @@ class TestRunExperiment:
         assert rep.all_passed
         assert all(r.seminorm is not None and r.clamped is not None for r in rep.rows)
 
+    def test_summary_carries_seminorm_certificates(self, tmp_path):
+        docs = [
+            {"experiment": "local_seminorm", "id": "semi_local", "k": 2,
+             "weight": {"kind": "polynomial_phase", "coefficients": [0.0, 0.0, PHI]},
+             "schedule": [256, 1024]},
+            {"experiment": "ghk_seminorm", "id": "semi_ghk", "k": 2, "H": 8,
+             "system": {"kind": "rotation_torus", "alpha": [PHI]},
+             "observable": {"terms": [[[1], 1.0]]}, "x0": [[0.2]],
+             "schedule": [256, 1024]},
+        ]
+        for doc, boxes in zip(docs, ([16, 32], [8, 8])):
+            rep = run_experiment(config_from_dict(doc), out_dir=tmp_path)
+            diag = json.loads(rep.summary_path.read_text())["diagnostics"]
+            assert [d["id"] for d in diag] == [doc["id"]]
+            certs = diag[0]["seminorm"]
+            assert [c["N"] for c in certs] == [256, 1024]
+            assert [c["H"] for c in certs] == boxes
+            for c, row in zip(certs, rep.rows):
+                assert c["clamped"] == row.clamped == (c["pre_root_average"] < 0)
+                root = 0.0 if c["clamped"] else c["pre_root_average"] ** 0.25
+                assert root == pytest.approx(row.seminorm, rel=1e-12)
+            # certificates stay out of the data rows
+            assert rep.csv_path.read_text().splitlines()[0] == CSV_HEADER
+
     def test_cesaro_deltas_assertion(self, tmp_path):
         cfg = config_from_dict({
             "experiment": "cesaro_nilseq",
@@ -316,6 +350,28 @@ class TestCli:
         p.write_text(json.dumps(ww_config()))
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "rotation_ww.csv").exists()
+
+    @pytest.mark.parametrize("over", [
+        {"experiment": "poly_wwdr_avg", "observable1": {"terms": [[[1], 1.0]]},
+         "observable2": {"terms": [[[1], 1.0]]}, "a": 1, "b": 2, "p": 3},
+        {"observable": {"terms": 5}},
+        {"assertions": [{"check": "abs_below", "value": 0.5}]},
+        {"assertions": ["abs_below"]},
+        {"assertions": [{"check": "abs_small", "N": 256, "value": 0.5}]},
+        {"schedule": ["x"]},
+        {"schedule": [8.7, 16]},
+        {"x0": ["a"]},
+        {"x0": [[1.5]]},
+        {"x0": [[0.2, 0.3]]},
+        {"observable": {"terms": [[["z"], 1.0]]}},
+        {"weight": {"kind": "table", "path": "missing.csv"}},
+    ])
+    def test_malformed_config_exits_2(self, over, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(ww_config(**over)))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_run_assertion_failure_exit_4(self, tmp_path):
         p = tmp_path / "c.json"
