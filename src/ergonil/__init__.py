@@ -33,6 +33,7 @@ from .averages import (
 from .errors import (
     ConfigError,
     DimensionMismatchError,
+    DomainError,
     ErgonilError,
     GridTooFineError,
     InvalidExponentsError,

@@ -21,6 +21,10 @@ class UnsupportedSystemError(ErgonilError, TypeError):
     """Operation not defined for this system kind."""
 
 
+class DomainError(ErgonilError, ValueError):
+    """An input lies outside the declared domain of a closed form."""
+
+
 class GridTooFineError(ErgonilError, ValueError):
     """Requested frequency-grid resolution exceeds the documented floor."""
 

@@ -10,7 +10,12 @@ Three model kinds are supported:
 
 Orbits are never iterated in floating point. The rotation and skew closed
 forms run through compensated mod-1 reduction (error stays below 1e-12 for
-n up to 2**20), and automorphism orbits are exact modular arithmetic.
+n up to 2**20); the skew's is declared for |n| <= 2**27 - 1, where
+n(n-1)/2 is exact in float, and raises `DomainError` past it. Automorphism
+orbits are exact modular arithmetic: N points by baby-step/giant-step, about
+2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec mod q, in int64 while
+2(q-1)**2 < 2**63 (every prime up to the default 2**31 - 1) and in exact
+Python integers above that bound.
 
 Rotation and skew angles may be declared either as decimal literals (treated
 as irrational) or as `fractions.Fraction` (treated as rational). Downstream
@@ -19,6 +24,7 @@ modules dispatch on the declaration, never on float comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,12 +32,16 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedSystemError
+from .errors import DimensionMismatchError, DomainError, UnsupportedSystemError
 from .numerics import frac, frac_combine, is_prime, unit_phase
 
 Angle = Union[float, Fraction]
 
 _MAX_MODULUS = 1 << 53  # lattice coordinates residue/q are exact doubles below this
+
+# Largest skew time |n| whose n(n-1)/2, or |n|(|n|+1)/2 for negative n, is
+# at most 2**53 and therefore exact in float.
+SKEW_MAX_TIME = (1 << 27) - 1
 
 
 def _angle_float(a: Angle) -> float:
@@ -258,27 +268,47 @@ def _check_point(system: System, x0):
 
 
 def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: int):
-    """Residue pairs of A**(start + j*step) x0 for j = 0..count-1, exact."""
+    """Residue pairs of A**(start + j*step) x0 for j = 0..count-1, exact.
+
+    Baby-step/giant-step: with B = ceil(sqrt(count)), the B baby matrices
+    A**(j*step) and the ceil(count/B) giant points A**(start + i*B*step) x0
+    are built with exact 2x2 steps, then one broadcast mat-vec fills row
+    i*B + j with A**(j*step) applied to giant point i. Its int64 sums are
+    exact while 2(q-1)**2 < 2**63, which holds up to q = 2**31 - 1; above
+    that the same mat-vec runs on Python ints.
+    """
     q = system.modulus
     p1, p2 = _check_point(system, x0)
-    s = mat_pow_mod(system.matrix, start, q)
+    babies = math.isqrt(max(count - 1, 0)) + 1
+    giants = -(-count // babies)
     b = mat_pow_mod(system.matrix, step, q)
+    powers = [((1, 0), (0, 1))]
+    for _ in range(babies - 1):
+        powers.append(_mat_mul(powers[-1], b, q))
+    g = _mat_mul(powers[-1], b, q)  # A**(babies*step), one giant step
+    s = mat_pow_mod(system.matrix, start, q)
     v1 = (s[0][0] * p1 + s[0][1] * p2) % q
     v2 = (s[1][0] * p1 + s[1][1] * p2) % q
-    out = np.empty((count, 2), dtype=np.int64)
-    b00, b01, b10, b11 = b[0][0], b[0][1], b[1][0], b[1][1]
-    for j in range(count):
-        out[j, 0] = v1
-        out[j, 1] = v2
-        v1, v2 = (b00 * v1 + b01 * v2) % q, (b10 * v1 + b11 * v2) % q
-    return out
+    points = []
+    for _ in range(giants):
+        points.append((v1, v2))
+        v1, v2 = (g[0][0] * v1 + g[0][1] * v2) % q, (g[1][0] * v1 + g[1][1] * v2) % q
+    dtype = np.int64 if 2 * (q - 1) ** 2 < 1 << 63 else object
+    # (giants, 2) @ (2, 2*babies): column 2j + r is row r of A**(j*step)
+    rows = np.array(powers, dtype=dtype).reshape(-1, 2)
+    out = np.array(points, dtype=dtype).reshape(giants, 2) @ rows.T
+    out %= q
+    return out.astype(np.int64, copy=False).reshape(-1, 2)[:count]
 
 
 def orbit_coords(system: System, x0, n) -> np.ndarray:
     """Float coordinates of T^n x0 for an arbitrary int64 vector of times n.
 
-    Rotation and skew use compensated closed forms; automorphism times must
-    form an arithmetic progression (detected) so the lattice walk stays O(N).
+    Rotation and skew use compensated closed forms, the skew's declared for
+    |n| <= 2**27 - 1 (`DomainError` past it). Automorphism times must form
+    an arithmetic progression (detected), walked by baby-step/giant-step in
+    about 2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec: int64 while
+    2(q-1)**2 < 2**63, exact Python integers above that bound.
     """
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
     if isinstance(system, RotationTorus):
@@ -291,22 +321,25 @@ def orbit_coords(system: System, x0, n) -> np.ndarray:
         return np.stack(cols, axis=-1)
     if isinstance(system, AnzaiSkew):
         x, y = _check_point(system, x0)
+        top = int(np.abs(n).max(initial=0))
+        if top > SKEW_MAX_TIME:
+            raise DomainError(
+                f"skew time {top} is past the closed form's limit "
+                f"|n| <= {SKEW_MAX_TIME}, where n(n-1)/2 stays exact in float"
+            )
         a = system.alpha_float
         nf = n.astype(np.float64)
-        mf = ((n * (n - 1)) // 2).astype(np.float64)  # exact for |n| < 2**26
+        mf = ((n * (n - 1)) // 2).astype(np.float64)
         xs = frac_combine(products=[(nf, a)], terms=[x])
         ys = frac_combine(products=[(nf, x), (mf, a)], terms=[y])
         return np.stack([xs, ys], axis=-1)
     if isinstance(system, ToralAutomorphism):
-        if n.size == 1:
-            start, step, count = int(n[0]), 1, 1
-        else:
-            steps = np.diff(n)
-            if not (steps == steps[0]).all():
-                raise ValueError("automorphism orbit times must be an arithmetic progression")
-            start, step, count = int(n[0]), int(steps[0]), n.size
-        res = lattice_orbit(system, x0, start, step, count)
-        return res.astype(np.float64) / system.modulus
+        steps = np.diff(n)
+        if steps.size and not (steps == steps[0]).all():
+            raise ValueError("automorphism orbit times must be an arithmetic progression")
+        start = int(n[0]) if n.size else 0
+        step = int(steps[0]) if steps.size else 1
+        return lattice_orbit(system, x0, start, step, n.size) / system.modulus
     raise UnsupportedSystemError(f"unknown system kind {type(system).__name__}")
 
 

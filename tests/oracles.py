@@ -53,6 +53,32 @@ def iterate_cat(matrix, modulus: int, v0, n: int):
     return p1, p2
 
 
+def cat_orbit(matrix, modulus: int, v0, start: int, step: int, count: int):
+    """A^(start + j*step) v0 for j = 0..count-1, one matrix step at a time.
+
+    Negative powers step with the integer inverse det * adj(A) (det = +-1).
+    """
+    (a, b), (c, d) = matrix
+    det = a * d - b * c
+    inverse = ((det * d, -det * b), (-det * c, det * a))
+
+    def power(v, n):
+        return iterate_cat(matrix if n >= 0 else inverse, modulus, v, abs(n))
+
+    v = power(v0, start)
+    out = []
+    for _ in range(count):
+        out.append(v)
+        v = power(v, step)
+    return np.array(out, dtype=np.int64).reshape(count, 2)
+
+
+def exact_anzai(alpha: float, x0, n: int):
+    """T^n (x, y) of the skew product in exact rationals, rounded at the end."""
+    a, x, y = Fraction(alpha), Fraction(x0[0]), Fraction(x0[1])
+    return np.array([float((x + n * a) % 1), float((y + n * x + Fraction(n * (n - 1), 2) * a) % 1)])
+
+
 def heisenberg_product(g, n: int):
     """n-fold iterated group multiplication of (a, b, c)."""
     a = b = c = 0.0

@@ -393,3 +393,21 @@ class TestCli:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+
+    def test_run_skew_past_domain_exit_3(self, tmp_path, capsys):
+        # exponent 2^20 at N = 256 asks the skew closed form for times up to 2^28
+        doc = {
+            "experiment": "double_avg",
+            "system": {"kind": "anzai_skew", "alpha": PHI},
+            "observable1": {"terms": [[[0, 1], 1.0]]},
+            "observable2": {"terms": [[[0, 1], 1.0]]},
+            "x0": [[0.2, 0.3]],
+            "a": 1,
+            "b": 1 << 20,
+            "schedule": [256],
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert "limit" in capsys.readouterr().err

@@ -4,10 +4,12 @@ model factor-projection table."""
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from ergonil import (
     AnzaiSkew,
     DimensionMismatchError,
+    DomainError,
     Observable,
     RotationTorus,
     ToralAutomorphism,
@@ -20,11 +22,19 @@ from ergonil import (
     project_Zk,
     zk_complement,
 )
-from ergonil.systems import eval_observable_many, lattice_orbit, mat_pow_mod
+from ergonil.numerics import is_prime
+from ergonil.systems import SKEW_MAX_TIME, eval_observable_many, lattice_orbit, mat_pow_mod
 
 import oracles
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+CAT = ((2, 1), (1, 1))
+# -CAT mod q has a row (q - 1, q - 1); applied to the point (q - 1, q - 1) its
+# row sum is 2(q - 1)^2, the largest a lattice mat-vec can form
+NEG_CAT = ((-2, -1), (-1, -1))
+INT64_EDGE = (1 << 31) - 1  # largest prime with 2(q - 1)^2 < 2^63
+PAST_INT64_EDGE = (1 << 31) + 11  # the next prime
 
 
 class TestOrbits:
@@ -142,6 +152,66 @@ class TestLattice:
         for _ in range(5):
             it = tuple(tuple(sum(it[i][l] * m[l][j] for l in range(2)) for j in range(2)) for i in range(2))
         assert p5 == it
+
+    def test_large_modulus_orbit_matches_step_loop(self):
+        q = (1 << 53) - 111
+        cat = ToralAutomorphism(CAT, modulus=q)
+        for x0, start, step, count in (((3, 5), -7, 3, 3000), ((q - 1, 12345), 11, -2, 4097)):
+            got = lattice_orbit(cat, x0, start, step, count)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, oracles.cat_orbit(CAT, q, x0, start, step, count))
+
+    def test_primes_around_int64_bound(self):
+        assert 2 * (INT64_EDGE - 1) ** 2 < 1 << 63 <= 2 * (PAST_INT64_EDGE - 1) ** 2
+        assert is_prime(INT64_EDGE) and is_prime(PAST_INT64_EDGE)
+        assert not any(is_prime(q) for q in range(INT64_EDGE + 1, PAST_INT64_EDGE))
+        for q in (INT64_EDGE, PAST_INT64_EDGE):
+            for matrix in (CAT, NEG_CAT):
+                system = ToralAutomorphism(matrix, modulus=q)
+                for x0, start, step, count in (((q - 1, q - 1), 0, 1, 2000), ((12345, 678), -3, 5, 2500)):
+                    want = oracles.cat_orbit(matrix, q, x0, start, step, count)
+                    np.testing.assert_array_equal(lattice_orbit(system, x0, start, step, count), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        modulus=st.sampled_from([101, INT64_EDGE, PAST_INT64_EDGE, (1 << 53) - 111]),
+        matrix=st.sampled_from([CAT, NEG_CAT, ((1, 1), (1, 0)), ((3, 2), (1, 1))]),
+        x0=st.tuples(st.integers(-(1 << 60), 1 << 60), st.integers(-(1 << 60), 1 << 60)),
+        start=st.integers(-60, 60),
+        step=st.integers(-6, 6),
+        count=st.sampled_from([0, 1, 2])
+        | st.integers(1, 24).flatmap(lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1])),
+    )
+    def test_block_layout_matches_step_loop(self, modulus, matrix, x0, start, step, count):
+        system = ToralAutomorphism(matrix, modulus=modulus)
+        got = lattice_orbit(system, x0, start, step, count)
+        assert got.shape == (count, 2) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, oracles.cat_orbit(matrix, modulus, x0, start, step, count))
+
+
+class TestDomain:
+    @pytest.mark.parametrize("system, x0, d", [
+        (RotationTorus((PHI, 0.25)), (0.1, 0.9), 2),
+        (AnzaiSkew(PHI), (0.2, 0.3), 2),
+        (ToralAutomorphism(CAT), (12345, 678), 2),
+        (RotationTorus((PHI,)), (0.1,), 1),
+    ])
+    def test_empty_times(self, system, x0, d):
+        out = orbit_coords(system, x0, np.array([], np.int64))
+        assert out.shape == (0, d) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [SKEW_MAX_TIME, -SKEW_MAX_TIME, SKEW_MAX_TIME - 1, (1 << 26) + 3])
+    def test_skew_just_inside_limit(self, n):
+        got = orbit_coords(AnzaiSkew(PHI), (0.2, 0.3), [n])[0]
+        diff = np.abs(got - oracles.exact_anzai(PHI, (0.2, 0.3), n))
+        assert np.minimum(diff, 1.0 - diff).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [SKEW_MAX_TIME + 1, -SKEW_MAX_TIME - 1, (1 << 27) + 3])
+    def test_skew_past_limit_raises(self, n):
+        with pytest.raises(DomainError, match="limit"):
+            orbit_coords(AnzaiSkew(PHI), (0.2, 0.3), [0, 5, n])
+        with pytest.raises(DomainError):
+            orbit_point(AnzaiSkew(PHI), (0.2, 0.3), n)
 
 
 class TestObservables:
