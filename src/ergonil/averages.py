@@ -17,23 +17,27 @@ Factors multiply in the fixed order f1 * f2 * b, so the exact reductions
 (t = 0, constant weights) hold bit for bit. Observables and weights fix their
 operand order too, so no term's bits depend on the array length, and
 `run_schedule` returns the one-shot values bit for bit at every scheduled N.
+Exponent times n are checked against the system's time domain first, and the
+auxiliary-system norm is exact by Parseval on its Fourier coefficients in y.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     GridTooFineError,
     InvalidExponentsError,
     SequenceTooShortError,
     UnsupportedSystemError,
 )
 from .nilseq import PolynomialPhase, WeightSequence
-from .numerics import frac, frac_poly, pairwise_mean, pairwise_sum, unit_phase
+from .numerics import frac_poly, pairwise_mean, pairwise_sum, unit_phase
 from .report import ConvergenceReport, SupPoint, check_schedule, make_report
 from .systems import (
     Observable,
@@ -41,6 +45,7 @@ from .systems import (
     System,
     eval_observable_many,
     orbit_coords,
+    check_times,
 )
 
 MAX_SUP_GRID = 1 << 28  # finest sweep resolution; eps floor is pi*(N-1)*U / this
@@ -48,8 +53,10 @@ _COARSE_MIN = 1 << 12  # coarse FFT size: a power of two >= 16N, within these
 _COARSE_CAP = 1 << 22  # (but never below N)
 
 
-def _times(index_base: int, count: int) -> np.ndarray:
-    return np.arange(index_base, index_base + count, dtype=np.int64)
+def _times(index_base: int, N: int) -> np.ndarray:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return np.arange(index_base, index_base + N, dtype=np.int64)
 
 
 def check_exponents(a: int, b: int):
@@ -75,6 +82,7 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
         )
 
     def orbit(obs, e):
+        check_times(n, system, e)  # before e * n can round or wrap in int64
         return eval_observable_many(obs, orbit_coords(system, x0, e * n))
 
     # the weight is evaluated first, while no other term array is alive: its
@@ -90,16 +98,8 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
     return terms
 
 
-def double_terms(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-                 count: int, index_base: int = 1) -> np.ndarray:
-    """Term array f1(T^{an} x0) f2(T^{bn} x0) for n = index_base .. +count-1."""
-    return orbit_terms(system, x0, _times(index_base, count), obs1, a, obs2, b)
-
-
 def _mean(system: System, x0, N: int, index_base: int, *args, **kwargs) -> complex:
     """(1/N) sum over n = index_base .. +N-1 of `orbit_terms(system, x0, n, *args, **kwargs)`."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     terms = orbit_terms(system, x0, _times(index_base, N), *args, **kwargs)
     return complex(pairwise_mean(terms))
 
@@ -119,17 +119,7 @@ def ww_avg(system: System, obs: Observable, x0, t: float, N: int, index_base: in
     return _mean(system, x0, N, index_base, obs, weight=PolynomialPhase((0.0, t)))
 
 
-@dataclass(frozen=True)
-class SupResult:
-    sup_value: float
-    t_star: float
-    grid_size: int
-    grid_spacing: float
-    error_bound: float
-
-    def as_sup_point(self) -> SupPoint:
-        return SupPoint(self.sup_value, self.t_star, self.grid_size, self.grid_spacing,
-                        self.error_bound)
+SupResult = SupPoint  # a sweep's result is the report's certified point at one N
 
 
 def _refine(u: np.ndarray, cells: np.ndarray, s: int, p: int, rows: int):
@@ -226,8 +216,6 @@ def sup_over_frequency(u: np.ndarray, eps: float, index_base: int = 1) -> SupRes
 def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,
            index_base: int = 1) -> SupResult:
     """Certified sup over the frequency t of |(1/N) sum f(T^n x0) e(n t)|."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return sup_over_frequency(orbit_terms(system, x0, _times(index_base, N), obs), eps, index_base)
 
 
@@ -272,39 +260,61 @@ class DualSystemResult:
     l2_norm: float
 
 
+def _dual_expansion(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
+                    system_s: RotationTorus, g_list, schedule,
+                    index_base: int) -> list[tuple[dict[int, complex], float]]:
+    """Coefficients {K: c_K(N)} in y of the auxiliary average and their L2 norm, per N.
+
+    With S^{in} y = y + i n t, a tuple (k_1, .., k_m) of g-frequencies adds
+    C e(K y) e(s n t), where K = sum k_i, s = sum i k_i and C is the product
+    of its coefficients; so c_K(N) = sum_s C_{K,s} A_s(N) with A_s(N) =
+    (1/N) sum f1 f2 e(s n t). Each A_s's terms are built once, at the largest N.
+    The norm is exact by Parseval, sqrt(sum_K |c_K|^2) summed in increasing K.
+    """
+    g_list = list(g_list)
+    if not isinstance(system_s, RotationTorus) or system_s.dimension != 1:
+        raise UnsupportedSystemError("auxiliary system must be a circle rotation")
+    if not 1 <= len(g_list) <= 3 or any(g.dimension != 1 for g in g_list):
+        raise DimensionMismatchError("need 1 to 3 auxiliary observables on the circle")
+    weights: dict[tuple[int, int], complex] = {}  # (K, s) -> C_{K,s}
+    for combo in itertools.product(*(g.terms for g in g_list)):
+        ks = [f[0] for f, _ in combo]
+        key = (sum(ks), sum(i * k for i, k in enumerate(ks, 1)))
+        weights[key] = weights.get(key, 0j) + math.prod(c for _, c in combo)
+    n = _times(index_base, schedule[-1])
+    base = orbit_terms(system, x0, n, obs1, a, obs2, b)
+    avgs = {}  # s -> A_s(N) at each scheduled N
+    for s in sorted({s for _, s in weights}):
+        terms = base
+        if s:  # e(s n t), exact in the integer s*n, multiplied in the core's order f1 f2 * w
+            check_times(n, e=s)
+            w = unit_phase(frac_poly((0.0, system_s.alpha_floats[0]), s * n))
+            terms = np.multiply(base, w, out=w)
+        avgs[s] = [complex(pairwise_sum(terms[:n_]) / n_) for n_ in schedule]
+    coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]
+    for (K, s), C in sorted(weights.items()):
+        for c, A in zip(coeffs, avgs[s]):
+            c[K] += C * A
+    return [(c, math.sqrt(sum(abs(v) ** 2 for v in c.values()))) for c in coeffs]
+
+
 def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                     system_s: RotationTorus, g_list, grid_size: int, N: int,
                     index_base: int = 1) -> DualSystemResult:
     """Node values y_j -> (1/N) sum f1(T^{an}x0) f2(T^{bn}x0) prod_i g_i(S^{in} y_j).
 
-    S must be a circle rotation; the quadrature grid is uniform with at least
-    64 nodes and the reported norm is the root mean square over nodes.
+    S must be a circle rotation. `l2_norm` is the exact L2 norm in y, by
+    Parseval on the coefficients of `_dual_expansion`; the uniform grid of at
+    least 64 nodes only places the reported node values.
     """
-    if not isinstance(system_s, RotationTorus) or system_s.dimension != 1:
-        raise UnsupportedSystemError("auxiliary system must be a circle rotation")
-    g_list = list(g_list)
-    if not 1 <= len(g_list) <= 3:
-        raise ValueError("need between 1 and 3 auxiliary observables")
     if grid_size < 64:
-        raise ValueError("quadrature grid needs at least 64 nodes")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    t = system_s.alpha_floats[0]
-    n = _times(index_base, N)
-    base_terms = double_terms(system, obs1, obs2, x0, a, b, N, index_base)
-    # with S^{in} y = y + (i n) t, the i-th factor phase reuses the weight path
-    rotated = [frac_poly((0.0, t), (i + 1) * n) for i in range(len(g_list))]
+        raise ValueError("node grid needs at least 64 nodes")
+    coeffs, l2 = _dual_expansion(system, obs1, obs2, x0, a, b, system_s, g_list, [N],
+                                 index_base)[0]
     nodes = np.arange(grid_size, dtype=np.float64) / grid_size
-    values = []
-    for y in nodes:
-        prod = base_terms
-        for g, rot in zip(g_list, rotated):
-            coords = frac(y + rot)[:, None]
-            prod = prod * eval_observable_many(g, coords)
-        values.append(complex(pairwise_mean(prod)))
-    arr = np.asarray(values)
-    l2 = float(np.sqrt(pairwise_mean(np.abs(arr) ** 2).real))
-    return DualSystemResult(tuple(nodes.tolist()), tuple(values), l2)
+    poly = Observable(1, tuple(((K,), c) for K, c in coeffs.items()))
+    values = tuple(eval_observable_many(poly, nodes[:, None]).tolist())
+    return DualSystemResult(tuple(nodes.tolist()), values, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +346,19 @@ def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> Conv
     `orbit_terms`, the core of the one-shot functions, and reduce each
     scheduled prefix with the pairwise tree it would get standalone, so every
     A_N equals the one-shot value bit for bit. `ww_sup` sweeps each prefix of
-    the orbit values; `dual_system` reports the L2 norm at each N.
+    the orbit values; `dual_system` reduces each twisted term array at every
+    N and reports the Parseval norm, equal to `dual_system_avg`'s bit for bit.
     """
     schedule = check_schedule(schedule)
     if kind == "dual_system":
-        results = [
-            dual_system_avg(
-                params["system"], params["obs1"], params["obs2"], params["x0"],
-                params["a"], params["b"], params["system_s"], params["g_list"],
-                params["grid_size"], n_, index_base,
-            )
-            for n_ in schedule
-        ]
-        return make_report(schedule, [r.l2_norm for r in results])
+        expansion = _dual_expansion(*(params[k] for k in (
+            "system", "obs1", "obs2", "x0", "a", "b", "system_s", "g_list")), schedule, index_base)
+        return make_report(schedule, [l2 for _, l2 in expansion])
     n = _times(index_base, schedule[-1])
     if kind == "ww_sup":
         u = orbit_terms(params["system"], params["x0"], n, params["obs"])
         sups = [sup_over_frequency(u[:n_], params["eps"], index_base) for n_ in schedule]
-        return make_report(
-            schedule,
-            [s.sup_value for s in sups],
-            sup_data=tuple(s.as_sup_point() for s in sups),
-        )
+        return make_report(schedule, [s.sup_value for s in sups], sup_data=tuple(sups))
     if kind not in _PREFIX_KINDS:
         raise ValueError(f"unknown schedule op {kind!r}")
     kw = _PREFIX_KINDS[kind](params)

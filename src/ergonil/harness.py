@@ -275,7 +275,6 @@ class ExperimentConfig:
     K: int | None = None
     eps: float | None = None
     tol: float | None = None
-    grid_size: int = 64
     schedule: tuple[int, ...] = DEFAULT_SCHEDULE
     index_base: int = 1
     seed: int | None = None
@@ -332,7 +331,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
 
     for name, conv in (("a", _int), ("b", _int), ("t", _real), ("k", _int), ("H", _int),
                        ("N", _int), ("K", _int), ("eps", _real), ("tol", _real),
-                       ("grid_size", _int), ("index_base", _int), ("seed", _int),
+                       ("index_base", _int), ("seed", _int),
                        ("p", lambda v: tuple(_real(c) for c in v)),
                        ("schedule", lambda v: check_schedule(_int(n) for n in v)),
                        ("assertions", lambda v: [_check_assertion(a) for a in v])):
@@ -396,8 +395,7 @@ def _scheduled(kind: str) -> Callable:
     def run(cfg: ExperimentConfig, rid: str, x0):
         params = dict(system=cfg.system, x0=x0, obs=cfg.observable, obs1=cfg.observable1,
                       obs2=cfg.observable2, a=cfg.a, b=cfg.b, t=cfg.t, p=cfg.p,
-                      weight=cfg.weight, eps=cfg.eps, system_s=cfg.system_s,
-                      g_list=cfg.g_list, grid_size=cfg.grid_size)
+                      weight=cfg.weight, eps=cfg.eps, system_s=cfg.system_s, g_list=cfg.g_list)
         return _from_report(rid, averages.run_schedule(kind, params, cfg.schedule,
                                                        cfg.index_base))
     return run

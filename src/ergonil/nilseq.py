@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SequenceTooShortError
+from .errors import ConfigError, DomainError, SequenceTooShortError
 from .numerics import frac, frac_combine, frac_poly, pairwise_sum, two_prod, unit_phase
 from .report import ConvergenceReport, check_schedule, make_report
-from .systems import Observable, eval_observable_many
+from .systems import SKEW_MAX_TIME, Observable, eval_observable_many
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,9 @@ class HeisenbergNilseq(WeightSequence):
 
     Coordinates of g^n * base are reduced mod the lattice with compensated
     arithmetic before F is applied, so phases stay accurate at n ~ 2**20
-    even though the raw center coordinate grows like n^2.
+    even though the raw center coordinate grows like n^2. Declared for
+    |n| <= 2**27 - 1, where n(n-1)/2 is exact in float, and |floor(Y) n| < 2**53
+    (Y = n g.b + base.b), where the lattice twist is; `DomainError` past either.
     """
 
     g: HeisenbergElement
@@ -240,8 +242,12 @@ class HeisenbergNilseq(WeightSequence):
 
     def eval_many(self, n):
         n = np.atleast_1d(np.asarray(n, dtype=np.int64))
+        top = max(-int(n.min()), int(n.max())) if n.size else 0
+        if top > SKEW_MAX_TIME:
+            raise DomainError(f"Heisenberg time {top} is past the limit |n| <= {SKEW_MAX_TIME}, "
+                              "where n(n-1)/2 stays exact in float")
         nf = n.astype(np.float64)
-        half = ((n * (n - 1)) // 2).astype(np.float64)  # exact for |n| < 2**26
+        half = ((n * (n - 1)) // 2).astype(np.float64)
         ga, gb, gc = self.g.a, self.g.b, self.g.c
         u, v, w = self.base.a, self.base.b, self.base.c
         ab_hi, ab_lo = two_prod(ga, gb)
@@ -258,7 +264,10 @@ class HeisenbergNilseq(WeightSequence):
             products=[(nf, gc), (half, ab_hi), (half, ab_lo), (na_hi, v), (na_lo, v)],
             terms=[w],
         )
-        kn = floor_y * nf  # exact while floor_y * n < 2**53
+        kn = floor_y * nf  # exact while |floor_y * n| < 2**53
+        if n.size and np.abs(kn).max() >= 2.0**53:
+            raise DomainError("Heisenberg twist floor(Y) * n reaches 2^53, the limit of its "
+                              "exact float product")
         twist = frac_combine(products=[(kn, ga), (floor_y, u)])
         z = frac(z_raw - twist)
         return self.func.eval_raw(x, y, z)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import double_terms, orbit_terms
+from .averages import orbit_terms
 from .errors import SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
@@ -133,7 +133,8 @@ def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
 def orbit_product_sequence(system: System, obs1: Observable, obs2: Observable, x0,
                            a: int, b: int, length: int, index_base: int = 0) -> np.ndarray:
     """Materialize a_n = f1(T^{an} x0) f2(T^{bn} x0) for n = index_base .. +length-1."""
-    return double_terms(system, obs1, obs2, x0, a, b, length, index_base)
+    n = np.arange(index_base, index_base + length, dtype=np.int64)
+    return orbit_terms(system, x0, n, obs1, a, obs2, b)
 
 
 def _ghk_recursive(u: np.ndarray, k: int, H: int, N: int) -> float:

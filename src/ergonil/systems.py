@@ -10,8 +10,10 @@ Three model kinds are supported:
 
 Orbits are never iterated in floating point. The rotation and skew closed
 forms run through compensated mod-1 reduction (error stays below 1e-12 for
-n up to 2**20); the skew's is declared for |n| <= 2**27 - 1, where
-n(n-1)/2 is exact in float, and raises `DomainError` past it. Automorphism
+n up to 2**20). Each closed form declares its times (`check_times`): the
+rotation |n| <= 2**53, where n is exact in float; the skew |n| <= 2**27 - 1,
+where n(n-1)/2 is; the lattice int64. A time past it, including an exponent
+times n, raises `DomainError` before it can round or wrap. Automorphism
 orbits are exact modular arithmetic: N points by baby-step/giant-step, about
 2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec mod q, in int64 while
 2(q-1)**2 < 2**63 (every prime up to the default 2**31 - 1) and in exact
@@ -42,6 +44,7 @@ _MAX_MODULUS = 1 << 53  # lattice coordinates residue/q are exact doubles below 
 # Largest skew time |n| whose n(n-1)/2, or |n|(|n|+1)/2 for negative n, is
 # at most 2**53 and therefore exact in float.
 SKEW_MAX_TIME = (1 << 27) - 1
+INT64_MAX = (1 << 63) - 1
 
 
 def _angle_float(a: Angle) -> float:
@@ -301,16 +304,39 @@ def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: i
     return out.astype(np.int64, copy=False).reshape(-1, 2)[:count]
 
 
+# declared time domain of each closed form: largest |n|, and what holds up to it
+_TIME_DOMAIN = {
+    RotationTorus: (1 << 53, "n is exact in float"),
+    AnzaiSkew: (SKEW_MAX_TIME, "n(n-1)/2 stays exact in float"),
+    ToralAutomorphism: (INT64_MAX, "n fits in int64"),
+}
+
+
+def check_times(n: np.ndarray, system: System | None = None, e: int = 1) -> None:
+    """Raise DomainError when the times e * n pass `system`'s declared domain.
+
+    |e| * max|n| is formed in Python integers, so it is checked before an
+    int64 product e * n could be rounded or wrap; without a system the
+    domain is int64.
+    """
+    limit, why = _TIME_DOMAIN.get(type(system), _TIME_DOMAIN[ToralAutomorphism])
+    top = abs(int(e)) * max(-int(n.min()), int(n.max())) if n.size else 0
+    if top > limit:
+        raise DomainError(f"time {top} is past the closed form's limit |n| <= {limit}, "
+                          f"where {why}")
+
+
 def orbit_coords(system: System, x0, n) -> np.ndarray:
     """Float coordinates of T^n x0 for an arbitrary int64 vector of times n.
 
-    Rotation and skew use compensated closed forms, the skew's declared for
-    |n| <= 2**27 - 1 (`DomainError` past it). Automorphism times must form
-    an arithmetic progression (detected), walked by baby-step/giant-step in
-    about 2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec: int64 while
-    2(q-1)**2 < 2**63, exact Python integers above that bound.
+    Rotation and skew use compensated closed forms, declared for |n| <= 2**53
+    and |n| <= 2**27 - 1 (`DomainError` past it). Automorphism times must
+    form an arithmetic progression (detected), walked by baby-step/giant-step
+    in about 2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec: int64
+    while 2(q-1)**2 < 2**63, exact Python integers above that bound.
     """
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    check_times(n, system)
     if isinstance(system, RotationTorus):
         x = _check_point(system, x0)
         nf = n.astype(np.float64)
@@ -321,12 +347,6 @@ def orbit_coords(system: System, x0, n) -> np.ndarray:
         return np.stack(cols, axis=-1)
     if isinstance(system, AnzaiSkew):
         x, y = _check_point(system, x0)
-        top = int(np.abs(n).max(initial=0))
-        if top > SKEW_MAX_TIME:
-            raise DomainError(
-                f"skew time {top} is past the closed form's limit "
-                f"|n| <= {SKEW_MAX_TIME}, where n(n-1)/2 stays exact in float"
-            )
         a = system.alpha_float
         nf = n.astype(np.float64)
         mf = ((n * (n - 1)) // 2).astype(np.float64)

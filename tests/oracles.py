@@ -38,6 +38,27 @@ def iterate_rotation(alpha, x0, n: int):
     return x
 
 
+def exact_rotation(alpha: float, x0: float, n: int) -> Fraction:
+    """frac(x0 + n alpha) on the circle, in exact rationals."""
+    return (Fraction(x0) + n * Fraction(alpha)) % 1
+
+
+def dual_norm_exact(alpha: float, x0: float, a: int, b: int, t: float, g_terms, N: int) -> float:
+    """Exact L2 norm in y of (1/N) sum_{n=1..N} e(x_{an}) e(x_{bn}) g(y + n t).
+
+    x_m = frac(x0 + m alpha) is a circle rotation orbit and g = sum c_k e(k y)
+    has distinct frequencies, so the average is sum_k c_k A_k e(k y) with
+    A_k the literal mean of e(x_{an} + x_{bn} + k n t), every phase reduced
+    in exact rationals. The norm is sqrt(sum_k |c_k A_k|^2), no grid involved.
+    """
+    total = 0.0
+    for k, c in g_terms:
+        phases = [(exact_rotation(alpha, x0, a * n) + exact_rotation(alpha, x0, b * n)
+                   + k * n * Fraction(t)) % 1 for n in range(1, N + 1)]
+        total += abs(c * direct_mean(unit([float(p) for p in phases]))) ** 2
+    return total ** 0.5
+
+
 def iterate_anzai(alpha: float, x0, n: int):
     x, y = float(x0[0]), float(x0[1])
     for _ in range(n):

@@ -32,8 +32,8 @@ from ergonil import (
     ww_sup,
     wwdr_avg,
 )
-from ergonil.averages import MAX_SUP_GRID
-from ergonil.errors import SequenceTooShortError
+from ergonil.averages import MAX_SUP_GRID, _dual_expansion
+from ergonil.errors import DomainError, SequenceTooShortError
 
 import oracles
 
@@ -382,10 +382,48 @@ class TestDualSystem:
         )
         assert rep.dyadic_deltas[-1] < rep.dyadic_deltas[0]
 
+    def test_norm_exact_when_frequencies_alias_on_the_grid(self):
+        # 40 - (-24) = 64: on 64 nodes e(40 y) and e(-24 y) coincide, so a
+        # quadrature of |.|^2 over the grid picks up their cross term
+        rot, s = RotationTorus((PHI,)), RotationTorus((SQRT2M1,))
+        g = observable([((40,), 1.0), ((-24,), 1.0)])
+        want = oracles.dual_norm_exact(PHI, 0.3, 1, 2, SQRT2M1, [(40, 1.0), (-24, 1.0)], 1024)
+        for grid in (64, 128):
+            res = dual_system_avg(rot, E1, E1, (0.3,), 1, 2, s, [g], grid, 1024)
+            assert abs(res.l2_norm - want) < 1e-12, grid
+
+    def test_twist_times_checked_against_int64(self):
+        # s * n with s = 2^60: exact up to n = 7, wraps at n = 8
+        rot, s = RotationTorus((PHI,)), RotationTorus((SQRT2M1,))
+        g = observable([((1 << 60,), 1.0)])
+        res = dual_system_avg(rot, E1, E1, (0.3,), 1, 2, s, [g], 64, 7)
+        want = oracles.dual_norm_exact(PHI, 0.3, 1, 2, SQRT2M1, [(1 << 60, 1.0)], 7)
+        assert abs(res.l2_norm - want) < 1e-12
+        with pytest.raises(DomainError):
+            dual_system_avg(rot, E1, E1, (0.3,), 1, 2, s, [g], 64, 8)
+
+    def test_coefficients_do_not_depend_on_the_longest_n(self):
+        # the Parseval norm can round a last-bit change in a coefficient away,
+        # so the coefficients at N = 100 are compared themselves; past 2**14
+        # terms numpy's temporary elision may swap a product's operands
+        anz, s = AnzaiSkew(SQRT2M1), RotationTorus((PHI,))
+        f1 = observable([((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
+        f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
+        gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
+              observable([((0,), 0.4), ((1,), 0.6 - 0.1j)])]
+        args = (anz, f1, f2, (0.2, 0.3), 1, 2, s, gs)
+        short = _dual_expansion(*args, [100], 1)[0]
+        assert _dual_expansion(*args, [100, 1 << 15], 1)[0] == short
+
     def test_validation(self):
         rot = RotationTorus((PHI,))
         with pytest.raises(ValueError):
             dual_system_avg(rot, E1, E1, (0.1,), 1, 2, RotationTorus((0.3,)), [E1], 32, 64)
+        with pytest.raises(ValueError):
+            dual_system_avg(rot, E1, E1, (0.1,), 1, 2, RotationTorus((0.3,)), [E1] * 4, 64, 64)
+        with pytest.raises(ValueError):
+            dual_system_avg(rot, E1, E1, (0.1,), 1, 2, RotationTorus((0.3,)),
+                            [observable([((1, 0), 1.0)])], 64, 64)
         with pytest.raises(Exception):
             dual_system_avg(rot, E1, E1, (0.1,), 1, 2, AnzaiSkew(PHI), [E1], 64, 64)
 
@@ -403,6 +441,9 @@ class TestSchedule:
                                                 HeisenbergElement.identity(), ThetaType(1)))
         pair = dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3), a=1, b=2)
         p = (0.1, 0.3, PHI)
+        gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
+              observable([((0,), 0.4), ((1,), 0.6 - 0.1j)]),
+              observable([((-1,), 0.7 + 0.7j), ((3,), 0.1)])]
         cases = [
             ("birkhoff", dict(system=rot, obs=obs, x0=(0.2,)),
              lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
@@ -415,8 +456,11 @@ class TestSchedule:
              lambda n: poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, n)),
             ("nil_wwdr", dict(pair, weight=w),
              lambda n: nil_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, w, n)),
+            ("dual_system", dict(pair, system_s=RotationTorus((PHI,)), g_list=gs),
+             lambda n: dual_system_avg(anz, f1, f2, (0.2, 0.3), 1, 2, RotationTorus((PHI,)),
+                                       gs, 64, n).l2_norm),
         ]
-        sched = [100, 1 << 14, 1 << 15]
+        sched = [2, 3, 7, 100, 1 << 14, 1 << 15]
         for kind, params, one_shot in cases:
             rep = run_schedule(kind, params, sched)
             for n in sched:

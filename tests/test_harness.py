@@ -201,6 +201,29 @@ class TestRunExperiment:
         assert outs[0] == outs[1] == outs[2]
         assert all(r.sup >= 0.99 for r in rep.rows)
 
+    def test_dual_system_rows_ignore_grid_and_workers(self, tmp_path):
+        # the norm is exact by Parseval, so a "grid_size" key changes nothing
+        doc = {
+            "experiment": "dual_system_avg", "id": "dual",
+            "system": {"kind": "rotation_torus", "alpha": [PHI]},
+            "observable1": {"terms": [[[1], [1.0, 0.0]]]},
+            "observable2": {"terms": [[[1], [0.7, 0.0]], [[2], [0.3, 0.2]]]},
+            "x0": [[0.2], [0.7]], "a": 1, "b": 2,
+            "system_s": {"kind": "rotation_torus", "alpha": [0.3]},
+            "g_list": [{"terms": [[[1], [1.0, 0.0]]]},
+                       {"terms": [[[-1], [0.5, 0.0]], [[40], [0.5, 0.1]]]}],
+            "schedule": [1024, 2048],
+        }
+        outs = []
+        for i, (grid, workers) in enumerate([(None, 1), (None, 2), (64, 1), (128, 2)]):
+            if grid is not None:
+                doc["grid_size"] = grid
+            rep = run_experiment(config_from_dict(doc), out_dir=tmp_path / str(i),
+                                 workers=workers)
+            outs.append(rep.csv_path.read_bytes())
+        assert outs[0] == outs[1] == outs[2] == outs[3]
+        assert len(rep.rows) == 4 and all(0.0 < r.abs < 1.0 for r in rep.rows)
+
     def test_summary_carries_sup_certificates(self, tmp_path):
         doc = {
             "experiment": "ww_sup", "id": "cert",
@@ -393,6 +416,24 @@ class TestCli:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+
+    def test_run_exponent_past_rotation_domain_exit_3(self, tmp_path, capsys):
+        # a * n = 2^53 + 1 at n = 1 is not a float: the rotation's time domain ends at 2^53
+        doc = {
+            "experiment": "double_avg",
+            "system": {"kind": "rotation_torus", "alpha": [PHI]},
+            "observable1": {"terms": [[[1], 1.0]]},
+            "observable2": {"terms": [[[1], 1.0]]},
+            "x0": [[0.2]],
+            "a": (1 << 53) + 1,
+            "b": 1,
+            "schedule": [16],
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert "limit" in capsys.readouterr().err
 
     def test_run_skew_past_domain_exit_3(self, tmp_path, capsys):
         # exponent 2^20 at N = 256 asks the skew closed form for times up to 2^28

@@ -26,7 +26,7 @@ from ergonil import (
     table_from_csv,
     weight_samples,
 )
-from ergonil.errors import ConfigError
+from ergonil.errors import ConfigError, DomainError
 
 import oracles
 
@@ -225,6 +225,52 @@ class TestWeights:
         n = np.arange(2000)
         for w in seqs:
             assert np.abs(w.eval_many(n)).max() <= w.bound + 1e-12
+
+
+class _Coordinates:
+    """Probe F returning the reduced point (x, y, z) itself."""
+
+    bound = 1.0
+
+    def eval_raw(self, x, y, z):
+        return np.stack([x, y, z], axis=-1)
+
+
+def _reduced_exact(g, base, n):
+    """g^n * base in exact rationals, reduced as eval_many reduces it."""
+    ga, gb, gc = (oracles.Fraction(v) for v in (g.a, g.b, g.c))
+    u, v, w = (oracles.Fraction(c) for c in (base.a, base.b, base.c))
+    X, Y = n * ga + u, n * gb + v
+    Z = n * gc + ga * gb * oracles.Fraction(n * (n - 1), 2) + w + n * ga * v
+    q = -(Y.numerator // Y.denominator)
+    return np.array([float(X % 1), float(Y % 1), float((Z + X * q) % 1)])
+
+
+class TestHeisenbergDomain:
+    BASE = HeisenbergElement(0.1, 0.25, 0.7)
+
+    @pytest.mark.parametrize("gb, n", [
+        (0.3, (1 << 27) - 1), (0.3, -(1 << 27) + 1), (0.3, (1 << 26) + 3),
+        # floor(Y) = 2^27 - 2, so floor(Y) * n = 2^53 - 2^27, just inside
+        (2.0 - 1.5 / (1 << 26), 1 << 26),
+    ])
+    def test_just_inside_limits(self, gb, n):
+        g = HeisenbergElement(PHI, gb, 0.1)
+        got = HeisenbergNilseq(g, self.BASE, _Coordinates()).eval_many(np.array([n]))[0]
+        diff = np.abs(got - _reduced_exact(g, self.BASE, n))
+        assert np.minimum(diff, 1.0 - diff).max() < 1e-12
+
+    @pytest.mark.parametrize("gb, n", [
+        (0.3, 1 << 27), (0.3, -(1 << 27)),
+        # floor(Y) * n = 2^53 and about 9.5e16, past the exact twist
+        (2.0 + 1.0 / (1 << 27), 1 << 26), (5.3, (1 << 27) - 1),
+    ])
+    def test_past_limits_raise(self, gb, n):
+        w = HeisenbergNilseq(HeisenbergElement(PHI, gb, 0.1), self.BASE, _Coordinates())
+        with pytest.raises(DomainError):
+            w.eval_many(np.array([0, 7, n]))
+        with pytest.raises(DomainError):
+            HeisenbergNilseq(w.g, self.BASE, TorusChar(1, 1)).eval(n)
 
 
 class TestTable:

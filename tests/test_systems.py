@@ -23,6 +23,7 @@ from ergonil import (
     zk_complement,
 )
 from ergonil.numerics import is_prime
+from ergonil.averages import orbit_terms
 from ergonil.systems import SKEW_MAX_TIME, eval_observable_many, lattice_orbit, mat_pow_mod
 
 import oracles
@@ -212,6 +213,52 @@ class TestDomain:
             orbit_coords(AnzaiSkew(PHI), (0.2, 0.3), [0, 5, n])
         with pytest.raises(DomainError):
             orbit_point(AnzaiSkew(PHI), (0.2, 0.3), n)
+
+
+class TestExponentDomain:
+    """orbit_terms checks |e| * max|n| against the system's domain before forming e * n."""
+
+    E1 = observable([((1,), 1.0)])
+    SKEW_Y = observable([((0, 1), 1.0)])
+
+    @pytest.mark.parametrize("e, n", [((1 << 50), [1, 5, 8]), (-(1 << 50), [8]),
+                                      ((1 << 53) - 1, [1]), (3, [(1 << 53) // 3])])
+    def test_rotation_just_inside_limit(self, e, n):
+        got = orbit_terms(RotationTorus((PHI,)), (0.1,), np.array(n, np.int64), self.E1, e)
+        want = oracles.unit([float(oracles.exact_rotation(PHI, 0.1, e * m)) for m in n])
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("e, n", [((1 << 53) + 1, [1]), ((1 << 50) + 1, [1, 8]),
+                                      (-(1 << 50), [9]), (1 << 62, [4])])
+    def test_rotation_past_limit_raises(self, e, n):
+        with pytest.raises(DomainError, match="limit"):
+            orbit_terms(RotationTorus((PHI,)), (0.1,), np.array(n, np.int64), self.E1, e)
+
+    def test_skew_exponent_limits(self):
+        got = orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array([1]), self.SKEW_Y, SKEW_MAX_TIME)
+        y = oracles.exact_anzai(PHI, (0.2, 0.3), SKEW_MAX_TIME)[1]
+        assert abs(got[0] - oracles.unit(y)) < 1e-12
+        # 2^62 * 4 wraps to 0 in int64; the check runs in Python integers first
+        for e, n in ((SKEW_MAX_TIME, [2]), (1 << 62, [4]), (1 << 26, [-2])):
+            with pytest.raises(DomainError):
+                orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array(n), self.SKEW_Y, e)
+
+    def test_lattice_exponent_limits(self):
+        q, x0 = 101, (5, 17)
+        period, v = 1, oracles.iterate_cat(CAT, q, x0, 1)
+        while v != x0:
+            period, v = period + 1, oracles.iterate_cat(CAT, q, v, 1)
+        obs = observable([((1, 2), 1.0)])
+        system = ToralAutomorphism(CAT, modulus=q)
+        for e in ((1 << 62) - 1, -(1 << 62) + 1):
+            r = oracles.iterate_cat(CAT, q, x0, e % period)
+            got = orbit_terms(system, x0, np.array([1, 2]), obs, e)
+            r2 = oracles.iterate_cat(CAT, q, x0, (2 * e) % period)
+            want = oracles.unit([(r[0] + 2 * r[1]) / q, (r2[0] + 2 * r2[1]) / q])
+            assert np.abs(got - want).max() < 1e-12
+        for e, n in ((1 << 62, [4]), (1 << 62, [2])):
+            with pytest.raises(DomainError):
+                orbit_terms(system, x0, np.array(n), obs, e)
 
 
 class TestObservables:
