@@ -89,12 +89,13 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
     # temporaries are the largest (a theta weight peaks near ten arrays of N)
     w = weight.eval_many(n) if weight is not None else None
     # in place, left to right: numpy's temporary elision may evaluate `x * f()`
-    # as `f() * x`, and complex products differ in the last bit by operand order
+    # as `f() * x`, and complex products differ in the last bit by operand order;
+    # but one element in place takes numpy's reduce loop, which rounds differently
     terms = orbit(obs1, a) if obs1 is not None else w
     if obs2 is not None:
-        terms *= orbit(obs2, b)
+        terms = np.multiply(terms, orbit(obs2, b), out=terms if n.size > 1 else None)
     if obs1 is not None and w is not None:
-        terms *= w
+        terms = np.multiply(terms, w, out=terms if n.size > 1 else None)
     return terms
 
 
@@ -289,7 +290,7 @@ def _dual_expansion(system: System, obs1: Observable, obs2: Observable, x0, a: i
         if s:  # e(s n t), exact in the integer s*n, multiplied in the core's order f1 f2 * w
             check_times(n, e=s)
             w = unit_phase(frac_poly((0.0, system_s.alpha_floats[0]), s * n))
-            terms = np.multiply(base, w, out=w)
+            terms = np.multiply(base, w, out=w if w.size > 1 else None)  # as in orbit_terms
         avgs[s] = [complex(pairwise_sum(terms[:n_]) / n_) for n_ in schedule]
     coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]
     for (K, s), C in sorted(weights.items()):

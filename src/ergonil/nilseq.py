@@ -122,12 +122,11 @@ class ThetaType:
         return float(tot.max()) * (1.0 + 1e-12)
 
     def eval_raw(self, x, y, z):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
+        x, y, z = (np.asarray(v, dtype=np.float64) for v in (x, y, z))
         acc = np.zeros(np.broadcast(x, y, z).shape, dtype=np.complex128)
         for j in range(-self.truncation, self.truncation + 1):
-            acc = acc + self._bump(y + j) * unit_phase(frac(self.ell * j * x))
+            term = self._bump(y + j) * unit_phase(frac(self.ell * j * x))
+            acc = np.add(acc, term, out=term if np.ndim(term) else None)  # into the fresh term
         return unit_phase(frac(self.ell * z)) * acc  # operand order as in eval_observable_many
 
 
@@ -213,11 +212,7 @@ class TorusNilseq(WeightSequence):
         return self.func.bound
 
     def eval_many(self, n):
-        nf = np.atleast_1d(np.asarray(n, dtype=np.int64)).astype(np.float64)
-        cols = [
-            frac_combine(products=[(nf, a)], terms=[b])
-            for a, b in zip(self.alpha, self.base)
-        ]
+        cols = [frac_poly((b, a), np.atleast_1d(n)) for a, b in zip(self.alpha, self.base)]
         return eval_observable_many(self.func, np.stack(cols, axis=-1))
 
 

@@ -1,21 +1,25 @@
 """Compensated floating-point kernels: exact mod-1 reduction of products and
 polynomial values, and a fixed-shape pairwise summation tree.
 
-The mod-1 helpers rely on two facts about IEEE double arithmetic:
+The mod-1 helpers rely on three facts about IEEE double arithmetic:
 
 * ``x - floor(x)`` is exact for every finite double (for |x| >= 2**52 the
   value is an integer and the result is 0);
 * Dekker's product splitting returns a pair (p, e) with p + e == a*b exactly,
-  so ``a*b mod 1`` can be assembled from ``frac(p) + frac(e)``.
+  so ``a*b mod 1`` can be assembled from ``frac(p) + frac(e)``;
+* integers below 2**53 are exact, so base-2**24 digits multiply exactly.
 
-Together these keep every reduced coordinate within a few ulp of the true
-value even when the unreduced product is as large as ~2**100, which is what
-closed-form orbit evaluation at n up to 2**20 requires.
+So every reduced coordinate is within a few ulp, however large the product.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+
+from .errors import DomainError
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
 
@@ -59,65 +63,64 @@ def frac_combine(products=(), terms=()):
     return frac(total)
 
 
-# Exact single-float powers: n**2 is exact for |n| <= 2**26.
-_FAST_POLY_LIMIT = 1 << 26
+_DIGIT = 24  # base-2**24 digits: a column of their products stays below 2**53
 
 
-def _monomial_components(nf, j):
-    """Float arrays whose exact sum is nf**j, for 1 <= j <= 4 and |nf| <= 2**26."""
-    if j == 1:
-        return (nf,)
-    n2 = nf * nf
-    if j == 2:
-        return (n2,)
-    if j == 3:
-        return two_prod(n2, nf)
-    if j == 4:
-        return two_prod(n2, n2)
-    raise ValueError("fast path handles degree <= 4 only")
+def _digit_product(a, b, places):
+    """Base-2**24 digits of a*b mod 2**(24 places), each within 2**23, by signed carries
+    over exact columns: 47 products below 2**47 at most, or three from n's own digits."""
+    cols = [0.0] * (places + 1)
+    for i, x in enumerate(a[:places]):
+        for j, y in enumerate(b[: places - i]):
+            cols[i + j] = cols[i + j] + x * y
+    for k in range(places):
+        carry = np.rint(cols[k] / 2.0**_DIGIT)
+        cols[k] = cols[k] - carry * 2.0**_DIGIT
+        cols[k + 1] = cols[k + 1] + carry
+    return cols[:places]
 
 
 def frac_poly(coefficients, n):
-    """frac(c0 + c1*n + ... + cd*n**d), exact mod-1, vectorized over n.
+    """frac(c0 + c1*n + ... + cd*n**d), exact mod 1, one vectorized path for int64 n.
 
-    Degrees up to 4 use error-free float splitting (requires |n| <= 2**26);
-    higher degrees fall back to exact integer arithmetic on the coefficients'
-    binary representations, one entry at a time.
+    Each n**j is float parts with an exact sum: a plain product while max|n|**j <= 2**53,
+    else `two_prod` of the single floats n**ceil(j/2), n**floor(j/2), else base-2**24
+    digits d_i mod 2**(24 K), each below c_j's last bit entering as d_i * (c_j 2**(24 i)).
+    `frac_combine` adds the parts times c_j, a few ulp each. Integer c_j are skipped.
     """
     coefficients = [float(c) for c in coefficients]
-    degree = len(coefficients) - 1
-    n_arr = np.asarray(n)
-    scalar = n_arr.ndim == 0
-    n_arr = np.atleast_1d(n_arr).astype(np.int64)
-    if degree <= 4 and (np.abs(n_arr) <= _FAST_POLY_LIMIT).all():
-        nf = n_arr.astype(np.float64)
-        products = []
-        for j in range(1, degree + 1):
-            c = coefficients[j]
-            if c == 0.0:
-                continue
-            for comp in _monomial_components(nf, j):
-                products.append((comp, c))
-        out = frac_combine(products, terms=(coefficients[0],))
-        out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
-    else:
-        out = np.empty(n_arr.shape, dtype=np.float64)
-        flat = n_arr.ravel()
-        res = np.empty(flat.shape, dtype=np.float64)
-        for i, m in enumerate(flat):
-            total = float(frac(np.float64(coefficients[0])))
-            for j in range(1, degree + 1):
-                c = coefficients[j]
-                if c == 0.0:
-                    continue
-                num, den = c.as_integer_ratio()  # den is a power of two
-                r = (pow(int(m), j, den) * num) % den
-                total += r / den
-            res[i] = total % 1.0
-        out = res.reshape(n_arr.shape)
-    if scalar:
-        return float(out[0])
-    return np.asarray(out, dtype=np.float64)
+    if not all(map(math.isfinite, coefficients)):
+        raise DomainError(f"polynomial coefficients must be finite, got {coefficients}")
+    n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    top = max(-int(n_arr.min()), int(n_arr.max())) if n_arr.size else 0
+    # (j, c_j, digits of n**j below the last bit of c_j), and the places K for all
+    monomials = [(j, c, -(-(c.as_integer_ratio()[1].bit_length() - 1) // _DIGIT))
+                 for j, c in enumerate(coefficients) if j and not c.is_integer()]
+    places = max((min(k, (top**j).bit_length() // _DIGIT + 2) for j, _, k in monomials), default=0)
+
+    @functools.cache
+    def power(j, digits):
+        if j == 1 and digits:  # low digits in [0, 2**24), the top one signed
+            last = top.bit_length() // _DIGIT * _DIGIT
+            return [((n_arr >> s) & ((1 << _DIGIT) - 1) if s < last else n_arr >> s)
+                    .astype(np.float64) for s in range(0, last + 1, _DIGIT)][:places]
+        if j == 1:
+            return [n_arr.astype(np.float64)]
+        hi, lo = power((j + 1) // 2, digits), power(j // 2, digits)
+        if digits:
+            return _digit_product(hi, lo, places)
+        return [hi[0] * lo[0]] if top**j <= 2**53 else list(two_prod(hi[0], lo[0]))
+
+    products = []
+    for j, c, k in monomials:
+        if top ** ((j + 1) // 2) <= 2**53:  # halves exact: at most two parts
+            products += [(part, c) for part in power(j, False)]
+        else:
+            products += [(d, math.ldexp(c, _DIGIT * i)) for i, d in enumerate(power(j, True)[:k])]
+    del power  # it refers to itself: break that cycle so its arrays go now, not at a gc
+    out = frac_combine(products, terms=(coefficients[0],))
+    out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
+    return float(out[0]) if np.ndim(n) == 0 else np.asarray(out, dtype=np.float64)
 
 
 def unit_phase(theta):

@@ -460,7 +460,7 @@ class TestSchedule:
              lambda n: dual_system_avg(anz, f1, f2, (0.2, 0.3), 1, 2, RotationTorus((PHI,)),
                                        gs, 64, n).l2_norm),
         ]
-        sched = [2, 3, 7, 100, 1 << 14, 1 << 15]
+        sched = [1, 2, 3, 7, 100, 1 << 14, 1 << 15]
         for kind, params, one_shot in cases:
             rep = run_schedule(kind, params, sched)
             for n in sched:

@@ -435,6 +435,16 @@ class TestCli:
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
         assert "limit" in capsys.readouterr().err
 
+    def test_run_non_finite_phase_coefficient_exit_3(self, tmp_path, capsys):
+        # an infinite coefficient has no phase; it once gave NaN rows and exit 0
+        doc = ww_config(experiment="poly_wwdr_avg", observable1={"terms": [[[1], 1.0]]},
+                        observable2={"terms": [[[1], 1.0]]}, a=1, b=2, p=[0.0, float("inf")])
+        del doc["observable"], doc["t"]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_run_skew_past_domain_exit_3(self, tmp_path, capsys):
         # exponent 2^20 at N = 256 asks the skew closed form for times up to 2^28
         doc = {

@@ -184,6 +184,16 @@ class TestWeights:
         assert np.abs(w.eval_many(n) - want).max() < 1e-14
         assert w.bound == func.bound
 
+    def test_torus_nilseq_past_float_times(self):
+        # n alpha for n past 2^53: the time itself is no longer a float
+        func = observable([((1, 0), 1.0), ((0, 1), 0.5j)])
+        alpha, base = (PHI, SQRT2M1), (0.25, 0.1)
+        w = TorusNilseq(alpha, func, base)
+        n = np.array([(1 << 53) + 1, (1 << 60) + 3, -(1 << 60) - 3], dtype=np.int64)
+        want = (oracles.unit([oracles.exact_phase((base[0], alpha[0]), int(m)) for m in n])
+                + 0.5j * oracles.unit([oracles.exact_phase((base[1], alpha[1]), int(m)) for m in n]))
+        assert np.abs(w.eval_many(n) - want).max() < 1e-12
+
     def test_product_is_pointwise_product(self):
         w1 = PolynomialPhase((0.0, 0.3))
         w2 = PolynomialPhase((0.1, 0.0, 0.2))
