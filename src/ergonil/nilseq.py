@@ -252,19 +252,22 @@ class HeisenbergNilseq(WeightSequence):
         # function only sees them through integer-frequency phases) but the
         # center picks up the twist X*q, which must use the same q that the
         # fractional part of Y implies
-        x = frac_combine(products=[(nf, ga)], terms=[u])
-        y = frac_combine(products=[(nf, gb)], terms=[v])
-        floor_y = np.round(nf * gb + v - y)  # exact: the true floor is within ~1e-10
         z_raw = frac_combine(
             products=[(nf, gc), (half, ab_hi), (half, ab_lo), (na_hi, v), (na_lo, v)],
             terms=[w],
         )
+        del half, na_hi, na_lo  # free each length-N temporary after its last use: lower peak
+        x = frac_combine(products=[(nf, ga)], terms=[u])
+        y = frac_combine(products=[(nf, gb)], terms=[v])
+        floor_y = np.round(nf * gb + v - y)  # exact: the true floor is within ~1e-10
         kn = floor_y * nf  # exact while |floor_y * n| < 2**53
+        del nf
         if n.size and np.abs(kn).max() >= 2.0**53:
             raise DomainError("Heisenberg twist floor(Y) * n reaches 2^53, the limit of its "
                               "exact float product")
         twist = frac_combine(products=[(kn, ga), (floor_y, u)])
         z = frac(z_raw - twist)
+        del floor_y, z_raw, kn, twist
         return self.func.eval_raw(x, y, z)
 
 

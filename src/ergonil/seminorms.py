@@ -18,13 +18,24 @@ estimate of f * conj(f o T^h), h in {1..H}.
 
 Box sums are evaluated by peeling one offset at a time (the order-k cube
 product is D_n * conj(D_{n+h_k}) for the order-(k-1) product D), which turns
-the innermost offset sum into a sliding-window mean: cost O(H^{k-1} N)
-instead of O((2H)^k N).
+the innermost offset sum into a sliding-window mean. c_h is invariant under
+permutations of h (they permute eps and keep |eps|), so the outer offsets
+are walked sorted, h_1 <= ... <= h_{k-1}, each tuple weighted by its
+multiplicity (k-1)!/prod(run length!): C(H+k-2, k-1) outer tuples of O(N)
+work each instead of H^{k-1}, or (2H)^k N for the literal box. The GHK
+recursion and the order-3 cube average walk their offsets the same way.
+
+Operand order: in every complex product a conjugated factor comes first,
+otherwise the running product does. Each product is written as
+np.multiply(x, y, out=buf), since numpy's temporary elision swaps operands
+on arrays of 2^14 or more elements and a complex multiply rounds the two
+orders differently. Products go into buffers allocated once per call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +47,7 @@ from .numerics import pairwise_mean, pairwise_sum
 from .report import ConvergenceReport, check_schedule, make_report
 from .systems import Observable, System, zk_complement
 
-MAX_ORDER = 4  # cost grows as H^(k-1) 2^k; 4 covers every exponent used here
+MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
 
 
 @dataclass(frozen=True)
@@ -92,27 +103,52 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
         raise ValueError("offsets must be nonnegative")
     _require_length(a, N + sum(h), "correlation")
     prod = np.ones(N, dtype=np.complex128)
+    factor = np.empty(N, dtype=np.complex128)
     for eps in itertools.product((0, 1), repeat=k):
         off = sum(e * v for e, v in zip(eps, h))
         window = a[off : off + N]
-        prod = prod * (np.conj(window) if sum(eps) % 2 else window)
+        if sum(eps) % 2:
+            np.multiply(np.conjugate(window, out=factor), prod, out=prod)
+        else:
+            np.multiply(prod, window, out=prod)
     return CorrelationBox(k, h, N, complex(pairwise_mean(prod)))
 
 
-def _box_average(seq: np.ndarray, k: int, H: int, N: int) -> complex:
-    """Mean of c_h over h in {1..H}^k, by recursive offset peeling."""
-    if k == 1:
-        # (1/H) sum_{h=1..H} (1/N) sum_n s_n conj(s_{n+h})
-        #   = (1/N) sum_n s_n conj(mean of s over (n, n+H])
-        cs = np.concatenate(([0.0 + 0.0j], np.cumsum(seq)))
-        windows = (cs[1 + H : N + H + 1] - cs[1 : N + 1]) / H
-        return complex(pairwise_mean(seq[:N] * np.conj(windows)))
-    acc = 0.0 + 0.0j
-    for h1 in range(1, H + 1):
-        keep = seq.size - h1
-        derived = seq[:keep] * np.conj(seq[h1:])
-        acc += _box_average(derived, k - 1, H, N)
-    return acc / H
+def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
+    """Sum of leaf(D_h) over h in {1..H}^depth, D_h[:reach] the order-depth cube product
+    D_h[n] = D'[n] conj(D'[n + h_depth]) of seq (D' the product at the leading offsets).
+
+    D_h is symmetric in h, so only h_1 <= ... <= h_depth are visited, each weighted
+    by depth!/prod(run length!). Level j writes into one buffer of reach + (depth-1-j) H
+    entries, what the next level reads, and is redone only when h_j changes.
+    """
+    bufs = [np.empty(reach + (depth - 1 - j) * H, dtype=np.complex128) for j in range(depth)]
+    total = 0.0
+    last = (0,) * depth
+    for h in itertools.combinations_with_replacement(range(1, H + 1), depth):
+        changed = next((j for j in range(depth) if h[j] != last[j]), depth)
+        for j in range(changed, depth):
+            prev, buf, m = bufs[j - 1] if j else seq, bufs[j], bufs[j].size
+            np.multiply(np.conjugate(prev[h[j] : h[j] + m], out=buf), prev[:m], out=buf)
+        runs = math.prod(math.factorial(h.count(v)) for v in set(h))
+        total += math.factorial(depth) // runs * leaf(bufs[-1] if depth else seq)
+        last = h
+    return total
+
+
+def _window_mean_leaf(N: int, H: int):
+    """leaf(d) = (1/H) sum_{h=1..H} (1/N) sum_n d_n conj(d_{n+h})
+               = (1/N) sum_n d_n conj(mean of d over (n, n+H]), by one cumsum of N + H entries."""
+    cs = np.zeros(N + H + 1, dtype=np.complex128)  # cs[0] stays 0
+    window = np.empty(N, dtype=np.complex128)
+
+    def leaf(d):
+        np.cumsum(d[: N + H], out=cs[1:])
+        np.divide(np.subtract(cs[1 + H :], cs[1 : N + 1], out=window), H, out=window)
+        np.multiply(np.conjugate(window, out=window), d[:N], out=window)
+        return complex(pairwise_mean(window))
+
+    return leaf
 
 
 def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
@@ -124,7 +160,8 @@ def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
     if N < H * H:
         raise ValueError(f"finite-scale coupling requires N >= H^2 (N={N}, H={H})")
     _require_length(a, N + k * H, "order-%d box" % k)
-    avg = _box_average(a[: N + k * H], k, H, N).real
+    total = _sorted_offset_sum(a[: N + k * H], k - 1, H, N + H, _window_mean_leaf(N, H))
+    avg = (total / H ** (k - 1)).real
     clamped = avg < 0.0
     value = 0.0 if clamped else float(avg) ** (1.0 / (1 << k))
     return SeminormEstimate("local_sequence", k, H, N, value, clamped, float(avg))
@@ -137,25 +174,15 @@ def orbit_product_sequence(system: System, obs1: Observable, obs2: Observable, x
     return orbit_terms(system, x0, n, obs1, a, obs2, b)
 
 
-def _ghk_recursive(u: np.ndarray, k: int, H: int, N: int) -> float:
-    if k == 1:
-        return float(abs(pairwise_mean(u[:N])))
-    acc = 0.0
-    for h in range(1, H + 1):
-        keep = u.size - h
-        derived = u[:keep] * np.conj(u[h:])
-        level = _ghk_recursive(derived, k - 1, H, N)
-        acc += level ** (1 << (k - 1))
-    avg = acc / H
-    return avg ** (1.0 / (1 << k))
-
-
 def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
                  index_base: int = 0) -> SeminormEstimate:
     """Order-k function seminorm estimated along one orbit.
 
     Level 1 is |(1/N) sum f(T^n x0)|; each further level averages the powered
-    previous level of f * conj(f o T^h) over h in {1..H}. Pre-root averages
+    previous level of f * conj(f o T^h) over h in {1..H}. Unrolled, level k to
+    the power 2^k is the mean over h in {1..H}^{k-1} of |(1/N) sum_n D_h[n]|^2,
+    D_h the conjugated cube product of u = f(T^n x0) at offsets h: that
+    pre-root average is summed directly and rooted once. Pre-root averages
     are means of nonnegative numbers, so clamping never fires here; the flag
     is kept for schema compatibility.
     """
@@ -165,8 +192,9 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
     length = N + (k - 1) * H
     n = np.arange(index_base, index_base + length, dtype=np.int64)
     u = orbit_terms(system, x0, n, obs)
-    value = _ghk_recursive(u, k, H, N)
-    return SeminormEstimate("ghk_function", k, H, N, float(value), False, float(value) ** (1 << k))
+    total = _sorted_offset_sum(u, k - 1, H, N, lambda d: abs(pairwise_mean(d[:N])) ** 2)
+    avg = float(total / H ** (k - 1))
+    return SeminormEstimate("ghk_function", k, H, N, avg ** (1.0 / (1 << k)), False, avg)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +228,13 @@ def vdc_bound(u, N: int, K: int) -> VdcReport:
     _require_length(u, N, "van der Corput")
     u = u[:N]
     lhs = abs(pairwise_sum(u) / N) ** 2
-    rhs = float(abs(pairwise_sum(u * np.conj(u))) / N)  # k = 0 term, weight 1
-    for k in range(1, K + 1):
-        corr = abs(pairwise_sum(u[k:] * np.conj(u[: N - k]))) / N
-        rhs += 2.0 * (1.0 - k / (K + 1.0)) * float(corr)
+    buf = np.empty(N, dtype=np.complex128)
+    rhs = 0.0
+    for k in range(K + 1):
+        prod = buf[: N - k]
+        np.multiply(np.conjugate(u[: N - k], out=prod), u[k:], out=prod)
+        corr = float(abs(pairwise_sum(prod)) / N)
+        rhs += corr if k == 0 else 2.0 * (1.0 - k / (K + 1.0)) * corr
     rhs *= (N + K) / N / (K + 1.0)
     return VdcReport(float(lhs), float(rhs), lhs <= rhs + 1e-12, N, K)
 
@@ -230,18 +261,23 @@ def cube_average(s1, s2, H: int) -> complex:
         )
     acc = 0.0 + 0.0j
     length = base + H - 1  # supports correlations at every h3 in [0, H)
+    d1 = np.empty(length, dtype=np.complex128)
+    d2 = np.empty(length, dtype=np.complex128)
+    w1 = np.lib.stride_tricks.sliding_window_view(d1, base)  # row h3 = d1[h3 : h3+base]
+    w2 = np.lib.stride_tricks.sliding_window_view(d2, base)
     for h1 in range(H):
-        for h2 in range(H):
+        for h2 in range(h1, H):  # the product is symmetric in (h1, h2)
             # the 8-fold product splits on the h3 bit: it equals
             # d[n] * d[n + h3] for the order-2 product d on offsets (h1, h2),
             # so one sliding-window matvec yields all h3 at once
-            d1 = s1[:length] * s1[h1 : length + h1] * s1[h2 : length + h2] * s1[h1 + h2 : length + h1 + h2]
-            d2 = s2[:length] * s2[h1 : length + h1] * s2[h2 : length + h2] * s2[h1 + h2 : length + h1 + h2]
-            w1 = np.lib.stride_tricks.sliding_window_view(d1, base)  # row h3 = d1[h3 : h3+base]
-            w2 = np.lib.stride_tricks.sliding_window_view(d2, base)
+            for s, d in ((s1, d1), (s2, d2)):
+                np.multiply(s[:length], s[h1 : length + h1], out=d)
+                np.multiply(d, s[h2 : length + h2], out=d)
+                np.multiply(d, s[h1 + h2 : length + h1 + h2], out=d)
             g1 = (w1 @ d1[:base]) / base
             g2 = (w2 @ d2[:base]) / base
-            acc += complex(g1 @ g2)
+            g = complex(g1 @ g2)
+            acc += g if h1 == h2 else 2.0 * g
     return complex(acc / H**3)
 
 

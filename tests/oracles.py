@@ -170,6 +170,23 @@ def local_seminorm_brute(a, k: int, H: int, N: int):
     return avg ** (1.0 / 2**k), False
 
 
+def ghk_brute(u, k: int, H: int, N: int):
+    """(value, pre-root average) of the order-k GHK estimate by the level recursion:
+    level 1 is |mean of u[:N]|, level k the 2^k-th root of the h-mean over 1..H of the
+    level-(k-1) estimate of u[n] conj(u[n+h]) to the power 2^(k-1)."""
+
+    def level(v, k):
+        if k == 1:
+            return abs(direct_mean(v[:N]))
+        acc = 0.0
+        for h in range(1, H + 1):
+            acc += level(v[: v.size - h] * np.conj(v[h:]), k - 1) ** (1 << (k - 1))
+        return (acc / H) ** (1.0 / (1 << k))
+
+    value = level(np.asarray(u, dtype=complex), k)
+    return value, value ** (1 << k)
+
+
 def cube_average_brute_vec(s1, s2, H: int) -> complex:
     """Triple loop over (h1, h2, h3) with the 8-fold product vectorized in n.
 

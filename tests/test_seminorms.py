@@ -4,6 +4,7 @@ seminorm/average experiment."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergonil import (
     AnzaiSkew,
@@ -80,6 +81,19 @@ class TestCorrelations:
         with pytest.raises(SequenceTooShortError):
             c_h_estimate(np.ones(10), 1, (5,), 10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invariant_under_offset_permutations(self, data):
+        # the sorted-offset walks of the box, GHK and cube averages rest on this
+        k = data.draw(st.integers(1, 4))
+        h = data.draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+        perm = data.draw(st.permutations(h))
+        N = data.draw(st.integers(1, 64))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = np.exp(2j * np.pi * rng.random(N + sum(h)))
+        got = c_h_estimate(a, k, perm, N).value
+        assert abs(got - c_h_estimate(a, k, h, N).value) <= 1e-13
+
 
 class TestLocalSeminorm:
     def test_constant_is_one(self):
@@ -92,7 +106,8 @@ class TestLocalSeminorm:
     def test_matches_bruteforce_box(self):
         rng = np.random.default_rng(31)
         a = np.exp(2j * np.pi * rng.random(200))
-        for k, H, N in ((1, 8, 64), (2, 6, 36), (3, 4, 16)):
+        # k = 4 walks sorted offset triples of multiplicity 1, 3 and 6
+        for k, H, N in ((1, 8, 64), (2, 6, 36), (3, 4, 16), (4, 3, 9)):
             est = local_seminorm(a, k, H, N)
             want_avg = oracles.box_average_brute(a, k, H, N).real
             assert est.pre_root_average == pytest.approx(want_avg, abs=1e-10)
@@ -175,6 +190,19 @@ class TestGhkSeminorm:
         est = ghk_seminorm(cat, obs, (1, 0), 2, 128, 1 << 16)
         assert est.value <= 0.1
 
+    def test_matches_level_recursion(self):
+        # the skew's orbit in exact rationals; f mixes a fibre and a base character
+        alpha, x0 = PHI, (0.2, 0.7)
+        obs = observable([((0, 1), 1.0), ((1, 0), 0.5 - 0.25j)])
+        for k, H, N in ((1, 4, 40), (2, 4, 40), (3, 3, 30), (4, 2, 24)):
+            pts = [oracles.exact_anzai(alpha, x0, n) for n in range(N + (k - 1) * H)]
+            u = np.array([complex(oracles.unit(y) + (0.5 - 0.25j) * oracles.unit(x))
+                          for x, y in pts])
+            want_value, want_avg = oracles.ghk_brute(u, k, H, N)
+            est = ghk_seminorm(AnzaiSkew(alpha), obs, x0, k, H, N)
+            assert est.value == pytest.approx(want_value, abs=1e-12)
+            assert est.pre_root_average == pytest.approx(want_avg, abs=1e-12)
+
     def test_monotone_in_level_for_characters(self):
         # eigenfunctions gain mass at level 2: level1 <= level2 numerically
         rot = RotationTorus((PHI,))
@@ -242,6 +270,15 @@ class TestCubeAverage:
         got = cube_average(s1, s2, 8)
         want = oracles.cube_average_brute(s1, s2, 8)
         assert abs(got - want) < 1e-10
+
+    def test_matches_bruteforce_unequal_lengths(self):
+        # the base window is set by the shorter sequence
+        rng = np.random.default_rng(47)
+        s1 = np.exp(2j * np.pi * rng.random(30))
+        s2 = 0.8 * np.exp(2j * np.pi * rng.random(37))
+        got = cube_average(s1, s2, 5)
+        want = oracles.cube_average_brute(s1, s2, 5)
+        assert abs(got - want) < 1e-12
 
     def test_too_short(self):
         with pytest.raises(SequenceTooShortError):
