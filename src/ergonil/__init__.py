@@ -6,9 +6,10 @@ The package is organized by subject:
 * `systems`: rotations, the skew product, exact lattice automorphisms,
   trigonometric-polynomial observables, model factor projections;
 * `nilseq`: polynomial phases, torus and Heisenberg nilsequences, products,
-  table-backed weights, Cesaro averaging;
+  table-backed weights;
 * `averages`: Birkhoff / frequency-twisted / double-recurrence averages,
-  certified sup-over-frequency sweeps, schedule driver;
+  Cesaro means of a weight, certified sup-over-frequency sweeps, schedule
+  driver;
 * `seminorms`: sequence and orbit uniformity seminorms, the finite van der
   Corput inequality, order-3 cube averages;
 * `joinings`: power-invariant conditional expectations and the product
@@ -18,8 +19,8 @@ The package is organized by subject:
 
 from .averages import (
     DualSystemResult,
-    SupResult,
     birkhoff_avg,
+    cesaro_nilseq,
     double_avg,
     dual_system_avg,
     nil_wwdr_avg,
@@ -58,7 +59,6 @@ from .nilseq import (
     TorusChar,
     TorusNilseq,
     WeightSequence,
-    cesaro_nilseq,
     check_gamma_invariance,
     constant_weight,
     eval_weight,

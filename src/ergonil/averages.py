@@ -1,6 +1,6 @@
 """Weighted ergodic averages: Birkhoff, frequency-twisted single and double
-recurrence, polynomial and nilsequence weights, certified sup-over-frequency
-sweeps, and the auxiliary-system product average.
+recurrence, polynomial and nilsequence weights, Cesaro means of a weight,
+certified sup-over-frequency sweeps, and the auxiliary-system product average.
 
 Conventions
 -----------
@@ -15,8 +15,12 @@ frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
 `PolynomialPhase(p)`; an absent factor is skipped, not multiplied as ones.
 Factors multiply in the fixed order f1 * f2 * b, so the exact reductions
 (t = 0, constant weights) hold bit for bit. Observables and weights fix their
-operand order too, so no term's bits depend on the array length, and
-`run_schedule` returns the one-shot values bit for bit at every scheduled N.
+operand order too, so no term's bits depend on the array length. Terms are
+reduced by `prefix_means`, the mean of each scheduled prefix on the pairwise
+tree it would get alone (a one-shot average is its one-point case), or by the
+certified sup over t of each prefix: `run_schedule` equals the one-shot values
+bit for bit at every scheduled N, and the Wiener-Wintner sup is the sup
+reducer over the Birkhoff terms.
 Exponent times n are checked against the system's time domain first, and the
 auxiliary-system norm is exact by Parseval on its Fourier coefficients in y.
 """
@@ -37,7 +41,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .nilseq import PolynomialPhase, WeightSequence
-from .numerics import frac_poly, pairwise_mean, pairwise_sum, unit_phase
+from .numerics import frac_poly, pairwise_sum, unit_phase
 from .report import ConvergenceReport, SupPoint, check_schedule, make_report
 from .systems import (
     Observable,
@@ -99,10 +103,14 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
     return terms
 
 
+def prefix_means(terms: np.ndarray, schedule) -> list[complex]:
+    """(1/N) sum of terms[:N] for each scheduled N, each on the pairwise tree it gets alone."""
+    return [complex(pairwise_sum(terms[:n]) / n) for n in schedule]
+
+
 def _mean(system: System, x0, N: int, index_base: int, *args, **kwargs) -> complex:
     """(1/N) sum over n = index_base .. +N-1 of `orbit_terms(system, x0, n, *args, **kwargs)`."""
-    terms = orbit_terms(system, x0, _times(index_base, N), *args, **kwargs)
-    return complex(pairwise_mean(terms))
+    return prefix_means(orbit_terms(system, x0, _times(index_base, N), *args, **kwargs), [N])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +126,6 @@ def birkhoff_avg(system: System, obs: Observable, x0, N: int, index_base: int = 
 def ww_avg(system: System, obs: Observable, x0, t: float, N: int, index_base: int = 1) -> complex:
     """(1/N) sum f(T^n x0) e(n t)."""
     return _mean(system, x0, N, index_base, obs, weight=PolynomialPhase((0.0, t)))
-
-
-SupResult = SupPoint  # a sweep's result is the report's certified point at one N
 
 
 def _refine(u: np.ndarray, cells: np.ndarray, s: int, p: int, rows: int):
@@ -148,13 +153,13 @@ def _refine(u: np.ndarray, cells: np.ndarray, s: int, p: int, rows: int):
     return (cells[:, None] * s + steps).ravel(), vals.ravel() / u.size
 
 
-def sup_over_frequency(u: np.ndarray, eps: float, index_base: int = 1) -> SupResult:
+def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
     """Certified maximum of t -> |(1/N) sum_n u_n e(n t)| over t in [0, 1).
 
     The modulus does not depend on where n starts, so `u` is placed at
-    offsets 0..N-1 whatever `index_base` is. Centred on its middle offset the
-    sum is a trigonometric polynomial of degree N-1 in t/2, so by Bernstein's
-    inequality its modulus has slope in t at most pi*(N-1) times its sup S.
+    offsets 0..N-1. Centred on its middle offset the sum is a trigonometric
+    polynomial of degree N-1 in t/2, so by Bernstein's inequality its
+    modulus has slope in t at most pi*(N-1) times its sup S.
 
     Stage 1 is one FFT on m0 >= 16N nodes of spacing h = 1/m0. Its maximum G
     certifies S <= U = min(max|u_n|, G / (1 - pi*(N-1)*h/2)); set
@@ -173,7 +178,7 @@ def sup_over_frequency(u: np.ndarray, eps: float, index_base: int = 1) -> SupRes
     if not np.isfinite(B):
         raise ValueError("sequence values must be finite")
     if B == 0.0:
-        return SupResult(0.0, 0.0, 1, 1.0, 0.0)
+        return SupPoint(0.0, 0.0, 1, 1.0, 0.0)
     m0 = _COARSE_MIN
     while m0 < 16 * N and m0 < _COARSE_CAP:
         m0 <<= 1
@@ -211,13 +216,13 @@ def sup_over_frequency(u: np.ndarray, eps: float, index_base: int = 1) -> SupRes
     coarse[cand[:done]] = -np.inf  # refined cells are bounded by their fine nodes
     top = max(float(coarse.max()) + half, fine_top + L / (2 << p))
     spacing = 1.0 / ((1 << p) if done else m0)
-    return SupResult(best, t_star, m0 + done * s, spacing, top - best)
+    return SupPoint(best, t_star, m0 + done * s, spacing, top - best)
 
 
 def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,
-           index_base: int = 1) -> SupResult:
+           index_base: int = 1) -> SupPoint:
     """Certified sup over the frequency t of |(1/N) sum f(T^n x0) e(n t)|."""
-    return sup_over_frequency(orbit_terms(system, x0, _times(index_base, N), obs), eps, index_base)
+    return sup_over_frequency(orbit_terms(system, x0, _times(index_base, N), obs), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +296,7 @@ def _dual_expansion(system: System, obs1: Observable, obs2: Observable, x0, a: i
             check_times(n, e=s)
             w = unit_phase(frac_poly((0.0, system_s.alpha_floats[0]), s * n))
             terms = np.multiply(base, w, out=w if w.size > 1 else None)  # as in orbit_terms
-        avgs[s] = [complex(pairwise_sum(terms[:n_]) / n_) for n_ in schedule]
+        avgs[s] = prefix_means(terms, schedule)
     coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]
     for (K, s), C in sorted(weights.items()):
         for c, A in zip(coeffs, avgs[s]):
@@ -327,43 +332,54 @@ def _pair(p: dict) -> dict:
     return dict(obs1=p["obs1"], a=p["a"], obs2=p["obs2"], b=p["b"])
 
 
-# prefix kind of `run_schedule` -> its `orbit_terms` keyword arguments, from the params
-_PREFIX_KINDS = {
-    "birkhoff": lambda p: dict(obs1=p["obs"]),
-    "ww": lambda p: dict(obs1=p["obs"], weight=PolynomialPhase((0.0, p["t"]))),
-    "double": _pair,
-    "wwdr": lambda p: dict(_pair(p), weight=PolynomialPhase((0.0, p["t"]))),
-    "poly_wwdr": lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])),
-    "nil_wwdr": lambda p: dict(_pair(p), weight=p["weight"]),
-    "cesaro": lambda p: dict(obs1=None, weight=p["weight"]),
+def _means(terms: np.ndarray, schedule, params: dict) -> dict:
+    return dict(values=prefix_means(terms, schedule))
+
+
+def _sups(terms: np.ndarray, schedule, params: dict) -> dict:
+    sups = tuple(sup_over_frequency(terms[:n], params["eps"]) for n in schedule)
+    return dict(values=[s.sup_value for s in sups], sup_data=sups)
+
+
+# kind of `run_schedule` -> (its `orbit_terms` keyword arguments from the params,
+# the reducer of the terms to the report's columns at each scheduled N)
+_KINDS = {
+    "birkhoff": (lambda p: dict(obs1=p["obs"]), _means),
+    "ww": (lambda p: dict(obs1=p["obs"], weight=PolynomialPhase((0.0, p["t"]))), _means),
+    "ww_sup": (lambda p: dict(obs1=p["obs"]), _sups),
+    "double": (_pair, _means),
+    "wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase((0.0, p["t"]))), _means),
+    "poly_wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])), _means),
+    "nil_wwdr": (lambda p: dict(_pair(p), weight=p["weight"]), _means),
+    "cesaro": (lambda p: dict(obs1=None, weight=p["weight"]), _means),
 }
 
 
 def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> ConvergenceReport:
     """Evaluate one average along an increasing schedule in a single pass.
 
-    The prefix kinds (birkhoff, ww, double, wwdr, poly_wwdr, nil_wwdr, and
-    cesaro for a weight alone) build their terms once at the largest N through
-    `orbit_terms`, the core of the one-shot functions, and reduce each
-    scheduled prefix with the pairwise tree it would get standalone, so every
-    A_N equals the one-shot value bit for bit. `ww_sup` sweeps each prefix of
-    the orbit values; `dual_system` reduces each twisted term array at every
-    N and reports the Parseval norm, equal to `dual_system_avg`'s bit for bit.
+    Each kind in `_KINDS` builds its terms once at the largest N through
+    `orbit_terms`, the core of the one-shot functions, and reduces them with
+    `prefix_means`, so every A_N equals the one-shot value bit for bit, or for
+    ww_sup (the birkhoff terms) with the certified sup at `params["eps"]`.
+    `dual_system` reduces each twisted term array of its expansion with
+    `prefix_means` and reports the Parseval norm, as `dual_system_avg` does.
     """
     schedule = check_schedule(schedule)
     if kind == "dual_system":
         expansion = _dual_expansion(*(params[k] for k in (
             "system", "obs1", "obs2", "x0", "a", "b", "system_s", "g_list")), schedule, index_base)
         return make_report(schedule, [l2 for _, l2 in expansion])
-    n = _times(index_base, schedule[-1])
-    if kind == "ww_sup":
-        u = orbit_terms(params["system"], params["x0"], n, params["obs"])
-        sups = [sup_over_frequency(u[:n_], params["eps"], index_base) for n_ in schedule]
-        return make_report(schedule, [s.sup_value for s in sups], sup_data=tuple(sups))
-    if kind not in _PREFIX_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown schedule op {kind!r}")
-    kw = _PREFIX_KINDS[kind](params)
-    terms = orbit_terms(params.get("system"), params.get("x0"), n, **kw)
-    values = [pairwise_sum(terms[:n_]) / n_ for n_ in schedule]
-    return make_report(schedule, values,
+    factors, reduce = _KINDS[kind]
+    kw = factors(params)
+    terms = orbit_terms(params.get("system"), params.get("x0"), _times(index_base, schedule[-1]),
+                        **kw)
+    return make_report(schedule, **reduce(terms, schedule, params),
                        error_budget=getattr(kw.get("weight"), "error_budget", 0.0))
+
+
+def cesaro_nilseq(w: WeightSequence, schedule) -> ConvergenceReport:
+    """A_N = (1/N) sum_{n=0}^{N-1} w(n) for each N in an increasing schedule."""
+    return run_schedule("cesaro", {"weight": w}, schedule, index_base=0)

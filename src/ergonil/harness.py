@@ -132,18 +132,18 @@ def build_system(spec, field_name: str = "system") -> System:
         raise ConfigError("system spec needs a 'kind'", field=field_name)
     kind = spec["kind"]
     with _field(field_name):
-        if kind in ("rotation_torus", "rotation"):
+        if kind == "rotation_torus":
             alpha = spec.get("alpha")
             if alpha is None:
                 raise ConfigError("rotation needs 'alpha'", field=field_name)
             if not isinstance(alpha, list):
                 alpha = [alpha]
             return RotationTorus(tuple(_angle_from_json(a, field_name + ".alpha") for a in alpha))
-        if kind in ("anzai_skew", "anzai"):
+        if kind == "anzai_skew":
             if "alpha" not in spec:
                 raise ConfigError("skew product needs 'alpha'", field=field_name)
             return AnzaiSkew(_angle_from_json(spec["alpha"], field_name + ".alpha"))
-        if kind in ("toral_automorphism", "toral", "cat"):
+        if kind == "toral_automorphism":
             matrix = spec.get("matrix")
             if matrix is None:
                 raise ConfigError("automorphism needs 'matrix'", field=field_name)
@@ -174,11 +174,7 @@ def build_observable(spec, field_name: str) -> Observable:
             freq = tuple(_int(v) for v in freq) if isinstance(freq, list) else (_int(freq),)
             terms.append((freq, _coeff_from_json(coeff, field_name)))
         dimension = spec.get("dimension")
-        if dimension is None:
-            if not terms:
-                raise ConfigError("cannot infer dimension of an empty observable", field=field_name)
-            dimension = len(terms[0][0])
-        return Observable(_int(dimension), tuple(terms))
+        return systems.observable(terms, None if dimension is None else _int(dimension))
 
 
 def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence:
@@ -277,7 +273,6 @@ class ExperimentConfig:
     tol: float | None = None
     schedule: tuple[int, ...] = DEFAULT_SCHEDULE
     index_base: int = 1
-    seed: int | None = None
     assertions: list = field(default_factory=list)
 
 
@@ -331,7 +326,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
 
     for name, conv in (("a", _int), ("b", _int), ("t", _real), ("k", _int), ("H", _int),
                        ("N", _int), ("K", _int), ("eps", _real), ("tol", _real),
-                       ("index_base", _int), ("seed", _int),
+                       ("index_base", _int),
                        ("p", lambda v: tuple(_real(c) for c in v)),
                        ("schedule", lambda v: check_schedule(_int(n) for n in v)),
                        ("assertions", lambda v: [_check_assertion(a) for a in v])):

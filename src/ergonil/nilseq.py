@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, SequenceTooShortError
-from .numerics import frac, frac_combine, frac_poly, pairwise_sum, two_prod, unit_phase
-from .report import ConvergenceReport, check_schedule, make_report
+from .numerics import frac, frac_combine, frac_poly, two_prod, unit_phase
 from .systems import SKEW_MAX_TIME, Observable, eval_observable_many
 
 
@@ -380,10 +379,3 @@ def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray
         )
     return w.eval_many(np.arange(start, start + length, dtype=np.int64))
 
-
-def cesaro_nilseq(w: WeightSequence, schedule) -> ConvergenceReport:
-    """A_N = (1/N) sum_{n=0}^{N-1} w(n) for each N in an increasing schedule."""
-    schedule = check_schedule(schedule)
-    terms = weight_samples(w, schedule[-1])
-    values = [pairwise_sum(terms[:n]) / n for n in schedule]
-    return make_report(schedule, values, error_budget=w.error_budget)

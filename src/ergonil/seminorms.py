@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import orbit_terms
+from .averages import orbit_terms, prefix_means
 from .errors import SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
@@ -239,9 +239,6 @@ def vdc_bound(u, N: int, K: int) -> VdcReport:
     return VdcReport(float(lhs), float(rhs), lhs <= rhs + 1e-12, N, K)
 
 
-_CUBE3_EPS = tuple(itertools.product((0, 1), repeat=3))
-
-
 def cube_average(s1, s2, H: int) -> complex:
     """Order-3 cube average (1/H^3) sum_h G1(h) G2(h).
 
@@ -307,25 +304,20 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     """
     schedule = check_schedule(schedule)
     _check_order(k)
-    g1 = zk_complement(system, obs1, k - 1) if k > 1 else obs1
-    g2 = zk_complement(system, obs2, k - 1) if k > 1 else obs2
+    g1, g2 = (zk_complement(system, f, k - 1) if k > 1 else f for f in (obs1, obs2))
     max_n = schedule[-1]
-    h_max = coupled_box_size(max_n)
-    seq = orbit_product_sequence(system, g1, g2, x0, a, b, max_n + k * h_max, index_base)
+    seq = orbit_product_sequence(system, g1, g2, x0, a, b,
+                                 max_n + k * coupled_box_size(max_n), index_base)
+    # f1 f2 * w in the order of `orbit_terms`, formed once at the largest N; the weight
+    # is named so that numpy's temporary elision cannot swap the operands
     weights = w.eval_many(np.arange(index_base, index_base + max_n, dtype=np.int64))
-    values = []
-    semis = []
-    clamps = []
+    terms = seq[:max_n] * weights
+    semis, clamps = [], []
     for n in schedule:
         h = coupled_box_size(n)
         est = local_seminorm(seq[: n + k * h], k, h, n)
         semis.append(est.value)
         clamps.append(est.clamped)
-        values.append(pairwise_sum(seq[:n] * weights[:n]) / n)
-    return make_report(
-        schedule,
-        values,
-        seminorm_values=tuple(semis),
-        seminorm_clamped=tuple(clamps),
-        error_budget=getattr(w, "error_budget", 0.0),
-    )
+    return make_report(schedule, prefix_means(terms, schedule), seminorm_values=tuple(semis),
+                       seminorm_clamped=tuple(clamps),
+                       error_budget=getattr(w, "error_budget", 0.0))

@@ -28,12 +28,14 @@ from ergonil import (
     poly_wwdr_avg,
     run_schedule,
     sup_over_frequency,
+    weight_samples,
     ww_avg,
     ww_sup,
     wwdr_avg,
 )
 from ergonil.averages import MAX_SUP_GRID, _dual_expansion
 from ergonil.errors import DomainError, SequenceTooShortError
+from ergonil.numerics import pairwise_mean
 
 import oracles
 
@@ -165,7 +167,7 @@ class TestSweepCertificate:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
     def test_dense_scan_within_error_bound(self, kind, N, index_base, eps):
         u = _sweep_input(kind, N, np.random.default_rng(N + index_base))
-        res = sup_over_frequency(u, eps, index_base)
+        res = sup_over_frequency(u, eps)
         dense = _dense_scan(u, index_base)
         assert dense.max() - res.sup_value <= res.error_bound + 1e-12
         assert 0.0 <= res.error_bound <= eps / 2
@@ -178,12 +180,6 @@ class TestSweepCertificate:
         if N == 1:
             assert res.sup_value == pytest.approx(abs(u[0]), abs=1e-15)
             assert res.error_bound == 0.0
-
-    def test_index_base_does_not_move_the_sup(self):
-        u = _sweep_input("random", 300, np.random.default_rng(3))
-        r0 = sup_over_frequency(u, 1e-3, 0)
-        r1 = sup_over_frequency(u, 1e-3, 1)
-        assert r0 == r1
 
     def test_refinement_reported(self):
         u = _sweep_input("peaked", 1024, None)
@@ -449,6 +445,8 @@ class TestSchedule:
              lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
             ("ww", dict(system=rot, obs=obs, x0=(0.2,), t=0.31),
              lambda n: ww_avg(rot, obs, (0.2,), 0.31, n)),
+            ("ww_sup", dict(system=rot, obs=obs, x0=(0.2,), eps=1e-3),
+             lambda n: ww_sup(rot, obs, (0.2,), n, 1e-3)),
             ("double", pair, lambda n: double_avg(anz, f1, f2, (0.2, 0.3), 1, 2, n)),
             ("wwdr", dict(pair, t=0.31),
              lambda n: wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, 0.31, n)),
@@ -463,10 +461,12 @@ class TestSchedule:
         sched = [1, 2, 3, 7, 100, 1 << 14, 1 << 15]
         for kind, params, one_shot in cases:
             rep = run_schedule(kind, params, sched)
-            for n in sched:
-                assert rep.value_at(n) == one_shot(n), (kind, n)
-        rep = run_schedule("cesaro", dict(weight=w), sched, index_base=0)
-        assert rep.values == cesaro_nilseq(w, sched).values
+            # a sweep's whole certified point, every other kind's average
+            got = rep.sup_data if kind == "ww_sup" else rep.values
+            for n, v in zip(sched, got, strict=True):
+                assert v == one_shot(n), (kind, n)
+        rep = cesaro_nilseq(w, sched)
+        assert rep.values == tuple(pairwise_mean(weight_samples(w, n)) for n in sched)
 
     def test_deltas_are_consecutive_differences(self):
         rot = RotationTorus((PHI,))

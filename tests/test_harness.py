@@ -55,6 +55,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="distinct"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("kind", ["rotation", "anzai", "toral", "cat"])
+    def test_only_full_system_kind_names(self, kind, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(ww_config(system={"kind": kind, "alpha": [PHI]})))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert "unknown system kind" in capsys.readouterr().err
+
+    def test_empty_observable_needs_a_dimension(self):
+        with pytest.raises(ConfigError, match="cannot infer dimension of an empty observable") as exc:
+            config_from_dict(ww_config(observable={"terms": []}))
+        assert exc.value.field == "observable"
+        cfg = config_from_dict(ww_config(observable={"terms": [], "dimension": 1}))
+        assert cfg.observable.dimension == 1 and cfg.observable.terms == ()
+
+    def test_unused_keys_are_ignored(self):
+        cfg = config_from_dict(ww_config(seed=3, grid_size=64))
+        assert not hasattr(cfg, "seed") and not hasattr(cfg, "grid_size")
+        assert cfg.raw["seed"] == 3  # echoed in the summary, read by nothing
+
     def test_oversized_lattice_modulus_is_config_error(self):
         doc = {
             "experiment": "birkhoff_avg",

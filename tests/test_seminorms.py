@@ -10,6 +10,7 @@ from ergonil import (
     AnzaiSkew,
     PolynomialPhase,
     RotationTorus,
+    Scaled,
     SequenceTooShortError,
     ToralAutomorphism,
     c_h_estimate,
@@ -19,9 +20,11 @@ from ergonil import (
     local_seminorm,
     observable,
     orbit_product_sequence,
+    run_schedule,
     vanishing_experiment,
     vdc_bound,
     weight_samples,
+    zk_complement,
 )
 from ergonil.seminorms import coupled_box_size
 
@@ -313,6 +316,22 @@ class TestVanishingExperiment:
                                    [1 << 12, 1 << 14, 1 << 16])
         assert rep.seminorm_values[-1] < 0.1
         assert abs(rep.values[-1]) < 0.1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("index_base", [0, 1])
+    def test_values_are_the_scheduled_weighted_average(self, k, index_base):
+        # the average column is nil_wwdr's schedule on the projected observables, bit for bit
+        cat = ToralAutomorphism(((2, 1), (1, 1)))
+        f1 = observable([((1, 0), 1.0), ((0, 0), 0.5), ((1, 1), 0.3j)])
+        f2 = observable([((0, 1), 0.8 - 0.2j), ((0, 0), 0.25)])
+        w = Scaled(0.6 + 0.8j, PolynomialPhase((0.1, 0.3, PHI)))
+        sched = [1, 2, 3, 7, 100, 1 << 14, 1 << 15]
+        rep = vanishing_experiment(cat, f1, f2, (1, 0), 1, 2, w, k, sched, index_base)
+        g1, g2 = (zk_complement(cat, f, k - 1) if k > 1 else f for f in (f1, f2))
+        want = run_schedule("nil_wwdr", dict(system=cat, obs1=g1, obs2=g2, x0=(1, 0), a=1, b=2,
+                                             weight=w), sched, index_base)
+        assert rep.values == want.values
+        assert rep.values[-1] != 0
 
     def test_coupling_rule(self):
         assert coupled_box_size(1 << 16) == 256
