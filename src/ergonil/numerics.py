@@ -64,6 +64,7 @@ def frac_combine(products=(), terms=()):
 
 
 _DIGIT = 24  # base-2**24 digits: a column of their products stays below 2**53
+_INT64_TOP = 1 << 63  # largest |n| of an int64 time: it fixes the digit layout
 
 
 def _digit_product(a, b, places):
@@ -80,12 +81,23 @@ def _digit_product(a, b, places):
     return cols[:places]
 
 
+@functools.cache
+def _exact_root(h):
+    """Largest m with m**h <= 2**53: n**h is then one exact float for every |n| <= m."""
+    m = int(2.0 ** (53 / h)) + 1  # at least the answer: the float root is within an ulp
+    while m**h > 2**53:
+        m -= 1
+    return m
+
+
 def frac_poly(coefficients, n):
     """frac(c0 + c1*n + ... + cd*n**d), exact mod 1, one vectorized path for int64 n.
 
-    Each n**j is float parts with an exact sum: a plain product while max|n|**j <= 2**53,
-    else `two_prod` of the single floats n**ceil(j/2), n**floor(j/2), else base-2**24
-    digits d_i mod 2**(24 K), each below c_j's last bit entering as d_i * (c_j 2**(24 i)).
+    Each n**j is float parts with an exact sum, chosen per element so that no value depends
+    on the other times: where |n|**ceil(j/2) <= 2**53, a plain product or `two_prod` of the
+    single floats n**ceil(j/2), n**floor(j/2) (same bits: an exact product's low part is 0),
+    else base-2**24 digits d_i mod 2**(24 K) laid out for every int64 time, each below c_j's
+    last bit entering as d_i * (c_j 2**(24 i)). An element is 0 in the other kind's parts.
     `frac_combine` adds the parts times c_j, a few ulp each. Integer c_j are skipped.
     """
     coefficients = [float(c) for c in coefficients]
@@ -96,28 +108,39 @@ def frac_poly(coefficients, n):
     # (j, c_j, digits of n**j below the last bit of c_j), and the places K for all
     monomials = [(j, c, -(-(c.as_integer_ratio()[1].bit_length() - 1) // _DIGIT))
                  for j, c in enumerate(coefficients) if j and not c.is_integer()]
-    places = max((min(k, (top**j).bit_length() // _DIGIT + 2) for j, _, k in monomials), default=0)
+    places = max((min(k, (_INT64_TOP**j).bit_length() // _DIGIT + 2) for j, _, k in monomials),
+                 default=0)
 
     @functools.cache
-    def power(j, digits):
-        if j == 1 and digits:  # low digits in [0, 2**24), the top one signed
-            last = top.bit_length() // _DIGIT * _DIGIT
+    def inside(limit):
+        return (n_arr >= -limit) & (n_arr <= limit)
+
+    @functools.cache
+    def power(j, limit):  # n**j as one exact float where |n| <= limit, else 0
+        if j > 1:
+            return power((j + 1) // 2, limit) * power(j // 2, limit)
+        return (n_arr if top <= limit else np.where(inside(limit), n_arr, 0)).astype(np.float64)
+
+    @functools.cache
+    def digits(j):
+        if j == 1:  # low digits in [0, 2**24), the top one signed
+            last = _INT64_TOP.bit_length() // _DIGIT * _DIGIT
             return [((n_arr >> s) & ((1 << _DIGIT) - 1) if s < last else n_arr >> s)
                     .astype(np.float64) for s in range(0, last + 1, _DIGIT)][:places]
-        if j == 1:
-            return [n_arr.astype(np.float64)]
-        hi, lo = power((j + 1) // 2, digits), power(j // 2, digits)
-        if digits:
-            return _digit_product(hi, lo, places)
-        return [hi[0] * lo[0]] if top**j <= 2**53 else list(two_prod(hi[0], lo[0]))
+        return _digit_product(digits((j + 1) // 2), digits(j // 2), places)
 
     products = []
     for j, c, k in monomials:
-        if top ** ((j + 1) // 2) <= 2**53:  # halves exact: at most two parts
-            products += [(part, c) for part in power(j, False)]
-        else:
-            products += [(d, math.ldexp(c, _DIGIT * i)) for i, d in enumerate(power(j, True)[:k])]
-    del power  # it refers to itself: break that cycle so its arrays go now, not at a gc
+        limit = _exact_root((j + 1) // 2)
+        if top <= limit or inside(limit).any():
+            hi, lo = power((j + 1) // 2, limit), power(j // 2, limit) if j > 1 else None
+            parts = ([hi] if j == 1 else [hi * lo] if min(top, limit) ** j <= 2**53
+                     else two_prod(hi, lo))
+            products += [(part, c) for part in parts]
+        if top > limit:
+            products += [(np.where(inside(limit), 0.0, d), math.ldexp(c, _DIGIT * i))
+                         for i, d in enumerate(digits(j)[:k])]
+    del power, digits  # they refer to themselves: break those cycles so their arrays go now
     out = frac_combine(products, terms=(coefficients[0],))
     out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
     return float(out[0]) if np.ndim(n) == 0 else np.asarray(out, dtype=np.float64)

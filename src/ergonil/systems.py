@@ -387,11 +387,17 @@ def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
             f"coords dimension {coords.shape[-1]} != observable dimension {obs.dimension}"
         )
     out = np.zeros(coords.shape[0], dtype=np.complex128)
+    # one row would take BLAS's dot, not the matrix-vector product, and round
+    # differently: with a second row every row has its bits at any length
+    rows = np.repeat(coords, 2, axis=0) if out.size == 1 else coords
     for freq, coeff in obs.terms:
+        if not any(freq):  # e(0) is exactly 1, so the term is its coefficient
+            out += coeff
+            continue
         k = np.asarray(freq, dtype=np.float64)
         # the temporary goes first: numpy's elision turns `c * f()` into f() * c
         # on large arrays, and the order of a complex product moves its last bit
-        out += unit_phase(frac(coords @ k)) * coeff
+        out += unit_phase(frac((rows @ k)[:out.size])) * coeff
     return out
 
 

@@ -1,8 +1,11 @@
 """Averages: exact reductions, resonances, certified sup sweeps, the
 auxiliary-system product average, and the schedule driver."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergonil import (
     AnzaiSkew,
@@ -11,12 +14,14 @@ from ergonil import (
     HeisenbergNilseq,
     InvalidExponentsError,
     PolynomialPhase,
+    Product,
     RotationTorus,
     Scaled,
     Table,
     ThetaType,
     ToralAutomorphism,
     TorusChar,
+    TorusNilseq,
     birkhoff_avg,
     cesaro_nilseq,
     constant_observable,
@@ -33,7 +38,7 @@ from ergonil import (
     ww_sup,
     wwdr_avg,
 )
-from ergonil.averages import MAX_SUP_GRID, _dual_expansion
+from ergonil.averages import _BLOCK, MAX_SUP_GRID, _dual_expansion, orbit_terms
 from ergonil.errors import DomainError, SequenceTooShortError
 from ergonil.numerics import pairwise_mean
 
@@ -42,6 +47,7 @@ import oracles
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 SQRT2M1 = np.sqrt(2.0) - 1.0
 E1 = observable([((1,), 1.0)])
+B = _BLOCK
 
 
 class TestBirkhoff:
@@ -424,49 +430,142 @@ class TestDualSystem:
             dual_system_avg(rot, E1, E1, (0.1,), 1, 2, AnzaiSkew(PHI), [E1], 64, 64)
 
 
+def _check_schedule_against_single_shots(sched):
+    rot = RotationTorus((PHI,))
+    anz = AnzaiSkew(SQRT2M1)
+    obs = observable([((0,), 0.4), ((1,), 0.6)])
+    f1 = observable([((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
+    f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
+    w = Scaled(0.6 + 0.8j, HeisenbergNilseq(HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1),
+                                            HeisenbergElement.identity(), ThetaType(1)))
+    pair = dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3), a=1, b=2)
+    p = (0.1, 0.3, PHI)
+    gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
+          observable([((0,), 0.4), ((1,), 0.6 - 0.1j)]),
+          observable([((-1,), 0.7 + 0.7j), ((3,), 0.1)])]
+    cases = [
+        ("birkhoff", dict(system=rot, obs=obs, x0=(0.2,)),
+         lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
+        ("ww", dict(system=rot, obs=obs, x0=(0.2,), t=0.31),
+         lambda n: ww_avg(rot, obs, (0.2,), 0.31, n)),
+        ("ww_sup", dict(system=rot, obs=obs, x0=(0.2,), eps=1e-3),
+         lambda n: ww_sup(rot, obs, (0.2,), n, 1e-3)),
+        ("double", pair, lambda n: double_avg(anz, f1, f2, (0.2, 0.3), 1, 2, n)),
+        ("wwdr", dict(pair, t=0.31),
+         lambda n: wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, 0.31, n)),
+        ("poly_wwdr", dict(pair, p=p),
+         lambda n: poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, n)),
+        ("nil_wwdr", dict(pair, weight=w),
+         lambda n: nil_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, w, n)),
+        ("dual_system", dict(pair, system_s=RotationTorus((PHI,)), g_list=gs),
+         lambda n: dual_system_avg(anz, f1, f2, (0.2, 0.3), 1, 2, RotationTorus((PHI,)),
+                                   gs, 64, n).l2_norm),
+    ]
+    for kind, params, one_shot in cases:
+        rep = run_schedule(kind, params, sched)
+        # a sweep's whole certified point, every other kind's average
+        got = rep.sup_data if kind == "ww_sup" else rep.values
+        for n, v in zip(sched, got, strict=True):
+            assert v == one_shot(n), (kind, n)
+    rep = cesaro_nilseq(w, sched)
+    assert rep.values == tuple(pairwise_mean(weight_samples(w, n)) for n in sched)
+
+
+# (system, x0, `orbit_terms` factors, largest |time| drawn, None for times in [0, 3B))
+# of every system and weight kind
+_HEIS = HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1)
+_F1 = observable([((0, 0), -0.1), ((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
+_F2 = observable([((1, 1), 0.6), ((0, 1), 0.4j), ((3, -2), 0.1)])
+_E = observable([((0,), 0.4), ((1,), 0.6), ((3,), 0.1j)])
+_TORUS_W = TorusNilseq((PHI, SQRT2M1), _F2, (0.1, 0.7))
+SPLIT_CASES = {
+    "poly_degree6": (None, None, dict(obs1=None, weight=PolynomialPhase(
+        (0.1, PHI, 0.2, 0.3, SQRT2M1, 0.4, 0.123456789))), (1 << 62)),
+    "poly_degree3": (None, None, dict(obs1=None, weight=PolynomialPhase((0.5, 0.1, PHI, 0.3))),
+                     (1 << 40)),
+    "rotation_torus": (RotationTorus((PHI, SQRT2M1)), (0.2, 0.7),
+                       dict(obs1=_F1, a=3, obs2=_F2, b=-2, weight=_TORUS_W), 1 << 50),
+    "rotation_birkhoff": (RotationTorus((PHI,)), (0.2,), dict(obs1=_E), 1 << 52),
+    "skew_theta": (AnzaiSkew(SQRT2M1), (0.2, 0.3), dict(obs1=_F1, a=1, obs2=_F2, b=2, weight=(
+        HeisenbergNilseq(_HEIS, HeisenbergElement.identity(), ThetaType(1)))), 1 << 25),
+    "skew_torus_char": (AnzaiSkew(PHI), (0.6, 0.1), dict(obs1=_F2, a=-1, obs2=_F1, b=1, weight=(
+        HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), TorusChar(2, 3)))), 1 << 25),
+    "cat_product": (ToralAutomorphism(((2, 1), (1, 1))), (3, 5), dict(
+        obs1=_F1, a=1, obs2=_F2, b=3, weight=Product(_TORUS_W, PolynomialPhase((0.0, PHI)))),
+        1 << 50),
+    "rotation_scaled": (RotationTorus((PHI,)), (0.2,), dict(
+        obs1=_E, a=2, obs2=_E, b=5, weight=Scaled(0.6 - 0.8j, PolynomialPhase((0.1, 0.2, PHI)))),
+        1 << 40),
+    "rotation_table": (RotationTorus((PHI,)), (0.2,), dict(obs1=_E, a=1, obs2=_E, b=2, weight=(
+        Table(np.exp(1j * np.arange(3 * B + 8)), sup_error_budget=0.1))), None),
+}
+
+
+@st.composite
+def _times_and_cuts(draw, largest):
+    """Times n of more than one block and the cut points of a split of n."""
+    length = draw(st.integers(B + 2, 2 * B + 3))
+    start = draw(st.integers(0, B) if largest is None else st.integers(-largest, largest - length))
+    edges = st.sampled_from([1, B - 1, B, B + 1, length - 1])
+    cuts = draw(st.lists(st.integers(0, length) | edges, max_size=5))
+    ones = draw(st.lists(st.integers(0, length - 1), max_size=2))  # length-1 pieces
+    cuts = sorted({0, length, *cuts, *ones, *(i + 1 for i in ones)})
+    return np.arange(start, start + length, dtype=np.int64), cuts
+
+
+class TestOrbitTermBlocks:
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_terms_do_not_depend_on_the_split(self, case, data):
+        system, x0, kw, largest = SPLIT_CASES[case]
+        n, cuts = data.draw(_times_and_cuts(largest))
+        whole = orbit_terms(system, x0, n, **kw)
+        pieces = [orbit_terms(system, x0, n[lo:hi], **kw) for lo, hi in itertools.pairwise(cuts)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+    def test_one_time_alone_has_its_bits(self):
+        # a one-row coordinate matrix once took BLAS's dot, which rounds
+        # k . x differently from the matrix-vector product of longer arrays
+        rot = RotationTorus((PHI, SQRT2M1))
+        n = np.arange(1, 300, dtype=np.int64)
+        whole = orbit_terms(rot, (0.2, 0.7), n, _F2)
+        for i in range(n.size):
+            assert whole[i:i + 1].tobytes() == orbit_terms(rot, (0.2, 0.7), n[i:i + 1], _F2).tobytes()
+
+    def test_checks_run_before_the_first_block(self):
+        # each check covers all of n before any block is built, so a bad time
+        # or length in the last block still raises
+        rot = RotationTorus((PHI,))
+        n = np.arange(3 * B, dtype=np.int64)
+        n[-1] = 1 << 52
+        with pytest.raises(DomainError):
+            orbit_terms(rot, (0.2,), n, E1, 4)
+        with pytest.raises(SequenceTooShortError):
+            orbit_terms(rot, (0.2,), n[:-1], E1, weight=Table(np.ones(3 * B - 2)))
+        with pytest.raises(InvalidExponentsError):
+            orbit_terms(rot, (0.2,), n[:-1], E1, 2, E1, 2)
+
+
 class TestSchedule:
     def test_schedule_values_match_single_shots(self):
         # past 2**14 complex terms numpy's temporary elision can swap the
         # operands of a product, so the schedule reaches 2**15
-        rot = RotationTorus((PHI,))
+        _check_schedule_against_single_shots([1, 2, 3, 7, 100, 1 << 14, 1 << 15])
+
+    def test_schedule_values_match_single_shots_around_a_block(self):
+        _check_schedule_against_single_shots([B - 1, B, B + 1, 2 * B + 1])
+
+    def test_degree5_weight_has_the_same_bits_at_every_length(self):
+        # terms past |n| = 208063 once made every degree-5 phase of the array
+        # take base-2**24 digits, and the N = 1024 row moved in its last bits
         anz = AnzaiSkew(SQRT2M1)
-        obs = observable([((0,), 0.4), ((1,), 0.6)])
         f1 = observable([((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
         f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
-        w = Scaled(0.6 + 0.8j, HeisenbergNilseq(HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1),
-                                                HeisenbergElement.identity(), ThetaType(1)))
-        pair = dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3), a=1, b=2)
-        p = (0.1, 0.3, PHI)
-        gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
-              observable([((0,), 0.4), ((1,), 0.6 - 0.1j)]),
-              observable([((-1,), 0.7 + 0.7j), ((3,), 0.1)])]
-        cases = [
-            ("birkhoff", dict(system=rot, obs=obs, x0=(0.2,)),
-             lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
-            ("ww", dict(system=rot, obs=obs, x0=(0.2,), t=0.31),
-             lambda n: ww_avg(rot, obs, (0.2,), 0.31, n)),
-            ("ww_sup", dict(system=rot, obs=obs, x0=(0.2,), eps=1e-3),
-             lambda n: ww_sup(rot, obs, (0.2,), n, 1e-3)),
-            ("double", pair, lambda n: double_avg(anz, f1, f2, (0.2, 0.3), 1, 2, n)),
-            ("wwdr", dict(pair, t=0.31),
-             lambda n: wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, 0.31, n)),
-            ("poly_wwdr", dict(pair, p=p),
-             lambda n: poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, n)),
-            ("nil_wwdr", dict(pair, weight=w),
-             lambda n: nil_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, w, n)),
-            ("dual_system", dict(pair, system_s=RotationTorus((PHI,)), g_list=gs),
-             lambda n: dual_system_avg(anz, f1, f2, (0.2, 0.3), 1, 2, RotationTorus((PHI,)),
-                                       gs, 64, n).l2_norm),
-        ]
-        sched = [1, 2, 3, 7, 100, 1 << 14, 1 << 15]
-        for kind, params, one_shot in cases:
-            rep = run_schedule(kind, params, sched)
-            # a sweep's whole certified point, every other kind's average
-            got = rep.sup_data if kind == "ww_sup" else rep.values
-            for n, v in zip(sched, got, strict=True):
-                assert v == one_shot(n), (kind, n)
-        rep = cesaro_nilseq(w, sched)
-        assert rep.values == tuple(pairwise_mean(weight_samples(w, n)) for n in sched)
+        p = (0.0, 0.1, 0.2, 0.3, 0.4, 0.123456789)
+        rep = run_schedule("poly_wwdr", dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3),
+                                             a=1, b=2, p=p), [1024, 1 << 18])
+        assert rep.values[0] == poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, 1024)
 
     def test_deltas_are_consecutive_differences(self):
         rot = RotationTorus((PHI,))

@@ -14,6 +14,9 @@ PHI = (np.sqrt(5.0) - 1.0) / 2.0
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 EDGES = [0, 1, -1, (1 << 26) - 1, (1 << 26) + 1, -(1 << 26) - 1, (1 << 53) - 1, (1 << 53) + 1,
          -(1 << 53) - 1, INT64_MAX, -INT64_MAX, INT64_MIN]
+# around the largest |n| whose n**h is an exact float, where a power changes its parts
+ROOTS = [s * (m + d) for m in (94906265, 208063, 9741, 1552, 456, 1 << 53)
+         for d in (0, 1) for s in (1, -1)]
 
 
 def circle_error(coefficients, ns):
@@ -37,6 +40,26 @@ class TestFracPoly:
     )
     def test_matches_exact_rationals(self, coefficients, ns):
         assert circle_error(coefficients, ns) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coefficients=st.integers(0, 6).flatmap(lambda d: st.lists(coefficient, min_size=d + 1,
+                                                                  max_size=d + 1)),
+        ns=st.lists(st.integers(INT64_MIN, INT64_MAX) | st.integers(-(1 << 30), 1 << 30)
+                    | st.sampled_from(EDGES + ROOTS), min_size=1, max_size=12),
+    )
+    def test_each_value_depends_on_its_own_time_only(self, coefficients, ns):
+        ns = np.array(ns, dtype=np.int64)
+        together = frac_poly(coefficients, ns)
+        for i in range(ns.size):
+            assert together[i:i + 1].tobytes() == frac_poly(coefficients, ns[i:i + 1]).tobytes()
+
+    def test_degree5_value_does_not_depend_on_the_longest_time(self):
+        # past |n| = 208063, n**3 is no exact float: the degree-5 part of those
+        # times takes digits, but the times below keep their own parts
+        p = (0.0, 0.1, 0.2, 0.3, 0.4, 0.123456789)
+        ns = np.arange(1, (1 << 18) + 1, dtype=np.int64)
+        assert frac_poly(p, ns)[:1024].tobytes() == frac_poly(p, ns[:1024]).tobytes()
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6])
     def test_int64_edges_every_degree(self, degree):
