@@ -27,6 +27,7 @@ from .averages import (
     poly_wwdr_avg,
     run_schedule,
     sup_over_frequency,
+    weight_samples,
     ww_avg,
     ww_sup,
     wwdr_avg,
@@ -66,18 +67,15 @@ from .nilseq import (
     product_weight,
     reduce_fundamental,
     table_from_csv,
-    weight_samples,
 )
-from .report import ConvergenceReport, SupPoint, make_report
+from .report import ConvergenceReport, SeminormEstimate, SupPoint, make_report
 from .seminorms import (
     CorrelationBox,
-    SeminormEstimate,
     VdcReport,
     c_h_estimate,
     cube_average,
     ghk_seminorm,
     local_seminorm,
-    orbit_product_sequence,
     vanishing_experiment,
     vdc_bound,
 )

@@ -10,7 +10,10 @@ Sums use the fixed-shape pairwise tree from `numerics`, so identical inputs
 give bit-identical outputs regardless of blocking or worker count.
 
 Every weighted average is (1/N) sum f1(T^{an} x0) f2(T^{bn} x0) b_n with some
-factors absent, and every term array comes from one core, `orbit_terms`. A
+factors absent, and every term array comes from one core, `orbit_terms`: it
+is the only code that evaluates a weight over a range of times, so weight
+samples (`weight_samples`), the dual system's twists e(s n t) and the
+seminorm module's orbit products are its terms too. A
 frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
 `PolynomialPhase(p)`; an absent factor is skipped, not multiplied as ones.
 Factors multiply in the fixed order f1 * f2 * b, so the exact reductions
@@ -43,7 +46,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .nilseq import PolynomialPhase, WeightSequence
-from .numerics import frac_poly, pairwise_sum, unit_phase
+from .numerics import pairwise_sum, unit_phase
 from .report import ConvergenceReport, SupPoint, check_schedule, make_report
 from .systems import (
     Observable,
@@ -114,6 +117,11 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
             terms = np.multiply(terms, w, out=inplace)
         out[lo:lo + t.size] = terms
     return out
+
+
+def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray:
+    """w(start), ..., w(start + length - 1): the weight's terms from `orbit_terms`."""
+    return orbit_terms(None, None, np.arange(start, start + length, dtype=np.int64), None, weight=w)
 
 
 def prefix_means(terms: np.ndarray, schedule) -> list[complex]:
@@ -302,12 +310,13 @@ def _dual_expansion(system: System, obs1: Observable, obs2: Observable, x0, a: i
         weights[key] = weights.get(key, 0j) + math.prod(c for _, c in combo)
     n = _times(index_base, schedule[-1])
     base = orbit_terms(system, x0, n, obs1, a, obs2, b)
+    twist = PolynomialPhase((0.0, system_s.alpha_floats[0]))  # at the times s * n
     avgs = {}  # s -> A_s(N) at each scheduled N
     for s in sorted({s for _, s in weights}):
         terms = base
         if s:  # e(s n t), exact in the integer s*n, multiplied in the core's order f1 f2 * w
             check_times(n, e=s)
-            w = unit_phase(frac_poly((0.0, system_s.alpha_floats[0]), s * n))
+            w = orbit_terms(None, None, s * n, None, weight=twist)
             terms = np.multiply(base, w, out=w if w.size > 1 else None)  # as in orbit_terms
         avgs[s] = prefix_means(terms, schedule)
     coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]

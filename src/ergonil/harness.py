@@ -31,7 +31,7 @@ import numpy as np
 
 from . import averages, joinings, nilseq, seminorms, systems
 from .errors import ConfigError
-from .report import ConvergenceReport, check_schedule
+from .report import ConvergenceReport, SeminormEstimate, check_schedule
 from .systems import (
     AnzaiSkew,
     Observable,
@@ -337,6 +337,9 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     if cfg.a is not None and cfg.b is not None:
         with _field("a"):
             averages.check_exponents(cfg.a, cfg.b)
+    if cfg.k is not None:
+        with _field("k"):
+            seminorms._check_order(cfg.k)
     if cfg.experiment == "dual_system_avg" and not 1 <= len(cfg.g_list) <= 3:
         raise ConfigError("g_list must hold 1..3 observables", field="g_list")
     if cfg.index_base not in (0, 1):
@@ -371,9 +374,9 @@ def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict, lis
         if rep.sup_data is not None:
             kw["sup"] = rep.sup_data[i].sup_value
             kw["t_star"] = rep.sup_data[i].t_star
-        if rep.seminorm_values is not None:
-            kw["seminorm"] = rep.seminorm_values[i]
-            kw["clamped"] = rep.seminorm_clamped[i]
+        if rep.seminorm_data is not None:
+            kw["seminorm"] = rep.seminorm_data[i].value
+            kw["clamped"] = rep.seminorm_data[i].clamped
         rows.append(Row(rid, **kw))
     diag: dict = {"id": rid, "error_budget": rep.error_budget}
     if rep.sup_data is not None:
@@ -382,7 +385,14 @@ def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict, lis
              "error_bound": s.error_bound}
             for n, s in zip(rep.schedule, rep.sup_data)
         ]
+    if rep.seminorm_data is not None:
+        diag["seminorm"] = [_seminorm_certificate(est) for est in rep.seminorm_data]
     return rows, {}, [diag]
+
+
+def _seminorm_certificate(est: SeminormEstimate) -> dict:
+    return {"N": est.N, "H": est.H, "pre_root_average": est.pre_root_average,
+            "clamped": est.clamped}
 
 
 def _scheduled(kind: str) -> Callable:
@@ -398,19 +408,15 @@ def _scheduled(kind: str) -> Callable:
 
 def _seminorm_rows(cfg: ExperimentConfig, rid: str, estimate: Callable):
     """One row per scheduled N of `estimate(N, H)`; its certificate goes to diagnostics."""
-    rows, certs = [], []
-    for n in cfg.schedule:
-        h = cfg.H if cfg.H is not None else seminorms.coupled_box_size(n)
-        est = estimate(n, h)
-        rows.append(Row(rid, N=n, seminorm=est.value, clamped=est.clamped))
-        certs.append({"N": n, "H": h, "pre_root_average": est.pre_root_average,
-                      "clamped": est.clamped})
-    return rows, {}, [{"id": rid, "seminorm": certs}]
+    ests = [estimate(n, cfg.H if cfg.H is not None else seminorms.coupled_box_size(n))
+            for n in cfg.schedule]
+    rows = [Row(rid, N=est.N, seminorm=est.value, clamped=est.clamped) for est in ests]
+    return rows, {}, [{"id": rid, "seminorm": [_seminorm_certificate(est) for est in ests]}]
 
 
 def _run_local_seminorm(cfg: ExperimentConfig, rid: str, x0):
     def estimate(n, h):
-        seq = nilseq.weight_samples(cfg.weight, n + cfg.k * h, cfg.index_base)
+        seq = averages.weight_samples(cfg.weight, n + cfg.k * h, cfg.index_base)
         return seminorms.local_seminorm(seq, cfg.k, h, n)
     return _seminorm_rows(cfg, rid, estimate)
 
@@ -438,7 +444,7 @@ def _run_product_formula(cfg: ExperimentConfig, rid: str, x0):
 
 
 def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
-    seq = nilseq.weight_samples(cfg.weight, cfg.N, cfg.index_base)
+    seq = averages.weight_samples(cfg.weight, cfg.N, cfg.index_base)
     rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
     rows = [Row(rid + ":lhs", N=cfg.N, abs=rep.lhs), Row(rid + ":rhs", N=cfg.N, abs=rep.rhs)]
     return rows, {"passed": rep.passed}, []
@@ -446,8 +452,8 @@ def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
 
 def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
     length = cfg.N + 3 * (cfg.H - 1)
-    s1 = nilseq.weight_samples(cfg.weight1, length, cfg.index_base)
-    s2 = nilseq.weight_samples(cfg.weight2, length, cfg.index_base)
+    s1 = averages.weight_samples(cfg.weight1, length, cfg.index_base)
+    s2 = averages.weight_samples(cfg.weight2, length, cfg.index_base)
     v = seminorms.cube_average(s1, s2, cfg.H)
     return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {}, []
 

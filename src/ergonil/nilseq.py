@@ -4,7 +4,9 @@ nilsequences, products, scalar multiples, and table-backed sequences.
 Every variant reports a sup bound, and table-backed sequences carry an
 explicit `sup_error_budget` standing in for the distance to a uniform limit;
 the budget propagates through products and scaling so averages can quote an
-additive error term.
+additive error term. Callers take a weight's values over a range of times
+from `averages.orbit_terms`, the one place that evaluates them, or from
+`averages.weight_samples`, which is built on it.
 
 The Heisenberg group is coordinatized as (a, b, c) with multiplication
 (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a*b'), lattice subgroup the
@@ -369,13 +371,3 @@ def product_weight(w1: WeightSequence, w2: WeightSequence) -> Product:
 
 def constant_weight(value: complex = 1.0) -> Scaled:
     return Scaled(complex(value), PolynomialPhase((0.0,)))
-
-
-def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray:
-    """Materialize w(start), ..., w(start + length - 1)."""
-    if w.length is not None and start + length > w.length:
-        raise SequenceTooShortError(
-            f"weight defined for n < {w.length}, requested n < {start + length}"
-        )
-    return w.eval_many(np.arange(start, start + length, dtype=np.int64))
-

@@ -17,21 +17,36 @@ class SupPoint:
 
 
 @dataclass(frozen=True)
+class SeminormEstimate:
+    family: str  # "local_sequence" or "ghk_function"
+    k: int
+    H: int
+    N: int
+    value: float
+    clamped: bool
+    pre_root_average: float
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise ValueError("seminorm estimates are nonnegative by construction")
+
+
+@dataclass(frozen=True)
 class ConvergenceReport:
     """Averages A_N along an increasing schedule with consecutive deltas.
 
     `dyadic_deltas[i] = |values[i+1] - values[i]|`; for a dyadic schedule this
     is |A_{2N} - A_N|. Optional parallel columns carry sup sweeps (per-N
-    certified maxima) and seminorm estimates. `error_budget` is an additive
-    uncertainty inherited from table-backed weights.
+    certified maxima) and seminorm estimates (per-N value, box size H and
+    clamp flag). `error_budget` is an additive uncertainty inherited from
+    table-backed weights.
     """
 
     schedule: tuple[int, ...]
     values: tuple[complex, ...]
     dyadic_deltas: tuple[float, ...] = field(default=())
     sup_data: tuple[SupPoint, ...] | None = None
-    seminorm_values: tuple[float, ...] | None = None
-    seminorm_clamped: tuple[bool, ...] | None = None
+    seminorm_data: tuple[SeminormEstimate, ...] | None = None
     error_budget: float = 0.0
 
     def value_at(self, n: int) -> complex:

@@ -14,7 +14,10 @@ at desk scale while changing nothing in the H -> infinity limit.
 
 Function seminorm: recursive orbit estimator with level 1 = |(1/N) sum
 f(T^n x0)| and level k+1 the 2^{k+1}-th root of the h-average of the level-k
-estimate of f * conj(f o T^h), h in {1..H}.
+estimate of f * conj(f o T^h), h in {1..H}. Orbit samples f(T^n x0) and
+orbit products f1(T^{an} x0) f2(T^{bn} x0) are the terms of
+`averages.orbit_terms`, and the vanishing experiment's average column is
+`averages.run_schedule("nil_wwdr")`; this module adds only the seminorms.
 
 Box sums are evaluated by peeling one offset at a time (the order-k cube
 product is D_n * conj(D_{n+h_k}) for the order-(k-1) product D), which turns
@@ -36,15 +39,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averages import orbit_terms, prefix_means
+from .averages import _times, orbit_terms, run_schedule
 from .errors import SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
-from .report import ConvergenceReport, check_schedule, make_report
+from .report import ConvergenceReport, SeminormEstimate
 from .systems import Observable, System, zk_complement
 
 MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
@@ -58,21 +61,6 @@ class CorrelationBox:
     h: tuple[int, ...]
     N: int
     value: complex
-
-
-@dataclass(frozen=True)
-class SeminormEstimate:
-    family: str  # "local_sequence" or "ghk_function"
-    k: int
-    H: int
-    N: int
-    value: float
-    clamped: bool
-    pre_root_average: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("seminorm estimates are nonnegative by construction")
 
 
 def _as_sequence(a) -> np.ndarray:
@@ -167,13 +155,6 @@ def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
     return SeminormEstimate("local_sequence", k, H, N, value, clamped, float(avg))
 
 
-def orbit_product_sequence(system: System, obs1: Observable, obs2: Observable, x0,
-                           a: int, b: int, length: int, index_base: int = 0) -> np.ndarray:
-    """Materialize a_n = f1(T^{an} x0) f2(T^{bn} x0) for n = index_base .. +length-1."""
-    n = np.arange(index_base, index_base + length, dtype=np.int64)
-    return orbit_terms(system, x0, n, obs1, a, obs2, b)
-
-
 def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
                  index_base: int = 0) -> SeminormEstimate:
     """Order-k function seminorm estimated along one orbit.
@@ -189,9 +170,7 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
     _check_order(k)
     if H < 1:
         raise ValueError("H must be >= 1")
-    length = N + (k - 1) * H
-    n = np.arange(index_base, index_base + length, dtype=np.int64)
-    u = orbit_terms(system, x0, n, obs)
+    u = orbit_terms(system, x0, _times(index_base, N + (k - 1) * H), obs)
     total = _sorted_offset_sum(u, k - 1, H, N, lambda d: abs(pairwise_mean(d[:N])) ** 2)
     avg = float(total / H ** (k - 1))
     return SeminormEstimate("ghk_function", k, H, N, avg ** (1.0 / (1 << k)), False, avg)
@@ -300,24 +279,16 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     Both observables are first projected onto the complement of the
     order-(k-1) characteristic factor; if the sequence seminorm vanishes, the
     weighted averages against any lower-step weight must vanish too, and this
-    report lets that implication be eyeballed and thresholded.
+    report lets that implication be eyeballed and thresholded. The averages
+    are `run_schedule("nil_wwdr")` on the projected pair; each scheduled N adds
+    the seminorm of their product at the coupled box size H.
     """
-    schedule = check_schedule(schedule)
     _check_order(k)
     g1, g2 = (zk_complement(system, f, k - 1) if k > 1 else f for f in (obs1, obs2))
-    max_n = schedule[-1]
-    seq = orbit_product_sequence(system, g1, g2, x0, a, b,
-                                 max_n + k * coupled_box_size(max_n), index_base)
-    # f1 f2 * w in the order of `orbit_terms`, formed once at the largest N; the weight
-    # is named so that numpy's temporary elision cannot swap the operands
-    weights = w.eval_many(np.arange(index_base, index_base + max_n, dtype=np.int64))
-    terms = seq[:max_n] * weights
-    semis, clamps = [], []
-    for n in schedule:
-        h = coupled_box_size(n)
-        est = local_seminorm(seq[: n + k * h], k, h, n)
-        semis.append(est.value)
-        clamps.append(est.clamped)
-    return make_report(schedule, prefix_means(terms, schedule), seminorm_values=tuple(semis),
-                       seminorm_clamped=tuple(clamps),
-                       error_budget=getattr(w, "error_budget", 0.0))
+    rep = run_schedule("nil_wwdr", dict(system=system, x0=x0, obs1=g1, a=a, obs2=g2, b=b,
+                                        weight=w), schedule, index_base)
+    max_n = rep.schedule[-1]
+    seq = orbit_terms(system, x0, _times(index_base, max_n + k * coupled_box_size(max_n)),
+                      g1, a, g2, b)
+    semis = tuple(local_seminorm(seq, k, coupled_box_size(n), n) for n in rep.schedule)
+    return replace(rep, seminorm_data=semis)

@@ -468,7 +468,7 @@ def _check_schedule_against_single_shots(sched):
         for n, v in zip(sched, got, strict=True):
             assert v == one_shot(n), (kind, n)
     rep = cesaro_nilseq(w, sched)
-    assert rep.values == tuple(pairwise_mean(weight_samples(w, n)) for n in sched)
+    assert rep.values == tuple(pairwise_mean(w.eval_many(np.arange(n))) for n in sched)
 
 
 # (system, x0, `orbit_terms` factors, largest |time| drawn, None for times in [0, 3B))
@@ -545,6 +545,24 @@ class TestOrbitTermBlocks:
             orbit_terms(rot, (0.2,), n[:-1], E1, weight=Table(np.ones(3 * B - 2)))
         with pytest.raises(InvalidExponentsError):
             orbit_terms(rot, (0.2,), n[:-1], E1, 2, E1, 2)
+
+
+class TestWeightSamples:
+    @pytest.mark.parametrize("case", sorted(c for c, v in SPLIT_CASES.items() if "weight" in v[2]))
+    def test_samples_are_one_unblocked_evaluation(self, case):
+        # `weight_samples` is `orbit_terms` on the weight alone; one `eval_many`
+        # over the same times checks it from outside the core
+        _, _, kw, largest = SPLIT_CASES[case]
+        w = kw["weight"]
+        for start in (0,) if largest is None else (0, largest - 2 * B - 1):
+            for length in (1, B - 1, B, B + 1, 2 * B + 1):
+                want = w.eval_many(np.arange(start, start + length, dtype=np.int64))
+                assert weight_samples(w, length, start).tobytes() == want.tobytes(), (start, length)
+
+    def test_length_zero_is_empty(self):
+        for w in (PolynomialPhase((0.1, PHI)), Table(np.ones(4))):
+            got = weight_samples(w, 0)
+            assert got.shape == (0,) and got.dtype == np.complex128
 
 
 class TestSchedule:

@@ -327,13 +327,20 @@ class TestRunExperiment:
              "system": {"kind": "rotation_torus", "alpha": [PHI]},
              "observable": {"terms": [[[1], 1.0]]}, "x0": [[0.2]],
              "schedule": [256, 1024]},
+            # as the benchmark's sb_vanishing: fiber-only frequencies, every row clamped
+            {"experiment": "vanishing_experiment", "id": "semi_vanishing", "k": 2,
+             "system": {"kind": "anzai_skew", "alpha": PHI},
+             "observable1": {"terms": [[[0, 1], 1.0]]},
+             "observable2": {"terms": [[[1, 1], 1.0]]}, "x0": [[0.2, 0.7]], "a": 1, "b": 2,
+             "weight": {"kind": "polynomial_phase", "coefficients": [0.0, 0.37]},
+             "schedule": [256, 512, 1024]},
         ]
-        for doc, boxes in zip(docs, ([16, 32], [8, 8])):
+        for doc, boxes in zip(docs, ([16, 32], [8, 8], [16, 16, 32]), strict=True):
             rep = run_experiment(config_from_dict(doc), out_dir=tmp_path)
             diag = json.loads(rep.summary_path.read_text())["diagnostics"]
             assert [d["id"] for d in diag] == [doc["id"]]
             certs = diag[0]["seminorm"]
-            assert [c["N"] for c in certs] == [256, 1024]
+            assert [c["N"] for c in certs] == doc["schedule"]
             assert [c["H"] for c in certs] == boxes
             for c, row in zip(certs, rep.rows):
                 assert c["clamped"] == row.clamped == (c["pre_root_average"] < 0)
@@ -411,6 +418,16 @@ class TestCli:
     def test_malformed_config_exits_2(self, over, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(ww_config(**over)))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_order_outside_range_exits_2(self, k, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "local_seminorm", "k": k, "schedule": [1024],
+                                 "weight": {"kind": "polynomial_phase",
+                                            "coefficients": [0.0, PHI]}}))
         assert cli_main(["validate", "--config", str(p)]) == 2
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -19,13 +19,13 @@ from ergonil import (
     ghk_seminorm,
     local_seminorm,
     observable,
-    orbit_product_sequence,
     run_schedule,
     vanishing_experiment,
     vdc_bound,
     weight_samples,
     zk_complement,
 )
+from ergonil.averages import orbit_terms
 from ergonil.seminorms import coupled_box_size
 
 import oracles
@@ -296,7 +296,7 @@ class TestVanishingExperiment:
         rep = vanishing_experiment(rot, zero, obs, (0.2,), 1, 2,
                                    PolynomialPhase((0.0, 0.3)), 2, [256, 1024])
         assert all(v == 0 for v in rep.values)
-        assert all(s == 0 for s in rep.seminorm_values)
+        assert all(s.value == 0 for s in rep.seminorm_data)
 
     def test_rotation_projects_to_nothing(self):
         # for the rotation every observable lies in the order-1 factor
@@ -305,7 +305,7 @@ class TestVanishingExperiment:
         rep = vanishing_experiment(rot, obs, obs, (0.2,), 1, 2,
                                    PolynomialPhase((0.0, 0.3)), 2, [256, 1024])
         assert all(v == 0 for v in rep.values)
-        assert all(s == 0 for s in rep.seminorm_values)
+        assert all(s.value == 0 for s in rep.seminorm_data)
 
     def test_mixing_case_both_columns_fall(self):
         # frozen oracle run: seminorm clamps to 0 and |A_N| = 0.0026 by N = 2**16
@@ -314,7 +314,7 @@ class TestVanishingExperiment:
         rep = vanishing_experiment(cat, obs, obs, (1, 0), 1, 2,
                                    PolynomialPhase((0.0, 0.37)), 2,
                                    [1 << 12, 1 << 14, 1 << 16])
-        assert rep.seminorm_values[-1] < 0.1
+        assert rep.seminorm_data[-1].value < 0.1
         assert abs(rep.values[-1]) < 0.1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -339,11 +339,12 @@ class TestVanishingExperiment:
         assert coupled_box_size(1 << 12) == 64
 
 
-class TestOrbitProductSequence:
+class TestOrbitProduct:
     def test_matches_manual_product(self):
+        # the orbit product the seminorms read is the pair terms of `orbit_terms`
         anz = AnzaiSkew(PHI)
         obs = observable([((0, 1), 1.0)])
-        seq = orbit_product_sequence(anz, obs, obs, (0.2, 0.7), 1, 2, 50)
+        seq = orbit_terms(anz, (0.2, 0.7), np.arange(50, dtype=np.int64), obs, 1, obs, 2)
         for n in (0, 1, 10, 49):
             p1 = oracles.iterate_anzai(PHI, (0.2, 0.7), n)
             p2 = oracles.iterate_anzai(PHI, (0.2, 0.7), 2 * n)
