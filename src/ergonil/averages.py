@@ -10,22 +10,22 @@ Sums use the fixed-shape pairwise tree from `numerics`, so identical inputs
 give bit-identical outputs regardless of blocking or worker count.
 
 Every weighted average is (1/N) sum f1(T^{an} x0) f2(T^{bn} x0) b_n with some
-factors absent, and every term array comes from one core, `orbit_terms`: it
-is the only code that evaluates a weight over a range of times, so weight
-samples (`weight_samples`), the dual system's twists e(s n t) and the
-seminorm module's orbit products are its terms too. A
-frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
+factors absent, and every term array comes from one core, `orbit_terms`, the
+only code that evaluates a weight over a range of times: weight samples
+(`weight_samples`) and the seminorm module's orbit products are its terms.
+`_weighted` multiplies built terms f1 f2 by one more weight, so the dual
+twists e(s n t) and the vanishing average each read one base built once.
+A frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
 `PolynomialPhase(p)`; an absent factor is skipped, not multiplied as ones.
 Factors multiply in the fixed order f1 * f2 * b, so the exact reductions
 (t = 0, constant weights) hold bit for bit. Observables and weights fix their
 operand order too, so no term's bits depend on the array length, and the core
 fills its output in cache-sized blocks of `_BLOCK` times after checking all of
-them. Terms are
-reduced by `prefix_means`, the mean of each scheduled prefix on the pairwise
-tree it would get alone (a one-shot average is its one-point case), or by the
-certified sup over t of each prefix: `run_schedule` equals the one-shot values
-bit for bit at every scheduled N, and the Wiener-Wintner sup is the sup
-reducer over the Birkhoff terms.
+them. Terms are reduced by `prefix_means`, the mean of each scheduled prefix
+on the pairwise tree it would get alone (a one-shot average is its one-point
+case), or by the certified sup over t of each prefix: `run_schedule` equals
+the one-shot values bit for bit at every scheduled N, and the Wiener-Wintner
+sup is the sup reducer over the Birkhoff terms.
 Exponent times n are checked against the system's time domain first, and the
 auxiliary-system norm is exact by Parseval on its Fourier coefficients in y.
 """
@@ -122,6 +122,12 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
 def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray:
     """w(start), ..., w(start + length - 1): the weight's terms from `orbit_terms`."""
     return orbit_terms(None, None, np.arange(start, start + length, dtype=np.int64), None, weight=w)
+
+
+def _weighted(base: np.ndarray, n: np.ndarray, w: WeightSequence) -> np.ndarray:
+    """base * w(n) for built terms `base` at the times `n`, in the core's order f1 f2 * w."""
+    terms = orbit_terms(None, None, n, None, weight=w)
+    return np.multiply(base, terms, out=terms if terms.size > 1 else None)  # as in orbit_terms
 
 
 def prefix_means(terms: np.ndarray, schedule) -> list[complex]:
@@ -287,38 +293,36 @@ class DualSystemResult:
     l2_norm: float
 
 
-def _dual_expansion(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-                    system_s: RotationTorus, g_list, schedule,
-                    index_base: int) -> list[tuple[dict[int, complex], float]]:
-    """Coefficients {K: c_K(N)} in y of the auxiliary average and their L2 norm, per N.
-
-    With S^{in} y = y + i n t, a tuple (k_1, .., k_m) of g-frequencies adds
-    C e(K y) e(s n t), where K = sum k_i, s = sum i k_i and C is the product
-    of its coefficients; so c_K(N) = sum_s C_{K,s} A_s(N) with A_s(N) =
-    (1/N) sum f1 f2 e(s n t). Each A_s's terms are built once, at the largest N.
-    The norm is exact by Parseval, sqrt(sum_K |c_K|^2) summed in increasing K.
-    """
+def check_auxiliary(system_s: System, g_list) -> list[Observable]:
+    """The auxiliary system must be a circle rotation carrying 1 to 3 observables."""
     g_list = list(g_list)
     if not isinstance(system_s, RotationTorus) or system_s.dimension != 1:
         raise UnsupportedSystemError("auxiliary system must be a circle rotation")
     if not 1 <= len(g_list) <= 3 or any(g.dimension != 1 for g in g_list):
         raise DimensionMismatchError("need 1 to 3 auxiliary observables on the circle")
+    return g_list
+
+
+def _dual_expansion(base: np.ndarray, n: np.ndarray, system_s: RotationTorus, g_list,
+                    schedule) -> list[tuple[dict[int, complex], float]]:
+    """Coefficients {K: c_K(N)} in y of the auxiliary average and their L2 norm, per N.
+
+    With S^{in} y = y + i n t, a tuple (k_1, .., k_m) of g-frequencies adds
+    C e(K y) e(s n t), where K = sum k_i, s = sum i k_i and C is the product
+    of its coefficients; so c_K(N) = sum_s C_{K,s} A_s(N) with A_s(N) =
+    (1/N) sum f1 f2 e(s n t): `_weighted` twists `base`, f1 f2 at the times `n`.
+    The norm is exact by Parseval, sqrt(sum_K |c_K|^2) summed in increasing K.
+    """
     weights: dict[tuple[int, int], complex] = {}  # (K, s) -> C_{K,s}
     for combo in itertools.product(*(g.terms for g in g_list)):
         ks = [f[0] for f, _ in combo]
         key = (sum(ks), sum(i * k for i, k in enumerate(ks, 1)))
         weights[key] = weights.get(key, 0j) + math.prod(c for _, c in combo)
-    n = _times(index_base, schedule[-1])
-    base = orbit_terms(system, x0, n, obs1, a, obs2, b)
     twist = PolynomialPhase((0.0, system_s.alpha_floats[0]))  # at the times s * n
     avgs = {}  # s -> A_s(N) at each scheduled N
     for s in sorted({s for _, s in weights}):
-        terms = base
-        if s:  # e(s n t), exact in the integer s*n, multiplied in the core's order f1 f2 * w
-            check_times(n, e=s)
-            w = orbit_terms(None, None, s * n, None, weight=twist)
-            terms = np.multiply(base, w, out=w if w.size > 1 else None)  # as in orbit_terms
-        avgs[s] = prefix_means(terms, schedule)
+        check_times(n, e=s)  # before s * n: e(s n t) is exact in the integer s * n
+        avgs[s] = prefix_means(_weighted(base, s * n, twist) if s else base, schedule)
     coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]
     for (K, s), C in sorted(weights.items()):
         for c, A in zip(coeffs, avgs[s]):
@@ -337,8 +341,10 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
     """
     if grid_size < 64:
         raise ValueError("node grid needs at least 64 nodes")
-    coeffs, l2 = _dual_expansion(system, obs1, obs2, x0, a, b, system_s, g_list, [N],
-                                 index_base)[0]
+    g_list = check_auxiliary(system_s, g_list)
+    n = _times(index_base, N)
+    base = orbit_terms(system, x0, n, obs1, a, obs2, b)
+    coeffs, l2 = _dual_expansion(base, n, system_s, g_list, [N])[0]
     nodes = np.arange(grid_size, dtype=np.float64) / grid_size
     poly = Observable(1, tuple(((K,), c) for K, c in coeffs.items()))
     values = tuple(eval_observable_many(poly, nodes[:, None]).tolist())
@@ -354,13 +360,19 @@ def _pair(p: dict) -> dict:
     return dict(obs1=p["obs1"], a=p["a"], obs2=p["obs2"], b=p["b"])
 
 
-def _means(terms: np.ndarray, schedule, params: dict) -> dict:
+def _means(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
     return dict(values=prefix_means(terms, schedule))
 
 
-def _sups(terms: np.ndarray, schedule, params: dict) -> dict:
+def _sups(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
     sups = tuple(sup_over_frequency(terms[:n], params["eps"]) for n in schedule)
     return dict(values=[s.sup_value for s in sups], sup_data=sups)
+
+
+def _norms(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
+    expansion = _dual_expansion(terms, _times(index_base, schedule[-1]), params["system_s"],
+                                check_auxiliary(params["system_s"], params["g_list"]), schedule)
+    return dict(values=[l2 for _, l2 in expansion])
 
 
 # kind of `run_schedule` -> (its `orbit_terms` keyword arguments from the params,
@@ -374,6 +386,7 @@ _KINDS = {
     "poly_wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])), _means),
     "nil_wwdr": (lambda p: dict(_pair(p), weight=p["weight"]), _means),
     "cesaro": (lambda p: dict(obs1=None, weight=p["weight"]), _means),
+    "dual_system": (_pair, _norms),
 }
 
 
@@ -383,22 +396,18 @@ def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> Conv
     Each kind in `_KINDS` builds its terms once at the largest N through
     `orbit_terms`, the core of the one-shot functions, and reduces them with
     `prefix_means`, so every A_N equals the one-shot value bit for bit, or for
-    ww_sup (the birkhoff terms) with the certified sup at `params["eps"]`.
-    `dual_system` reduces each twisted term array of its expansion with
-    `prefix_means` and reports the Parseval norm, as `dual_system_avg` does.
+    ww_sup (the birkhoff terms) with the certified sup at `params["eps"]`, or
+    for dual_system (the pair terms) with `dual_system_avg`'s Parseval norm.
+    A reducer rebuilds any times it needs, so none are held through it.
     """
     schedule = check_schedule(schedule)
-    if kind == "dual_system":
-        expansion = _dual_expansion(*(params[k] for k in (
-            "system", "obs1", "obs2", "x0", "a", "b", "system_s", "g_list")), schedule, index_base)
-        return make_report(schedule, [l2 for _, l2 in expansion])
     if kind not in _KINDS:
         raise ValueError(f"unknown schedule op {kind!r}")
     factors, reduce = _KINDS[kind]
     kw = factors(params)
     terms = orbit_terms(params.get("system"), params.get("x0"), _times(index_base, schedule[-1]),
                         **kw)
-    return make_report(schedule, **reduce(terms, schedule, params),
+    return make_report(schedule, **reduce(terms, schedule, params, index_base),
                        error_budget=getattr(kw.get("weight"), "error_budget", 0.0))
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: run, validate, list-experiments.
 
-Exit codes: 0 success, 2 config error, 3 numeric/runtime error,
-4 assertion failure.
+Exit codes: 0 success, 2 config error, 3 numeric/runtime error (also an output
+directory that cannot be created, checked before running), 4 assertion failure.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ def main(argv=None) -> int:
             status = "PASS" if v["passed"] else "FAIL"
             print(f"[{status}] {v['assertion']} :: {v['detail']}")
         print(f"wrote {report.csv_path} ({len(report.rows)} rows)")
-        if not report.all_passed:
-            return EXIT_ASSERTION
-        return EXIT_OK
+        return EXIT_OK if report.all_passed else EXIT_ASSERTION
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ErgonilError as exc:
+    except (ErgonilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, ArithmeticError) as exc:

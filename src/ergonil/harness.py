@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import averages, joinings, nilseq, seminorms, systems
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError, UnsupportedSystemError
 from .report import ConvergenceReport, SeminormEstimate, check_schedule
 from .systems import (
     AnzaiSkew,
@@ -340,8 +340,13 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     if cfg.k is not None:
         with _field("k"):
             seminorms._check_order(cfg.k)
-    if cfg.experiment == "dual_system_avg" and not 1 <= len(cfg.g_list) <= 3:
-        raise ConfigError("g_list must hold 1..3 observables", field="g_list")
+    if cfg.experiment == "dual_system_avg":
+        try:
+            averages.check_auxiliary(cfg.system_s, cfg.g_list)
+        except UnsupportedSystemError as exc:
+            raise ConfigError(str(exc), field="system_s") from None
+        except DimensionMismatchError as exc:
+            raise ConfigError(str(exc), field="g_list") from None
     if cfg.index_base not in (0, 1):
         raise ConfigError("index_base must be 0 or 1", field="index_base")
     return cfg
@@ -406,19 +411,21 @@ def _scheduled(kind: str) -> Callable:
     return run
 
 
+def _box_size(cfg: ExperimentConfig, n: int) -> int:
+    return cfg.H if cfg.H is not None else seminorms.coupled_box_size(n)
+
+
 def _seminorm_rows(cfg: ExperimentConfig, rid: str, estimate: Callable):
     """One row per scheduled N of `estimate(N, H)`; its certificate goes to diagnostics."""
-    ests = [estimate(n, cfg.H if cfg.H is not None else seminorms.coupled_box_size(n))
-            for n in cfg.schedule]
+    ests = [estimate(n, _box_size(cfg, n)) for n in cfg.schedule]
     rows = [Row(rid, N=est.N, seminorm=est.value, clamped=est.clamped) for est in ests]
     return rows, {}, [{"id": rid, "seminorm": [_seminorm_certificate(est) for est in ests]}]
 
 
 def _run_local_seminorm(cfg: ExperimentConfig, rid: str, x0):
-    def estimate(n, h):
-        seq = averages.weight_samples(cfg.weight, n + cfg.k * h, cfg.index_base)
-        return seminorms.local_seminorm(seq, cfg.k, h, n)
-    return _seminorm_rows(cfg, rid, estimate)
+    top = cfg.schedule[-1]  # one sample run for the last box, N + k H; each box reads a prefix
+    seq = averages.weight_samples(cfg.weight, top + cfg.k * _box_size(cfg, top), cfg.index_base)
+    return _seminorm_rows(cfg, rid, lambda n, h: seminorms.local_seminorm(seq, cfg.k, h, n))
 
 
 def _run_ghk_seminorm(cfg: ExperimentConfig, rid: str, x0):
@@ -566,6 +573,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
     configured order, so the data rows do not depend on the worker count.
     """
     t0 = time.perf_counter()
+    if out_dir is not None:  # made first, so a file in its way fails before the run
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     entry = _EXPERIMENTS[cfg.experiment]
     points = cfg.x0 if "x0" in entry.required else [None]
     tasks = [(f"{cfg.id}/x{i}" if len(points) > 1 else cfg.id, x0)
@@ -589,9 +598,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
     wall = time.perf_counter() - t0
     csv_path = summary_path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{cfg.id}.csv"
+        csv_path = Path(out_dir) / f"{cfg.id}.csv"
         body = CSV_HEADER + "\n" + "".join(r.format() + "\n" for r in rows)
         csv_path.write_bytes(body.encode("ascii"))
         summary = {
@@ -609,7 +616,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
             "all_passed": all_passed,
             "wall_time_seconds": wall,  # excluded from the determinism contract
         }
-        summary_path = out / f"{cfg.id}.summary.json"
+        summary_path = Path(out_dir) / f"{cfg.id}.summary.json"
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return ExperimentReport(cfg, rows, verdicts, all_passed, csv_path, summary_path, wall)
 

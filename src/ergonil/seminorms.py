@@ -16,8 +16,8 @@ Function seminorm: recursive orbit estimator with level 1 = |(1/N) sum
 f(T^n x0)| and level k+1 the 2^{k+1}-th root of the h-average of the level-k
 estimate of f * conj(f o T^h), h in {1..H}. Orbit samples f(T^n x0) and
 orbit products f1(T^{an} x0) f2(T^{bn} x0) are the terms of
-`averages.orbit_terms`, and the vanishing experiment's average column is
-`averages.run_schedule("nil_wwdr")`; this module adds only the seminorms.
+`averages.orbit_terms`, and the vanishing experiment's average column is its
+pair times the weight (`averages._weighted`); this module adds the seminorms.
 
 Box sums are evaluated by peeling one offset at a time (the order-k cube
 product is D_n * conj(D_{n+h_k}) for the order-(k-1) product D), which turns
@@ -39,15 +39,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import _times, orbit_terms, run_schedule
+from .averages import _times, _weighted, orbit_terms, prefix_means
 from .errors import SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
-from .report import ConvergenceReport, SeminormEstimate
+from .report import ConvergenceReport, SeminormEstimate, check_schedule, make_report
 from .systems import Observable, System, zk_complement
 
 MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
@@ -279,16 +279,16 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     Both observables are first projected onto the complement of the
     order-(k-1) characteristic factor; if the sequence seminorm vanishes, the
     weighted averages against any lower-step weight must vanish too, and this
-    report lets that implication be eyeballed and thresholded. The averages
-    are `run_schedule("nil_wwdr")` on the projected pair; each scheduled N adds
-    the seminorm of their product at the coupled box size H.
+    report lets that implication be eyeballed and thresholded. The pair is built
+    once, to top + k H(top) for the largest N = top; the averages weight its first
+    top terms, as `run_schedule("nil_wwdr")` does, and each seminorm reads a prefix.
     """
     _check_order(k)
+    schedule = check_schedule(schedule)
     g1, g2 = (zk_complement(system, f, k - 1) if k > 1 else f for f in (obs1, obs2))
-    rep = run_schedule("nil_wwdr", dict(system=system, x0=x0, obs1=g1, a=a, obs2=g2, b=b,
-                                        weight=w), schedule, index_base)
-    max_n = rep.schedule[-1]
-    seq = orbit_terms(system, x0, _times(index_base, max_n + k * coupled_box_size(max_n)),
-                      g1, a, g2, b)
-    semis = tuple(local_seminorm(seq, k, coupled_box_size(n), n) for n in rep.schedule)
-    return replace(rep, seminorm_data=semis)
+    top = schedule[-1]
+    n = _times(index_base, top + k * coupled_box_size(top))
+    pair = orbit_terms(system, x0, n, g1, a, g2, b)
+    values = prefix_means(_weighted(pair[:top], n[:top], w), schedule)
+    semis = tuple(local_seminorm(pair, k, coupled_box_size(N), N) for N in schedule)
+    return make_report(schedule, values, error_budget=w.error_budget, seminorm_data=semis)

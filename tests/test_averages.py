@@ -413,9 +413,13 @@ class TestDualSystem:
         f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
         gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
               observable([((0,), 0.4), ((1,), 0.6 - 0.1j)])]
-        args = (anz, f1, f2, (0.2, 0.3), 1, 2, s, gs)
-        short = _dual_expansion(*args, [100], 1)[0]
-        assert _dual_expansion(*args, [100, 1 << 15], 1)[0] == short
+
+        def expansion(schedule):
+            n = np.arange(1, schedule[-1] + 1, dtype=np.int64)
+            base = orbit_terms(anz, (0.2, 0.3), n, f1, 1, f2, 2)
+            return _dual_expansion(base, n, s, gs, schedule)[0]
+
+        assert expansion([100, 1 << 15]) == expansion([100])
 
     def test_validation(self):
         rot = RotationTorus((PHI,))

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ergonil import harness, local_seminorm, weight_samples
 from ergonil.cli import main as cli_main
 from ergonil.errors import ConfigError
 from ergonil.harness import (
@@ -17,6 +18,7 @@ from ergonil.harness import (
     parse_row,
     run_experiment,
 )
+from ergonil.seminorms import coupled_box_size
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -318,6 +320,25 @@ class TestRunExperiment:
         assert rep.all_passed
         assert all(r.seminorm is not None and r.clamped is not None for r in rep.rows)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("H", [None, 8])
+    def test_local_seminorm_rows_read_one_sample_run(self, k, H):
+        # the weight is sampled once, for the last box; each row still equals
+        # local_seminorm on exactly N + k H samples, bit for bit
+        doc = {"experiment": "local_seminorm", "k": k, "schedule": [64, 100, 256, 1024],
+               "weight": {"kind": "product",
+                          "left": {"kind": "polynomial_phase", "coefficients": [0.1, PHI, 0.3]},
+                          "right": {"kind": "heisenberg_nilseq", "g": [PHI, 0.3, 0.1],
+                                    "invariant": {"kind": "theta", "ell": 1}}}}
+        if H is not None:
+            doc["H"] = H
+        cfg = config_from_dict(doc)
+        rep = run_experiment(cfg)
+        for n, row in zip(doc["schedule"], rep.rows, strict=True):
+            h = coupled_box_size(n) if H is None else H
+            est = local_seminorm(weight_samples(cfg.weight, n + k * h), k, h, n)
+            assert (row.N, row.seminorm, row.clamped) == (n, est.value, est.clamped)
+
     def test_summary_carries_seminorm_certificates(self, tmp_path):
         docs = [
             {"experiment": "local_seminorm", "id": "semi_local", "k": 2,
@@ -431,6 +452,42 @@ class TestCli:
         assert cli_main(["validate", "--config", str(p)]) == 2
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over, field", [
+        ({"system_s": {"kind": "anzai_skew", "alpha": 0.3}}, "system_s"),
+        ({"g_list": [{"terms": [[[1, 0], 1.0]]}]}, "g_list"),
+        ({"g_list": [{"terms": [[[1], 1.0]]}] * 4}, "g_list"),
+    ])
+    def test_bad_auxiliary_system_exits_2(self, over, field, tmp_path, capsys):
+        # the auxiliary inputs are checked when the config is read, not when it runs
+        doc = {"experiment": "dual_system_avg",
+               "system": {"kind": "rotation_torus", "alpha": [PHI]},
+               "observable1": {"terms": [[[1], 1.0]]}, "observable2": {"terms": [[[1], 1.0]]},
+               "x0": [[0.2]], "a": 1, "b": 2,
+               "system_s": {"kind": "rotation_torus", "alpha": [0.3]},
+               "g_list": [{"terms": [[[1], 1.0]]}], "schedule": [256]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(doc, **over)))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count(f"config error: {field}: ") == 2
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+
+    def test_run_out_is_a_file_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before the experiment runs; a file in its
+        # way is one line on stderr and exit 3, not a traceback after the run
+        def never(*args):
+            raise AssertionError("the experiment ran")
+        entry = harness._EXPERIMENTS["ww_avg"]
+        monkeypatch.setitem(harness._EXPERIMENTS, "ww_avg", entry._replace(run=never))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(ww_config()))
+        out = tmp_path / "out"
+        out.write_text("")
+        assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
     def test_run_assertion_failure_exit_4(self, tmp_path):
         p = tmp_path / "c.json"

@@ -25,7 +25,7 @@ from ergonil import (
     weight_samples,
     zk_complement,
 )
-from ergonil.averages import orbit_terms
+from ergonil.averages import _BLOCK, orbit_terms
 from ergonil.seminorms import coupled_box_size
 
 import oracles
@@ -320,18 +320,31 @@ class TestVanishingExperiment:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("index_base", [0, 1])
     def test_values_are_the_scheduled_weighted_average(self, k, index_base):
-        # the average column is nil_wwdr's schedule on the projected observables, bit for bit
+        # the average column is nil_wwdr's schedule on the projected observables, and
+        # each seminorm is local_seminorm on a pair of exactly N + k H, bit for bit;
+        # the short schedules and the block edges run at k = 1, 2 only (order 3 boxes
+        # at H = 128 take seconds), and check the seminorms there
         cat = ToralAutomorphism(((2, 1), (1, 1)))
         f1 = observable([((1, 0), 1.0), ((0, 0), 0.5), ((1, 1), 0.3j)])
         f2 = observable([((0, 1), 0.8 - 0.2j), ((0, 0), 0.25)])
         w = Scaled(0.6 + 0.8j, PolynomialPhase((0.1, 0.3, PHI)))
-        sched = [1, 2, 3, 7, 100, 1 << 14, 1 << 15]
-        rep = vanishing_experiment(cat, f1, f2, (1, 0), 1, 2, w, k, sched, index_base)
         g1, g2 = (zk_complement(cat, f, k - 1) if k > 1 else f for f in (f1, f2))
-        want = run_schedule("nil_wwdr", dict(system=cat, obs1=g1, obs2=g2, x0=(1, 0), a=1, b=2,
-                                             weight=w), sched, index_base)
-        assert rep.values == want.values
-        assert rep.values[-1] != 0
+        scheds = [[1, 2, 3, 7, 100, 1 << 14, 1 << 15]]
+        if k < 3:
+            scheds += [[1], [2], [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]]
+        for sched in scheds:
+            rep = vanishing_experiment(cat, f1, f2, (1, 0), 1, 2, w, k, sched, index_base)
+            want = run_schedule("nil_wwdr", dict(system=cat, obs1=g1, obs2=g2, x0=(1, 0),
+                                                 a=1, b=2, weight=w), sched, index_base)
+            assert rep.values == want.values, sched
+            assert rep.values[-1] != 0
+            if k == 3:
+                continue
+            for n, est in zip(sched, rep.seminorm_data, strict=True):
+                h = coupled_box_size(n)
+                times = np.arange(index_base, index_base + n + k * h, dtype=np.int64)
+                pair = orbit_terms(cat, (1, 0), times, g1, 1, g2, 2)
+                assert est == local_seminorm(pair, k, h, n), (sched, n)
 
     def test_coupling_rule(self):
         assert coupled_box_size(1 << 16) == 256
