@@ -360,6 +360,11 @@ def _pair(p: dict) -> dict:
     return dict(obs1=p["obs1"], a=p["a"], obs2=p["obs2"], b=p["b"])
 
 
+def _dual_pair(p: dict) -> dict:
+    check_auxiliary(p["system_s"], p["g_list"])  # before the orbit pass, not after it
+    return _pair(p)
+
+
 def _means(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
     return dict(values=prefix_means(terms, schedule))
 
@@ -371,7 +376,7 @@ def _sups(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
 
 def _norms(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
     expansion = _dual_expansion(terms, _times(index_base, schedule[-1]), params["system_s"],
-                                check_auxiliary(params["system_s"], params["g_list"]), schedule)
+                                params["g_list"], schedule)  # checked by `_dual_pair`
     return dict(values=[l2 for _, l2 in expansion])
 
 
@@ -386,7 +391,7 @@ _KINDS = {
     "poly_wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])), _means),
     "nil_wwdr": (lambda p: dict(_pair(p), weight=p["weight"]), _means),
     "cesaro": (lambda p: dict(obs1=None, weight=p["weight"]), _means),
-    "dual_system": (_pair, _norms),
+    "dual_system": (_dual_pair, _norms),
 }
 
 

@@ -17,6 +17,7 @@ right lattice translation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -84,12 +85,17 @@ class TorusChar:
     m: int
     k: int
 
+    tail_bound = 0.0  # nothing is truncated
+
     @property
     def bound(self) -> float:
         return 1.0
 
     def eval_raw(self, x, y, z):
         return unit_phase(frac(self.m * np.asarray(x) + self.k * np.asarray(y)))
+
+
+THETA_TAIL = 2.0**-64  # the most mass a theta window may drop, per element
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,12 @@ class ThetaType:
     F(x, y, z) = e(ell z) * sum_{|j| <= J} w(y + j) e(ell j x) with w a
     Gaussian bump of the given width. The window shift under a lattice
     translate cancels the z-cocycle exactly; truncation leaves a violation
-    bounded by the Gaussian tail beyond J (below 1e-10 for J = 8, width 1).
+    bounded by the Gaussian tail beyond J (about e^(-64 pi) for J = 8, width 1).
+
+    Each element sums only its window j = j0 - R .. j0 + R - 1 with
+    j0 = -floor(y), clipped to |j| <= J. Every dropped term has |y + j| >= R,
+    so the dropped mass is at most `tail_bound` <= `THETA_TAIL`; R (`window`)
+    is the smallest half-width for which that holds, 4 for width 1.
     """
 
     ell: int
@@ -112,8 +123,12 @@ class ThetaType:
         if self.truncation < 1 or self.width <= 0:
             raise ValueError("need truncation >= 1 and width > 0")
 
-    def _bump(self, u):
-        return np.exp(-np.pi * (np.asarray(u) / self.width) ** 2)
+    def _bump(self, u, out=None):
+        """exp(-pi (u / width)^2), written into `out` when given (`u` may be `out`)."""
+        v = np.divide(u, self.width, out=out)
+        np.square(v, out=v)
+        np.multiply(v, -np.pi, out=v)
+        return np.exp(v, out=v)
 
     @cached_property
     def bound(self) -> float:
@@ -122,13 +137,70 @@ class ThetaType:
         tot = self._bump(ys[:, None] + js[None, :]).sum(axis=1)
         return float(tot.max()) * (1.0 + 1e-12)
 
+    def _tail(self, R: int) -> float:
+        """2 sum_{m >= R} exp(-pi m^2 / width^2), bounded by a geometric series:
+        each term is at most exp(-pi (2R + 1) / width^2) times the one before."""
+        s = math.pi / self.width**2
+        return 2.0 * math.exp(-s * R * R) / -math.expm1(-s * (2 * R + 1))
+
+    @cached_property
+    def window(self) -> int:
+        """R, the smallest half-width with `_tail(R)` <= `THETA_TAIL`."""
+        # the tail's first term alone needs s R^2 >= 65 ln 2, so no smaller R can do
+        R = max(1, math.floor(self.width * math.sqrt(65 * math.log(2) / math.pi)))
+        while self._tail(R) > THETA_TAIL:
+            R += 1
+        return R
+
+    @cached_property
+    def tail_bound(self) -> float:
+        return self._tail(self.window)
+
     def eval_raw(self, x, y, z):
-        x, y, z = (np.asarray(v, dtype=np.float64) for v in (x, y, z))
-        acc = np.zeros(np.broadcast(x, y, z).shape, dtype=np.complex128)
-        for j in range(-self.truncation, self.truncation + 1):
-            term = self._bump(y + j) * unit_phase(frac(self.ell * j * x))
-            acc = np.add(acc, term, out=term if np.ndim(term) else None)  # into the fresh term
-        return unit_phase(frac(self.ell * z)) * acc  # operand order as in eval_observable_many
+        x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, z)))
+        J, R = self.truncation, self.window
+        lo, hi = (float(y.min()), float(y.max())) if y.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("a theta section needs finite y")
+        lo, hi = math.floor(lo), math.floor(hi)
+        first, last = max(-R, lo - J), min(R - 1, J + hi)  # shifts with |j0 + shift| <= J somewhere
+        # window term k is w(y + j0 + k) e(ell (j0 + k) x) with j0 = -floor(y); the
+        # factor e(ell j0 x) is taken out, and it is 1 at every reduced point (j0 = 0).
+        # Down the window the phases are the conjugates of those up it: stepping by
+        # the conjugate of e(ell x) gives them bit for bit.
+        phase = unit_phase(frac(self.ell * x))
+        acc = np.zeros(y.shape, dtype=np.complex128)
+        val, prod = np.empty(y.shape), np.empty(y.shape)
+
+        def bump(shift):  # w(y + j0 + shift) into val, 0 where |j0 + shift| > J
+            # y - floor(y) is exact, so y + j0 + shift rounds as y + j does alone
+            np.floor(y, out=val)
+            np.add(np.subtract(y, val, out=val), shift, out=val)
+            self._bump(val, out=val)
+            if lo < shift - J or hi > J + shift:
+                val[(y < shift - J) | (y >= J + shift + 1)] = 0.0
+            return val
+
+        if first <= 0 <= last:
+            acc.real[...] = bump(0)
+        # in place except for one element, where numpy rounds a complex product in
+        # place differently (as in averages.orbit_terms)
+        inplace = acc.size > 1
+        power, step = phase, np.empty_like(phase) if inplace else None
+        for k in range(1, max(-first, last) + 1):
+            if k > 1:
+                power = np.multiply(phase, power, out=step)  # e(ell k x)
+            for shift, add in ((k, np.add), (-k, np.subtract)):
+                if first <= shift <= last:
+                    np.add(acc.real, np.multiply(bump(shift), power.real, out=prod), out=acc.real)
+                    add(acc.imag, np.multiply(val, power.imag, out=prod), out=acc.imag)
+        del phase, power, step, val, prod
+        if lo < 0 or hi > 0:  # points off the fundamental domain, as in check_gamma_invariance
+            moved = (y < 0) | (y >= 1)
+            j0 = -np.floor(y[moved])
+            acc[moved] = unit_phase(frac(self.ell * j0 * x[moved])) * acc[moved]
+        # operand order as in eval_observable_many
+        return np.multiply(unit_phase(frac(self.ell * z)), acc, out=acc if inplace else None)
 
 
 @dataclass(frozen=True)
@@ -235,6 +307,10 @@ class HeisenbergNilseq(WeightSequence):
     @property
     def bound(self) -> float:
         return self.func.bound
+
+    @property
+    def error_budget(self) -> float:
+        return self.func.tail_bound  # the mass a theta window drops; 0 for a character
 
     def eval_many(self, n):
         n = np.atleast_1d(np.asarray(n, dtype=np.int64))

@@ -9,6 +9,7 @@ sums are literal nested loops.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,34 @@ def heisenberg_products_exact(g, count: int):
         b = b + gb
         out.append((a, b, c))
     return out
+
+
+def unit_exact(theta: Fraction) -> complex:
+    """e(theta) with theta reduced mod 1 in exact rationals first."""
+    t = 2 * math.pi * float(theta % 1)
+    return complex(math.cos(t), math.sin(t))
+
+
+def heisenberg_reduced_exact(g, base, n: int):
+    """g^n * base = (n a + u, n b + v, n c + a b n(n-1)/2 + w + n a v) by the group law
+    in exact rationals, reduced with q = -floor(Y) as `HeisenbergNilseq` reduces it."""
+    ga, gb, gc = (Fraction(t) for t in (g.a, g.b, g.c))
+    u, v, w = (Fraction(t) for t in (base.a, base.b, base.c))
+    X, Y = n * ga + u, n * gb + v
+    Z = n * gc + ga * gb * Fraction(n * (n - 1), 2) + w + n * ga * v
+    q = -math.floor(Y)
+    return X % 1, Y % 1, (Z + X * q) % 1
+
+
+def theta_exact(ell: int, truncation: int, width: float, x, y, z) -> complex:
+    """The theta section of `nilseq.ThetaType` at exact rational (x, y, z): every phase
+    is reduced mod 1 in rationals and the full sum over |j| <= truncation is taken
+    with `math.fsum`, so only the final roundings are the oracle's own error."""
+    x, y, z = (Fraction(t) for t in (x, y, z))
+    parts = [math.exp(-math.pi * (float(y + j) / width) ** 2) * unit_exact(ell * j * x)
+             for j in range(-truncation, truncation + 1)]
+    total = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+    return total * unit_exact(ell * z)
 
 
 def direct_mean(terms) -> complex:

@@ -2,6 +2,7 @@
 auxiliary-system product average, and the schedule driver."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +39,14 @@ from ergonil import (
     ww_sup,
     wwdr_avg,
 )
+from ergonil import averages
 from ergonil.averages import _BLOCK, MAX_SUP_GRID, _dual_expansion, orbit_terms
-from ergonil.errors import DomainError, SequenceTooShortError
+from ergonil.errors import (
+    DimensionMismatchError,
+    DomainError,
+    SequenceTooShortError,
+    UnsupportedSystemError,
+)
 from ergonil.numerics import pairwise_mean
 
 import oracles
@@ -433,6 +440,18 @@ class TestDualSystem:
         with pytest.raises(Exception):
             dual_system_avg(rot, E1, E1, (0.1,), 1, 2, AnzaiSkew(PHI), [E1], 64, 64)
 
+    def test_schedule_checks_the_auxiliary_system_before_the_orbit_pass(self, monkeypatch):
+        def no_orbit_pass(*args, **kwargs):
+            raise AssertionError("orbit terms built before the auxiliary system was checked")
+
+        monkeypatch.setattr(averages, "orbit_terms", no_orbit_pass)
+        pair = dict(system=RotationTorus((PHI,)), obs1=E1, obs2=E1, x0=(0.1,), a=1, b=2)
+        with pytest.raises(UnsupportedSystemError):
+            run_schedule("dual_system", dict(pair, system_s=AnzaiSkew(PHI), g_list=[E1]), [64])
+        with pytest.raises(DimensionMismatchError):
+            run_schedule("dual_system", dict(pair, system_s=RotationTorus((0.3,)),
+                                             g_list=[E1] * 4), [64])
+
 
 def _check_schedule_against_single_shots(sched):
     rot = RotationTorus((PHI,))
@@ -492,6 +511,8 @@ SPLIT_CASES = {
     "rotation_birkhoff": (RotationTorus((PHI,)), (0.2,), dict(obs1=_E), 1 << 52),
     "skew_theta": (AnzaiSkew(SQRT2M1), (0.2, 0.3), dict(obs1=_F1, a=1, obs2=_F2, b=2, weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement.identity(), ThetaType(1)))), 1 << 25),
+    "skew_theta_ell2": (AnzaiSkew(PHI), (0.4, 0.9), dict(obs1=_F2, a=2, obs2=_F1, b=-1, weight=(
+        HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), ThetaType(2, 8, 0.5)))), 1 << 25),
     "skew_torus_char": (AnzaiSkew(PHI), (0.6, 0.1), dict(obs1=_F2, a=-1, obs2=_F1, b=1, weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), TorusChar(2, 3)))), 1 << 25),
     "cat_product": (ToralAutomorphism(((2, 1), (1, 1))), (3, 5), dict(
@@ -549,6 +570,23 @@ class TestOrbitTermBlocks:
             orbit_terms(rot, (0.2,), n[:-1], E1, weight=Table(np.ones(3 * B - 2)))
         with pytest.raises(InvalidExponentsError):
             orbit_terms(rot, (0.2,), n[:-1], E1, 2, E1, 2)
+
+    def test_theta_weight_memory_is_pinned(self):
+        # a theta Heisenberg weight has the largest temporaries of any term: at
+        # N = 2^18 the core peaks at its 4 MiB output plus 17 block-sized float
+        # arrays (2^14 doubles, 128 KiB each); one more block is allowed, so a theta
+        # evaluation that keeps extra block temporaries alive fails here
+        w = HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), ThetaType(1))
+        n = np.arange(1 << 18, dtype=np.int64)
+        orbit_terms(None, None, n[:2], None, weight=w)  # the cached window and bound
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            orbit_terms(None, None, n, None, weight=w)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n.size + 18 * 8 * B, peak / 2**20
 
 
 class TestWeightSamples:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ergonil import harness, local_seminorm, weight_samples
+from ergonil import ThetaType, harness, local_seminorm, weight_samples
 from ergonil.cli import main as cli_main
 from ergonil.errors import ConfigError
 from ergonil.harness import (
@@ -274,6 +274,18 @@ class TestRunExperiment:
         rep = run_experiment(config_from_dict(doc, base_dir=tmp_path), out_dir=tmp_path)
         diag = json.loads(rep.summary_path.read_text())["diagnostics"]
         assert diag == [{"id": "budget", "error_budget": 0.25}]
+
+    def test_summary_carries_the_theta_window_budget(self, tmp_path):
+        doc = {
+            "experiment": "cesaro_nilseq", "id": "theta", "schedule": [16, 32],
+            "weight": {"kind": "scaled", "scale": [0.5, 0.0],
+                       "inner": {"kind": "heisenberg_nilseq", "g": [PHI, 0.3, 0.1],
+                                 "invariant": {"kind": "theta", "ell": 1}}},
+        }
+        rep = run_experiment(config_from_dict(doc), out_dir=tmp_path)
+        diag = json.loads(rep.summary_path.read_text())["diagnostics"]
+        assert diag == [{"id": "theta", "error_budget": 0.5 * ThetaType(1).tail_bound}]
+        assert rep.csv_path.read_text().splitlines()[0] == CSV_HEADER
 
     def test_failed_assertion_reported(self, tmp_path):
         cfg = config_from_dict(ww_config(assertions=[

@@ -1,6 +1,8 @@
 """Weight sequences: Heisenberg group algebra, lattice invariance, phase
 evaluators, products, tables, Cesaro averaging."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from ergonil import (
     weight_samples,
 )
 from ergonil.errors import ConfigError, DomainError
+from ergonil.nilseq import THETA_TAIL
 
 import oracles
 
@@ -121,6 +124,83 @@ class TestGammaInvariance:
     def test_bare_center_character_fails(self):
         rep = check_gamma_invariance(_BareCenterChar(), 500, 1e-8)
         assert not rep.passed and rep.max_violation > 0.1
+
+
+# (ell, truncation, width): width 2 has R = 8, so its window -8 .. 7 is clipped to |j| <= 6
+THETA_CASES = [(1, 8, 1.0), (2, 8, 0.5), (3, 6, 2.0)]
+
+
+class TestThetaWindow:
+    @pytest.mark.parametrize("ell, truncation, width", THETA_CASES)
+    def test_window_is_the_smallest_certified_one(self, ell, truncation, width):
+        th = ThetaType(ell, truncation, width)
+        R = th.window
+
+        def tail(r):  # 2 sum_{m >= r} exp(-pi m^2 / width^2), summed far past underflow
+            return 2 * math.fsum(math.exp(-math.pi * (m / width) ** 2) for m in range(r, r + 64))
+
+        assert tail(R) <= th.tail_bound <= THETA_TAIL
+        assert R == 1 or th._tail(R - 1) > THETA_TAIL
+        assert th.tail_bound <= 1.01 * tail(R)
+        assert R == {1.0: 4, 0.5: 2, 2.0: 8}[width]
+
+    def test_error_budget_is_the_tail_bound(self):
+        g = HeisenbergElement(PHI, SQRT2M1, 0.2)
+        theta = ThetaType(1)
+        assert HeisenbergNilseq(g, g, theta).error_budget == theta.tail_bound > 0.0
+        assert HeisenbergNilseq(g, g, TorusChar(2, 3)).error_budget == 0.0
+        assert Scaled(2.0, HeisenbergNilseq(g, g, theta)).error_budget == 2 * theta.tail_bound
+
+    @pytest.mark.parametrize("ell, truncation, width", THETA_CASES)
+    def test_heisenberg_theta_matches_the_exact_full_sum(self, ell, truncation, width):
+        g = HeisenbergElement(PHI, SQRT2M1, 0.2)
+        base = HeisenbergElement(0.1, 0.25, 0.7)
+        theta = ThetaType(ell, truncation, width)
+        w = HeisenbergNilseq(g, base, theta)
+        rng = np.random.default_rng(ell)
+        top = 1 << 20
+        n = np.concatenate([np.arange(40), rng.integers(40, top, 160), [top - 1, top]])
+        exact = [oracles.heisenberg_reduced_exact(g, base, int(m)) for m in n]
+        want = np.array([oracles.theta_exact(ell, truncation, width, *pt) for pt in exact])
+        assert np.abs(w.eval_many(n) - want).max() <= 1e-12
+        # at the reduced point as floats the window misses the full sum by at most the
+        # reported budget plus roundings: e(ell x) carries about pi ell eps from the
+        # rounding of ell x, and each of its R steps adds that and one product's 2 eps
+        pts = np.array([[float(c) for c in pt] for pt in exact])
+        at_floats = np.array([oracles.theta_exact(ell, truncation, width, *pt) for pt in pts])
+        err = np.abs(theta.eval_raw(*pts.T) - at_floats).max()
+        steps = min(theta.window, truncation + 1)
+        ulps = 4 + steps * (np.pi * abs(ell) + 2)
+        assert err <= w.error_budget + ulps * w.bound * np.finfo(float).eps, (err, ulps)
+
+    @pytest.mark.parametrize("ell, truncation, width", THETA_CASES)
+    def test_mixed_windows_have_the_bits_of_each_point_alone(self, ell, truncation, width):
+        # reduced points and their lattice translates, as check_gamma_invariance
+        # builds them, in one array: each element keeps the bits it gets alone
+        th = ThetaType(ell, truncation, width)
+        rng = np.random.default_rng(5)
+        x, y, z = rng.random((3, 150))
+        p, q, r = rng.integers(-3, 4, size=(3, 150)).astype(np.float64)
+        order = rng.permutation(300)
+        xs, ys, zs = (np.concatenate(pair)[order] for pair in
+                      ((x, x + p), (y, y + q), (z, z + r + x * q)))
+        whole = th.eval_raw(xs, ys, zs)
+        for i in range(xs.size):
+            alone = th.eval_raw(xs[i:i + 1], ys[i:i + 1], zs[i:i + 1])
+            assert alone.tobytes() == whole[i:i + 1].tobytes(), i
+
+    def test_far_points_and_gamma_invariance(self):
+        # off [0, 1) the window is clipped to |j| <= J, in part (8.5, 11.5) or wholly
+        # (-12.25, 20), and still misses the full sum by at most the tail bound
+        th = ThetaType(1)
+        y = np.array([11.5, -12.25, 20.0, 8.5])
+        got = th.eval_raw(0.3, y, 0.0)
+        want = [sum(math.exp(-math.pi * (v + j) ** 2) * np.exp(0.6j * np.pi * j)
+                    for j in range(-8, 9)) for v in y]
+        assert np.abs(got - want).max() <= th.tail_bound + 1e-15
+        assert check_gamma_invariance(th, 500, 1e-13).passed
+        with pytest.raises(DomainError):
+            th.eval_raw(0.3, np.nan, 0.0)
 
 
 class TestWeights:
