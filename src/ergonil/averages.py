@@ -197,7 +197,7 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
     nodes and `grid_spacing` is the finest spacing used. Raises
     GridTooFineError when eps/L < 1/MAX_SUP_GRID.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     u = np.asarray(u, dtype=np.complex128)
     N = u.size

@@ -17,6 +17,7 @@ so every row round-trips losslessly.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import time
@@ -116,8 +117,9 @@ def _int(value) -> int:
 
 
 def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"expected a number, got {value!r}")
+    """A finite JSON number; true, "0.5", NaN and Infinity are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -156,7 +158,7 @@ def build_system(spec, field_name: str = "system") -> System:
 
 def _coeff_from_json(value, field_name: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_real(value))
     if isinstance(value, list) and len(value) == 2:
         return complex(_real(value[0]), _real(value[1]))
     raise ConfigError(f"coefficient must be a number or [re, im], got {value!r}", field=field_name)
@@ -197,9 +199,7 @@ def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence
             if ikind == "torus_char":
                 func = nilseq.TorusChar(_int(inv["m"]), _int(inv["k"]))
             elif ikind == "theta":
-                func = nilseq.ThetaType(
-                    _int(inv["ell"]), _int(inv.get("truncation", 8)), _real(inv.get("width", 1.0))
-                )
+                func = nilseq.ThetaType(_int(inv["ell"]), width=_real(inv.get("width", 1.0)))
             else:
                 raise ConfigError(f"unknown invariant kind {ikind!r}", field=field_name + ".invariant")
             g = nilseq.HeisenbergElement(*(_real(v) for v in spec["g"]))

@@ -16,9 +16,10 @@ right lattice translation.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -100,42 +101,36 @@ THETA_TAIL = 2.0**-64  # the most mass a theta window may drop, per element
 
 @dataclass(frozen=True)
 class ThetaType:
-    """Truncated theta-style section in the ell-th center frequency.
+    """Theta-style section in the ell-th center frequency.
 
-    F(x, y, z) = e(ell z) * sum_{|j| <= J} w(y + j) e(ell j x) with w a
-    Gaussian bump of the given width. The window shift under a lattice
-    translate cancels the z-cocycle exactly; truncation leaves a violation
-    bounded by the Gaussian tail beyond J (about e^(-64 pi) for J = 8, width 1).
+    F(x, y, z) = e(ell z) * sum_{j in Z} w(y + j) e(ell j x) with w a Gaussian
+    bump of the given width. The window shift under a lattice translate
+    cancels the z-cocycle exactly, so F is Gamma-invariant.
 
     Each element sums only its window j = j0 - R .. j0 + R - 1 with
-    j0 = -floor(y), clipped to |j| <= J. Every dropped term has |y + j| >= R,
-    so the dropped mass is at most `tail_bound` <= `THETA_TAIL`; R (`window`)
-    is the smallest half-width for which that holds, 4 for width 1.
+    j0 = -floor(y). Every dropped term has |y + j| >= R, so the dropped mass is
+    at most `tail_bound` <= `THETA_TAIL`; R (`window`) is the smallest
+    half-width for which that holds, 4 for width 1.
     """
 
     ell: int
-    truncation: int = 8
+    _: KW_ONLY
     width: float = 1.0
 
     def __post_init__(self):
         if self.ell == 0:
             raise ValueError("center frequency ell must be nonzero")
-        if self.truncation < 1 or self.width <= 0:
-            raise ValueError("need truncation >= 1 and width > 0")
-
-    def _bump(self, u, out=None):
-        """exp(-pi (u / width)^2), written into `out` when given (`u` may be `out`)."""
-        v = np.divide(u, self.width, out=out)
-        np.square(v, out=v)
-        np.multiply(v, -np.pi, out=v)
-        return np.exp(v, out=v)
+        if not 0 < self.width < math.inf:
+            raise ValueError("need a finite width > 0")
 
     @cached_property
     def bound(self) -> float:
-        ys = np.linspace(0.0, 1.0, 4097)
-        js = np.arange(-self.truncation, self.truncation + 1)
-        tot = self._bump(ys[:, None] + js[None, :]).sum(axis=1)
-        return float(tot.max()) * (1.0 + 1e-12)
+        """theta_w(0) = sum_j w(j), in closed form up to `_tail`. By Poisson summation
+        every Fourier coefficient of theta_w(y) = sum_j w(y + j) is positive, so
+        |window sum| <= theta_w(y) <= theta_w(0)."""
+        R, s = self.window, math.pi / self.width**2
+        head = 1.0 + 2.0 * math.fsum(math.exp(-s * m * m) for m in range(1, R))
+        return (head + self._tail(R)) * (1.0 + 1e-12)
 
     def _tail(self, R: int) -> float:
         """2 sum_{m >= R} exp(-pi m^2 / width^2), bounded by a geometric series:
@@ -158,12 +153,10 @@ class ThetaType:
 
     def eval_raw(self, x, y, z):
         x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, z)))
-        J, R = self.truncation, self.window
+        R = self.window
         lo, hi = (float(y.min()), float(y.max())) if y.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("a theta section needs finite y")
-        lo, hi = math.floor(lo), math.floor(hi)
-        first, last = max(-R, lo - J), min(R - 1, J + hi)  # shifts with |j0 + shift| <= J somewhere
         # window term k is w(y + j0 + k) e(ell (j0 + k) x) with j0 = -floor(y); the
         # factor e(ell j0 x) is taken out, and it is 1 at every reduced point (j0 = 0).
         # Down the window the phases are the conjugates of those up it: stepping by
@@ -172,30 +165,29 @@ class ThetaType:
         acc = np.zeros(y.shape, dtype=np.complex128)
         val, prod = np.empty(y.shape), np.empty(y.shape)
 
-        def bump(shift):  # w(y + j0 + shift) into val, 0 where |j0 + shift| > J
+        def bump(shift):  # w(y + j0 + shift) = exp(-pi ((y + j0 + shift) / width)^2) into val
             # y - floor(y) is exact, so y + j0 + shift rounds as y + j does alone
             np.floor(y, out=val)
             np.add(np.subtract(y, val, out=val), shift, out=val)
-            self._bump(val, out=val)
-            if lo < shift - J or hi > J + shift:
-                val[(y < shift - J) | (y >= J + shift + 1)] = 0.0
-            return val
+            np.divide(val, self.width, out=val)
+            np.square(val, out=val)
+            np.multiply(val, -np.pi, out=val)
+            return np.exp(val, out=val)
 
-        if first <= 0 <= last:
-            acc.real[...] = bump(0)
+        acc.real[...] = bump(0)
         # in place except for one element, where numpy rounds a complex product in
         # place differently (as in averages.orbit_terms)
         inplace = acc.size > 1
         power, step = phase, np.empty_like(phase) if inplace else None
-        for k in range(1, max(-first, last) + 1):
+        for k in range(1, R + 1):
             if k > 1:
                 power = np.multiply(phase, power, out=step)  # e(ell k x)
             for shift, add in ((k, np.add), (-k, np.subtract)):
-                if first <= shift <= last:
+                if shift < R:  # the window's top shift is R - 1
                     np.add(acc.real, np.multiply(bump(shift), power.real, out=prod), out=acc.real)
                     add(acc.imag, np.multiply(val, power.imag, out=prod), out=acc.imag)
         del phase, power, step, val, prod
-        if lo < 0 or hi > 0:  # points off the fundamental domain, as in check_gamma_invariance
+        if lo < 0 or hi >= 1:  # points off the fundamental domain, as in check_gamma_invariance
             moved = (y < 0) | (y >= 1)
             j0 = -np.floor(y[moved])
             acc[moved] = unit_phase(frac(self.ell * j0 * x[moved])) * acc[moved]
@@ -431,7 +423,10 @@ def table_from_csv(path, sup_error_budget: float = 0.0) -> Table:
         for i, row in enumerate(reader):
             if int(row["n"]) != i:
                 raise ConfigError(f"row {i} has n={row['n']}; need 0,1,2,... with no gaps", field="table")
-            rows.append(complex(float(row["re"]), float(row["im"])))
+            value = complex(float(row["re"]), float(row["im"]))
+            if not cmath.isfinite(value):
+                raise ConfigError(f"row {i} has a non-finite value {value}", field="table")
+            rows.append(value)
     if not rows:
         raise ConfigError("table file has no data rows", field="table")
     return Table(np.asarray(rows), sup_error_budget)

@@ -127,12 +127,10 @@ class ToralAutomorphism:
         tr = m[0][0] + m[1][1]
         if det == 1 and abs(tr) < 3:
             raise ValueError("orientation-preserving matrix needs |trace| >= 3 to be hyperbolic")
-        # no eigenvalue may be a root of unity: small powers must miss the identity
-        p = ((1, 0), (0, 1))
-        for k in range(1, 13):
-            p = _mat_mul(p, m)
-            if p == ((1, 0), (0, 1)):
-                raise ValueError(f"matrix has finite order {k}; eigenvalues are roots of unity")
+        # with det -1 the eigenvalues (tr +- sqrt(tr^2 + 4)) / 2 are irrational unless
+        # tr = 0, and then M^2 = I by Cayley-Hamilton
+        if det == -1 and tr == 0:
+            raise ValueError("matrix has finite order 2; eigenvalues are roots of unity")
         if self.modulus >= _MAX_MODULUS:
             raise ValueError(
                 f"modulus {self.modulus} must be below 2^53 so residue/q is exact in float"
@@ -265,7 +263,7 @@ def _check_point(system: System, x0):
         raise DimensionMismatchError(
             f"point has dimension {x.size}, system has dimension {system.dimension}"
         )
-    if (x < 0).any() or (x >= 1).any():
+    if not ((x >= 0) & (x < 1)).all():  # NaN fails both comparisons
         raise ValueError("point coordinates must lie in [0, 1)")
     return x
 

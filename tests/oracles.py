@@ -147,13 +147,16 @@ def heisenberg_reduced_exact(g, base, n: int):
     return X % 1, Y % 1, (Z + X * q) % 1
 
 
-def theta_exact(ell: int, truncation: int, width: float, x, y, z) -> complex:
+def theta_exact(ell: int, width: float, x, y, z) -> complex:
     """The theta section of `nilseq.ThetaType` at exact rational (x, y, z): every phase
-    is reduced mod 1 in rationals and the full sum over |j| <= truncation is taken
-    with `math.fsum`, so only the final roundings are the oracle's own error."""
+    is reduced mod 1 in rationals and the full sum over j is taken with `math.fsum`,
+    so only the final roundings are the oracle's own error. The sum runs over
+    j0 +- (4 width + 40) with j0 = -floor(y), 40 terms past the window `ThetaType`
+    sums (its half-width is below 4 width + 1), where every term underflows."""
     x, y, z = (Fraction(t) for t in (x, y, z))
+    j0, span = -math.floor(y), math.ceil(4 * width) + 40
     parts = [math.exp(-math.pi * (float(y + j) / width) ** 2) * unit_exact(ell * j * x)
-             for j in range(-truncation, truncation + 1)]
+             for j in range(j0 - span, j0 + span + 1)]
     total = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
     return total * unit_exact(ell * z)
 

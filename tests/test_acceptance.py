@@ -265,7 +265,7 @@ def test_criterion_09_heisenberg_correctness(capsys):
         again, gamma = reduce_fundamental(red)
         idem_ok = idem_ok and again == red and gamma == (0, 0, 0)
     char_rep = check_gamma_invariance(TorusChar(2, -1), 500, 1e-12)
-    theta_rep = check_gamma_invariance(ThetaType(1, 8, 1.0), 500, 1e-8)
+    theta_rep = check_gamma_invariance(ThetaType(1), 500, 1e-8)
     w = HeisenbergNilseq(HeisenbergElement(PHI, SQRT2M1, 0.2), HeisenbergElement.identity(),
                          TorusChar(2, 3))
     n = np.arange(10**4 + 1)

@@ -194,6 +194,11 @@ class TestSweepCertificate:
             assert res.sup_value == pytest.approx(abs(u[0]), abs=1e-15)
             assert res.error_bound == 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="positive"):
+            sup_over_frequency(np.ones(8), eps)
+
     def test_refinement_reported(self):
         u = _sweep_input("peaked", 1024, None)
         res = sup_over_frequency(u, 1e-3)
@@ -512,7 +517,7 @@ SPLIT_CASES = {
     "skew_theta": (AnzaiSkew(SQRT2M1), (0.2, 0.3), dict(obs1=_F1, a=1, obs2=_F2, b=2, weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement.identity(), ThetaType(1)))), 1 << 25),
     "skew_theta_ell2": (AnzaiSkew(PHI), (0.4, 0.9), dict(obs1=_F2, a=2, obs2=_F1, b=-1, weight=(
-        HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), ThetaType(2, 8, 0.5)))), 1 << 25),
+        HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), ThetaType(2, width=0.5)))), 1 << 25),
     "skew_torus_char": (AnzaiSkew(PHI), (0.6, 0.1), dict(obs1=_F2, a=-1, obs2=_F1, b=1, weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), TorusChar(2, 3)))), 1 << 25),
     "cat_product": (ToralAutomorphism(((2, 1), (1, 1))), (3, 5), dict(

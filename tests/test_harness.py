@@ -37,6 +37,53 @@ def ww_config(**over):
     return doc
 
 
+# one config per experiment family, each reading a different set of numeric slots
+_PAIR_DOC = {"system": {"kind": "anzai_skew", "alpha": PHI},
+             "observable1": {"terms": [[[0, 1], 1.0]]},
+             "observable2": {"terms": [[[0, 1], [1.0, 0.0]]]},
+             "x0": [[0.2, 0.3]], "a": 1, "b": 2, "schedule": [256]}
+_SLOT_DOCS = {
+    "ww": ww_config(assertions=[{"check": "abs_below", "N": 256, "value": 2.0}]),
+    "sup": ww_config(experiment="ww_sup", eps=0.01),
+    "poly": dict(_PAIR_DOC, experiment="poly_wwdr_avg", p=[0.0, PHI]),
+    "product": dict(_PAIR_DOC, experiment="product_formula_check", N=256, tol=0.1),
+    "nil": dict(_PAIR_DOC, experiment="nil_wwdr_avg", weight={
+        "kind": "heisenberg_nilseq", "g": [PHI, 0.3, 0.1], "base": [0.1, 0.2, 0.3],
+        "invariant": {"kind": "theta", "ell": 1, "width": 1.0}}),
+    "weights": {"experiment": "cesaro_nilseq", "schedule": [16], "weight": {
+        "kind": "product",
+        "left": {"kind": "scaled", "scale": 0.5,
+                 "inner": {"kind": "table", "path": "w.csv", "sup_error_budget": 0.25}},
+        "right": {"kind": "product",
+                  "left": {"kind": "polynomial_phase", "coefficients": [0.0, PHI]},
+                  "right": {"kind": "torus_nilseq", "alpha": [PHI], "base": [0.1],
+                            "observable": {"terms": [[[1], [0.5, 0.5]]]}}}}},
+    "cat": {"experiment": "birkhoff_avg", "schedule": [16], "x0": [[3, 5]],
+            "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]],
+                       "modulus": 101},
+            "observable": {"terms": [[[1, 0], 1.0]]}},
+}
+# (config, path to a number): every place a config holds a number
+_NUMERIC_SLOTS = [
+    ("ww", ("system", "alpha", 0)), ("ww", ("observable", "terms", 0, 1, 0)),
+    ("ww", ("observable", "terms", 0, 0, 0)), ("ww", ("x0", 0, 0)), ("ww", ("t",)),
+    ("ww", ("schedule", 0)), ("ww", ("assertions", 0, "value")),
+    ("ww", ("assertions", 0, "N")), ("sup", ("eps",)), ("poly", ("p", 1)),
+    ("poly", ("a",)), ("poly", ("observable1", "terms", 0, 1)),
+    ("product", ("N",)), ("product", ("tol",)),
+    ("nil", ("system", "alpha")), ("nil", ("weight", "g", 0)),
+    ("nil", ("weight", "base", 2)), ("nil", ("weight", "invariant", "width")),
+    ("nil", ("weight", "invariant", "ell")),
+    ("weights", ("weight", "left", "scale")),
+    ("weights", ("weight", "left", "inner", "sup_error_budget")),
+    ("weights", ("weight", "right", "left", "coefficients", 1)),
+    ("weights", ("weight", "right", "right", "alpha", 0)),
+    ("weights", ("weight", "right", "right", "base", 0)),
+    ("weights", ("weight", "right", "right", "observable", "terms", 0, 1, 1)),
+    ("cat", ("system", "matrix", 0, 1)), ("cat", ("system", "modulus")), ("cat", ("x0", 0, 1)),
+]
+
+
 class TestConfigParsing:
     def test_minimal_config_gets_default_schedule(self):
         doc = ww_config()
@@ -486,6 +533,28 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert cli_main(["validate", "--config", str(p)]) == 0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name, path", _NUMERIC_SLOTS,
+                             ids=[".".join([name, *map(str, path)]) for name, path in _NUMERIC_SLOTS])
+    def test_non_finite_number_exits_2(self, name, path, value, tmp_path, capsys):
+        # json reads NaN and Infinity; in any numeric slot they are config errors
+        (tmp_path / "w.csv").write_text("n,re,im\n0,1,0\n1,0,1\n")
+        doc = json.loads(json.dumps(_SLOT_DOCS[name]))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and ("finite" in err or "integer" in err)
+        assert not (tmp_path / "out").exists()
+
     def test_run_out_is_a_file_exits_3(self, tmp_path, capsys, monkeypatch):
         # the output directory is made before the experiment runs; a file in its
         # way is one line on stderr and exit 3, not a traceback after the run
@@ -539,16 +608,6 @@ class TestCli:
         assert cli_main(["validate", "--config", str(p)]) == 0
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
         assert "limit" in capsys.readouterr().err
-
-    def test_run_non_finite_phase_coefficient_exit_3(self, tmp_path, capsys):
-        # an infinite coefficient has no phase; it once gave NaN rows and exit 0
-        doc = ww_config(experiment="poly_wwdr_avg", observable1={"terms": [[[1], 1.0]]},
-                        observable2={"terms": [[[1], 1.0]]}, a=1, b=2, p=[0.0, float("inf")])
-        del doc["observable"], doc["t"]
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(doc))
-        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
-        assert "finite" in capsys.readouterr().err
 
     def test_run_skew_past_domain_exit_3(self, tmp_path, capsys):
         # exponent 2^20 at N = 256 asks the skew closed form for times up to 2^28

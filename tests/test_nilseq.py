@@ -105,6 +105,9 @@ class TestFundamentalDomain:
                        abs(translated.c - red.c)) < 1e-12
 
 
+THETA_WIDTHS = (0.5, 1.0, 2.0, 5.0)
+
+
 class _BareCenterChar:
     """z-character with the theta sum disabled: not lattice invariant."""
 
@@ -118,22 +121,28 @@ class TestGammaInvariance:
         assert rep.passed and rep.max_violation < 1e-12
 
     def test_theta_type_within_tolerance(self):
-        rep = check_gamma_invariance(ThetaType(1, 8, 1.0), 500, 1e-8)
+        rep = check_gamma_invariance(ThetaType(1), 500, 1e-8)
         assert rep.passed and rep.max_violation < 1e-8
+
+    @pytest.mark.parametrize("width", THETA_WIDTHS)
+    def test_theta_type_is_invariant_at_every_width(self, width):
+        # the window follows the point, so a translate sums the same terms
+        assert check_gamma_invariance(ThetaType(1, width=width), 500, 1e-12).passed
 
     def test_bare_center_character_fails(self):
         rep = check_gamma_invariance(_BareCenterChar(), 500, 1e-8)
         assert not rep.passed and rep.max_violation > 0.1
 
 
-# (ell, truncation, width): width 2 has R = 8, so its window -8 .. 7 is clipped to |j| <= 6
+# (ell, shift, width): lattice translates reach |shift| in each coordinate; the three
+# widths have windows R = 4, 2 and 8
 THETA_CASES = [(1, 8, 1.0), (2, 8, 0.5), (3, 6, 2.0)]
 
 
 class TestThetaWindow:
-    @pytest.mark.parametrize("ell, truncation, width", THETA_CASES)
-    def test_window_is_the_smallest_certified_one(self, ell, truncation, width):
-        th = ThetaType(ell, truncation, width)
+    @pytest.mark.parametrize("ell, shift, width", THETA_CASES)
+    def test_window_is_the_smallest_certified_one(self, ell, shift, width):
+        th = ThetaType(ell, width=width)
         R = th.window
 
         def tail(r):  # 2 sum_{m >= r} exp(-pi m^2 / width^2), summed far past underflow
@@ -151,36 +160,42 @@ class TestThetaWindow:
         assert HeisenbergNilseq(g, g, TorusChar(2, 3)).error_budget == 0.0
         assert Scaled(2.0, HeisenbergNilseq(g, g, theta)).error_budget == 2 * theta.tail_bound
 
-    @pytest.mark.parametrize("ell, truncation, width", THETA_CASES)
-    def test_heisenberg_theta_matches_the_exact_full_sum(self, ell, truncation, width):
+    @pytest.mark.parametrize("ell, shift, width", THETA_CASES)
+    def test_heisenberg_theta_matches_the_exact_full_sum(self, ell, shift, width):
         g = HeisenbergElement(PHI, SQRT2M1, 0.2)
         base = HeisenbergElement(0.1, 0.25, 0.7)
-        theta = ThetaType(ell, truncation, width)
+        theta = ThetaType(ell, width=width)
         w = HeisenbergNilseq(g, base, theta)
         rng = np.random.default_rng(ell)
         top = 1 << 20
         n = np.concatenate([np.arange(40), rng.integers(40, top, 160), [top - 1, top]])
         exact = [oracles.heisenberg_reduced_exact(g, base, int(m)) for m in n]
-        want = np.array([oracles.theta_exact(ell, truncation, width, *pt) for pt in exact])
+        want = np.array([oracles.theta_exact(ell, width, *pt) for pt in exact])
         assert np.abs(w.eval_many(n) - want).max() <= 1e-12
         # at the reduced point as floats the window misses the full sum by at most the
         # reported budget plus roundings: e(ell x) carries about pi ell eps from the
         # rounding of ell x, and each of its R steps adds that and one product's 2 eps
         pts = np.array([[float(c) for c in pt] for pt in exact])
-        at_floats = np.array([oracles.theta_exact(ell, truncation, width, *pt) for pt in pts])
+        at_floats = np.array([oracles.theta_exact(ell, width, *pt) for pt in pts])
         err = np.abs(theta.eval_raw(*pts.T) - at_floats).max()
-        steps = min(theta.window, truncation + 1)
-        ulps = 4 + steps * (np.pi * abs(ell) + 2)
+        ulps = 4 + theta.window * (np.pi * abs(ell) + 2)
         assert err <= w.error_budget + ulps * w.bound * np.finfo(float).eps, (err, ulps)
+        # translated by shift in y, each point sums its own window: still the full sum
+        x, y, z = pts.T
+        p, r = rng.integers(-shift, shift + 1, size=(2, x.size)).astype(np.float64)
+        q = rng.choice([-shift, shift], size=x.size).astype(np.float64)
+        moved = np.stack([x + p, y + q, z + r + x * q], axis=1)
+        want = np.array([oracles.theta_exact(ell, width, *pt) for pt in moved])
+        assert np.abs(theta.eval_raw(*moved.T) - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("ell, truncation, width", THETA_CASES)
-    def test_mixed_windows_have_the_bits_of_each_point_alone(self, ell, truncation, width):
+    @pytest.mark.parametrize("ell, shift, width", THETA_CASES)
+    def test_mixed_windows_have_the_bits_of_each_point_alone(self, ell, shift, width):
         # reduced points and their lattice translates, as check_gamma_invariance
         # builds them, in one array: each element keeps the bits it gets alone
-        th = ThetaType(ell, truncation, width)
+        th = ThetaType(ell, width=width)
         rng = np.random.default_rng(5)
         x, y, z = rng.random((3, 150))
-        p, q, r = rng.integers(-3, 4, size=(3, 150)).astype(np.float64)
+        p, q, r = rng.integers(-shift, shift + 1, size=(3, 150)).astype(np.float64)
         order = rng.permutation(300)
         xs, ys, zs = (np.concatenate(pair)[order] for pair in
                       ((x, x + p), (y, y + q), (z, z + r + x * q)))
@@ -189,15 +204,28 @@ class TestThetaWindow:
             alone = th.eval_raw(xs[i:i + 1], ys[i:i + 1], zs[i:i + 1])
             assert alone.tobytes() == whole[i:i + 1].tobytes(), i
 
+    @pytest.mark.parametrize("width", THETA_WIDTHS)
+    def test_bound_is_theta_at_zero(self, width):
+        # theta_w(0) = sum_j exp(-pi j^2 / w^2) = w sum_k exp(-pi w^2 k^2) by Poisson
+        # summation; the dual series converges fast at every width used here
+        th = ThetaType(1, width=width)
+        dual = width * math.fsum(math.exp(-math.pi * (width * k) ** 2) for k in range(-40, 41))
+        assert dual <= th.bound <= dual * (1 + 2e-12)
+        rng = np.random.default_rng(7)
+        x, y, z = rng.random((3, 2000))
+        p, q, r = rng.integers(-9, 10, size=(3, 2000)).astype(np.float64)
+        y[:3] = 0.0, 0.5, np.nextafter(1.0, 0.0)
+        for pt in ((x, y, z), (x + p, y + q, z + r + x * q)):
+            assert np.abs(th.eval_raw(*pt)).max() <= th.bound
+
     def test_far_points_and_gamma_invariance(self):
-        # off [0, 1) the window is clipped to |j| <= J, in part (8.5, 11.5) or wholly
-        # (-12.25, 20), and still misses the full sum by at most the tail bound
+        # far off [0, 1) each point still sums its own window, so F is the full sum up
+        # to the tail and the rounding of j0 x (up to 20 * 0.3), about 2 pi 6 eps
         th = ThetaType(1)
         y = np.array([11.5, -12.25, 20.0, 8.5])
         got = th.eval_raw(0.3, y, 0.0)
-        want = [sum(math.exp(-math.pi * (v + j) ** 2) * np.exp(0.6j * np.pi * j)
-                    for j in range(-8, 9)) for v in y]
-        assert np.abs(got - want).max() <= th.tail_bound + 1e-15
+        want = [oracles.theta_exact(1, 1.0, 0.3, v, 0.0) for v in y]
+        assert np.abs(got - want).max() <= th.tail_bound + 1e-14
         assert check_gamma_invariance(th, 500, 1e-13).passed
         with pytest.raises(DomainError):
             th.eval_raw(0.3, np.nan, 0.0)
@@ -249,7 +277,7 @@ class TestWeights:
     def test_heisenberg_base_point_shifts(self):
         g = HeisenbergElement(PHI, SQRT2M1, 0.2)
         base = HeisenbergElement(0.1, 0.25, 0.7)
-        w = ThetaType(1, 8, 1.0)
+        w = ThetaType(1)
         seq = HeisenbergNilseq(g, base, w)
         for n in (0, 1, 5, 117):
             pt, _ = reduce_fundamental(heisenberg_pow(g, n) * base)
@@ -308,7 +336,7 @@ class TestWeights:
             PolynomialPhase((0.1, 0.2, 0.3)),
             TorusNilseq((PHI,), observable([((1,), 0.7), ((2,), 0.3j)]), (0.0,)),
             HeisenbergNilseq(HeisenbergElement(PHI, 0.3, 0.1), HeisenbergElement.identity(),
-                             ThetaType(2, 8, 1.0)),
+                             ThetaType(2)),
             Scaled(2.0j, PolynomialPhase((0.0, 0.25))),
             Product(PolynomialPhase((0.0, 0.3)), Scaled(0.5, PolynomialPhase((0.0,)))),
         ]
@@ -378,6 +406,13 @@ class TestTable:
         path = tmp_path / "bad.csv"
         path.write_text("n,re,im\n0,1,0\n2,1,0\n")
         with pytest.raises(ConfigError, match="no gaps"):
+            table_from_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,re,im\n0,1,0\n1,0,{value}\n")
+        with pytest.raises(ConfigError, match="row 1 has a non-finite value"):
             table_from_csv(path)
 
     def test_out_of_range(self):

@@ -1,6 +1,8 @@
 """Systems: orbit closed forms, exact lattice dynamics, observables, and the
 model factor-projection table."""
 
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -141,6 +143,32 @@ class TestLattice:
         big = ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 53) - 111)  # largest prime
         assert orbit_point(big, orbit_point(big, (3, 5), 7), -7) == (3, 5)
 
+    def test_finite_order_rule_matches_the_powers(self):
+        # every 2x2 matrix with entries in [-6, 6]: accepted exactly when det = +-1, no
+        # power up to 12 is the identity, and det 1 comes with |trace| >= 3
+        def accepted_by_oracle(m):
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+            if det not in (1, -1) or (det == 1 and abs(m[0][0] + m[1][1]) < 3):
+                return False
+            p = np.eye(2, dtype=np.int64)
+            for _ in range(12):
+                p = p @ np.array(m)
+                if (p == np.eye(2)).all():
+                    return False
+            return True
+
+        count = 0
+        for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+            m = ((a, b), (c, d))
+            try:
+                ToralAutomorphism(m, modulus=101)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == accepted_by_oracle(m), m
+            count += ok
+        assert count == 504
+
     def test_fibonacci_matrix_allowed(self):
         # det = -1, trace 1: hyperbolic, no root-of-unity eigenvalues
         ToralAutomorphism(((1, 1), (1, 0)))
@@ -200,6 +228,11 @@ class TestDomain:
     def test_empty_times(self, system, x0, d):
         out = orbit_coords(system, x0, np.array([], np.int64))
         assert out.shape == (0, d) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("x0", [(np.nan, 0.3), (0.2, np.inf), (-1e-300, 0.3), (0.2, 1.0)])
+    def test_point_off_the_unit_cube_raises(self, x0):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            orbit_coords(AnzaiSkew(PHI), x0, np.arange(4))
 
     @pytest.mark.parametrize("n", [SKEW_MAX_TIME, -SKEW_MAX_TIME, SKEW_MAX_TIME - 1, (1 << 26) + 3])
     def test_skew_just_inside_limit(self, n):
