@@ -4,8 +4,8 @@ certified sup-over-frequency sweeps, and the auxiliary-system product average.
 
 Conventions
 -----------
-Averages run over n = index_base .. index_base + N - 1 with index_base = 1 by
-default (the seminorm module defaults to 0; both are accepted everywhere).
+Orbit averages run over n = 1 .. N, as the paper's (1/N) sum_{n=1}^{N}; a
+weight's Cesaro mean and the seminorm module run over n = 0 .. N - 1.
 Sums use the fixed-shape pairwise tree from `numerics`, so identical inputs
 give bit-identical outputs regardless of blocking or worker count.
 
@@ -63,10 +63,19 @@ _COARSE_CAP = 1 << 22  # (but never below N)
 _BLOCK = 1 << 14  # times per block of `orbit_terms`: 2^13 to 2^16 measured alike, 2^12 slower
 
 
-def _times(index_base: int, N: int) -> np.ndarray:
+def _check_count(N: int):
     if N < 1:
         raise ValueError("N must be >= 1")
-    return np.arange(index_base, index_base + N, dtype=np.int64)
+
+
+def _check_eps(eps: float):
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+
+
+def _times(N: int, first: int = 1) -> np.ndarray:
+    _check_count(N)
+    return np.arange(first, first + N, dtype=np.int64)
 
 
 def check_exponents(a: int, b: int):
@@ -135,9 +144,9 @@ def prefix_means(terms: np.ndarray, schedule) -> list[complex]:
     return [complex(pairwise_sum(terms[:n]) / n) for n in schedule]
 
 
-def _mean(system: System, x0, N: int, index_base: int, *args, **kwargs) -> complex:
-    """(1/N) sum over n = index_base .. +N-1 of `orbit_terms(system, x0, n, *args, **kwargs)`."""
-    return prefix_means(orbit_terms(system, x0, _times(index_base, N), *args, **kwargs), [N])[0]
+def _mean(system: System, x0, N: int, *args, **kwargs) -> complex:
+    """(1/N) sum over n = 1 .. N of `orbit_terms(system, x0, n, *args, **kwargs)`."""
+    return prefix_means(orbit_terms(system, x0, _times(N), *args, **kwargs), [N])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +154,14 @@ def _mean(system: System, x0, N: int, index_base: int, *args, **kwargs) -> compl
 # ---------------------------------------------------------------------------
 
 
-def birkhoff_avg(system: System, obs: Observable, x0, N: int, index_base: int = 1) -> complex:
+def birkhoff_avg(system: System, obs: Observable, x0, N: int) -> complex:
     """(1/N) sum f(T^n x0)."""
-    return _mean(system, x0, N, index_base, obs)
+    return _mean(system, x0, N, obs)
 
 
-def ww_avg(system: System, obs: Observable, x0, t: float, N: int, index_base: int = 1) -> complex:
+def ww_avg(system: System, obs: Observable, x0, t: float, N: int) -> complex:
     """(1/N) sum f(T^n x0) e(n t)."""
-    return _mean(system, x0, N, index_base, obs, weight=PolynomialPhase((0.0, t)))
+    return _mean(system, x0, N, obs, weight=PolynomialPhase((0.0, t)))
 
 
 def _refine(u: np.ndarray, cells: np.ndarray, s: int, p: int, rows: int):
@@ -197,8 +206,7 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
     nodes and `grid_spacing` is the finest spacing used. Raises
     GridTooFineError when eps/L < 1/MAX_SUP_GRID.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     u = np.asarray(u, dtype=np.complex128)
     N = u.size
     B = float(np.abs(u).max()) if N else 0.0
@@ -246,10 +254,9 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
     return SupPoint(best, t_star, m0 + done * s, spacing, top - best)
 
 
-def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,
-           index_base: int = 1) -> SupPoint:
+def ww_sup(system: System, obs: Observable, x0, N: int, eps: float) -> SupPoint:
     """Certified sup over the frequency t of |(1/N) sum f(T^n x0) e(n t)|."""
-    return sup_over_frequency(orbit_terms(system, x0, _times(index_base, N), obs), eps)
+    return sup_over_frequency(orbit_terms(system, x0, _times(N), obs), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +265,27 @@ def ww_sup(system: System, obs: Observable, x0, N: int, eps: float,
 
 
 def double_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-               N: int, index_base: int = 1) -> complex:
+               N: int) -> complex:
     """(1/N) sum f1(T^{an} x0) f2(T^{bn} x0)."""
-    return _mean(system, x0, N, index_base, obs1, a, obs2, b)
+    return _mean(system, x0, N, obs1, a, obs2, b)
 
 
 def wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-             t: float, N: int, index_base: int = 1) -> complex:
+             t: float, N: int) -> complex:
     """Double recurrence with frequency weight e(n t); t = 0 reduces bit-for-bit."""
-    return _mean(system, x0, N, index_base, obs1, a, obs2, b, PolynomialPhase((0.0, t)))
+    return _mean(system, x0, N, obs1, a, obs2, b, PolynomialPhase((0.0, t)))
 
 
 def poly_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-                  p, N: int, index_base: int = 1) -> complex:
+                  p, N: int) -> complex:
     """Double recurrence with polynomial weight e(p(n))."""
-    return _mean(system, x0, N, index_base, obs1, a, obs2, b, PolynomialPhase(p))
+    return _mean(system, x0, N, obs1, a, obs2, b, PolynomialPhase(p))
 
 
 def nil_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-                 w: WeightSequence, N: int, index_base: int = 1) -> complex:
+                 w: WeightSequence, N: int) -> complex:
     """Double recurrence against an arbitrary weight sequence."""
-    return _mean(system, x0, N, index_base, obs1, a, obs2, b, w)
+    return _mean(system, x0, N, obs1, a, obs2, b, w)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +338,7 @@ def _dual_expansion(base: np.ndarray, n: np.ndarray, system_s: RotationTorus, g_
 
 
 def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-                    system_s: RotationTorus, g_list, grid_size: int, N: int,
-                    index_base: int = 1) -> DualSystemResult:
+                    system_s: RotationTorus, g_list, grid_size: int, N: int) -> DualSystemResult:
     """Node values y_j -> (1/N) sum f1(T^{an}x0) f2(T^{bn}x0) prod_i g_i(S^{in} y_j).
 
     S must be a circle rotation. `l2_norm` is the exact L2 norm in y, by
@@ -342,7 +348,7 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
     if grid_size < 64:
         raise ValueError("node grid needs at least 64 nodes")
     g_list = check_auxiliary(system_s, g_list)
-    n = _times(index_base, N)
+    n = _times(N)
     base = orbit_terms(system, x0, n, obs1, a, obs2, b)
     coeffs, l2 = _dual_expansion(base, n, system_s, g_list, [N])[0]
     nodes = np.arange(grid_size, dtype=np.float64) / grid_size
@@ -365,17 +371,17 @@ def _dual_pair(p: dict) -> dict:
     return _pair(p)
 
 
-def _means(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
+def _means(terms: np.ndarray, schedule, params: dict) -> dict:
     return dict(values=prefix_means(terms, schedule))
 
 
-def _sups(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
+def _sups(terms: np.ndarray, schedule, params: dict) -> dict:
     sups = tuple(sup_over_frequency(terms[:n], params["eps"]) for n in schedule)
     return dict(values=[s.sup_value for s in sups], sup_data=sups)
 
 
-def _norms(terms: np.ndarray, schedule, params: dict, index_base: int) -> dict:
-    expansion = _dual_expansion(terms, _times(index_base, schedule[-1]), params["system_s"],
+def _norms(terms: np.ndarray, schedule, params: dict) -> dict:
+    expansion = _dual_expansion(terms, _times(schedule[-1]), params["system_s"],
                                 params["g_list"], schedule)  # checked by `_dual_pair`
     return dict(values=[l2 for _, l2 in expansion])
 
@@ -390,12 +396,11 @@ _KINDS = {
     "wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase((0.0, p["t"]))), _means),
     "poly_wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])), _means),
     "nil_wwdr": (lambda p: dict(_pair(p), weight=p["weight"]), _means),
-    "cesaro": (lambda p: dict(obs1=None, weight=p["weight"]), _means),
     "dual_system": (_dual_pair, _norms),
 }
 
 
-def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> ConvergenceReport:
+def run_schedule(kind: str, params: dict, schedule) -> ConvergenceReport:
     """Evaluate one average along an increasing schedule in a single pass.
 
     Each kind in `_KINDS` builds its terms once at the largest N through
@@ -403,19 +408,22 @@ def run_schedule(kind: str, params: dict, schedule, index_base: int = 1) -> Conv
     `prefix_means`, so every A_N equals the one-shot value bit for bit, or for
     ww_sup (the birkhoff terms) with the certified sup at `params["eps"]`, or
     for dual_system (the pair terms) with `dual_system_avg`'s Parseval norm.
-    A reducer rebuilds any times it needs, so none are held through it.
+    Every kind runs n = 1 .. N, as the one-shot functions do; a weight's own
+    Cesaro means, from n = 0, are `cesaro_nilseq`. A reducer rebuilds any
+    times it needs, so none are held through it.
     """
     schedule = check_schedule(schedule)
     if kind not in _KINDS:
         raise ValueError(f"unknown schedule op {kind!r}")
     factors, reduce = _KINDS[kind]
     kw = factors(params)
-    terms = orbit_terms(params.get("system"), params.get("x0"), _times(index_base, schedule[-1]),
-                        **kw)
-    return make_report(schedule, **reduce(terms, schedule, params, index_base),
+    terms = orbit_terms(params["system"], params["x0"], _times(schedule[-1]), **kw)
+    return make_report(schedule, **reduce(terms, schedule, params),
                        error_budget=getattr(kw.get("weight"), "error_budget", 0.0))
 
 
 def cesaro_nilseq(w: WeightSequence, schedule) -> ConvergenceReport:
     """A_N = (1/N) sum_{n=0}^{N-1} w(n) for each N in an increasing schedule."""
-    return run_schedule("cesaro", {"weight": w}, schedule, index_base=0)
+    schedule = check_schedule(schedule)
+    return make_report(schedule, prefix_means(weight_samples(w, schedule[-1]), schedule),
+                       error_budget=w.error_budget)

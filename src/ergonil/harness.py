@@ -272,7 +272,6 @@ class ExperimentConfig:
     eps: float | None = None
     tol: float | None = None
     schedule: tuple[int, ...] = DEFAULT_SCHEDULE
-    index_base: int = 1
     assertions: list = field(default_factory=list)
 
 
@@ -291,7 +290,10 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     # the id names the output files, which must stay inside the output directory
     if not isinstance(rid, str) or rid in ("", ".", "..") or any(c in rid for c in "/\\\0"):
         raise ConfigError(f"id must be a plain file name, got {rid!r}", field="id")
-    cfg = ExperimentConfig(experiment=experiment, id=rid, raw=doc, index_base=entry.index_base)
+    if "index_base" in doc:  # a moved origin would shift every average by O(1/N)
+        raise ConfigError("n starts where the experiment fixes it (1 for orbit averages, "
+                          "0 for weight and seminorm sequences)", field="index_base")
+    cfg = ExperimentConfig(experiment=experiment, id=rid, raw=doc)
     missing = [name for name in entry.required if name not in doc]
     if missing:
         raise ConfigError(f"{experiment} requires {', '.join(missing)}", field=missing[0])
@@ -326,7 +328,6 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
 
     for name, conv in (("a", _int), ("b", _int), ("t", _real), ("k", _int), ("H", _int),
                        ("N", _int), ("K", _int), ("eps", _real), ("tol", _real),
-                       ("index_base", _int),
                        ("p", lambda v: tuple(_real(c) for c in v)),
                        ("schedule", lambda v: check_schedule(_int(n) for n in v)),
                        ("assertions", lambda v: [_check_assertion(a) for a in v])):
@@ -337,9 +338,17 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     if cfg.a is not None and cfg.b is not None:
         with _field("a"):
             averages.check_exponents(cfg.a, cfg.b)
-    if cfg.k is not None:
-        with _field("k"):
-            seminorms._check_order(cfg.k)
+    # the library's own checks, so that a config the run would reject fails here
+    coupled = cfg.schedule[0] if cfg.experiment == "local_seminorm" else None  # N >= H^2
+    for name, check in (("k", seminorms._check_order), ("N", averages._check_count),
+                        ("H", lambda H: seminorms._check_box(H, coupled)),
+                        ("eps", averages._check_eps)):
+        if getattr(cfg, name) is not None:
+            with _field(name):
+                check(getattr(cfg, name))
+    if cfg.experiment == "vdc_bound":
+        with _field("K"):
+            seminorms._check_vdc(cfg.N, cfg.K)
     if cfg.experiment == "dual_system_avg":
         try:
             averages.check_auxiliary(cfg.system_s, cfg.g_list)
@@ -347,8 +356,6 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
             raise ConfigError(str(exc), field="system_s") from None
         except DimensionMismatchError as exc:
             raise ConfigError(str(exc), field="g_list") from None
-    if cfg.index_base not in (0, 1):
-        raise ConfigError("index_base must be 0 or 1", field="index_base")
     return cfg
 
 
@@ -406,9 +413,12 @@ def _scheduled(kind: str) -> Callable:
         params = dict(system=cfg.system, x0=x0, obs=cfg.observable, obs1=cfg.observable1,
                       obs2=cfg.observable2, a=cfg.a, b=cfg.b, t=cfg.t, p=cfg.p,
                       weight=cfg.weight, eps=cfg.eps, system_s=cfg.system_s, g_list=cfg.g_list)
-        return _from_report(rid, averages.run_schedule(kind, params, cfg.schedule,
-                                                       cfg.index_base))
+        return _from_report(rid, averages.run_schedule(kind, params, cfg.schedule))
     return run
+
+
+def _run_cesaro(cfg: ExperimentConfig, rid: str, x0):
+    return _from_report(rid, averages.cesaro_nilseq(cfg.weight, cfg.schedule))
 
 
 def _box_size(cfg: ExperimentConfig, n: int) -> int:
@@ -424,26 +434,26 @@ def _seminorm_rows(cfg: ExperimentConfig, rid: str, estimate: Callable):
 
 def _run_local_seminorm(cfg: ExperimentConfig, rid: str, x0):
     top = cfg.schedule[-1]  # one sample run for the last box, N + k H; each box reads a prefix
-    seq = averages.weight_samples(cfg.weight, top + cfg.k * _box_size(cfg, top), cfg.index_base)
+    seq = averages.weight_samples(cfg.weight, top + cfg.k * _box_size(cfg, top))
     return _seminorm_rows(cfg, rid, lambda n, h: seminorms.local_seminorm(seq, cfg.k, h, n))
 
 
 def _run_ghk_seminorm(cfg: ExperimentConfig, rid: str, x0):
     return _seminorm_rows(cfg, rid, lambda n, h: seminorms.ghk_seminorm(
-        cfg.system, cfg.observable, x0, cfg.k, h, n, cfg.index_base))
+        cfg.system, cfg.observable, x0, cfg.k, h, n))
 
 
 def _run_vanishing(cfg: ExperimentConfig, rid: str, x0):
     return _from_report(rid, seminorms.vanishing_experiment(
         cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
-        cfg.weight, cfg.k, cfg.schedule, cfg.index_base,
+        cfg.weight, cfg.k, cfg.schedule,
     ))
 
 
 def _run_product_formula(cfg: ExperimentConfig, rid: str, x0):
     rep = joinings.product_formula_check(
         cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
-        cfg.N, cfg.tol, cfg.index_base,
+        cfg.N, cfg.tol,
     )
     rows = [Row(f"{rid}:{side}", N=rep.N, re=v.real, im=v.imag, abs=abs(v))
             for side, v in (("lhs", rep.lhs), ("rhs", rep.rhs))]
@@ -451,7 +461,7 @@ def _run_product_formula(cfg: ExperimentConfig, rid: str, x0):
 
 
 def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
-    seq = averages.weight_samples(cfg.weight, cfg.N, cfg.index_base)
+    seq = averages.weight_samples(cfg.weight, cfg.N)
     rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
     rows = [Row(rid + ":lhs", N=cfg.N, abs=rep.lhs), Row(rid + ":rhs", N=cfg.N, abs=rep.rhs)]
     return rows, {"passed": rep.passed}, []
@@ -459,38 +469,37 @@ def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
 
 def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
     length = cfg.N + 3 * (cfg.H - 1)
-    s1 = averages.weight_samples(cfg.weight1, length, cfg.index_base)
-    s2 = averages.weight_samples(cfg.weight2, length, cfg.index_base)
+    s1 = averages.weight_samples(cfg.weight1, length)
+    s2 = averages.weight_samples(cfg.weight2, length)
     v = seminorms.cube_average(s1, s2, cfg.H)
     return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {}, []
 
 
 class _Experiment(NamedTuple):
     required: tuple[str, ...]  # runs once per starting point when it holds "x0"
-    index_base: int  # default first n
     run: Callable  # (cfg, rid, x0) -> (rows, extras, diagnostics); x0 None if not pointwise
 
 
 _ORBIT = ("system", "observable", "x0")
 _PAIR = ("system", "observable1", "observable2", "x0", "a", "b")
 
-# averages count n from 1 by default; the sequence/seminorm family from 0
+# orbit averages run n = 1..N; a weight's Cesaro mean and the sequence/seminorm family 0..N-1
 _EXPERIMENTS = {
-    "birkhoff_avg": _Experiment(_ORBIT, 1, _scheduled("birkhoff")),
-    "ww_avg": _Experiment(_ORBIT + ("t",), 1, _scheduled("ww")),
-    "ww_sup": _Experiment(_ORBIT + ("eps",), 1, _scheduled("ww_sup")),
-    "double_avg": _Experiment(_PAIR, 1, _scheduled("double")),
-    "wwdr_avg": _Experiment(_PAIR + ("t",), 1, _scheduled("wwdr")),
-    "poly_wwdr_avg": _Experiment(_PAIR + ("p",), 1, _scheduled("poly_wwdr")),
-    "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), 1, _scheduled("nil_wwdr")),
-    "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), 1, _scheduled("dual_system")),
-    "cesaro_nilseq": _Experiment(("weight",), 0, _scheduled("cesaro")),
-    "local_seminorm": _Experiment(("weight", "k"), 0, _run_local_seminorm),
-    "ghk_seminorm": _Experiment(_ORBIT + ("k",), 0, _run_ghk_seminorm),
-    "vdc_bound": _Experiment(("weight", "N", "K"), 0, _run_vdc_bound),
-    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), 0, _run_cube_average),
-    "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), 0, _run_vanishing),
-    "product_formula_check": _Experiment(_PAIR + ("N", "tol"), 1, _run_product_formula),
+    "birkhoff_avg": _Experiment(_ORBIT, _scheduled("birkhoff")),
+    "ww_avg": _Experiment(_ORBIT + ("t",), _scheduled("ww")),
+    "ww_sup": _Experiment(_ORBIT + ("eps",), _scheduled("ww_sup")),
+    "double_avg": _Experiment(_PAIR, _scheduled("double")),
+    "wwdr_avg": _Experiment(_PAIR + ("t",), _scheduled("wwdr")),
+    "poly_wwdr_avg": _Experiment(_PAIR + ("p",), _scheduled("poly_wwdr")),
+    "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), _scheduled("nil_wwdr")),
+    "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), _scheduled("dual_system")),
+    "cesaro_nilseq": _Experiment(("weight",), _run_cesaro),
+    "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm),
+    "ghk_seminorm": _Experiment(_ORBIT + ("k",), _run_ghk_seminorm),
+    "vdc_bound": _Experiment(("weight", "N", "K"), _run_vdc_bound),
+    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), _run_cube_average),
+    "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), _run_vanishing),
+    "product_formula_check": _Experiment(_PAIR + ("N", "tol"), _run_product_formula),
 }
 
 

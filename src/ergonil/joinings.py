@@ -26,7 +26,6 @@ from .systems import (
     RotationTorus,
     System,
     ToralAutomorphism,
-    integrate_observable,
 )
 
 
@@ -38,55 +37,29 @@ class InvariantExpectation:
     ergodic: bool
 
 
-def _constant_expectation(system: System, obs: Observable, m: int) -> InvariantExpectation:
-    c = integrate_observable(obs)
-    terms = (((0,) * obs.dimension, c),) if c != 0 else ()
-    return InvariantExpectation(system, m, Observable(obs.dimension, terms), True)
-
-
 def invariant_conditional_expectation(system: System, obs: Observable, m: int) -> InvariantExpectation:
     """E[obs | sigma-field of T^m-invariant sets], as a trigonometric polynomial.
 
-    Rotations with declared-rational angles keep exactly the frequencies k
-    with k . (m alpha) integral; every ergodic branch collapses to the mean.
+    A term e(k . x) survives exactly when every coordinate with k_i != 0
+    carries a declared-rational angle alpha_i and k . (m alpha) is an integer;
+    with no such angle, T^m is ergodic and only the mean survives.
     """
     m = int(m)
     if m == 0:
         raise ValueError("power m must be nonzero")
     if isinstance(system, RotationTorus):
-        rational = system.is_rational()
-        if not any(rational):
-            # totally irrational declaration: T^m ergodic, expectation is the mean
-            return _constant_expectation(system, obs, m)
-        kept = []
-        for freq, coeff in obs.terms:
-            phase = Fraction(0)
-            for k, a, is_rat in zip(freq, system.alpha, rational):
-                if k == 0:
-                    continue
-                if not is_rat:
-                    # irrational component with nonzero frequency never resonates
-                    phase = None
-                    break
-                phase += k * m * a
-            if phase is not None and phase.denominator == 1:
-                kept.append((freq, coeff))
-        return InvariantExpectation(system, m, Observable(obs.dimension, tuple(kept)), False)
-    if isinstance(system, AnzaiSkew):
-        if not system.is_rational():
-            return _constant_expectation(system, obs, m)
-        # rational base angle: fiber frequencies average out, base frequencies
-        # survive exactly when k m alpha is integral
-        kept = tuple(
-            (freq, coeff)
-            for freq, coeff in obs.terms
-            if freq[1] == 0 and (freq[0] * m * system.alpha).denominator == 1
-        )
-        return InvariantExpectation(system, m, Observable(obs.dimension, kept), False)
-    if isinstance(system, ToralAutomorphism):
-        # hyperbolic: every nonzero power is ergodic (indeed mixing)
-        return _constant_expectation(system, obs, m)
-    raise UnsupportedSystemError(f"unknown system kind {type(system).__name__}")
+        angles = tuple(a if isinstance(a, Fraction) else None for a in system.alpha)
+    elif isinstance(system, AnzaiSkew):  # the fiber coordinate carries no angle
+        angles = (system.alpha if system.is_rational() else None, None)
+    elif isinstance(system, ToralAutomorphism):  # hyperbolic: every power mixes, no angle
+        angles = (None, None)
+    else:
+        raise UnsupportedSystemError(f"unknown system kind {type(system).__name__}")
+    kept = tuple((freq, c) for freq, c in obs.terms
+                 if all(a is not None for k, a in zip(freq, angles) if k)
+                 and sum(k * m * a for k, a in zip(freq, angles) if k) % 1 == 0)
+    ergodic = all(a is None for a in angles)
+    return InvariantExpectation(system, m, Observable(obs.dimension, kept), ergodic)
 
 
 def expectation_pairing(e1: InvariantExpectation, e2: InvariantExpectation) -> complex:
@@ -111,8 +84,7 @@ class ProductFormulaReport:
 
 
 def product_formula_check(system: System, obs1: Observable, obs2: Observable, x0,
-                          a: int, b: int, N: int, tol: float,
-                          index_base: int = 1) -> ProductFormulaReport:
+                          a: int, b: int, N: int, tol: float) -> ProductFormulaReport:
     """Compare the finite-N double average against the invariant pairing.
 
     The pairing identity holds after integrating the left side in x; for an
@@ -123,5 +95,5 @@ def product_formula_check(system: System, obs1: Observable, obs2: Observable, x0
     e1 = invariant_conditional_expectation(system, obs1, b - a)
     e2 = invariant_conditional_expectation(system, obs2, b - a)
     rhs = expectation_pairing(e1, e2)
-    lhs = double_avg(system, obs1, obs2, x0, a, b, N, index_base)
+    lhs = double_avg(system, obs1, obs2, x0, a, b, N)
     return ProductFormulaReport(lhs, rhs, abs(lhs - rhs) <= tol, N, tol)

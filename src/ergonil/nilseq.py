@@ -97,6 +97,7 @@ class TorusChar:
 
 
 THETA_TAIL = 2.0**-64  # the most mass a theta window may drop, per element
+THETA_WIDTH_RANGE = (2.0**-20, 2.0**6)  # far from overflow in (y / width)^2; R <= 246
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class ThetaType:
     def __post_init__(self):
         if self.ell == 0:
             raise ValueError("center frequency ell must be nonzero")
-        if not 0 < self.width < math.inf:
-            raise ValueError("need a finite width > 0")
+        lo, hi = THETA_WIDTH_RANGE
+        if not lo <= self.width <= hi:
+            raise ValueError(f"width must lie in [2^-20, 2^6], got {self.width!r}")
 
     @cached_property
     def bound(self) -> float:

@@ -75,6 +75,21 @@ def _check_order(k: int):
         raise ValueError(f"order k must be in 1..{MAX_ORDER}")
 
 
+def _check_box(H: int, N: int | None = None):
+    """Box size H >= 1; given N, the sequence seminorm's finite-scale coupling N >= H^2."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    if N is not None and N < H * H:
+        raise ValueError(f"finite-scale coupling requires N >= H^2 (N={N}, H={H})")
+
+
+def _check_vdc(N: int, K: int):
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if (K + 1) ** 2 >= N:
+        raise ValueError(f"side condition (K+1)^2 < N violated: K={K}, N={N}")
+
+
 def _require_length(a: np.ndarray, needed: int, what: str):
     if a.size < needed:
         raise SequenceTooShortError(f"{what} needs {needed} samples, sequence has {a.size}")
@@ -143,10 +158,7 @@ def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
     """Order-k sequence seminorm estimate at box size H and inner scale N."""
     a = _as_sequence(a)
     _check_order(k)
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    if N < H * H:
-        raise ValueError(f"finite-scale coupling requires N >= H^2 (N={N}, H={H})")
+    _check_box(H, N)
     _require_length(a, N + k * H, "order-%d box" % k)
     total = _sorted_offset_sum(a[: N + k * H], k - 1, H, N + H, _window_mean_leaf(N, H))
     avg = (total / H ** (k - 1)).real
@@ -155,8 +167,7 @@ def local_seminorm(a, k: int, H: int, N: int) -> SeminormEstimate:
     return SeminormEstimate("local_sequence", k, H, N, value, clamped, float(avg))
 
 
-def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
-                 index_base: int = 0) -> SeminormEstimate:
+def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int) -> SeminormEstimate:
     """Order-k function seminorm estimated along one orbit.
 
     Level 1 is |(1/N) sum f(T^n x0)|; each further level averages the powered
@@ -168,9 +179,8 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int,
     is kept for schema compatibility.
     """
     _check_order(k)
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    u = orbit_terms(system, x0, _times(index_base, N + (k - 1) * H), obs)
+    _check_box(H)
+    u = orbit_terms(system, x0, _times(N + (k - 1) * H, first=0), obs)
     total = _sorted_offset_sum(u, k - 1, H, N, lambda d: abs(pairwise_mean(d[:N])) ** 2)
     avg = float(total / H ** (k - 1))
     return SeminormEstimate("ghk_function", k, H, N, avg ** (1.0 / (1 << k)), False, avg)
@@ -200,10 +210,7 @@ def vdc_bound(u, N: int, K: int) -> VdcReport:
     every finite sequence; `passed` allows 1e-12 of floating slack.
     """
     u = _as_sequence(u)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if (K + 1) ** 2 >= N:
-        raise ValueError(f"side condition (K+1)^2 < N violated: K={K}, N={N}")
+    _check_vdc(N, K)
     _require_length(u, N, "van der Corput")
     u = u[:N]
     lhs = abs(pairwise_sum(u) / N) ** 2
@@ -227,8 +234,7 @@ def cube_average(s1, s2, H: int) -> complex:
     """
     s1 = _as_sequence(s1)
     s2 = _as_sequence(s2)
-    if H < 1:
-        raise ValueError("H must be >= 1")
+    _check_box(H)
     span = 3 * (H - 1)
     base = min(s1.size, s2.size) - span
     if base < 1:
@@ -271,8 +277,8 @@ def coupled_box_size(N: int) -> int:
 
 
 def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
-                         a: int, b: int, w: WeightSequence, k: int, schedule,
-                         index_base: int = 0) -> ConvergenceReport:
+                         a: int, b: int, w: WeightSequence, k: int,
+                         schedule) -> ConvergenceReport:
     """Pair the order-k seminorm of the projected orbit product with its
     weighted averages along a schedule.
 
@@ -287,7 +293,7 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     schedule = check_schedule(schedule)
     g1, g2 = (zk_complement(system, f, k - 1) if k > 1 else f for f in (obs1, obs2))
     top = schedule[-1]
-    n = _times(index_base, top + k * coupled_box_size(top))
+    n = _times(top + k * coupled_box_size(top), first=0)
     pair = orbit_terms(system, x0, n, g1, a, g2, b)
     values = prefix_means(_weighted(pair[:top], n[:top], w), schedule)
     semis = tuple(local_seminorm(pair, k, coupled_box_size(N), N) for N in schedule)

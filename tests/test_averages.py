@@ -161,31 +161,32 @@ def _sweep_input(kind: str, N: int, rng) -> np.ndarray:
     raise ValueError(kind)
 
 
-def _dense_scan(u: np.ndarray, index_base: int, m: int = 1 << 20):
+def _dense_scan(u: np.ndarray, first: int, m: int = 1 << 20):
     """|(1/N) sum u_n e(n t)| at t = k/m, with u placed at its own indices n."""
     x = np.zeros(m, dtype=complex)
-    x[(index_base + np.arange(u.size)) % m] = u
+    x[(first + np.arange(u.size)) % m] = u
     return np.abs(np.fft.ifft(x)) * (m / u.size)
 
 
-def _value_at(u: np.ndarray, index_base: int, t: float) -> float:
-    n = np.arange(index_base, index_base + u.size)
+def _value_at(u: np.ndarray, first: int, t: float) -> float:
+    n = np.arange(first, first + u.size)
     return abs(np.mean(u * np.exp(2j * np.pi * n * t)))
 
 
 class TestSweepCertificate:
     @pytest.mark.parametrize("kind", ["random", "peaked", "real"])
-    @pytest.mark.parametrize("N,index_base", [(1, 1), (1, 0), (255, 1), (256, 0), (301, 0),
-                                              (512, 1)])
+    @pytest.mark.parametrize("N,first", [(1, 1), (1, 0), (255, 1), (256, 0), (301, 0),
+                                         (512, 1)])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
-    def test_dense_scan_within_error_bound(self, kind, N, index_base, eps):
-        u = _sweep_input(kind, N, np.random.default_rng(N + index_base))
+    def test_dense_scan_within_error_bound(self, kind, N, first, eps):
+        # the modulus does not depend on where n starts, so u sits at `first` onwards
+        u = _sweep_input(kind, N, np.random.default_rng(N + first))
         res = sup_over_frequency(u, eps)
-        dense = _dense_scan(u, index_base)
+        dense = _dense_scan(u, first)
         assert dense.max() - res.sup_value <= res.error_bound + 1e-12
         assert 0.0 <= res.error_bound <= eps / 2
         # the reported maximum is attained at t_star
-        assert abs(_value_at(u, index_base, res.t_star) - res.sup_value) < 1e-12
+        assert abs(_value_at(u, first, res.t_star) - res.sup_value) < 1e-12
         if kind == "peaked":
             assert 0.8 - res.sup_value <= res.error_bound + 1e-12
             # a sound bound covers at least half a node spacing at the Bernstein slope
@@ -207,7 +208,7 @@ class TestSweepCertificate:
         assert res.grid_spacing <= 1e-3 / (np.pi * 1023 * 0.8)
 
     def test_previous_floor_still_accepted(self):
-        # the earlier sweep rejected eps below 2*pi*(index_base + N - 1)*max|u| / 2^28
+        # the earlier sweep rejected eps below 2*pi*(first n + N - 1)*max|u| / 2^28
         N = 64
         u = np.exp(2j * np.pi * PHI * np.arange(1, N + 1))
         eps = 1.01 * 2 * np.pi * N / MAX_SUP_GRID

@@ -84,6 +84,20 @@ _NUMERIC_SLOTS = [
 ]
 
 
+_PHASES = {"weight1": {"kind": "polynomial_phase", "coefficients": [0.0, PHI]},
+           "weight2": {"kind": "polynomial_phase", "coefficients": [0.0, 0.0, PHI]}}
+# configs that run; `test_inputs_the_run_rejects_exit_2` moves one input of each out of range
+_RUNNABLE_DOCS = {
+    "product": _SLOT_DOCS["product"],
+    "cube": dict(_PHASES, experiment="cube_average", H=4, N=64),
+    "ghk": ww_config(experiment="ghk_seminorm", k=2, H=4),
+    "sup": _SLOT_DOCS["sup"],
+    "local": {"experiment": "local_seminorm", "k": 2, "H": 32, "schedule": [1024],
+              "weight": _PHASES["weight2"]},
+    "vdc": {"experiment": "vdc_bound", "N": 1024, "K": 20, "weight": _PHASES["weight1"]},
+}
+
+
 class TestConfigParsing:
     def test_minimal_config_gets_default_schedule(self):
         doc = ww_config()
@@ -169,10 +183,25 @@ class TestConfigParsing:
             load_config(p)
 
     def test_index_base_defaults(self):
-        assert config_from_dict(ww_config()).index_base == 1
-        doc = {"experiment": "cesaro_nilseq",
-               "weight": {"kind": "polynomial_phase", "coefficients": [0.0, 0.5]}}
-        assert config_from_dict(doc).index_base == 0
+        # each experiment fixes where n starts: an orbit average's first term is
+        # f(T x0) e(t), at n = 1; a weight's Cesaro mean starts at w(0)
+        row = run_experiment(config_from_dict(ww_config(schedule=[1]))).rows[0]
+        want = np.exp(2j * np.pi * (0.2 + PHI)) * np.exp(2j * np.pi * 0.37)
+        assert complex(row.re, row.im) == pytest.approx(want, abs=1e-15)
+        doc = {"experiment": "cesaro_nilseq", "schedule": [1],
+               "weight": {"kind": "polynomial_phase", "coefficients": [0.25, 0.5]}}
+        row = run_experiment(config_from_dict(doc)).rows[0]
+        assert complex(row.re, row.im) == pytest.approx(1j, abs=1e-15)
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_index_base_is_rejected(self, base, tmp_path, capsys):
+        # moving n's origin would shift every average by O(1/N), so it is not ignored
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(ww_config(index_base=base)))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error: index_base: ") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_list_experiments_contents(self):
         names = list_experiments()
@@ -511,6 +540,34 @@ class TestCli:
         assert cli_main(["validate", "--config", str(p)]) == 2
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, over, field", [
+        ("product", {"N": 0}, "N"),
+        ("cube", {"H": 0}, "H"),
+        ("ghk", {"H": 0}, "H"),
+        ("sup", {"eps": -1}, "eps"),
+        ("local", {"H": 64, "schedule": [1024]}, "H"),
+        ("vdc", {"N": 100, "K": 20}, "K"),
+    ])
+    def test_inputs_the_run_rejects_exit_2(self, name, over, field, tmp_path, capsys):
+        # every input the library would reject at run time is a config error up front
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_RUNNABLE_DOCS[name]))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        p.write_text(json.dumps(dict(_RUNNABLE_DOCS[name], **over)))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count(f"config error: {field}: ") == 2
+
+    @pytest.mark.parametrize("width", [1e-200, 1e-160, 1e5])
+    def test_theta_width_outside_range_exits_2(self, width, tmp_path, capsys):
+        doc = json.loads(json.dumps(_SLOT_DOCS["nil"]))
+        doc["weight"]["invariant"]["width"] = width
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error: weight: width must lie in") == 2
 
     @pytest.mark.parametrize("over, field", [
         ({"system_s": {"kind": "anzai_skew", "alpha": 0.3}}, "system_s"),

@@ -29,7 +29,7 @@ from ergonil import (
     weight_samples,
 )
 from ergonil.errors import ConfigError, DomainError
-from ergonil.nilseq import THETA_TAIL
+from ergonil.nilseq import THETA_TAIL, THETA_WIDTH_RANGE
 
 import oracles
 
@@ -152,6 +152,22 @@ class TestThetaWindow:
         assert R == 1 or th._tail(R - 1) > THETA_TAIL
         assert th.tail_bound <= 1.01 * tail(R)
         assert R == {1.0: 4, 0.5: 2, 2.0: 8}[width]
+
+    def test_width_range_is_declared(self):
+        # both edges evaluate warning-free within the bound; past them the window
+        # breaks down (1e-200 divides by zero, 1e-160 overflows, 1e5 needs 411,952
+        # terms per element), so construction rejects the width
+        lo, hi = THETA_WIDTH_RANGE
+        assert (lo, hi) == (2.0**-20, 2.0**6)
+        x, y, z = 4 * np.random.default_rng(3).random((3, 256))
+        for width in (lo, hi):
+            th = ThetaType(1, width=width)
+            assert np.abs(th.eval_raw(x, y, z)).max() <= th.bound
+        assert ThetaType(1, width=hi).window == 246
+        for width in (1e-200, 1e-160, 1e5, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf),
+                      0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="width"):
+                ThetaType(1, width=width)
 
     def test_error_budget_is_the_tail_bound(self):
         g = HeisenbergElement(PHI, SQRT2M1, 0.2)
