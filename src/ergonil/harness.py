@@ -356,6 +356,12 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
             raise ConfigError(str(exc), field="system_s") from None
         except DimensionMismatchError as exc:
             raise ConfigError(str(exc), field="g_list") from None
+    reach = entry.reach(cfg) if entry.reach else 0
+    for name in ("weight", "weight1", "weight2"):  # a table must cover every time the run reads
+        w = getattr(cfg, name)
+        if w is not None and w.length is not None and w.length < reach:
+            raise ConfigError(f"weight defined for n < {w.length}, {experiment} reads n < {reach}",
+                              field=name)
     return cfg
 
 
@@ -432,9 +438,13 @@ def _seminorm_rows(cfg: ExperimentConfig, rid: str, estimate: Callable):
     return rows, {}, [{"id": rid, "seminorm": [_seminorm_certificate(est) for est in ests]}]
 
 
-def _run_local_seminorm(cfg: ExperimentConfig, rid: str, x0):
+def _local_reach(cfg: ExperimentConfig) -> int:
     top = cfg.schedule[-1]  # one sample run for the last box, N + k H; each box reads a prefix
-    seq = averages.weight_samples(cfg.weight, top + cfg.k * _box_size(cfg, top))
+    return top + cfg.k * _box_size(cfg, top)
+
+
+def _run_local_seminorm(cfg: ExperimentConfig, rid: str, x0):
+    seq = averages.weight_samples(cfg.weight, _local_reach(cfg))
     return _seminorm_rows(cfg, rid, lambda n, h: seminorms.local_seminorm(seq, cfg.k, h, n))
 
 
@@ -467,8 +477,12 @@ def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
     return rows, {"passed": rep.passed}, []
 
 
+def _cube_reach(cfg: ExperimentConfig) -> int:
+    return cfg.N + 3 * (cfg.H - 1)
+
+
 def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
-    length = cfg.N + 3 * (cfg.H - 1)
+    length = _cube_reach(cfg)
     s1 = averages.weight_samples(cfg.weight1, length)
     s2 = averages.weight_samples(cfg.weight2, length)
     v = seminorms.cube_average(s1, s2, cfg.H)
@@ -478,6 +492,7 @@ def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
 class _Experiment(NamedTuple):
     required: tuple[str, ...]  # runs once per starting point when it holds "x0"
     run: Callable  # (cfg, rid, x0) -> (rows, extras, diagnostics); x0 None if not pointwise
+    reach: Callable | None = None  # cfg -> R: the run reads its weights at the times n < R
 
 
 _ORBIT = ("system", "observable", "x0")
@@ -491,14 +506,16 @@ _EXPERIMENTS = {
     "double_avg": _Experiment(_PAIR, _scheduled("double")),
     "wwdr_avg": _Experiment(_PAIR + ("t",), _scheduled("wwdr")),
     "poly_wwdr_avg": _Experiment(_PAIR + ("p",), _scheduled("poly_wwdr")),
-    "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), _scheduled("nil_wwdr")),
+    "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), _scheduled("nil_wwdr"),
+                                lambda cfg: cfg.schedule[-1] + 1),
     "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), _scheduled("dual_system")),
-    "cesaro_nilseq": _Experiment(("weight",), _run_cesaro),
-    "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm),
+    "cesaro_nilseq": _Experiment(("weight",), _run_cesaro, lambda cfg: cfg.schedule[-1]),
+    "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm, _local_reach),
     "ghk_seminorm": _Experiment(_ORBIT + ("k",), _run_ghk_seminorm),
-    "vdc_bound": _Experiment(("weight", "N", "K"), _run_vdc_bound),
-    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), _run_cube_average),
-    "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), _run_vanishing),
+    "vdc_bound": _Experiment(("weight", "N", "K"), _run_vdc_bound, lambda cfg: cfg.N),
+    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), _run_cube_average, _cube_reach),
+    "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), _run_vanishing,
+                                        lambda cfg: cfg.schedule[-1]),
     "product_formula_check": _Experiment(_PAIR + ("N", "tol"), _run_product_formula),
 }
 

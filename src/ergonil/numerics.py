@@ -10,6 +10,19 @@ The mod-1 helpers rely on three facts about IEEE double arithmetic:
 * integers below 2**53 are exact, so base-2**24 digits multiply exactly.
 
 So every reduced coordinate is within a few ulp, however large the product.
+
+The kernels write into preallocated buffers but keep the order of every
+operation of their allocating forms (kept in the tests as references), so
+they keep those forms' bits:
+
+* `frac`: r = x - floor(x), then r - 1 where r >= 1;
+* `frac_combine`: for each product a*b, b is split once into bhi + blo and a
+  into ahi + alo (Veltkamp); p = a*b and
+  e = (((ahi*bhi - p) + ahi*blo) + alo*bhi) + alo*blo. The total starts at 0.0,
+  takes (total + frac(p)) + frac(e) for the products in order, then
+  total + frac(t) for the terms, and the result is frac(total);
+* `unit_phase`: cos and sin of theta*2pi, which is how numpy's complex exp
+  evaluates exp((2j*pi)*theta) = exp(0 + i*2pi*theta).
 """
 
 from __future__ import annotations
@@ -30,8 +43,18 @@ def frac(x):
     Values within half an ulp below an integer round to that integer's
     fractional part 0.0 rather than returning 1.0.
     """
-    r = x - np.floor(x)
-    return np.where(r >= 1.0, r - 1.0, r)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    return _frac(x, out, out)
+
+
+def _frac(x, out, floor):
+    """frac(x) written into `out`, which may be `x`: floor, subtract, then take 1 from the
+    values that rounded to 1.0. `floor` holds floor(x) while x is still read, so it must
+    not be `x`; it may be `out`."""
+    np.floor(x, out=floor)
+    np.subtract(x, floor, out=out)
+    return np.subtract(out, 1.0, out=out, where=out >= 1.0)
 
 
 def two_prod(a, b):
@@ -48,19 +71,35 @@ def two_prod(a, b):
 
 
 def frac_combine(products=(), terms=()):
-    """frac(sum of a*b products plus plain terms), compensated.
+    """frac(sum of a*b products plus plain terms), compensated; each b is a scalar.
 
-    Each product is split error-free and both halves are reduced mod 1
-    before accumulation, so magnitudes never reach the range where the
-    fractional bits would be rounded away.
+    Each product is split error-free as in `two_prod` and both halves are
+    reduced mod 1 before accumulation, so magnitudes never reach the range
+    where the fractional bits would be rounded away. The scalar b is split
+    once, and every step writes into the output or one of four scratch
+    buffers of the block's shape.
     """
-    total = 0.0
+    shape = np.broadcast_shapes(*(np.shape(a) for a, _ in products), *map(np.shape, terms))
+    total = np.zeros(shape)
+    p, e, hi, lo = (np.empty(shape) for _ in range(4))
     for a, b in products:
-        p, e = two_prod(a, b)
-        total = total + frac(p) + frac(e)
+        b = float(b)
+        cb = _SPLITTER * b
+        bhi = cb - (cb - b)
+        blo = b - bhi
+        np.multiply(a, b, out=p)
+        np.multiply(a, _SPLITTER, out=hi)  # ca
+        np.subtract(hi, np.subtract(hi, a, out=lo), out=hi)  # ahi = ca - (ca - a)
+        np.subtract(a, hi, out=lo)  # alo
+        np.subtract(np.multiply(hi, bhi, out=e), p, out=e)
+        np.add(e, np.multiply(hi, blo, out=hi), out=e)
+        np.add(e, np.multiply(lo, bhi, out=hi), out=e)
+        np.add(e, np.multiply(lo, blo, out=lo), out=e)
+        np.add(total, _frac(p, p, hi), out=total)
+        np.add(total, _frac(e, e, hi), out=total)
     for t in terms:
-        total = total + frac(t)
-    return frac(total)
+        np.add(total, frac(t), out=total)
+    return _frac(total, total, hi)
 
 
 _DIGIT = 24  # base-2**24 digits: a column of their products stays below 2**53
@@ -147,8 +186,19 @@ def frac_poly(coefficients, n):
 
 
 def unit_phase(theta):
-    """exp(2*pi*i*theta) for theta already reduced to [0, 1)."""
-    return np.exp((2j * np.pi) * theta)
+    """exp(2*pi*i*theta) for theta already reduced to [0, 1).
+
+    cos and sin of theta*2pi go straight into the real and imaginary parts of
+    the output; the bits are those of np.exp((2j*pi)*theta), which evaluates
+    exp(0 + i 2pi theta) through the same cos and sin.
+    """
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    x = np.multiply(theta, 2.0 * np.pi, out=out.imag)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    # an array that owns its data: numpy elides `phase * w` into `phase *= w` only
+    # then, and otherwise may run `w *= phase`, whose complex product rounds differently
+    return out if out.ndim else out[()]
 
 
 def pairwise_sum(x):

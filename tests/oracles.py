@@ -268,3 +268,48 @@ def cube_average_brute(s1, s2, H: int) -> complex:
                     g2 += p2
                 total += (g1 / base) * (g2 / base)
     return total / H**3
+
+
+# Reference mod-1 kernels: the allocating forms that `ergonil.numerics` had before
+# its in-place rewrite, kept unchanged so the rewrite can be pinned bit for bit.
+
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
+
+
+def frac(x):
+    """Fractional part in [0, 1), exact, elementwise.
+
+    Values within half an ulp below an integer round to that integer's
+    fractional part 0.0 rather than returning 1.0.
+    """
+    r = x - np.floor(x)
+    return np.where(r >= 1.0, r - 1.0, r)
+
+
+def two_prod(a, b):
+    """Error-free product: returns (p, e) with p + e == a*b exactly."""
+    p = a * b
+    ca = _SPLITTER * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLITTER * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, e
+
+
+def frac_combine(products=(), terms=()):
+    """frac(sum of a*b products plus plain terms), compensated.
+
+    Each product is split error-free and both halves are reduced mod 1
+    before accumulation, so magnitudes never reach the range where the
+    fractional bits would be rounded away.
+    """
+    total = 0.0
+    for a, b in products:
+        p, e = two_prod(a, b)
+        total = total + frac(p) + frac(e)
+    for t in terms:
+        total = total + frac(t)
+    return frac(total)

@@ -50,7 +50,8 @@ _SLOT_DOCS = {
     "nil": dict(_PAIR_DOC, experiment="nil_wwdr_avg", weight={
         "kind": "heisenberg_nilseq", "g": [PHI, 0.3, 0.1], "base": [0.1, 0.2, 0.3],
         "invariant": {"kind": "theta", "ell": 1, "width": 1.0}}),
-    "weights": {"experiment": "cesaro_nilseq", "schedule": [16], "weight": {
+    # the 2-row table covers the schedule: a config that runs, not only one that validates
+    "weights": {"experiment": "cesaro_nilseq", "schedule": [2], "weight": {
         "kind": "product",
         "left": {"kind": "scaled", "scale": 0.5,
                  "inner": {"kind": "table", "path": "w.csv", "sup_error_budget": 0.25}},
@@ -96,6 +97,58 @@ _RUNNABLE_DOCS = {
               "weight": _PHASES["weight2"]},
     "vdc": {"experiment": "vdc_bound", "N": 1024, "K": 20, "weight": _PHASES["weight1"]},
 }
+
+
+_TABLE = {"kind": "table", "path": "w.csv"}
+# (config with a table weight, the field holding it, how far the run reads it: n < reach)
+_TABLE_READS = {
+    "cesaro": ({"experiment": "cesaro_nilseq", "schedule": [16], "weight": _TABLE}, "weight", 16),
+    # orbit averages run n = 1..N
+    "nil": (dict(_PAIR_DOC, experiment="nil_wwdr_avg", weight=_TABLE), "weight", 257),
+    "vanishing": (dict(_PAIR_DOC, experiment="vanishing_experiment", k=1, weight=_TABLE),
+                  "weight", 256),
+    "local": ({"experiment": "local_seminorm", "k": 2, "H": 4, "schedule": [64],
+               "weight": _TABLE}, "weight", 64 + 2 * 4),
+    "local_coupled": ({"experiment": "local_seminorm", "k": 2, "schedule": [256],
+                       "weight": _TABLE}, "weight", 256 + 2 * coupled_box_size(256)),
+    "vdc": ({"experiment": "vdc_bound", "N": 64, "K": 6, "weight": _TABLE}, "weight", 64),
+    "cube1": (dict(_PHASES, experiment="cube_average", H=4, N=32, weight1=_TABLE),
+              "weight1", 32 + 3 * 3),
+    "cube2": (dict(_PHASES, experiment="cube_average", H=4, N=32,
+                   weight2={"kind": "scaled", "scale": 0.5, "inner": _TABLE}), "weight2", 41),
+}
+
+
+class TestTableReach:
+    """A table weight shorter than the times its experiment reads is a config error."""
+
+    @staticmethod
+    def write_table(tmp_path, length):
+        (tmp_path / "w.csv").write_text("n,re,im\n" + "".join(f"{n},1,0\n" for n in range(length)))
+
+    @pytest.mark.parametrize("case", sorted(_TABLE_READS))
+    def test_a_table_that_covers_the_reach_runs(self, case, tmp_path):
+        doc, _, reach = _TABLE_READS[case]
+        self.write_table(tmp_path, reach)
+        assert run_experiment(config_from_dict(doc, base_dir=tmp_path), out_dir=tmp_path).rows
+
+    @pytest.mark.parametrize("case", sorted(_TABLE_READS))
+    def test_one_row_short_is_rejected_at_config_time(self, case, tmp_path):
+        doc, field, reach = _TABLE_READS[case]
+        self.write_table(tmp_path, reach - 1)
+        with pytest.raises(ConfigError, match=f"n < {reach - 1}, .* reads n < {reach}") as err:
+            config_from_dict(doc, base_dir=tmp_path)
+        assert err.value.field == field
+
+    def test_validate_and_run_exit_2(self, tmp_path, capsys):
+        # a 2-row table with schedule [16] once validated and then failed the run with exit 3
+        self.write_table(tmp_path, 2)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_TABLE_READS["cesaro"][0]))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error: weight: weight defined for n < 2") == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigParsing:

@@ -2,6 +2,7 @@
 evaluators, products, tables, Cesaro averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,26 @@ class TestHeisenbergDomain:
             w.eval_many(np.array([0, 7, n]))
         with pytest.raises(DomainError):
             HeisenbergNilseq(w.g, self.BASE, TorusChar(1, 1)).eval(n)
+
+
+class TestHeisenbergMemory:
+    def test_coordinate_stage_peak_is_pinned(self):
+        # on one block of the blocked core, with a character as F so the coordinate
+        # stage dominates: `frac_combine` writes into block-sized buffers, and the
+        # whole evaluation stays within 12 block-sized float arrays (15 before it did)
+        block = 1 << 14
+        w = HeisenbergNilseq(HeisenbergElement(PHI, 0.3, 0.1), HeisenbergElement(0.1, 0.25, 0.7),
+                             TorusChar(1, 1))
+        n = np.arange(block, dtype=np.int64)
+        w.eval_many(n[:2])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            w.eval_many(n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * block, peak / (8 * block)
 
 
 class TestTable:

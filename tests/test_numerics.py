@@ -1,12 +1,16 @@
 """Numerics: the exact mod-1 polynomial kernel `frac_poly` against exact
-rational arithmetic, over all of int64 and every small degree."""
+rational arithmetic, over all of int64 and every small degree; the in-place
+kernels `frac`, `frac_combine` and `unit_phase` against their allocating
+references, bit for bit."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergonil import DomainError, PolynomialPhase
-from ergonil.numerics import frac_poly
+from ergonil.numerics import frac, frac_combine, frac_poly, unit_phase
 
 import oracles
 
@@ -89,3 +93,141 @@ class TestFracPoly:
             frac_poly((0.0, PHI, bad), [1, 2])
         with pytest.raises(DomainError):
             PolynomialPhase((bad,)).eval_many(np.arange(4))
+
+
+BLOCK = 1 << 14  # the block length of `averages.orbit_terms`
+# the second operand of every product: 0, negative, integer-valued, large and plain reals
+scalar = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 2.0**40, -(2.0**52), PHI, -PHI])
+          | st.floats(-1e6, 1e6)
+          | st.floats(-(2.0**300), 2.0**300).filter(lambda b: b == 0.0 or abs(b) > 2.0**-300))
+term = st.floats(-1e3, 1e3)
+
+
+def _first_operands(seed, length, top, integral, count):
+    """`count` arrays of times |n| <= 2**top (integral) or reals below 2**top, each
+    with one element at the edge 2**top."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a = (rng.integers(-(1 << top), (1 << top) + 1, length).astype(np.float64) if integral
+             else rng.uniform(-1.0, 1.0, length) * 2.0**top)
+        a[rng.integers(length)] = rng.choice([-1.0, 1.0]) * 2.0**top
+        out.append(a)
+    return out
+
+
+def circle_distance(x: float, exact: Fraction) -> float:
+    d = abs(Fraction(x) - exact)
+    return float(min(d, 1 - d))
+
+
+class TestFrac:
+    def test_negative_zero_gives_positive_zero(self):
+        for f in (frac, oracles.frac):
+            assert np.asarray(f(-0.0)).tobytes() == np.float64(0.0).tobytes()
+            assert f(np.array([-0.0, 0.0])).tobytes() == np.zeros(2).tobytes()
+
+    def test_half_an_ulp_below_an_integer_gives_zero(self):
+        # x - floor(x) = 1 - tiny rounds to 1.0, which is reported as 0.0
+        x = np.array([-(2.0**-54), -1e-17, -(2.0**-60), -5e-324])
+        assert (frac(x) == 0.0).all()
+        assert frac(-(2.0**-53)) == 1.0 - 2.0**-53  # one ulp below 1 stays
+
+    def test_values_past_2_52_are_integers(self):
+        x = np.array([2.0**52, 2.0**52 + 1, 2.0**53 + 2, 1e300, -(2.0**52), -(2.0**53) - 2, -1e300])
+        assert (frac(x) == 0.0).all()
+        assert frac(2.0**52 - 0.5) == 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, 3, BLOCK, BLOCK + 1]),
+           top=st.integers(-2, 60))
+    def test_matches_the_reference_bit_for_bit(self, seed, length, top):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, length) * 2.0**top
+        got = frac(x)
+        assert got.tobytes() == oracles.frac(x).tobytes()
+        assert ((got >= 0.0) & (got < 1.0)).all()
+        for v in x[:3]:  # 0-d inputs
+            assert np.asarray(frac(v)).tobytes() == np.asarray(oracles.frac(v)).tobytes()
+
+    def test_leaves_its_input_alone(self):
+        x = np.array([0.5, -1.25, 3.75])
+        frac(x)
+        assert x.tolist() == [0.5, -1.25, 3.75]
+
+
+class TestFracCombine:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           length=st.sampled_from([1, 2, BLOCK, BLOCK + 1]),
+           top=st.integers(0, 53),
+           integral=st.booleans(),
+           scalars=st.lists(scalar, min_size=1, max_size=5),
+           terms=st.lists(term, max_size=2))
+    def test_matches_the_reference_bit_for_bit(self, seed, length, top, integral, scalars, terms):
+        firsts = _first_operands(seed, length, top, integral, len(scalars))
+        products = list(zip(firsts, scalars))
+        before = b"".join(a.tobytes() for a in firsts)
+        got = frac_combine(products, terms)
+        assert b"".join(a.tobytes() for a in firsts) == before  # the operands are only read
+        assert got.tobytes() == oracles.frac_combine(products, terms).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(times=st.lists(st.integers(-(1 << 53), 1 << 53), min_size=1, max_size=6),
+           scalars=st.lists(scalar, min_size=1, max_size=5),
+           terms=st.lists(term, max_size=2))
+    def test_within_a_few_ulp_of_exact_rationals(self, times, scalars, terms):
+        # 2k + m values in [0, 1) are added; the j-th addition rounds by at most j
+        # half-ulps of 1, so the error is below M**2 * 2**-53 with M = 2k + m
+        n = np.array(times, dtype=np.float64)
+        got = frac_combine([(n, b) for b in scalars], terms)
+        m = 2 * len(scalars) + len(terms)
+        for i, t in enumerate(times):
+            exact = sum(Fraction(t) * Fraction(b) for b in scalars) + sum(map(Fraction, terms))
+            assert 0.0 <= got[i] < 1.0
+            assert circle_distance(float(got[i]), exact % 1) <= m * m * 2.0**-53
+
+    def test_terms_alone(self):
+        got, want = frac_combine(terms=[2.25, -0.5]), oracles.frac_combine(terms=[2.25, -0.5])
+        assert np.ndim(got) == 0 and got == 0.75
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _phase_reference(theta):
+    return np.exp((2j * np.pi) * theta)
+
+
+class TestUnitPhase:
+    def assert_same_bits(self, theta):
+        got, want = unit_phase(theta), _phase_reference(theta)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.complex128
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_random_theta(self):
+        self.assert_same_bits(np.random.default_rng(3).random(1 << 16))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 13, 24, 30, 52])
+    def test_dyadic_theta(self, p):
+        k = np.random.default_rng(p).integers(0, 1 << p, 4096, dtype=np.int64)
+        self.assert_same_bits(k / float(1 << p))
+
+    def test_quarter_turns_and_the_top_of_the_circle(self):
+        theta = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        self.assert_same_bits(theta)
+        for v in theta:
+            self.assert_same_bits(v)
+            self.assert_same_bits(float(v))
+
+    def test_zero_d_one_element_and_rows(self):
+        rng = np.random.default_rng(5)
+        self.assert_same_bits(np.array(0.3))
+        assert np.ndim(unit_phase(np.array(0.3))) == 0
+        self.assert_same_bits(rng.random(1))
+        self.assert_same_bits(rng.random((3, 1000)))
+        # the sweep's (rows, N) phase block of the dyadic nodes
+        r, j, p = np.arange(5, dtype=np.int64), np.arange(2048, dtype=np.int64), 20
+        self.assert_same_bits(((r[:, None] * j) & ((1 << p) - 1)) / float(1 << p))
+
+    def test_output_owns_its_data(self):
+        # numpy only elides `phase * other` into `phase *= other` on arrays that own
+        # their data; otherwise it may swap the operands, which moves the last bit
+        assert unit_phase(np.random.default_rng(7).random(BLOCK)).base is None
