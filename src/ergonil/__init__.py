@@ -5,8 +5,8 @@ The package is organized by subject:
 
 * `systems`: rotations, the skew product, exact lattice automorphisms,
   trigonometric-polynomial observables, model factor projections;
-* `nilseq`: polynomial phases, torus and Heisenberg nilsequences, products,
-  table-backed weights;
+* `nilseq`: polynomial phases, orbit weights (torus nilsequences),
+  Heisenberg nilsequences, products, table-backed weights;
 * `averages`: Birkhoff / frequency-twisted / double-recurrence averages,
   Cesaro means of a weight, certified sup-over-frequency sweeps, schedule
   driver;
@@ -52,19 +52,17 @@ from .joinings import (
 from .nilseq import (
     HeisenbergElement,
     HeisenbergNilseq,
+    OrbitWeight,
     PolynomialPhase,
     Product,
     Scaled,
     Table,
     ThetaType,
     TorusChar,
-    TorusNilseq,
     WeightSequence,
     check_gamma_invariance,
     constant_weight,
-    eval_weight,
     heisenberg_pow,
-    product_weight,
     reduce_fundamental,
     table_from_csv,
 )

@@ -188,8 +188,8 @@ def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence
             return nilseq.PolynomialPhase(tuple(_real(c) for c in spec["coefficients"]))
         if kind == "torus_nilseq":
             func = build_observable(spec["observable"], field_name + ".observable")
-            return nilseq.TorusNilseq(
-                tuple(_real(a) for a in spec["alpha"]),
+            return nilseq.OrbitWeight(
+                RotationTorus(tuple(_real(a) for a in spec["alpha"])),
                 func,
                 tuple(_real(b) for b in spec.get("base", [0.0] * func.dimension)),
             )

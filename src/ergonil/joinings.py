@@ -16,17 +16,9 @@ rational); nothing is ever inferred from float comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .averages import double_avg
-from .errors import UnsupportedSystemError
-from .systems import (
-    AnzaiSkew,
-    Observable,
-    RotationTorus,
-    System,
-    ToralAutomorphism,
-)
+from .systems import Observable, System, _check_system
 
 
 @dataclass(frozen=True)
@@ -41,20 +33,14 @@ def invariant_conditional_expectation(system: System, obs: Observable, m: int) -
     """E[obs | sigma-field of T^m-invariant sets], as a trigonometric polynomial.
 
     A term e(k . x) survives exactly when every coordinate with k_i != 0
-    carries a declared-rational angle alpha_i and k . (m alpha) is an integer;
-    with no such angle, T^m is ergodic and only the mean survives.
+    carries a declared-rational angle alpha_i (`System.rational_angles`) and
+    k . (m alpha) is an integer; with no such angle, T^m is ergodic and only
+    the mean survives.
     """
     m = int(m)
     if m == 0:
         raise ValueError("power m must be nonzero")
-    if isinstance(system, RotationTorus):
-        angles = tuple(a if isinstance(a, Fraction) else None for a in system.alpha)
-    elif isinstance(system, AnzaiSkew):  # the fiber coordinate carries no angle
-        angles = (system.alpha if system.is_rational() else None, None)
-    elif isinstance(system, ToralAutomorphism):  # hyperbolic: every power mixes, no angle
-        angles = (None, None)
-    else:
-        raise UnsupportedSystemError(f"unknown system kind {type(system).__name__}")
+    angles = _check_system(system).rational_angles
     kept = tuple((freq, c) for freq, c in obs.terms
                  if all(a is not None for k, a in zip(freq, angles) if k)
                  and sum(k * m * a for k, a in zip(freq, angles) if k) % 1 == 0)

@@ -1,4 +1,5 @@
-"""Weight-sequence generators: polynomial phases, torus and Heisenberg
+"""Weight-sequence generators: polynomial phases, orbit weights F(S^n y) of
+a system (a torus nilsequence is the orbit of a rotation), Heisenberg
 nilsequences, products, scalar multiples, and table-backed sequences.
 
 Every variant reports a sup bound, and table-backed sequences carry an
@@ -25,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SequenceTooShortError
+from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
 from .numerics import frac, frac_combine, frac_poly, two_prod, unit_phase
-from .systems import SKEW_MAX_TIME, Observable, eval_observable_many
+from .systems import (SKEW_MAX_TIME, Observable, System, _check_system, eval_observable_many,
+                      orbit_coords)
 
 
 @dataclass(frozen=True)
@@ -232,8 +234,9 @@ class WeightSequence:
     """Bounded complex sequence with a recorded sup bound; every weight
     class derives from it.
 
-    Subclasses implement `eval_many`; `length` is None except for
-    table-backed data; `error_budget` is the additive sup uncertainty.
+    Subclasses implement `eval_many`, which returns a fresh complex array the
+    caller may overwrite; `length` is None except for table-backed data;
+    `error_budget` is the additive sup uncertainty.
     """
 
     bound: float = 1.0
@@ -261,26 +264,30 @@ class PolynomialPhase(WeightSequence):
 
 
 @dataclass(frozen=True)
-class TorusNilseq(WeightSequence):
-    """b_n = F(base + n alpha) for a trigonometric polynomial F on T^d."""
+class OrbitWeight(WeightSequence):
+    """b_n = F(S^n y): the observable F along the orbit of the point y of S.
 
-    alpha: tuple[float, ...]
+    A torus nilsequence F(y + n alpha) is the orbit of `RotationTorus(alpha)`.
+    The system checks y here and each time array when it is evaluated.
+    """
+
+    system: System
     func: Observable
-    base: tuple[float, ...]
+    base: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "base", tuple(float(b) for b in self.base))
-        if len(self.alpha) != self.func.dimension or len(self.base) != self.func.dimension:
-            raise ValueError("alpha, base, and F must share one dimension")
+        object.__setattr__(self, "base", tuple(self.base))
+        _check_system(self.system).check_point(self.base)
+        if self.func.dimension != self.system.dimension:
+            raise DimensionMismatchError(f"F has dimension {self.func.dimension}, "
+                                         f"the system {self.system.dimension}")
 
     @property
     def bound(self) -> float:
         return self.func.bound
 
     def eval_many(self, n):
-        cols = [frac_poly((b, a), np.atleast_1d(n)) for a, b in zip(self.alpha, self.base)]
-        return eval_observable_many(self.func, np.stack(cols, axis=-1))
+        return eval_observable_many(self.func, orbit_coords(self.system, self.base, n))
 
 
 @dataclass(frozen=True)
@@ -362,7 +369,11 @@ class Product(WeightSequence):
         return l.bound * r.error_budget + r.bound * l.error_budget + l.error_budget * r.error_budget
 
     def eval_many(self, n):
-        return self.left.eval_many(n) * self.right.eval_many(n)
+        left = self.left.eval_many(n)
+        # into the left factor, so the product is left * right even where numpy's
+        # temporary elision would swap a view's operands; one element in place
+        # rounds differently (as in averages.orbit_terms)
+        return np.multiply(left, self.right.eval_many(n), out=left if left.size > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -432,14 +443,6 @@ def table_from_csv(path, sup_error_budget: float = 0.0) -> Table:
     if not rows:
         raise ConfigError("table file has no data rows", field="table")
     return Table(np.asarray(rows), sup_error_budget)
-
-
-def eval_weight(w: WeightSequence, n: int) -> complex:
-    return w.eval(n)
-
-
-def product_weight(w1: WeightSequence, w2: WeightSequence) -> Product:
-    return Product(w1, w2)
 
 
 def constant_weight(value: complex = 1.0) -> Scaled:

@@ -287,7 +287,8 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     weighted averages against any lower-step weight must vanish too, and this
     report lets that implication be eyeballed and thresholded. The pair is built
     once, to top + k H(top) for the largest N = top; the averages weight its first
-    top terms, as `run_schedule("nil_wwdr")` does, and each seminorm reads a prefix.
+    top terms, n = 0 .. N - 1 (the products `run_schedule("nil_wwdr")` weights, but
+    that average runs n = 1 .. N), and each seminorm reads a prefix.
     """
     _check_order(k)
     schedule = check_schedule(schedule)

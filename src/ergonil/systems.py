@@ -1,32 +1,36 @@
 """Explicit measure-preserving torus systems with closed-form orbits.
 
-Three model kinds are supported:
+Each system kind is one subclass of `System` and answers for itself: which
+start points it takes, up to which |n| its closed form holds, the
+coordinates of T^n x for int64 times, its order-k characteristic factor, and
+the declared rational angle of each coordinate. The module functions
+(`orbit_coords`, `check_times`, `project_Zk`, ...) ask the system; an object
+that is not a `System` raises `UnsupportedSystemError`. Three kinds exist:
 
-* `RotationTorus`: x -> x + alpha on T^d, evaluated as frac(x + n*alpha);
+* `RotationTorus`: x -> x + alpha on T^d, each coordinate frac(x + n*alpha)
+  by `frac_poly`, exact mod 1 for every int64 time;
 * `AnzaiSkew`: (x, y) -> (x + alpha, y + x) on T^2, whose n-th iterate is
-  (x + n*alpha, y + n*x + n(n-1)/2 * alpha);
+  (x + n*alpha, y + n*x + n(n-1)/2 * alpha), declared for |n| <= 2**27 - 1,
+  where n(n-1)/2 is exact in float;
 * `ToralAutomorphism`: a hyperbolic 2x2 integer matrix acting exactly on the
-  rational lattice (Z_q)^2 for a prime modulus q.
+  rational lattice (Z_q)^2 for a prime modulus q, for int64 times.
 
 Orbits are never iterated in floating point. The rotation and skew closed
 forms run through compensated mod-1 reduction (error stays below 1e-12 for
-n up to 2**20). Each closed form declares its times (`check_times`): the
-rotation |n| <= 2**53, where n is exact in float; the skew |n| <= 2**27 - 1,
-where n(n-1)/2 is; the lattice int64. A time past it, including an exponent
-times n, raises `DomainError` before it can round or wrap. Automorphism
-orbits are exact modular arithmetic: N points by baby-step/giant-step, about
-2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec mod q, in int64 while
-2(q-1)**2 < 2**63 (every prime up to the default 2**31 - 1) and in exact
-Python integers above that bound.
+n up to 2**20), and automorphism orbits are exact modular arithmetic
+(`lattice_orbit`). A time past the declared domain (`check_times`),
+including an exponent times n, raises `DomainError` before it can round or
+wrap.
 
 Rotation and skew angles may be declared either as decimal literals (treated
 as irrational) or as `fractions.Fraction` (treated as rational). Downstream
-modules dispatch on the declaration, never on float comparisons.
+modules read the declaration (`rational_angles`), never float comparisons.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, UnsupportedSystemError
-from .numerics import frac, frac_combine, is_prime, unit_phase
+from .numerics import frac, frac_combine, frac_poly, is_prime, unit_phase
 
 Angle = Union[float, Fraction]
 
@@ -54,17 +58,44 @@ def _angle_float(a: Angle) -> float:
     return x
 
 
+class System:
+    """A measure-preserving system on T^d whose orbits have a closed form.
+
+    A kind sets `dimension` and defines `coords(x, n)`, the (len(n), d) float
+    coordinates of T^n x at a checked point and checked times; `project_Zk(obs,
+    k)`, E[obs | Z_k] for k >= 1; and `rational_angles`, per coordinate the
+    declared rational angle or None. It overrides `check_point` and its
+    declared times (`time_limit`, `time_why`) where the defaults do not hold.
+    """
+
+    time_limit = INT64_MAX  # the largest |n| the closed form is declared for
+    time_why = "n fits in int64"
+
+    def check_point(self, x0):
+        """x0 as float coordinates in [0, 1)^d."""
+        x = np.asarray(x0, dtype=np.float64).reshape(-1)
+        if x.size != self.dimension:
+            raise DimensionMismatchError(
+                f"point has dimension {x.size}, system has dimension {self.dimension}"
+            )
+        if not ((x >= 0) & (x < 1)).all():  # NaN fails both comparisons
+            raise ValueError("point coordinates must lie in [0, 1)")
+        return x
+
+
 @dataclass(frozen=True)
-class RotationTorus:
-    """Rotation by alpha on T^d; alpha entries are floats or Fractions."""
+class RotationTorus(System):
+    """Rotation by alpha on T^d; alpha entries are floats or Fractions.
+
+    A rotation is its own order-1 factor, so every projection keeps all of
+    the observable.
+    """
 
     alpha: tuple[Angle, ...]
 
     def __post_init__(self):
-        if isinstance(self.alpha, (int, float, Fraction)):
-            object.__setattr__(self, "alpha", (self.alpha,))
-        else:
-            object.__setattr__(self, "alpha", tuple(self.alpha))
+        scalar = isinstance(self.alpha, (int, float, Fraction))
+        object.__setattr__(self, "alpha", (self.alpha,) if scalar else tuple(self.alpha))
         if not self.alpha:
             raise ValueError("rotation needs at least one angle")
         for a in self.alpha:
@@ -78,43 +109,69 @@ class RotationTorus:
     def alpha_floats(self) -> tuple[float, ...]:
         return tuple(_angle_float(a) for a in self.alpha)
 
-    def is_rational(self) -> tuple[bool, ...]:
-        return tuple(isinstance(a, Fraction) for a in self.alpha)
+    def coords(self, x, n):
+        return np.stack([frac_poly((b, a), n) for b, a in zip(x, self.alpha_floats)], axis=-1)
+
+    def project_Zk(self, obs, k):
+        return obs
+
+    @property
+    def rational_angles(self):
+        return tuple(a if isinstance(a, Fraction) else None for a in self.alpha)
 
 
 @dataclass(frozen=True)
-class AnzaiSkew:
-    """Skew product (x, y) -> (x + alpha, y + x) on T^2."""
+class AnzaiSkew(System):
+    """Skew product (x, y) -> (x + alpha, y + x) on T^2.
+
+    Z_1 is the base rotation, so k = 1 keeps the terms constant in y; the
+    skew is 2-step, so k >= 2 keeps everything. The fiber carries no angle.
+    """
 
     alpha: Angle
+
+    dimension = 2
+    time_limit = SKEW_MAX_TIME
+    time_why = "n(n-1)/2 stays exact in float"
 
     def __post_init__(self):
         _angle_float(self.alpha)
 
+    def coords(self, x, n):
+        (x, y), a = x, float(self.alpha)
+        nf = n.astype(np.float64)
+        mf = ((n * (n - 1)) // 2).astype(np.float64)
+        xs = frac_combine(products=[(nf, a)], terms=[x])
+        ys = frac_combine(products=[(nf, x), (mf, a)], terms=[y])
+        return np.stack([xs, ys], axis=-1)
+
+    def project_Zk(self, obs, k):
+        if k >= 2:
+            return obs
+        return Observable(obs.dimension, tuple((f, c) for f, c in obs.terms if f[1] == 0))
+
     @property
-    def dimension(self) -> int:
-        return 2
-
-    @cached_property
-    def alpha_float(self) -> float:
-        return _angle_float(self.alpha)
-
-    def is_rational(self) -> bool:
-        return isinstance(self.alpha, Fraction)
+    def rational_angles(self):
+        return (self.alpha if isinstance(self.alpha, Fraction) else None, None)
 
 
 @dataclass(frozen=True)
-class ToralAutomorphism:
+class ToralAutomorphism(System):
     """Hyperbolic integer matrix acting on the lattice (Z_q)^2, q prime.
 
-    Points are residue pairs (p1, p2) standing for (p1/q, p2/q). Orbits are
-    exact: hyperbolic maps iterated in floating point shed all mantissa
-    content after a few dozen steps, while a large prime lattice both stays
-    exact and equidistributes well at desk scale.
+    Points are pairs of integers (p1, p2) standing for (p1/q, p2/q), and
+    orbit times form arithmetic progressions. Orbits are exact: hyperbolic
+    maps iterated in floating point shed all mantissa content after a few
+    dozen steps, while a large prime lattice both stays exact and
+    equidistributes well at desk scale. Every power mixes, so every
+    characteristic factor is trivial (only the mean survives) and no
+    coordinate carries an angle.
     """
 
     matrix: tuple[tuple[int, int], tuple[int, int]]
     modulus: int = (1 << 31) - 1
+
+    dimension = 2
 
     def __post_init__(self):
         m = tuple(tuple(int(v) for v in row) for row in self.matrix)
@@ -138,17 +195,30 @@ class ToralAutomorphism:
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} must be prime")
 
-    @property
-    def dimension(self) -> int:
-        return 2
+    def check_point(self, x0) -> tuple[int, int]:
+        """x0 as residues mod q; a float (even 3.0) or a bool is refused, not truncated."""
+        p = tuple(x0)
+        if len(p) != 2:
+            raise DimensionMismatchError("lattice point must be a residue pair")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in p):
+            raise ValueError(f"lattice point must be a pair of integers, got {p!r}")
+        return tuple(int(v) % self.modulus for v in p)
+
+    def coords(self, x, n):
+        steps = np.diff(n)
+        if steps.size and not (steps == steps[0]).all():
+            raise ValueError("automorphism orbit times must be an arithmetic progression")
+        start = int(n[0]) if n.size else 0
+        step = int(steps[0]) if steps.size else 1
+        return lattice_orbit(self, x, start, step, n.size) / self.modulus
+
+    def project_Zk(self, obs, k):
+        c = integrate_observable(obs)
+        return Observable(obs.dimension, (((0, 0), c),) if c != 0 else ())
 
     @property
-    def determinant(self) -> int:
-        m = self.matrix
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-System = Union[RotationTorus, AnzaiSkew, ToralAutomorphism]
+    def rational_angles(self):
+        return (None, None)
 
 
 def _mat_mul(x, y, mod: int | None = None):
@@ -252,20 +322,11 @@ def constant_observable(value: complex, dimension: int = 1) -> Observable:
 # ---------------------------------------------------------------------------
 
 
-def _check_point(system: System, x0):
-    if isinstance(system, ToralAutomorphism):
-        p = tuple(int(v) for v in x0)
-        if len(p) != 2:
-            raise DimensionMismatchError("lattice point must be a residue pair")
-        return tuple(v % system.modulus for v in p)
-    x = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x.size != system.dimension:
-        raise DimensionMismatchError(
-            f"point has dimension {x.size}, system has dimension {system.dimension}"
-        )
-    if not ((x >= 0) & (x < 1)).all():  # NaN fails both comparisons
-        raise ValueError("point coordinates must lie in [0, 1)")
-    return x
+def _check_system(obj) -> System:
+    """`obj` if it is a system; anything else raises `UnsupportedSystemError`."""
+    if not isinstance(obj, System):
+        raise UnsupportedSystemError(f"unknown system kind {type(obj).__name__}")
+    return obj
 
 
 def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: int):
@@ -279,7 +340,7 @@ def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: i
     that the same mat-vec runs on Python ints.
     """
     q = system.modulus
-    p1, p2 = _check_point(system, x0)
+    p1, p2 = system.check_point(x0)
     babies = math.isqrt(max(count - 1, 0)) + 1
     giants = -(-count // babies)
     b = mat_pow_mod(system.matrix, step, q)
@@ -302,14 +363,6 @@ def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: i
     return out.astype(np.int64, copy=False).reshape(-1, 2)[:count]
 
 
-# declared time domain of each closed form: largest |n|, and what holds up to it
-_TIME_DOMAIN = {
-    RotationTorus: (1 << 53, "n is exact in float"),
-    AnzaiSkew: (SKEW_MAX_TIME, "n(n-1)/2 stays exact in float"),
-    ToralAutomorphism: (INT64_MAX, "n fits in int64"),
-}
-
-
 def check_times(n: np.ndarray, system: System | None = None, e: int = 1) -> None:
     """Raise DomainError when the times e * n pass `system`'s declared domain.
 
@@ -317,48 +370,24 @@ def check_times(n: np.ndarray, system: System | None = None, e: int = 1) -> None
     int64 product e * n could be rounded or wrap; without a system the
     domain is int64.
     """
-    limit, why = _TIME_DOMAIN.get(type(system), _TIME_DOMAIN[ToralAutomorphism])
+    kind = System if system is None else _check_system(system)
     top = abs(int(e)) * max(-int(n.min()), int(n.max())) if n.size else 0
-    if top > limit:
-        raise DomainError(f"time {top} is past the closed form's limit |n| <= {limit}, "
-                          f"where {why}")
+    if top > kind.time_limit:
+        raise DomainError(f"time {top} is past the closed form's limit |n| <= {kind.time_limit}, "
+                          f"where {kind.time_why}")
 
 
 def orbit_coords(system: System, x0, n) -> np.ndarray:
-    """Float coordinates of T^n x0 for an arbitrary int64 vector of times n.
+    """Float coordinates of T^n x0 for an int64 vector of times n.
 
-    Rotation and skew use compensated closed forms, declared for |n| <= 2**53
-    and |n| <= 2**27 - 1 (`DomainError` past it). Automorphism times must
-    form an arithmetic progression (detected), walked by baby-step/giant-step
-    in about 2*sqrt(N) exact 2x2 steps plus one broadcast mat-vec: int64
-    while 2(q-1)**2 < 2**63, exact Python integers above that bound.
+    The system checks the times against its declared domain (`DomainError`
+    past it) and the point, then evaluates its closed form. Automorphism
+    times must form an arithmetic progression (detected).
     """
+    system = _check_system(system)
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
     check_times(n, system)
-    if isinstance(system, RotationTorus):
-        x = _check_point(system, x0)
-        nf = n.astype(np.float64)
-        cols = [
-            frac_combine(products=[(nf, a)], terms=[x[i]])
-            for i, a in enumerate(system.alpha_floats)
-        ]
-        return np.stack(cols, axis=-1)
-    if isinstance(system, AnzaiSkew):
-        x, y = _check_point(system, x0)
-        a = system.alpha_float
-        nf = n.astype(np.float64)
-        mf = ((n * (n - 1)) // 2).astype(np.float64)
-        xs = frac_combine(products=[(nf, a)], terms=[x])
-        ys = frac_combine(products=[(nf, x), (mf, a)], terms=[y])
-        return np.stack([xs, ys], axis=-1)
-    if isinstance(system, ToralAutomorphism):
-        steps = np.diff(n)
-        if steps.size and not (steps == steps[0]).all():
-            raise ValueError("automorphism orbit times must be an arithmetic progression")
-        start = int(n[0]) if n.size else 0
-        step = int(steps[0]) if steps.size else 1
-        return lattice_orbit(system, x0, start, step, n.size) / system.modulus
-    raise UnsupportedSystemError(f"unknown system kind {type(system).__name__}")
+    return system.coords(system.check_point(x0), n)
 
 
 def orbit_point(system: System, x0, n: int):
@@ -404,33 +433,13 @@ def integrate_observable(obs: Observable) -> complex:
     return obs.coefficient((0,) * obs.dimension)
 
 
-# ---------------------------------------------------------------------------
-# model characteristic-factor projections
-# ---------------------------------------------------------------------------
-
-
 def project_Zk(system: System, obs: Observable, k: int) -> Observable:
-    """Conditional expectation onto the order-k characteristic factor.
-
-    Fixed table for the three model kinds: rotations are their own order-1
-    factor (so nothing is removed at any k); hyperbolic automorphisms have
-    trivial factors at every order (only the mean survives); the skew product
-    keeps the base-coordinate terms at k = 1 and everything at k >= 2.
-    """
+    """Conditional expectation onto the order-k characteristic factor, as the
+    system declares it: rotations keep everything, the skew keeps the base
+    terms at k = 1 and everything from k = 2, automorphisms keep the mean."""
     if k < 1:
         raise ValueError("factor order k must be >= 1")
-    if isinstance(system, RotationTorus):
-        return obs
-    if isinstance(system, ToralAutomorphism):
-        c = integrate_observable(obs)
-        terms = (((0, 0), c),) if c != 0 else ()
-        return Observable(obs.dimension, terms)
-    if isinstance(system, AnzaiSkew):
-        if k >= 2:
-            return obs
-        kept = tuple((f, c) for f, c in obs.terms if f[1] == 0)
-        return Observable(obs.dimension, kept)
-    raise UnsupportedSystemError(f"unknown system kind {type(system).__name__}")
+    return _check_system(system).project_Zk(obs, k)
 
 
 def zk_complement(system: System, obs: Observable, k: int) -> Observable:

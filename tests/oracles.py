@@ -313,3 +313,11 @@ def frac_combine(products=(), terms=()):
     for t in terms:
         total = total + frac(t)
     return frac(total)
+
+
+def rotation_coords(alpha, x0, n):
+    """Rotation coordinates frac(x_i + n alpha_i) in the frac_combine form: the split
+    of n alpha_i plus x_i, which the rotation evaluated while its times stopped at 2^53."""
+    nf = np.asarray(n, dtype=np.int64).astype(np.float64)
+    return np.stack([frac_combine([(nf, float(a))], [float(x)]) for a, x in zip(alpha, x0)],
+                    axis=-1)

@@ -14,6 +14,7 @@ from ergonil import (
     HeisenbergElement,
     HeisenbergNilseq,
     InvalidExponentsError,
+    OrbitWeight,
     PolynomialPhase,
     Product,
     RotationTorus,
@@ -22,7 +23,6 @@ from ergonil import (
     ThetaType,
     ToralAutomorphism,
     TorusChar,
-    TorusNilseq,
     birkhoff_avg,
     cesaro_nilseq,
     constant_observable,
@@ -506,7 +506,7 @@ _HEIS = HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1)
 _F1 = observable([((0, 0), -0.1), ((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
 _F2 = observable([((1, 1), 0.6), ((0, 1), 0.4j), ((3, -2), 0.1)])
 _E = observable([((0,), 0.4), ((1,), 0.6), ((3,), 0.1j)])
-_TORUS_W = TorusNilseq((PHI, SQRT2M1), _F2, (0.1, 0.7))
+_TORUS_W = OrbitWeight(RotationTorus((PHI, SQRT2M1)), _F2, (0.1, 0.7))
 SPLIT_CASES = {
     "poly_degree6": (None, None, dict(obs1=None, weight=PolynomialPhase(
         (0.1, PHI, 0.2, 0.3, SQRT2M1, 0.4, 0.123456789))), (1 << 62)),
@@ -569,7 +569,10 @@ class TestOrbitTermBlocks:
         # or length in the last block still raises
         rot = RotationTorus((PHI,))
         n = np.arange(3 * B, dtype=np.int64)
-        n[-1] = 1 << 52
+        n[-1] = 1 << 52  # 4 n = 2^54 lies inside the rotation's int64 times, exactly
+        got = orbit_terms(rot, (0.2,), n, E1, 4)[-1]
+        assert abs(got - oracles.unit(float(oracles.exact_rotation(PHI, 0.2, 1 << 54)))) < 1e-12
+        n[-1] = 1 << 61  # 4 n = 2^63 is past int64: it would wrap
         with pytest.raises(DomainError):
             orbit_terms(rot, (0.2,), n, E1, 4)
         with pytest.raises(SequenceTooShortError):

@@ -2,6 +2,7 @@
 determinism, CLI subcommands and exit codes."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from ergonil.harness import (
     run_experiment,
 )
 from ergonil.seminorms import coupled_box_size
+
+import oracles
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -203,11 +206,11 @@ class TestConfigParsing:
 
     def test_fraction_string_declares_rational(self):
         cfg = config_from_dict(ww_config(system={"kind": "rotation_torus", "alpha": ["1/3"]}))
-        assert cfg.system.is_rational() == (True,)
+        assert cfg.system.rational_angles == (Fraction(1, 3),)
 
     def test_decimal_literal_stays_irrational(self):
         cfg = config_from_dict(ww_config())
-        assert cfg.system.is_rational() == (False,)
+        assert cfg.system.rational_angles == (None,)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="list-experiments"):
@@ -622,6 +625,21 @@ class TestCli:
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.count("config error: weight: width must lie in") == 2
 
+    @pytest.mark.parametrize("over", [{"alpha": [1.3]}, {"alpha": [-0.1]}, {"base": [1.0]},
+                                      {"base": [-0.5]}])
+    def test_torus_nilseq_outside_unit_interval_exits_2(self, over, tmp_path, capsys):
+        # alpha and base are a rotation's angle and start point, which lie in [0, 1)
+        weight = {"kind": "torus_nilseq", "alpha": [PHI], "base": [0.1],
+                  "observable": {"terms": [[[1], 1.0]]}}
+        doc = {"experiment": "cesaro_nilseq", "schedule": [16], "weight": weight}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        p.write_text(json.dumps(dict(doc, weight=dict(weight, **over))))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error: weight: ") == 2
+
     @pytest.mark.parametrize("over, field", [
         ({"system_s": {"kind": "anzai_skew", "alpha": 0.3}}, "system_s"),
         ({"g_list": [{"terms": [[[1, 0], 1.0]]}]}, "g_list"),
@@ -702,7 +720,8 @@ class TestCli:
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
 
     def test_run_exponent_past_rotation_domain_exit_3(self, tmp_path, capsys):
-        # a * n = 2^53 + 1 at n = 1 is not a float: the rotation's time domain ends at 2^53
+        # the rotation's times are int64: a * n = 2^53 + 1 at n = 1 is exact, and
+        # a * 16 = 2^63 at N = 16 would wrap, so that run exits 3
         doc = {
             "experiment": "double_avg",
             "system": {"kind": "rotation_torus", "alpha": [PHI]},
@@ -716,7 +735,14 @@ class TestCli:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert cli_main(["validate", "--config", str(p)]) == 0
-        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        row = (tmp_path / "out" / "double_avg.csv").read_text().splitlines()[1].split(",")
+        want = np.mean(oracles.unit([float(oracles.exact_rotation(PHI, 0.2, doc["a"] * n)
+                                           + oracles.exact_rotation(PHI, 0.2, n)) for n in range(1, 17)]))
+        assert abs(complex(float(row[2]), float(row[3])) - want) < 1e-12
+        p.write_text(json.dumps(dict(doc, a=1 << 59)))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out2")]) == 3
         assert "limit" in capsys.readouterr().err
 
     def test_run_skew_past_domain_exit_3(self, tmp_path, capsys):

@@ -3,34 +3,38 @@ evaluators, products, tables, Cesaro averaging."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ergonil import (
+    AnzaiSkew,
     HeisenbergElement,
     HeisenbergNilseq,
+    OrbitWeight,
     PolynomialPhase,
     Product,
+    RotationTorus,
     Scaled,
     SequenceTooShortError,
     Table,
     ThetaType,
+    ToralAutomorphism,
     TorusChar,
-    TorusNilseq,
     cesaro_nilseq,
     check_gamma_invariance,
     constant_weight,
-    eval_weight,
     heisenberg_pow,
     observable,
-    product_weight,
     reduce_fundamental,
     table_from_csv,
     weight_samples,
 )
-from ergonil.errors import ConfigError, DomainError
-from ergonil.nilseq import THETA_TAIL, THETA_WIDTH_RANGE
+from ergonil.averages import orbit_terms
+from ergonil.errors import ConfigError, DimensionMismatchError, DomainError, UnsupportedSystemError
+from ergonil.harness import build_weight
+from ergonil.nilseq import THETA_TAIL, THETA_WIDTH_RANGE, WeightSequence
 
 import oracles
 
@@ -252,7 +256,7 @@ class TestWeights:
     def test_constant_polynomial_phase(self):
         w = PolynomialPhase((0.0,))
         assert (w.eval_many(np.arange(10)) == 1.0).all()
-        assert eval_weight(w, 7) == 1.0
+        assert w.eval(7) == 1.0
 
     def test_half_turn_phase(self):
         w = PolynomialPhase((0.0, 0.5))
@@ -303,7 +307,7 @@ class TestWeights:
 
     def test_torus_nilseq(self):
         func = observable([((1,), 0.5), ((0,), 0.5)])
-        w = TorusNilseq((PHI,), func, (0.25,))
+        w = OrbitWeight(RotationTorus((PHI,)), func, (0.25,))
         n = np.arange(100)
         want = 0.5 + 0.5 * oracles.unit([oracles.exact_phase((0.25, PHI), int(m)) for m in n])
         assert np.abs(w.eval_many(n) - want).max() < 1e-14
@@ -313,7 +317,7 @@ class TestWeights:
         # n alpha for n past 2^53: the time itself is no longer a float
         func = observable([((1, 0), 1.0), ((0, 1), 0.5j)])
         alpha, base = (PHI, SQRT2M1), (0.25, 0.1)
-        w = TorusNilseq(alpha, func, base)
+        w = OrbitWeight(RotationTorus(alpha), func, base)
         n = np.array([(1 << 53) + 1, (1 << 60) + 3, -(1 << 60) - 3], dtype=np.int64)
         want = (oracles.unit([oracles.exact_phase((base[0], alpha[0]), int(m)) for m in n])
                 + 0.5j * oracles.unit([oracles.exact_phase((base[1], alpha[1]), int(m)) for m in n]))
@@ -322,20 +326,20 @@ class TestWeights:
     def test_product_is_pointwise_product(self):
         w1 = PolynomialPhase((0.0, 0.3))
         w2 = PolynomialPhase((0.1, 0.0, 0.2))
-        prod = product_weight(w1, w2)
+        prod = Product(w1, w2)
         n = np.arange(1000)
         assert (prod.eval_many(n) == w1.eval_many(n) * w2.eval_many(n)).all()
         assert prod.bound == w1.bound * w2.bound
 
     def test_product_with_one_is_identity(self):
         w = PolynomialPhase((0.0, 0.0, PHI))
-        prod = product_weight(w, constant_weight(1.0))
+        prod = Product(w, constant_weight(1.0))
         n = np.arange(1000)
         assert np.abs(prod.eval_many(n) - w.eval_many(n)).max() == 0.0
 
     def test_phase_products_add_exponents(self):
         t1, t2 = 0.3, 0.4512
-        prod = product_weight(PolynomialPhase((0.0, t1)), PolynomialPhase((0.0, t2)))
+        prod = Product(PolynomialPhase((0.0, t1)), PolynomialPhase((0.0, t2)))
         direct = PolynomialPhase((0.0, t1 + t2))
         n = np.arange(1000)
         assert np.abs(prod.eval_many(n) - direct.eval_many(n)).max() < 1e-12
@@ -351,7 +355,7 @@ class TestWeights:
     def test_bounds_hold_everywhere(self):
         seqs = [
             PolynomialPhase((0.1, 0.2, 0.3)),
-            TorusNilseq((PHI,), observable([((1,), 0.7), ((2,), 0.3j)]), (0.0,)),
+            OrbitWeight(RotationTorus((PHI,)), observable([((1,), 0.7), ((2,), 0.3j)]), (0.0,)),
             HeisenbergNilseq(HeisenbergElement(PHI, 0.3, 0.1), HeisenbergElement.identity(),
                              ThetaType(2)),
             Scaled(2.0j, PolynomialPhase((0.0, 0.25))),
@@ -360,6 +364,81 @@ class TestWeights:
         n = np.arange(2000)
         for w in seqs:
             assert np.abs(w.eval_many(n)).max() <= w.bound + 1e-12
+
+
+class _LeftView(WeightSequence):
+    """A weight whose values come back as a view into a larger fresh buffer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def eval_many(self, n):
+        buf = np.empty(len(n) + 1, dtype=np.complex128)
+        buf[1:] = self.inner.eval_many(n)
+        return buf[1:]
+
+
+class TestProductOrder:
+    @pytest.mark.parametrize("size", [1, 5, 1 << 14, (1 << 15) + 3])
+    def test_left_view_keeps_operand_order(self, size):
+        # from 2^14 elements numpy elides `view * temporary` into `temporary *= view`,
+        # and with FMA the swapped complex product rounds differently in about a third
+        # of the elements; the product stays left * right
+        left, right = PolynomialPhase((0.1, PHI, 0.3)), PolynomialPhase((0.2, SQRT2M1, 0.7))
+        n = np.arange(size, dtype=np.int64)
+        want = np.multiply(left.eval_many(n), right.eval_many(n))
+        got = Product(_LeftView(left), right).eval_many(n)
+        assert got.tobytes() == want.tobytes()
+        assert Product(left, right).eval_many(n).tobytes() == want.tobytes()
+
+
+# (system, base point, F): one case per system kind
+_ORBIT_CASES = {
+    "rotation": (RotationTorus((PHI, SQRT2M1)), (0.2, 0.7),
+                 observable([((1, 1), 0.6), ((0, 1), 0.4j), ((3, -2), 0.1), ((0, 0), -0.1)])),
+    "skew": (AnzaiSkew(PHI), (0.2, 0.3),
+             observable([((0, 1), 1.0), ((1, 0), 0.2 + 0.3j), ((2, -1), 0.5j)])),
+    "cat": (ToralAutomorphism(((2, 1), (1, 1))), (3, 5),
+            observable([((1, 0), 0.5), ((1, 2), 0.25j), ((0, 0), 0.125)])),
+}
+# arithmetic progressions, so the lattice takes them too
+_ORBIT_TIMES = {
+    "long": np.arange((1 << 15) + 2, dtype=np.int64),
+    "negative": np.arange(40, -20000, -3, dtype=np.int64),
+    "one": np.array([-7], dtype=np.int64),
+}
+
+
+class TestOrbitWeight:
+    @pytest.mark.parametrize("times", list(_ORBIT_TIMES))
+    @pytest.mark.parametrize("kind", list(_ORBIT_CASES))
+    def test_equals_the_orbit_terms(self, kind, times):
+        system, y, F = _ORBIT_CASES[kind]
+        n = _ORBIT_TIMES[times]
+        want = orbit_terms(system, y, n, F)
+        w = OrbitWeight(system, F, y)
+        assert orbit_terms(None, None, n, None, weight=w).tobytes() == want.tobytes()
+        assert w.eval_many(n).tobytes() == want.tobytes()
+        assert w.bound == F.bound and w.error_budget == 0.0 and w.length is None
+
+    def test_torus_nilseq_config_builds_a_rotation_orbit(self):
+        spec = {"kind": "torus_nilseq", "alpha": [PHI, SQRT2M1], "base": [0.1, 0.7],
+                "observable": {"terms": [[[1, 1], 0.6], [[0, 1], [0.0, 0.4]]]}}
+        w = build_weight(spec, "weight", Path("."))
+        assert w == OrbitWeight(RotationTorus((PHI, SQRT2M1)), w.func, (0.1, 0.7))
+
+    @pytest.mark.parametrize("kind", list(_ORBIT_CASES))
+    def test_the_system_checks_the_base(self, kind):
+        system, y, F = _ORBIT_CASES[kind]
+        bad = (1.5, 0.2) if kind != "cat" else (3.7, 5)
+        with pytest.raises(ValueError):
+            OrbitWeight(system, F, bad)
+        with pytest.raises(DimensionMismatchError):
+            OrbitWeight(system, F, y[:1])
+        with pytest.raises(DimensionMismatchError):
+            OrbitWeight(system, observable([((1,), 1.0)]), y)
+        with pytest.raises(UnsupportedSystemError):
+            OrbitWeight(None, F, y)
 
 
 class _Coordinates:

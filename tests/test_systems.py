@@ -18,15 +18,18 @@ from ergonil import (
     constant_observable,
     eval_observable,
     integrate_observable,
+    invariant_conditional_expectation,
     observable,
     orbit_coords,
     orbit_point,
     project_Zk,
     zk_complement,
 )
+from ergonil.errors import UnsupportedSystemError
 from ergonil.numerics import is_prime
 from ergonil.averages import orbit_terms
-from ergonil.systems import SKEW_MAX_TIME, eval_observable_many, lattice_orbit, mat_pow_mod
+from ergonil.systems import (INT64_MAX, SKEW_MAX_TIME, check_times, eval_observable_many,
+                             lattice_orbit, mat_pow_mod)
 
 import oracles
 
@@ -264,8 +267,17 @@ class TestExponentDomain:
     @pytest.mark.parametrize("e, n", [((1 << 53) + 1, [1]), ((1 << 50) + 1, [1, 8]),
                                       (-(1 << 50), [9]), (1 << 62, [4])])
     def test_rotation_past_limit_raises(self, e, n):
-        with pytest.raises(DomainError, match="limit"):
-            orbit_terms(RotationTorus((PHI,)), (0.1,), np.array(n, np.int64), self.E1, e)
+        # the rotation's times are int64: e * n is exact up to |e| max|n| = 2^63 - 1
+        # (these cases were past the 2^53 limit of an earlier closed form) and raises past it
+        rot, times = RotationTorus((PHI,)), np.array(n, np.int64)
+        sign, top = (1 if e > 0 else -1), max(map(abs, n))
+        for e_in in ((e,) if abs(e) * top <= INT64_MAX else ()) + (sign * (INT64_MAX // top),):
+            got = orbit_terms(rot, (0.1,), times, self.E1, e_in)
+            want = oracles.unit([float(oracles.exact_rotation(PHI, 0.1, e_in * m)) for m in n])
+            assert np.abs(got - want).max() < 1e-12
+        for e_past in ((e,) if abs(e) * top > INT64_MAX else ()) + (sign * (INT64_MAX // top + 1),):
+            with pytest.raises(DomainError, match="limit"):
+                orbit_terms(rot, (0.1,), times, self.E1, e_past)
 
     def test_skew_exponent_limits(self):
         got = orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array([1]), self.SKEW_Y, SKEW_MAX_TIME)
@@ -380,3 +392,64 @@ class TestProjectionTable:
         comp = zk_complement(anz, obs, 1)
         assert comp.terms == (((0, 1), 0.5),)
         assert zk_complement(anz, obs, 2).terms == ()
+
+
+class TestSystemChecks:
+    class NotASystem:
+        dimension = 1
+        alpha = (0.25,)
+
+    @pytest.mark.parametrize("obj", [None, NotASystem(), (PHI,)], ids=["none", "lookalike", "tuple"])
+    def test_non_system_is_unsupported(self, obj):
+        obs, n = observable([((1,), 1.0)]), np.arange(4)
+        calls = [lambda: orbit_coords(obj, (0.1,), n), lambda: orbit_point(obj, (0.1,), 1),
+                 lambda: project_Zk(obj, obs, 1),
+                 lambda: invariant_conditional_expectation(obj, obs, 1)]
+        if obj is not None:  # without a system, check_times takes int64 times
+            calls.append(lambda: check_times(n, obj))
+        for call in calls:
+            with pytest.raises(UnsupportedSystemError):
+                call()
+
+    @pytest.mark.parametrize("x0", [(3.7, 5), (3.0, 5), (True, 5), (5, np.nan), (np.float64(3), 5)])
+    def test_lattice_point_must_be_integers(self, x0):
+        # truncating a float or counting a bool as 1 would start the orbit elsewhere
+        cat = ToralAutomorphism(CAT, modulus=101)
+        for call in (lambda: orbit_coords(cat, x0, np.arange(4)), lambda: orbit_point(cat, x0, 2),
+                     lambda: lattice_orbit(cat, x0, 0, 1, 4)):
+            with pytest.raises(ValueError, match="integers"):
+                call()
+
+    def test_lattice_point_takes_numpy_integers(self):
+        cat = ToralAutomorphism(CAT, modulus=101)
+        got = orbit_coords(cat, np.array([3, 106]), np.arange(5))
+        np.testing.assert_array_equal(got, orbit_coords(cat, (3, 5), np.arange(5)))
+        assert orbit_point(cat, (np.int32(3), 5), 2) == oracles.iterate_cat(CAT, 101, (3, 5), 2)
+
+
+class TestRotationClosedForm:
+    """Each rotation coordinate is frac_poly((x_i, alpha_i), n), exact for every int64 time."""
+
+    angles = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=angles, data=st.data())
+    def test_bit_equal_to_the_frac_combine_form_up_to_2_53(self, alpha, data):
+        x0 = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=len(alpha),
+                                max_size=len(alpha)))
+        n = np.array(data.draw(st.lists(st.integers(-(1 << 53), 1 << 53), max_size=8)), np.int64)
+        got = orbit_coords(RotationTorus(alpha), x0, n)
+        assert got.tobytes() == oracles.rotation_coords(alpha, x0, n).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=angles, data=st.data())
+    def test_exact_for_every_int64_time(self, alpha, data):
+        x0 = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=len(alpha),
+                                max_size=len(alpha)))
+        times = data.draw(st.lists(st.integers(-INT64_MAX, INT64_MAX) | st.sampled_from(
+            [INT64_MAX, -INT64_MAX, (1 << 53) + 1, -(1 << 53) - 1]), min_size=1, max_size=6))
+        got = orbit_coords(RotationTorus(alpha), x0, np.array(times, np.int64))
+        want = np.array([[float(oracles.exact_rotation(a, x, m)) for a, x in zip(alpha, x0)]
+                         for m in times])
+        diff = np.abs(got - want)
+        assert np.minimum(diff, 1.0 - diff).max() < 1e-12
