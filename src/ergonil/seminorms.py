@@ -33,6 +33,17 @@ otherwise the running product does. Each product is written as
 np.multiply(x, y, out=buf), since numpy's temporary elision swaps operands
 on arrays of 2^14 or more elements and a complex multiply rounds the two
 orders differently. Products go into buffers allocated once per call.
+
+Row blocks: each level is conjugated once when it is built, and for fixed
+leading offsets the last offset runs over a (rows, reach) block whose rows
+are windows of the conjugated level times the level, with rows set by
+`_BLOCK_BYTES` (1 at large N). Cumsums run along the rows and
+`pairwise_sum` of the block's transpose sums each row as it would alone, so
+the bits do not depend on the block size. The window mean divides by H as a
+multiply of the float64 view by 1/H: numpy divides a complex array by a
+real as (re + 0 im) (1/H), which for finite entries has the same bits. Each
+row's mean is v / N with v the numpy complex128 sum, as in `pairwise_mean`
+(complex(v) / N rounds differently).
 """
 
 from __future__ import annotations
@@ -44,13 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averages import _times, _weighted, orbit_terms, prefix_means
-from .errors import SequenceTooShortError
+from .errors import DomainError, SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
 from .report import ConvergenceReport, SeminormEstimate, check_schedule, make_report
 from .systems import Observable, System, zk_complement
 
 MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
+_BLOCK_BYTES = 1 << 19  # one block of box products; a box walk peaks at about four blocks
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,8 @@ def _as_sequence(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise DomainError("sequence entries must be finite")
     return arr
 
 
@@ -117,39 +131,78 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
     return CorrelationBox(k, h, N, complex(pairwise_mean(prod)))
 
 
-def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
-    """Sum of leaf(D_h) over h in {1..H}^depth, D_h[:reach] the order-depth cube product
-    D_h[n] = D'[n] conj(D'[n + h_depth]) of seq (D' the product at the leading offsets).
+def _block_rows(reach: int, H: int) -> int:
+    """Rows of one (rows, reach) block of box products: as many as `_BLOCK_BYTES` holds, at
+    least 1 and at most the H values the last offset takes."""
+    return max(1, min(H, _BLOCK_BYTES // (16 * reach)))
 
-    D_h is symmetric in h, so only h_1 <= ... <= h_depth are visited, each weighted
-    by depth!/prod(run length!). Level j writes into one buffer of reach + (depth-1-j) H
-    entries, what the next level reads, and is redone only when h_j changes.
+
+def _multiplicity(h: tuple[int, ...]) -> int:
+    """How many offset vectors sort to h: len(h)! / prod(run length!)."""
+    return math.factorial(len(h)) // math.prod(math.factorial(h.count(v)) for v in set(h))
+
+
+def _row_blocks(seq: np.ndarray, depth: int, H: int, reach: int):
+    """Yield (offset tuples, block) for h_1 <= ... <= h_depth in {1..H}, where block row r is
+    D_h[:reach] for the r-th tuple, D_h[n] = D'[n] conj(D'[n + h_depth]) the order-depth cube
+    product of seq (D' the product at the leading offsets).
+
+    Level j (1 <= j < depth) writes into one buffer of reach + (depth-j) H entries, what the
+    next level reads, and is redone with its conjugate only when h_j changes. For fixed leading
+    offsets the last offset runs in blocks of rows, each row a window of the conjugated level
+    times the level itself. Blocks are views of one buffer, overwritten by the next block.
     """
-    bufs = [np.empty(reach + (depth - 1 - j) * H, dtype=np.complex128) for j in range(depth)]
+    if depth == 0:
+        yield [()], seq[None, :reach]
+        return
+    levels = [seq] + [np.empty(reach + (depth - j) * H, dtype=np.complex128)
+                      for j in range(1, depth)]
+    conj = [np.conjugate(seq)] + [np.empty_like(v) for v in levels[1:]]
+    rows = _block_rows(reach, H)
+    block = np.empty((rows, reach), dtype=np.complex128)
+    last = (0,) * (depth - 1)
+    for lead in itertools.combinations_with_replacement(range(1, H + 1), depth - 1):
+        changed = next((j for j in range(depth - 1) if lead[j] != last[j]), depth - 1)
+        for j in range(changed, depth - 1):
+            m = levels[j + 1].size
+            np.multiply(conj[j][lead[j] : lead[j] + m], levels[j][:m], out=levels[j + 1])
+            np.conjugate(levels[j + 1], out=conj[j + 1])
+        last = lead
+        windows = np.lib.stride_tricks.sliding_window_view(conj[-1], reach)
+        for lo in range(lead[-1] if lead else 1, H + 1, rows):
+            hi = min(lo + rows, H + 1)
+            np.multiply(windows[lo:hi], levels[-1][:reach], out=block[: hi - lo])
+            yield [lead + (h,) for h in range(lo, hi)], block[: hi - lo]
+
+
+def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
+    """Sum of leaf(D_h) over h in {1..H}^depth, D_h[:reach] the order-depth cube product of
+    seq (`_row_blocks`). D_h is symmetric in h, so only sorted h are visited, each weighted by
+    its multiplicity, in the order of `itertools.combinations_with_replacement`. leaf maps a
+    block of rows D_h to one value per row."""
     total = 0.0
-    last = (0,) * depth
-    for h in itertools.combinations_with_replacement(range(1, H + 1), depth):
-        changed = next((j for j in range(depth) if h[j] != last[j]), depth)
-        for j in range(changed, depth):
-            prev, buf, m = bufs[j - 1] if j else seq, bufs[j], bufs[j].size
-            np.multiply(np.conjugate(prev[h[j] : h[j] + m], out=buf), prev[:m], out=buf)
-        runs = math.prod(math.factorial(h.count(v)) for v in set(h))
-        total += math.factorial(depth) // runs * leaf(bufs[-1] if depth else seq)
-        last = h
+    for hs, block in _row_blocks(seq, depth, H, reach):
+        for h, value in zip(hs, leaf(block)):
+            total += _multiplicity(h) * value
     return total
 
 
 def _window_mean_leaf(N: int, H: int):
     """leaf(d) = (1/H) sum_{h=1..H} (1/N) sum_n d_n conj(d_{n+h})
-               = (1/N) sum_n d_n conj(mean of d over (n, n+H]), by one cumsum of N + H entries."""
-    cs = np.zeros(N + H + 1, dtype=np.complex128)  # cs[0] stays 0
-    window = np.empty(N, dtype=np.complex128)
+               = (1/N) sum_n d_n conj(mean of d over (n, n+H]), by one cumsum of N + H
+    entries, for every row d of a block."""
+    rows = _block_rows(N + H, H)
+    cs = np.empty((rows, N + H), dtype=np.complex128)
+    window = np.empty((rows, N), dtype=np.complex128)
+    inv = 1.0 / H
 
     def leaf(d):
-        np.cumsum(d[: N + H], out=cs[1:])
-        np.divide(np.subtract(cs[1 + H :], cs[1 : N + 1], out=window), H, out=window)
-        np.multiply(np.conjugate(window, out=window), d[:N], out=window)
-        return complex(pairwise_mean(window))
+        c, w = cs[: len(d)], window[: len(d)]
+        np.cumsum(d, axis=1, out=c)
+        np.subtract(c[:, H:], c[:, :N], out=w)
+        np.multiply(w.view(np.float64), inv, out=w.view(np.float64))  # w / H, same bits
+        np.multiply(np.conjugate(w, out=w), d[:, :N], out=w)
+        return [complex(v / N) for v in pairwise_sum(w.T)]
 
     return leaf
 
@@ -181,7 +234,8 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int) ->
     _check_order(k)
     _check_box(H)
     u = orbit_terms(system, x0, _times(N + (k - 1) * H, first=0), obs)
-    total = _sorted_offset_sum(u, k - 1, H, N, lambda d: abs(pairwise_mean(d[:N])) ** 2)
+    total = _sorted_offset_sum(
+        u, k - 1, H, N, lambda d: [abs(v / N) ** 2 for v in pairwise_sum(d[:, :N].T)])
     avg = float(total / H ** (k - 1))
     return SeminormEstimate("ghk_function", k, H, N, avg ** (1.0 / (1 << k)), False, avg)
 

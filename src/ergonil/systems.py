@@ -398,7 +398,8 @@ def orbit_point(system: System, x0, n: int):
 
 
 def eval_observable(obs: Observable, x) -> complex:
-    """Evaluate at one point; lattice residue pairs are accepted as ints."""
+    """Evaluate at one point x of the torus, taken mod 1. A lattice residue pair p of
+    modulus q (what `orbit_point` returns for a `ToralAutomorphism`) is the point p / q."""
     coords = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if coords.shape[1] != obs.dimension:
         raise DimensionMismatchError(

@@ -321,3 +321,68 @@ def rotation_coords(alpha, x0, n):
     nf = np.asarray(n, dtype=np.int64).astype(np.float64)
     return np.stack([frac_combine([(nf, float(a))], [float(x)]) for a, x in zip(alpha, x0)],
                     axis=-1)
+
+
+# Reference box walk: the one-offset-tuple-at-a-time form that `ergonil.seminorms` had
+# before it walked the last offset in row blocks, kept unchanged (with the library's fixed
+# pairwise tree) so the blocked walk can be pinned bit for bit.
+
+
+def pairwise_tree_mean(x) -> np.complex128:
+    """Mean by the adjacent-pair tree of `ergonil.numerics.pairwise_sum`."""
+    x = np.asarray(x)
+    size = x.size
+    while len(x) > 1:
+        m = len(x) // 2
+        y = x[0 : 2 * m : 2] + x[1 : 2 * m : 2]
+        if len(x) % 2:
+            y = np.concatenate([y, x[2 * m :]])
+        x = y
+    return x[0] / size
+
+
+def sorted_offset_sum(seq, depth: int, H: int, reach: int, leaf):
+    """Sum of leaf(D_h) over sorted h in {1..H}^depth, one offset tuple at a time."""
+    bufs = [np.empty(reach + (depth - 1 - j) * H, dtype=np.complex128) for j in range(depth)]
+    total = 0.0
+    last = (0,) * depth
+    for h in itertools.combinations_with_replacement(range(1, H + 1), depth):
+        changed = next((j for j in range(depth) if h[j] != last[j]), depth)
+        for j in range(changed, depth):
+            prev, buf, m = bufs[j - 1] if j else seq, bufs[j], bufs[j].size
+            np.multiply(np.conjugate(prev[h[j] : h[j] + m], out=buf), prev[:m], out=buf)
+        runs = math.prod(math.factorial(h.count(v)) for v in set(h))
+        total += math.factorial(depth) // runs * leaf(bufs[-1] if depth else seq)
+        last = h
+    return total
+
+
+def window_mean_leaf(N: int, H: int):
+    """leaf(d) = (1/N) sum_n d_n conj(mean of d over (n, n+H]), by one cumsum."""
+    cs = np.zeros(N + H + 1, dtype=np.complex128)
+    window = np.empty(N, dtype=np.complex128)
+
+    def leaf(d):
+        np.cumsum(d[: N + H], out=cs[1:])
+        np.divide(np.subtract(cs[1 + H :], cs[1 : N + 1], out=window), H, out=window)
+        np.multiply(np.conjugate(window, out=window), d[:N], out=window)
+        return complex(pairwise_tree_mean(window))
+
+    return leaf
+
+
+def local_seminorm_walk(a, k: int, H: int, N: int):
+    """(value, pre-root average, clamped) of `local_seminorm` by the reference walk."""
+    a = np.asarray(a, dtype=np.complex128)
+    total = sorted_offset_sum(a[: N + k * H], k - 1, H, N + H, window_mean_leaf(N, H))
+    avg = (total / H ** (k - 1)).real
+    clamped = avg < 0.0
+    return (0.0 if clamped else float(avg) ** (1.0 / (1 << k))), float(avg), clamped
+
+
+def ghk_seminorm_walk(u, k: int, H: int, N: int):
+    """(value, pre-root average, clamped) of `ghk_seminorm` on orbit samples u by the
+    reference walk."""
+    total = sorted_offset_sum(u, k - 1, H, N, lambda d: abs(pairwise_tree_mean(d[:N])) ** 2)
+    avg = float(total / H ** (k - 1))
+    return avg ** (1.0 / (1 << k)), avg, False

@@ -2,12 +2,16 @@
 orbit seminorm, the van der Corput checker, cube averages, and the paired
 seminorm/average experiment."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ergonil import (
     AnzaiSkew,
+    DomainError,
     PolynomialPhase,
     RotationTorus,
     Scaled,
@@ -25,6 +29,7 @@ from ergonil import (
     zk_complement,
 )
 from ergonil.averages import _BLOCK, orbit_terms, prefix_means
+from ergonil import seminorms
 from ergonil.seminorms import coupled_box_size
 
 import oracles
@@ -212,6 +217,96 @@ class TestGhkSeminorm:
         l1 = ghk_seminorm(rot, obs, (0.1,), 1, 32, 4096).value
         l2 = ghk_seminorm(rot, obs, (0.1,), 2, 32, 4096).value
         assert l1 <= l2 + 1e-12
+
+
+def _bits(*values):
+    """Values as their reprs, so -0.0 and 0.0 differ."""
+    return tuple(repr(v) for v in values)
+
+
+def _sequence(kind: str, length: int, scale: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "unit":
+        return np.exp(2j * np.pi * rng.random(length))
+    a = (rng.normal(size=length) + 1j * rng.normal(size=length)) * 2.0**scale
+    if kind == "zeros":  # exact zeros, from isolated ones to whole runs
+        a[rng.random(length) < rng.random()] = 0
+    return a
+
+
+_MAX_H = (24, 24, 10, 5)  # per order k, so one example walks at most C(H+k-2, k-1) <= 55 tuples
+
+
+class TestBlockedWalk:
+    """The walk sums the last offset in blocks of rows; its bits match the one-tuple-at-a-time
+    reference walk for any block size: one row per block, part of the H offsets with a partial
+    last block, or all of them in one block."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 4), H=st.integers(1, 24), extra=st.integers(0, 48),
+           rows=st.integers(1, 25), kind=st.sampled_from(("unit", "gauss", "zeros")),
+           scale=st.integers(-60, 60), seed=st.integers(0, 2**32 - 1))
+    @example(k=3, H=8, extra=0, rows=1, kind="unit", scale=0, seed=1)
+    @example(k=2, H=10, extra=3, rows=4, kind="zeros", scale=0, seed=2)
+    @example(k=2, H=9, extra=7, rows=10, kind="gauss", scale=0, seed=3)
+    @example(k=4, H=5, extra=1, rows=2, kind="zeros", scale=-3, seed=4)
+    def test_local_seminorm_matches_reference_walk(self, k, H, extra, rows, kind, scale, seed):
+        H = min(H, _MAX_H[k - 1])
+        N = H * H + extra
+        a = _sequence(kind, N + k * H + seed % 3, scale, seed)
+        with mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * (N + H) * min(rows, H + 1)):
+            est = local_seminorm(a, k, H, N)
+        want = oracles.local_seminorm_walk(a, k, H, N)
+        assert _bits(est.value, est.pre_root_average, est.clamped) == _bits(*want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), H=st.integers(1, 24), N=st.integers(1, 300),
+           rows=st.integers(1, 25), coefficient=st.sampled_from((0.0, 1.0, 0.5 - 0.25j)),
+           alpha=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    @example(k=3, H=6, N=40, rows=1, coefficient=1.0, alpha=PHI, seed=1)
+    @example(k=2, H=10, N=50, rows=4, coefficient=0.5 - 0.25j, alpha=0.3, seed=2)
+    @example(k=2, H=9, N=81, rows=10, coefficient=0.0, alpha=0.7, seed=3)
+    def test_ghk_seminorm_matches_reference_walk(self, k, H, N, rows, coefficient, alpha, seed):
+        H = min(H, _MAX_H[k - 1])
+        rng = np.random.default_rng(seed)
+        x0 = tuple(rng.random(2))
+        skew = AnzaiSkew(alpha)
+        obs = observable([((0, 1), 1.0), ((1, 2), coefficient)])
+        u = orbit_terms(skew, x0, np.arange(N + (k - 1) * H), obs)
+        with mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * N * min(rows, H + 1)):
+            est = ghk_seminorm(skew, obs, x0, k, H, N)
+        want = oracles.ghk_seminorm_walk(u, k, H, N)
+        assert _bits(est.value, est.pre_root_average, est.clamped) == _bits(*want)
+
+    def test_order_3_box_stays_within_4_mib(self):
+        # below the 6 MiB van der Corput pass of the benchmark, which sets its peak memory
+        a = quad_phase(4096 + 3 * 64)
+        tracemalloc.start()
+        try:
+            local_seminorm(a, 3, 64, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
+
+_NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf))
+_SEQUENCE_CALLS = {
+    "c_h_estimate": lambda a: c_h_estimate(a, 2, (1, 2), 16),
+    "local_seminorm": lambda a: local_seminorm(a, 2, 4, 16),
+    "vdc_bound": lambda a: vdc_bound(a, 64, 2),
+    "cube_average_first": lambda a: cube_average(a, np.ones(64), 2),
+    "cube_average_second": lambda a: cube_average(np.ones(64), a, 2),
+}
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+@pytest.mark.parametrize("call", _SEQUENCE_CALLS.values(), ids=_SEQUENCE_CALLS.keys())
+def test_non_finite_sequence_is_a_domain_error(call, bad):
+    a = np.ones(64, dtype=np.complex128)
+    a[5] = bad
+    with pytest.raises(DomainError, match="finite"):
+        call(a)
 
 
 class TestVanDerCorput:

@@ -337,6 +337,19 @@ class TestObservables:
         with pytest.raises(ValueError, match="duplicate"):
             observable([((1,), 1.0), ((1,), 2.0)])
 
+    def test_lattice_point_is_residue_over_modulus(self):
+        # the residue pair itself would read e(k . p) = 1 for every frequency k
+        obs = observable([((1, 0), 1.0), ((2, -1), 0.5 - 0.25j)])
+        for q in (101, (1 << 31) - 1):
+            cat = ToralAutomorphism(((2, 1), (1, 1)), modulus=q)
+            for n in (0, 1, 7, 1000):
+                got = eval_observable(obs, np.divide(orbit_point(cat, (3, 5), n), q))
+                assert got == orbit_terms(cat, (3, 5), np.array([n]), obs)[0]
+        cat = ToralAutomorphism(((2, 1), (1, 1)), modulus=101)
+        assert orbit_point(cat, (3, 5), 1) == (11, 8)
+        got = eval_observable(observable([((1, 0), 1.0)]), np.divide((11, 8), 101))
+        assert got == pytest.approx(np.exp(2j * np.pi * 11 / 101), abs=1e-15)
+
     def test_dimension_mismatch(self):
         obs = observable([((1, 0), 1.0)])
         with pytest.raises(DimensionMismatchError):
