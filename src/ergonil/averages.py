@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .nilseq import PolynomialPhase, WeightSequence
-from .numerics import pairwise_sum, unit_phase
+from .numerics import ordered_product, pairwise_sum, unit_phase
 from .report import ConvergenceReport, SupPoint, check_schedule, make_report
 from .systems import (
     Observable,
@@ -115,15 +115,11 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
         # the weight is evaluated first, while no other term block is alive: its
         # temporaries are the largest (a theta weight peaks near ten blocks)
         w = weight.eval_many(t) if weight is not None else None
-        # in place, left to right: numpy's temporary elision may evaluate `x * f()`
-        # as `f() * x`, and complex products differ in the last bit by operand order;
-        # but one element in place takes numpy's reduce loop, which rounds differently
-        terms = orbit(obs1, a, t) if obs1 is not None else w
-        inplace = terms if t.size > 1 else None
+        terms = orbit(obs1, a, t) if obs1 is not None else w  # then times f2, times w
         if obs2 is not None:
-            terms = np.multiply(terms, orbit(obs2, b, t), out=inplace)
+            terms = ordered_product(terms, orbit(obs2, b, t), terms)
         if obs1 is not None and w is not None:
-            terms = np.multiply(terms, w, out=inplace)
+            terms = ordered_product(terms, w, terms)
         out[lo:lo + t.size] = terms
     return out
 
@@ -136,7 +132,7 @@ def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray
 def _weighted(base: np.ndarray, n: np.ndarray, w: WeightSequence) -> np.ndarray:
     """base * w(n) for built terms `base` at the times `n`, in the core's order f1 f2 * w."""
     terms = orbit_terms(None, None, n, None, weight=w)
-    return np.multiply(base, terms, out=terms if terms.size > 1 else None)  # as in orbit_terms
+    return ordered_product(base, terms, terms)
 
 
 def prefix_means(terms: np.ndarray, schedule) -> list[complex]:

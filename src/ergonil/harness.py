@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -33,13 +33,7 @@ import numpy as np
 from . import averages, joinings, nilseq, seminorms, systems
 from .errors import ConfigError, DimensionMismatchError, UnsupportedSystemError
 from .report import ConvergenceReport, SeminormEstimate, check_schedule
-from .systems import (
-    AnzaiSkew,
-    Observable,
-    RotationTorus,
-    System,
-    ToralAutomorphism,
-)
+from .systems import AnzaiSkew, Observable, RotationTorus, System, ToralAutomorphism
 
 CSV_HEADER = "experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped"
 
@@ -68,10 +62,7 @@ class Row:
                 return str(int(v))
             return "%.17g" % float(v)
 
-        return ",".join(
-            [self.experiment_id, f(self.N), f(self.re), f(self.im), f(self.abs),
-             f(self.sup), f(self.t_star), f(self.seminorm), f(self.clamped)]
-        )
+        return ",".join([self.experiment_id] + [f(getattr(self, c.name)) for c in fields(self)[1:]])
 
 
 def parse_row(line: str) -> Row:
@@ -96,7 +87,7 @@ def parse_row(line: str) -> Row:
 
 @contextmanager
 def _field(name: str):
-    """Report a malformed value met in the block as a ConfigError on `name`."""
+    """Report a malformed value met in the block (or decorated call) as a ConfigError on `name`."""
     try:
         yield
     except ConfigError:
@@ -246,45 +237,90 @@ def _check_assertion(spec) -> dict:
     return spec
 
 
+def _key(read: Callable, check: Callable = lambda value: None, **default):
+    """A config key, declared on its field: `read(value, name, cfg, base_dir)` gives the field
+    from the JSON value, after the keys above it; `check` is the library's own test of it."""
+    return field(metadata={"read": read, "check": check}, **(default or {"default": None}))
+
+
+def _value(conv: Callable) -> Callable:  # a key whose JSON value alone gives its field
+    return lambda value, name, cfg, base_dir: conv(value)
+
+
+def _spec(build: Callable) -> Callable:  # a spec that build(spec, name) reads
+    return lambda value, name, cfg, base_dir: build(value, name)
+
+
+def _weight(spec, name: str, cfg, base_dir: Path) -> nilseq.WeightSequence:
+    return build_weight(spec, name, base_dir)
+
+
+def _g_list(specs, name: str, cfg, base_dir) -> list[Observable]:
+    return [build_observable(spec, f"{name}[{i}]") for i, spec in enumerate(specs)]
+
+
+def _points(pts, name: str, cfg, base_dir) -> list[tuple]:  # residue pairs on a lattice
+    if not isinstance(pts, list) or not pts:
+        raise ConfigError("x0 must be a nonempty list of points", field=name)
+    conv = _int if isinstance(cfg.system, ToralAutomorphism) else _real
+    points = [tuple(conv(v) for v in p) for p in (pts if isinstance(pts[0], list) else [pts])]
+    for p in points if cfg.system is not None else ():
+        systems.orbit_point(cfg.system, p, 0)  # a point off the system is a config error
+    return points
+
+
+def _exponent(value, name: str, cfg, base_dir) -> int:  # b, with a whenever both are given
+    b = _int(value)
+    if cfg.a is not None:
+        averages.check_exponents(cfg.a, b)
+    return b
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
     id: str
     raw: dict
-    system: System | None = None
-    system_s: System | None = None
-    observable: Observable | None = None
-    observable1: Observable | None = None
-    observable2: Observable | None = None
-    g_list: list[Observable] = field(default_factory=list)
-    weight: nilseq.WeightSequence | None = None
-    weight1: nilseq.WeightSequence | None = None
-    weight2: nilseq.WeightSequence | None = None
-    x0: list = field(default_factory=list)
-    a: int | None = None
-    b: int | None = None
-    t: float | None = None
-    p: tuple[float, ...] | None = None
-    k: int | None = None
-    H: int | None = None
-    N: int | None = None
-    K: int | None = None
-    eps: float | None = None
-    tol: float | None = None
-    schedule: tuple[int, ...] = DEFAULT_SCHEDULE
-    assertions: list = field(default_factory=list)
+    system: System | None = _key(_spec(build_system))
+    system_s: System | None = _key(_spec(build_system))
+    observable: Observable | None = _key(_spec(build_observable))
+    observable1: Observable | None = _key(_spec(build_observable))
+    observable2: Observable | None = _key(_spec(build_observable))
+    g_list: list[Observable] = _key(_g_list, default_factory=list)
+    weight: nilseq.WeightSequence | None = _key(_weight)
+    weight1: nilseq.WeightSequence | None = _key(_weight)
+    weight2: nilseq.WeightSequence | None = _key(_weight)
+    x0: list = _key(_points, default_factory=list)
+    a: int | None = _key(_value(_int))
+    b: int | None = _key(_exponent)
+    t: float | None = _key(_value(_real))
+    p: tuple[float, ...] | None = _key(_value(lambda v: tuple(_real(c) for c in v)))
+    k: int | None = _key(_value(_int), seminorms._check_order)
+    H: int | None = _key(_value(_int), seminorms._check_box)
+    N: int | None = _key(_value(_int), averages._check_count)
+    K: int | None = _key(_value(_int))
+    eps: float | None = _key(_value(_real), averages._check_eps)
+    tol: float | None = _key(_value(_real))
+    schedule: tuple[int, ...] = _key(_value(lambda v: check_schedule(_int(n) for n in v)),
+                                     default=DEFAULT_SCHEDULE)
+    assertions: list = _key(_value(lambda v: [_check_assertion(a) for a in v]),
+                            default_factory=list)
+
+    @property
+    def ignored_keys(self) -> list[str]:  # top-level keys no declaration reads, as "shedule"
+        return [key for key in self.raw if key not in _KEYS and key not in ("id", "experiment")]
+
+
+_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig) if f.metadata}
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    base_dir = base_dir or Path(".")
     experiment = doc.get("experiment")
     if experiment not in _EXPERIMENTS:
-        raise ConfigError(
-            f"unknown or missing experiment {experiment!r}; see list-experiments",
-            field="experiment",
-        )
+        raise ConfigError(f"unknown or missing experiment {experiment!r}; see list-experiments",
+                          field="experiment")
     entry = _EXPERIMENTS[experiment]
     rid = doc.get("id", experiment)
     # the id names the output files, which must stay inside the output directory
@@ -293,73 +329,21 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     if "index_base" in doc:  # a moved origin would shift every average by O(1/N)
         raise ConfigError("n starts where the experiment fixes it (1 for orbit averages, "
                           "0 for weight and seminorm sequences)", field="index_base")
-    cfg = ExperimentConfig(experiment=experiment, id=rid, raw=doc)
     missing = [name for name in entry.required if name not in doc]
     if missing:
         raise ConfigError(f"{experiment} requires {', '.join(missing)}", field=missing[0])
-
-    if "system" in doc:
-        cfg.system = build_system(doc["system"], "system")
-    if "system_s" in doc:
-        cfg.system_s = build_system(doc["system_s"], "system_s")
-    for name in ("observable", "observable1", "observable2"):
-        if name in doc:
-            setattr(cfg, name, build_observable(doc[name], name))
-    if "g_list" in doc:
-        with _field("g_list"):
-            cfg.g_list = [
-                build_observable(spec, f"g_list[{i}]") for i, spec in enumerate(doc["g_list"])
-            ]
-    for name in ("weight", "weight1", "weight2"):
-        if name in doc:
-            setattr(cfg, name, build_weight(doc[name], name, base_dir))
-
-    if "x0" in doc:
-        pts = doc["x0"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError("x0 must be a nonempty list of points", field="x0")
-        if not isinstance(pts[0], list):
-            pts = [pts]
-        conv = _int if isinstance(cfg.system, ToralAutomorphism) else _real
-        with _field("x0"):
-            cfg.x0 = [tuple(conv(v) for v in p) for p in pts]
-            for p in cfg.x0 if cfg.system is not None else ():
-                systems.orbit_point(cfg.system, p, 0)  # a point off the system is a config error
-
-    for name, conv in (("a", _int), ("b", _int), ("t", _real), ("k", _int), ("H", _int),
-                       ("N", _int), ("K", _int), ("eps", _real), ("tol", _real),
-                       ("p", lambda v: tuple(_real(c) for c in v)),
-                       ("schedule", lambda v: check_schedule(_int(n) for n in v)),
-                       ("assertions", lambda v: [_check_assertion(a) for a in v])):
+    cfg = ExperimentConfig(experiment=experiment, id=rid, raw=doc)
+    for name, key in _KEYS.items():
         if name in doc:
             with _field(name):
-                setattr(cfg, name, conv(doc[name]))
-
-    if cfg.a is not None and cfg.b is not None:
-        with _field("a"):
-            averages.check_exponents(cfg.a, cfg.b)
-    # the library's own checks, so that a config the run would reject fails here
-    coupled = cfg.schedule[0] if cfg.experiment == "local_seminorm" else None  # N >= H^2
-    for name, check in (("k", seminorms._check_order), ("N", averages._check_count),
-                        ("H", lambda H: seminorms._check_box(H, coupled)),
-                        ("eps", averages._check_eps)):
-        if getattr(cfg, name) is not None:
-            with _field(name):
-                check(getattr(cfg, name))
-    if cfg.experiment == "vdc_bound":
-        with _field("K"):
-            seminorms._check_vdc(cfg.N, cfg.K)
-    if cfg.experiment == "dual_system_avg":
-        try:
-            averages.check_auxiliary(cfg.system_s, cfg.g_list)
-        except UnsupportedSystemError as exc:
-            raise ConfigError(str(exc), field="system_s") from None
-        except DimensionMismatchError as exc:
-            raise ConfigError(str(exc), field="g_list") from None
-    reach = entry.reach(cfg) if entry.reach else 0
-    for name in ("weight", "weight1", "weight2"):  # a table must cover every time the run reads
+                value = key["read"](doc[name], name, cfg, base_dir or Path("."))
+                key["check"](value)
+            setattr(cfg, name, value)
+    entry.check(cfg)
+    reach = entry.reach(cfg)
+    for name in _KEYS:  # a table must cover every time the run reads
         w = getattr(cfg, name)
-        if w is not None and w.length is not None and w.length < reach:
+        if isinstance(w, nilseq.WeightSequence) and w.length is not None and w.length < reach:
             raise ConfigError(f"weight defined for n < {w.length}, {experiment} reads n < {reach}",
                               field=name)
     return cfg
@@ -489,10 +473,25 @@ def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
     return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {}, []
 
 
+@_field("H")
+def _coupled_box(cfg: ExperimentConfig):  # the sequence seminorm's N >= H^2 at the first N
+    seminorms._check_box(_box_size(cfg, cfg.schedule[0]), cfg.schedule[0])
+
+
+def _auxiliary(cfg: ExperimentConfig):
+    try:
+        averages.check_auxiliary(cfg.system_s, cfg.g_list)
+    except UnsupportedSystemError as exc:
+        raise ConfigError(str(exc), field="system_s") from None
+    except DimensionMismatchError as exc:
+        raise ConfigError(str(exc), field="g_list") from None
+
+
 class _Experiment(NamedTuple):
     required: tuple[str, ...]  # runs once per starting point when it holds "x0"
     run: Callable  # (cfg, rid, x0) -> (rows, extras, diagnostics); x0 None if not pointwise
-    reach: Callable | None = None  # cfg -> R: the run reads its weights at the times n < R
+    reach: Callable = lambda cfg: 0  # cfg -> R: the run reads its weights at the times n < R
+    check: Callable = lambda cfg: None  # raises a ConfigError on inputs only this one rejects
 
 
 _ORBIT = ("system", "observable", "x0")
@@ -508,11 +507,14 @@ _EXPERIMENTS = {
     "poly_wwdr_avg": _Experiment(_PAIR + ("p",), _scheduled("poly_wwdr")),
     "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), _scheduled("nil_wwdr"),
                                 lambda cfg: cfg.schedule[-1] + 1),
-    "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), _scheduled("dual_system")),
+    "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), _scheduled("dual_system"),
+                                   check=_auxiliary),
     "cesaro_nilseq": _Experiment(("weight",), _run_cesaro, lambda cfg: cfg.schedule[-1]),
-    "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm, _local_reach),
+    "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm, _local_reach,
+                                  check=_coupled_box),
     "ghk_seminorm": _Experiment(_ORBIT + ("k",), _run_ghk_seminorm),
-    "vdc_bound": _Experiment(("weight", "N", "K"), _run_vdc_bound, lambda cfg: cfg.N),
+    "vdc_bound": _Experiment(("weight", "N", "K"), _run_vdc_bound, lambda cfg: cfg.N,
+                             check=_field("K")(lambda cfg: seminorms._check_vdc(cfg.N, cfg.K))),
     "cube_average": _Experiment(("weight1", "weight2", "H", "N"), _run_cube_average, _cube_reach),
     "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), _run_vanishing,
                                         lambda cfg: cfg.schedule[-1]),
@@ -534,7 +536,7 @@ def _eval_assertion(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bo
     if check == "passed":
         oks = [x.get("passed") for x in extras if "passed" in x]
         return (bool(oks) and all(oks), f"pass flags: {oks}")
-    _, column, test = _CHECKS.get(check, ((), None, None))
+    _, column, test = _CHECKS[check]
     if column is not None:
         n = int(spec["N"])
         picked = [getattr(r, column) for r in rows if r.N == n]
@@ -543,37 +545,35 @@ def _eval_assertion(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bo
         vals = [v for v in picked if v is not None]
         label = f"|A_{n}|" if column == "abs" else column
         return bool(vals) and all(test(v, spec) for v in vals), f"{label} = {vals}"
-    if check in ("deltas_below_first", "delta_trend"):
-        # group rows by experiment_id, recompute deltas from the value column
-        by_id: dict[str, list[Row]] = {}
-        for r in rows:
-            if r.re is not None and r.N is not None:
-                by_id.setdefault(r.experiment_id, []).append(r)
-        if not by_id:
-            return False, "no value rows"
-        details = []
-        ok = True
-        for rid, rs in sorted(by_id.items()):
-            rs.sort(key=lambda r: r.N)
-            deltas = {
-                rs[i].N: abs(complex(rs[i + 1].re, rs[i + 1].im) - complex(rs[i].re, rs[i].im))
-                for i in range(len(rs) - 1)
-            }
-            if check == "deltas_below_first":
-                n0 = int(spec["from"])
-                if n0 not in deltas:
-                    return False, f"no delta at N={n0}"
-                later = {n: d for n, d in deltas.items() if n > n0}
-                ok = ok and all(d < deltas[n0] for d in later.values())
-                details.append(f"{rid}: delta@{n0}={deltas[n0]:.6g}, later={sorted(later.values())}")
-            else:
-                small, large = int(spec["small"]), int(spec["large"])
-                if small not in deltas or large not in deltas:
-                    return False, f"need deltas at N={small} and N={large}"
-                ok = ok and deltas[large] < deltas[small]
-                details.append(f"{rid}: delta@{small}={deltas[small]:.6g} delta@{large}={deltas[large]:.6g}")
-        return ok, "; ".join(details)
-    return False, f"unknown check {check!r}"
+    # group rows by experiment_id, recompute deltas from the value column
+    by_id: dict[str, list[Row]] = {}
+    for r in rows:
+        if r.re is not None and r.N is not None:
+            by_id.setdefault(r.experiment_id, []).append(r)
+    if not by_id:
+        return False, "no value rows"
+    details = []
+    ok = True
+    for rid, rs in sorted(by_id.items()):
+        rs.sort(key=lambda r: r.N)
+        deltas = {
+            rs[i].N: abs(complex(rs[i + 1].re, rs[i + 1].im) - complex(rs[i].re, rs[i].im))
+            for i in range(len(rs) - 1)
+        }
+        if check == "deltas_below_first":
+            n0 = int(spec["from"])
+            if n0 not in deltas:
+                return False, f"no delta at N={n0}"
+            later = {n: d for n, d in deltas.items() if n > n0}
+            ok = ok and all(d < deltas[n0] for d in later.values())
+            details.append(f"{rid}: delta@{n0}={deltas[n0]:.6g}, later={sorted(later.values())}")
+        else:
+            small, large = int(spec["small"]), int(spec["large"])
+            if small not in deltas or large not in deltas:
+                return False, f"need deltas at N={small} and N={large}"
+            ok = ok and deltas[large] < deltas[small]
+            details.append(f"{rid}: delta@{small}={deltas[small]:.6g} delta@{large}={deltas[large]:.6g}")
+    return ok, "; ".join(details)
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +614,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
     extras = [x for _, x, _ in results]
     diagnostics = [d for _, _, ds in results for d in ds]
 
-    verdicts = []
-    all_passed = True
-    for spec in cfg.assertions:
-        ok, detail = _eval_assertion(spec, rows, extras)
-        verdicts.append({"assertion": spec, "passed": ok, "detail": detail})
-        all_passed = all_passed and ok
+    verdicts = [dict(zip(("passed", "detail"), _eval_assertion(spec, rows, extras)), assertion=spec)
+                for spec in cfg.assertions]
+    all_passed = all(v["passed"] for v in verdicts)
 
     wall = time.perf_counter() - t0
     csv_path = summary_path = None
@@ -632,12 +629,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
             "id": cfg.id,
             "config": cfg.raw,
             "rows": len(rows),
-            "extras": [
-                {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-                 for k, v in x.items()}
-                for x in extras
-            ],
+            "extras": [{k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
+                        for k, v in x.items()} for x in extras],
             "diagnostics": diagnostics,
+            "ignored_keys": cfg.ignored_keys,
             "verdicts": verdicts,
             "all_passed": all_passed,
             "wall_time_seconds": wall,  # excluded from the determinism contract

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
-from .numerics import frac, frac_combine, frac_poly, two_prod, unit_phase
+from .numerics import frac, frac_combine, frac_poly, ordered_product, two_prod, unit_phase
 from .systems import (SKEW_MAX_TIME, Observable, System, _check_system, eval_observable_many,
                       orbit_coords)
 
@@ -179,13 +179,10 @@ class ThetaType:
             return np.exp(val, out=val)
 
         acc.real[...] = bump(0)
-        # in place except for one element, where numpy rounds a complex product in
-        # place differently (as in averages.orbit_terms)
-        inplace = acc.size > 1
-        power, step = phase, np.empty_like(phase) if inplace else None
+        power, step = phase, np.empty_like(phase)
         for k in range(1, R + 1):
             if k > 1:
-                power = np.multiply(phase, power, out=step)  # e(ell k x)
+                power = ordered_product(phase, power, step)  # e(ell k x)
             for shift, add in ((k, np.add), (-k, np.subtract)):
                 if shift < R:  # the window's top shift is R - 1
                     np.add(acc.real, np.multiply(bump(shift), power.real, out=prod), out=acc.real)
@@ -196,7 +193,7 @@ class ThetaType:
             j0 = -np.floor(y[moved])
             acc[moved] = unit_phase(frac(self.ell * j0 * x[moved])) * acc[moved]
         # operand order as in eval_observable_many
-        return np.multiply(unit_phase(frac(self.ell * z)), acc, out=acc if inplace else None)
+        return ordered_product(unit_phase(frac(self.ell * z)), acc, acc)
 
 
 @dataclass(frozen=True)
@@ -370,10 +367,7 @@ class Product(WeightSequence):
 
     def eval_many(self, n):
         left = self.left.eval_many(n)
-        # into the left factor, so the product is left * right even where numpy's
-        # temporary elision would swap a view's operands; one element in place
-        # rounds differently (as in averages.orbit_terms)
-        return np.multiply(left, self.right.eval_many(n), out=left if left.size > 1 else None)
+        return ordered_product(left, self.right.eval_many(n), left)
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,13 @@ def unit_phase(theta):
     return out if out.ndim else out[()]
 
 
+def ordered_product(x, y, into):
+    """x * y in this operand order, into `into` (an operand given up, or a buffer) but at one
+    element. Operand order moves a complex product's last bit, and numpy's temporary elision may
+    run `x * f()` as `f() * x`; one element in place takes numpy's reduce loop: a new array."""
+    return np.multiply(x, y, out=into if into.size > 1 else None)
+
+
 def pairwise_sum(x):
     """Sum over the first axis with a fixed adjacent-pair reduction tree.
 

@@ -171,7 +171,9 @@ def _row_blocks(seq: np.ndarray, depth: int, H: int, reach: int):
         windows = np.lib.stride_tricks.sliding_window_view(conj[-1], reach)
         for lo in range(lead[-1] if lead else 1, H + 1, rows):
             hi = min(lo + rows, H + 1)
-            np.multiply(windows[lo:hi], levels[-1][:reach], out=block[: hi - lo])
+            one = hi - lo == reach == 1  # in 2-D, one element takes numpy's one-element loop
+            np.multiply(windows[lo] if one else windows[lo:hi], levels[-1][:reach],
+                        out=block[0] if one else block[: hi - lo])
             yield [lead + (h,) for h in range(lo, hi)], block[: hi - lo]
 
 
@@ -179,11 +181,14 @@ def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
     """Sum of leaf(D_h) over h in {1..H}^depth, D_h[:reach] the order-depth cube product of
     seq (`_row_blocks`). D_h is symmetric in h, so only sorted h are visited, each weighted by
     its multiplicity, in the order of `itertools.combinations_with_replacement`. leaf maps a
-    block of rows D_h to one value per row."""
+    block of rows D_h to one value per row. A sum that finite entries overflow is a DomainError."""
     total = 0.0
-    for hs, block in _row_blocks(seq, depth, H, reach):
-        for h, value in zip(hs, leaf(block)):
-            total += _multiplicity(h) * value
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the total
+        for hs, block in _row_blocks(seq, depth, H, reach):
+            for h, value in zip(hs, leaf(block)):
+                total += _multiplicity(h) * value
+    if not np.isfinite(total):
+        raise DomainError(f"order-{depth + 1} box products overflow float64 (sum {total})")
     return total
 
 

@@ -350,7 +350,10 @@ def sorted_offset_sum(seq, depth: int, H: int, reach: int, leaf):
         changed = next((j for j in range(depth) if h[j] != last[j]), depth)
         for j in range(changed, depth):
             prev, buf, m = bufs[j - 1] if j else seq, bufs[j], bufs[j].size
-            np.multiply(np.conjugate(prev[h[j] : h[j] + m], out=buf), prev[:m], out=buf)
+            # not in place at one element (N = 1): numpy's in-place one-element loop rounds a
+            # complex product differently from the longer products the library's walk makes
+            conj = np.conjugate(prev[h[j] : h[j] + m], out=buf)
+            buf[...] = np.multiply(conj, prev[:m], out=buf if m > 1 else None)
         runs = math.prod(math.factorial(h.count(v)) for v in set(h))
         total += math.factorial(depth) // runs * leaf(bufs[-1] if depth else seq)
         last = h

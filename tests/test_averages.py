@@ -378,6 +378,20 @@ class TestDualSystem:
         want = double_avg(rot, E1, E1, (0.3,), 1, 2, 256)
         assert all(abs(v - want) < 1e-15 for v in res.node_values)
 
+    def test_node_values_are_nil_wwdr_under_orbit_weights(self):
+        # the auxiliary weight at node y is prod_i g_i(S^{in} y), a product of orbit
+        # weights on the rotations S^i started at y
+        rot, t, N = RotationTorus((PHI,)), SQRT2M1, 1024
+        f2 = observable([((1,), 0.7), ((2,), 0.3)])
+        gs = [E1, observable([((-1,), 0.5), ((1,), 0.5)])]
+        res = dual_system_avg(rot, E1, f2, (0.3,), 1, 2, RotationTorus((t,)), gs, 64, N)
+        assert len(res.grid) == 64
+        for y, v in zip(res.grid, res.node_values, strict=True):
+            factors = [OrbitWeight(RotationTorus(((i * t) % 1.0,)), g, (y,))
+                       for i, g in enumerate(gs, 1)]
+            w = Product(*factors)
+            assert abs(v - nil_wwdr_avg(rot, E1, f2, (0.3,), 1, 2, w, N)) < 1e-12
+
     def test_l2_norm_is_rms(self):
         rot = RotationTorus((PHI,))
         one = constant_observable(1.0, 1)

@@ -192,6 +192,7 @@ class TestConfigParsing:
         cfg = config_from_dict(ww_config(seed=3, grid_size=64))
         assert not hasattr(cfg, "seed") and not hasattr(cfg, "grid_size")
         assert cfg.raw["seed"] == 3  # echoed in the summary, read by nothing
+        assert sorted(cfg.ignored_keys) == ["grid_size", "seed"]
 
     def test_oversized_lattice_modulus_is_config_error(self):
         doc = {
@@ -697,6 +698,30 @@ class TestCli:
         assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+    def test_ignored_key_is_named_on_stderr_and_in_the_summary(self, tmp_path, capsys):
+        # a misspelled "shedule" runs on the default schedule, so it is reported, not silent
+        doc = ww_config(shedule=[4])
+        del doc["schedule"]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.count("warning: shedule: ") == 2
+        assert len((tmp_path / "out" / "rotation_ww.csv").read_text().splitlines()) == 1 + 7
+        summary = json.loads((tmp_path / "out" / "rotation_ww.summary.json").read_text())
+        assert summary["ignored_keys"] == ["shedule"]
+
+    def test_seminorm_overflow_exits_3(self, tmp_path, capsys):
+        # a finite weight whose 4-fold box products overflow float64 once wrote a nan row
+        doc = {"experiment": "local_seminorm", "id": "big", "k": 2, "schedule": [64],
+               "weight": {"kind": "scaled", "scale": 1e80, "inner": _PHASES["weight2"]}}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "big.csv").exists()
 
     def test_run_assertion_failure_exit_4(self, tmp_path):
         p = tmp_path / "c.json"

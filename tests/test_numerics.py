@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergonil import DomainError, PolynomialPhase
-from ergonil.numerics import frac, frac_combine, frac_poly, unit_phase
+from ergonil.numerics import frac, frac_combine, frac_poly, ordered_product, unit_phase
 
 import oracles
 
@@ -231,3 +231,41 @@ class TestUnitPhase:
         # numpy only elides `phase * other` into `phase *= other` on arrays that own
         # their data; otherwise it may swap the operands, which moves the last bit
         assert unit_phase(np.random.default_rng(7).random(BLOCK)).base is None
+
+
+class TestOrderedProduct:
+    @staticmethod
+    def operands(size, seed):
+        rng = np.random.default_rng(seed)
+        x, y = (np.exp(2j * np.pi * rng.random(size)) * rng.random(size) for _ in range(2))
+        return x, y
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_element_is_a_new_array(self, seed):
+        # numpy rounds a one-element complex product in place differently, so the
+        # operand it was asked to write into is left as it was
+        x, y = self.operands(1, seed)
+        kept = x.copy()
+        got = ordered_product(x, y, x)
+        assert got is not x and x.tobytes() == kept.tobytes()
+        assert got.tobytes() == np.multiply(kept, y).tobytes()
+
+    @pytest.mark.parametrize("size", [2, 5, 1 << 14, (1 << 15) + 3])
+    def test_view_operand_is_written_in_operand_order(self, size):
+        # a view of a longer array, which numpy's temporary elision would swap with a
+        # temporary right operand; the product stays x * y and lands in the view
+        x, y = self.operands(size + 7, size)
+        whole = x.copy()
+        view = whole[3 : 3 + size]
+        want = np.multiply(x[3 : 3 + size], y[:size])
+        got = ordered_product(view, y[:size], view)
+        assert np.shares_memory(got, whole) and got.tobytes() == want.tobytes()
+        assert whole[3 : 3 + size].tobytes() == want.tobytes()
+        outside = np.r_[0:3, 3 + size : size + 7]
+        assert whole[outside].tobytes() == x[outside].tobytes()
+
+    def test_into_a_buffer(self):
+        x, y = self.operands(64, 1)
+        buf = np.empty_like(x)
+        got = ordered_product(x, y, buf)
+        assert got is buf and got.tobytes() == np.multiply(x, y).tobytes()

@@ -266,6 +266,9 @@ class TestBlockedWalk:
     @example(k=3, H=6, N=40, rows=1, coefficient=1.0, alpha=PHI, seed=1)
     @example(k=2, H=10, N=50, rows=4, coefficient=0.5 - 0.25j, alpha=0.3, seed=2)
     @example(k=2, H=9, N=81, rows=10, coefficient=0.0, alpha=0.7, seed=3)
+    # N = 1: a (1, 1) block product would round as numpy's one-element loop
+    @example(k=2, H=2, N=1, rows=2, coefficient=0.0, alpha=0.0, seed=124)
+    @example(k=2, H=1, N=1, rows=1, coefficient=1.0, alpha=0.0, seed=2)
     def test_ghk_seminorm_matches_reference_walk(self, k, H, N, rows, coefficient, alpha, seed):
         H = min(H, _MAX_H[k - 1])
         rng = np.random.default_rng(seed)
@@ -307,6 +310,30 @@ def test_non_finite_sequence_is_a_domain_error(call, bad):
     a[5] = bad
     with pytest.raises(DomainError, match="finite"):
         call(a)
+
+
+_OVERFLOW = {  # finite entries whose 2^k-fold box products overflow float64
+    "local_k3": lambda u: local_seminorm(1e40 * u, 3, 3, 9),
+    "local_k2": lambda u: local_seminorm(1e80 * u, 2, 4, 16),
+    "ghk_k3": lambda u: ghk_seminorm(RotationTorus((PHI,)), observable([((1,), 1e100)]), (0.2,),
+                                     3, 4, 64),
+}
+
+
+@pytest.mark.parametrize("call", _OVERFLOW.values(), ids=_OVERFLOW.keys())
+def test_box_product_overflow_is_a_domain_error(call):
+    # the pre-root average would read nan; homogeneity makes it |lambda|^(2^k) times a
+    # unit value, so the number is out of float64's range, not a value to report
+    u = np.exp(2j * np.pi * np.random.default_rng(7).random(200))
+    with pytest.raises(DomainError, match="overflow"):
+        call(u)
+
+
+def test_large_finite_pre_root_average_is_kept():
+    # 1e19 at k = 4 stays finite (about -1.9e302 here) and clamps as before
+    u = np.exp(2j * np.pi * np.random.default_rng(0).random(200))
+    est = local_seminorm(1e19 * u, 4, 3, 9)
+    assert np.isfinite(est.pre_root_average) and est.clamped and est.value == 0.0
 
 
 class TestVanDerCorput:
