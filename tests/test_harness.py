@@ -2,6 +2,7 @@
 determinism, CLI subcommands and exit codes."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -787,3 +788,176 @@ class TestCli:
         assert cli_main(["validate", "--config", str(p)]) == 0
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
         assert "limit" in capsys.readouterr().err
+
+
+def _value_rows(rid, values):
+    """Value rows of one experiment id at N = 1, 2, 4, ..., one per value."""
+    return [Row(rid, N=1 << i, re=v, im=0.0, abs=abs(v)) for i, v in enumerate(values)]
+
+
+_AT_N = [Row("e", N=4, abs=0.5, sup=0.5, seminorm=0.5), Row("e", N=8)]
+# check -> (passing spec, failing spec, spec whose data is missing, rows, extras, details):
+# details are the passing, failing and missing-data verdicts' exact text
+_VERDICTS = {
+    "passed": ({}, {}, {}, [], None, ("pass flags: [True, True]", "pass flags: [True, False]",
+                                      "pass flags: []")),
+    "abs_below": ({"N": 4, "value": 0.75}, {"N": 4, "value": 0.5}, {"N": 2, "value": 1.0},
+                  _AT_N, [], ("|A_4| = [0.5]", "|A_4| = [0.5]", "no rows at N=2")),
+    "sup_below": ({"N": 4, "value": 0.75}, {"N": 4, "value": 0.5}, {"N": 16, "value": 1.0},
+                  _AT_N, [], ("sup = [0.5]", "sup = [0.5]", "no rows at N=16")),
+    "sup_at_least": ({"N": 4, "value": 0.5}, {"N": 4, "value": 0.75}, {"N": 2, "value": 0.0},
+                     _AT_N, [], ("sup = [0.5]", "sup = [0.5]", "no rows at N=2")),
+    "seminorm_below": ({"N": 4, "value": 0.5}, {"N": 4, "value": 0.25}, {"N": 2, "value": 1.0},
+                       _AT_N, [], ("seminorm = [0.5]", "seminorm = [0.5]", "no rows at N=2")),
+    "seminorm_between": ({"N": 4, "low": 0.5, "high": 0.5}, {"N": 4, "low": 0.0, "high": 0.25},
+                         {"N": 2, "low": 0.0, "high": 1.0}, _AT_N, [],
+                         ("seminorm = [0.5]", "seminorm = [0.5]", "no rows at N=2")),
+    # deltas 0.5 at N=1, 0.125 at N=2, 0.25 at N=4
+    "deltas_below_first": ({"from": 1}, {"from": 2}, {"from": 8},
+                           _value_rows("e", [0.0, 0.5, 0.625, 0.875]), [],
+                           ("e: delta@1=0.5, later=[0.125, 0.25]",
+                            "e: delta@2=0.125, later=[0.25]", "no delta at N=8")),
+    "delta_trend": ({"small": 1, "large": 2}, {"small": 2, "large": 4}, {"small": 1, "large": 8},
+                    _value_rows("e", [0.0, 0.5, 0.625, 0.875]), [],
+                    ("e: delta@1=0.5 delta@2=0.125", "e: delta@2=0.125 delta@4=0.25",
+                     "need deltas at N=1 and N=8")),
+}
+
+
+class TestAssertionChecks:
+    """Each assertion check's verdict and its exact detail, on rows built by hand."""
+
+    @staticmethod
+    def verdict(check, spec, rows, extras):
+        return harness._eval_assertion(dict(spec, check=check), rows, extras)
+
+    @pytest.mark.parametrize("check", sorted(_VERDICTS))
+    def test_pass_fail_and_missing_data(self, check):
+        good, bad, missing, rows, extras, details = _VERDICTS[check]
+        if check == "passed":
+            extras = [{"passed": True}, {}, {"passed": True}]
+        assert self.verdict(check, good, rows, extras) == (True, details[0])
+        if check == "passed":
+            extras = [{"passed": True}, {"passed": False}]
+        assert self.verdict(check, bad, rows, extras) == (False, details[1])
+        if check == "passed":
+            extras = [{}, {"gap": 0.5}]
+        assert self.verdict(check, missing, rows, extras) == (False, details[2])
+
+    def test_every_check_is_covered(self):
+        assert sorted(_VERDICTS) == sorted(harness._CHECKS)
+
+    @pytest.mark.parametrize("check", ["abs_below", "sup_below", "seminorm_between"])
+    def test_rows_at_n_without_the_column_fail(self, check):
+        spec = dict(_VERDICTS[check][0], N=8)
+        label = "|A_8|" if check == "abs_below" else check.split("_")[0]
+        assert self.verdict(check, spec, _AT_N, []) == (False, f"{label} = []")
+
+    @pytest.mark.parametrize("check", ["deltas_below_first", "delta_trend"])
+    def test_rows_without_values_have_no_deltas(self, check):
+        assert self.verdict(check, _VERDICTS[check][0], _AT_N, []) == (False, "no value rows")
+
+    def test_delta_details_join_the_ids_in_order(self):
+        # deltas 0.5, 0.25, 0.125 for "d"; ids are taken in sorted order
+        rows = _value_rows("e", [0.0, 0.5, 0.625, 0.875]) + _value_rows("d", [0.0, 0.5, 0.75, 0.875])
+        assert self.verdict("deltas_below_first", {"from": 1}, rows, []) == (
+            True, "d: delta@1=0.5, later=[0.125, 0.25]; e: delta@1=0.5, later=[0.125, 0.25]")
+        assert self.verdict("delta_trend", {"small": 2, "large": 4}, rows, []) == (
+            False, "d: delta@2=0.25 delta@4=0.125; e: delta@2=0.125 delta@4=0.25")
+
+
+_WEIGHT_DOC = {"experiment": "cesaro_nilseq", "schedule": [2]}
+_INVARIANTS = {"torus_char": {"kind": "torus_char", "m": 1, "k": 0},
+               "theta": {"kind": "theta", "ell": 1, "width": 1.0}}
+_POLY = {"kind": "polynomial_phase", "coefficients": [0.0, PHI]}
+# kind -> (config, path to its spec, a spec of that kind that runs)
+_KIND_CASES = {
+    "rotation_torus": (ww_config(), ("system",), {"kind": "rotation_torus", "alpha": [PHI]}),
+    "anzai_skew": (dict(_PAIR_DOC, experiment="double_avg"), ("system",),
+                   {"kind": "anzai_skew", "alpha": PHI}),
+    "toral_automorphism": (_SLOT_DOCS["cat"], ("system",), _SLOT_DOCS["cat"]["system"]),
+    "polynomial_phase": (_WEIGHT_DOC, ("weight",), _POLY),
+    "torus_nilseq": (_WEIGHT_DOC, ("weight",),
+                     {"kind": "torus_nilseq", "alpha": [PHI], "base": [0.1],
+                      "observable": {"terms": [[[1], 1.0]]}}),
+    "heisenberg_nilseq": (_WEIGHT_DOC, ("weight",),
+                          {"kind": "heisenberg_nilseq", "g": [PHI, 0.3, 0.1],
+                           "invariant": _INVARIANTS["theta"]}),
+    "product": (_WEIGHT_DOC, ("weight",), {"kind": "product", "left": _POLY, "right": _POLY}),
+    "scaled": (_WEIGHT_DOC, ("weight",), {"kind": "scaled", "scale": 0.5, "inner": _POLY}),
+    "table": (_WEIGHT_DOC, ("weight",), {"kind": "table", "path": "w.csv"}),
+    "torus_char": (_WEIGHT_DOC, ("weight", "invariant"), _INVARIANTS["torus_char"]),
+    "theta": (_WEIGHT_DOC, ("weight", "invariant"), _INVARIANTS["theta"]),
+}
+# (kind, a key its spec must hold, the field a missing one is reported on)
+_REQUIRED_KEYS = [
+    ("rotation_torus", "alpha", "system"), ("anzai_skew", "alpha", "system"),
+    ("toral_automorphism", "matrix", "system"), ("polynomial_phase", "coefficients", "weight"),
+    ("torus_nilseq", "alpha", "weight"), ("torus_nilseq", "observable", "weight"),
+    ("heisenberg_nilseq", "g", "weight"), ("heisenberg_nilseq", "invariant", "weight"),
+    ("product", "left", "weight"), ("product", "right", "weight"),
+    ("scaled", "scale", "weight"), ("scaled", "inner", "weight"), ("table", "path", "weight"),
+    ("torus_char", "m", "weight"), ("torus_char", "k", "weight"), ("theta", "ell", "weight"),
+]
+
+
+def _kind_doc(kind, spec):
+    """The config of `_KIND_CASES[kind]` with `spec` in its place."""
+    doc, path, _ = _KIND_CASES[kind]
+    if path == ("weight", "invariant"):
+        spec = dict(_KIND_CASES["heisenberg_nilseq"][2], invariant=spec)
+    return dict(doc, **{path[0]: spec})
+
+
+_DUAL_DOC = {"experiment": "dual_system_avg", "system": {"kind": "rotation_torus", "alpha": [PHI]},
+             "observable1": {"terms": [[[1], 1.0]]}, "observable2": {"terms": [[[1], 1.0]]},
+             "x0": [[0.2]], "a": 1, "b": 2, "schedule": [256],
+             "system_s": {"kind": "rotation_torus", "alpha": [0.3]},
+             "g_list": [{"terms": [[[1], 1.0]]}]}
+# field -> a config whose spec on that field has no kind
+_KINDLESS = {
+    "system": ww_config(system={"alpha": [PHI]}),
+    "system_s": dict(_DUAL_DOC, system_s={"alpha": [0.3]}),
+    "weight": dict(_WEIGHT_DOC, weight={"left": _POLY, "right": _POLY}),
+    "weight.left": dict(_WEIGHT_DOC, weight={"kind": "product", "left": {"coefficients": [0.0]},
+                                             "right": _POLY}),
+    "weight.invariant": _kind_doc("theta", {"ell": 1}),
+}
+
+
+class TestKindSpecs:
+    """Every system, weight and invariant kind: the spec runs as given, and an unknown kind or
+    a missing nested key is a config error (exit 2) on the spec's field."""
+
+    @staticmethod
+    def exits(doc, tmp_path, code):
+        (tmp_path / "w.csv").write_text("n,re,im\n0,1,0\n1,0,1\n")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == code
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == code
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_CASES))
+    def test_the_spec_runs(self, kind, tmp_path):
+        self.exits(_kind_doc(kind, _KIND_CASES[kind][2]), tmp_path, 0)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_CASES))
+    def test_unknown_kind_exits_2(self, kind, tmp_path, capsys):
+        self.exits(_kind_doc(kind, dict(_KIND_CASES[kind][2], kind=kind + "_typo")), tmp_path, 2)
+        field = ".".join(_KIND_CASES[kind][1])
+        what = {"system": "system", "weight": "weight"}.get(field, "invariant")
+        assert capsys.readouterr().err.count(
+            f"config error: {field}: unknown {what} kind '{kind}_typo'") == 2
+
+    @pytest.mark.parametrize("kind, key, field", _REQUIRED_KEYS)
+    def test_missing_key_exits_2(self, kind, key, field, tmp_path, capsys):
+        spec = {k: v for k, v in _KIND_CASES[kind][2].items() if k != key}
+        self.exits(_kind_doc(kind, spec), tmp_path, 2)
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {field}") == 2
+        assert re.search(rf"\b{key}\b", err.split(": ", 2)[2])
+
+    @pytest.mark.parametrize("field", sorted(_KINDLESS))
+    def test_spec_without_a_kind_exits_2(self, field, tmp_path, capsys):
+        self.exits(_KINDLESS[field], tmp_path, 2)
+        assert capsys.readouterr().err.count(f"config error: {field}: ") == 2
