@@ -1,17 +1,20 @@
 """Config-driven experiment harness: JSON in, CSV rows and a JSON summary out.
 
-One config describes one experiment (an operation name plus its inputs).
-Data rows are deterministic: re-running a config, with any worker count,
-yields byte-identical CSV bytes. Wall-clock metadata lives only in the
-summary file and is excluded from that contract. So do the certificates
-behind the numbers: the summary's ``diagnostics`` list, per sample point,
-the error budget of each average, the grid size, spacing and error bound of
-each certified sup, and the box size H, pre-root average and clamp flag of
-each seminorm estimate.
+One config describes one experiment (an operation name plus its inputs). Each top-level key is
+declared once, on its `ExperimentConfig` field. Each nested kind is one entry of a table:
+`_SYSTEMS`, `_WEIGHTS`, `_INVARIANTS` (of a Heisenberg weight) or `_CHECKS` (assertions), which
+holds what the kind does and the keys it reads. `_entry` owns the errors for a missing or
+unknown kind and a missing key. A key nothing reads is named, with its path, under the
+summary's ``ignored_keys``.
 
-CSV schema (fixed): ``experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped``
-with absent fields left empty and floats printed with 17 significant digits
-so every row round-trips losslessly.
+Data rows are deterministic: re-running a config, with any worker count, yields byte-identical
+CSV bytes. Wall-clock metadata lives only in the summary file and is excluded from that
+contract. So do the certificates behind the numbers: the summary's ``diagnostics`` list, per
+sample point, the error budget of each average, the grid size, spacing and error bound of each
+certified sup, and the box size H, pre-root average and clamp flag of each seminorm estimate.
+
+CSV schema (fixed): ``experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped`` with absent
+fields left empty and floats printed with 17 significant digits so every row round-trips.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -73,11 +77,8 @@ def parse_row(line: str) -> Row:
     def g(s, conv):
         return None if s == "" else conv(s)
 
-    return Row(
-        parts[0], g(parts[1], int), g(parts[2], float), g(parts[3], float),
-        g(parts[4], float), g(parts[5], float), g(parts[6], float),
-        g(parts[7], float), g(parts[8], lambda s: s == "1"),
-    )
+    convs = (int,) + (float,) * 6 + (lambda s: s == "1",)
+    return Row(parts[0], *(g(s, conv) for s, conv in zip(parts[1:], convs)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +93,7 @@ def _field(name: str):
         yield
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc}", field=name) from None
-    except (TypeError, ValueError, ArithmeticError, AttributeError, IndexError, OSError) as exc:
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError, OSError) as exc:
         raise ConfigError(str(exc), field=name) from None
 
 
@@ -114,37 +113,58 @@ def _real(value) -> float:
     return float(value)
 
 
-def _angle_from_json(value, field_name: str):
+class _Kind(NamedTuple):
+    """One entry of a kind table. fn builds a system or weight from (spec, name, cfg) or an
+    invariant from its spec, or is a check's verdict (spec, rows, extras) -> (ok, detail)."""
+    fn: Callable
+    keys: tuple[str, ...] = ()  # the keys fn needs
+    optional: tuple[str, ...] = ()  # and those it reads when given
+    coord: Callable = _real  # a system's: how x0 reads its points' coordinates
+
+
+def _entry(table: dict, what: str, spec, name: str, cfg, tag: str = "kind") -> _Kind:
+    """The entry of `table` that spec[tag] names, once spec holds every key the entry needs;
+    spec's keys the entry does not read go to cfg.ignored_keys. A malformed spec raises
+    ValueError, which the enclosing `_field` reports on its field."""
+    if not isinstance(spec, dict) or tag not in spec:
+        raise ValueError(f"{what} spec needs a '{tag}'")
+    kind = spec[tag]
+    entry = table.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown {what} {tag} {kind!r}, expected one of {', '.join(table)}")
+    for key in entry.keys:
+        if key not in spec:
+            raise ValueError(f"{kind} requires {key}")
+    cfg.ignored_keys += [f"{name}.{key}" for key in spec
+                         if key not in (tag, *entry.keys, *entry.optional)]
+    return entry
+
+
+def _build(table: dict, what: str, spec, name: str, cfg):
+    """The object the system or weight spec on field `name` declares."""
+    with _field(name):
+        return _entry(table, what, spec, name, cfg).fn(spec, name, cfg)
+
+
+def _angle(value, name: str):
     """A 'p/q' string declares a rational angle (a Fraction); a number stays a float."""
-    with _field(field_name):
+    with _field(name):
         return Fraction(value) if isinstance(value, str) else _real(value)
 
 
-def build_system(spec, field_name: str = "system") -> System:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("system spec needs a 'kind'", field=field_name)
-    kind = spec["kind"]
-    with _field(field_name):
-        if kind == "rotation_torus":
-            alpha = spec.get("alpha")
-            if alpha is None:
-                raise ConfigError("rotation needs 'alpha'", field=field_name)
-            if not isinstance(alpha, list):
-                alpha = [alpha]
-            return RotationTorus(tuple(_angle_from_json(a, field_name + ".alpha") for a in alpha))
-        if kind == "anzai_skew":
-            if "alpha" not in spec:
-                raise ConfigError("skew product needs 'alpha'", field=field_name)
-            return AnzaiSkew(_angle_from_json(spec["alpha"], field_name + ".alpha"))
-        if kind == "toral_automorphism":
-            matrix = spec.get("matrix")
-            if matrix is None:
-                raise ConfigError("automorphism needs 'matrix'", field=field_name)
-            return ToralAutomorphism(
-                tuple(tuple(_int(v) for v in row) for row in matrix),
-                _int(spec.get("modulus", (1 << 31) - 1)),
-            )
-    raise ConfigError(f"unknown system kind {kind!r}", field=field_name)
+def _rotation(spec, name: str, cfg) -> RotationTorus:
+    alpha = spec["alpha"] if isinstance(spec["alpha"], list) else [spec["alpha"]]
+    return RotationTorus(tuple(_angle(a, name + ".alpha") for a in alpha))
+
+
+_SYSTEMS = {
+    "rotation_torus": _Kind(_rotation, ("alpha",)),
+    "anzai_skew": _Kind(lambda spec, name, cfg: AnzaiSkew(_angle(spec["alpha"], name + ".alpha")),
+                        ("alpha",)),
+    "toral_automorphism": _Kind(lambda spec, name, cfg: ToralAutomorphism(
+        tuple(tuple(_int(v) for v in row) for row in spec["matrix"]),
+        _int(spec.get("modulus", (1 << 31) - 1))), ("matrix",), ("modulus",), _int),
+}
 
 
 def _coeff_from_json(value, field_name: str) -> complex:
@@ -155,121 +175,156 @@ def _coeff_from_json(value, field_name: str) -> complex:
     raise ConfigError(f"coefficient must be a number or [re, im], got {value!r}", field=field_name)
 
 
-def build_observable(spec, field_name: str) -> Observable:
-    if not isinstance(spec, dict) or "terms" not in spec:
-        raise ConfigError("observable spec needs 'terms'", field=field_name)
-    with _field(field_name):
+def _observable(spec, name: str, cfg) -> Observable:
+    with _field(name):
+        if not isinstance(spec, dict) or "terms" not in spec:
+            raise ValueError("observable spec needs 'terms'")
+        cfg.ignored_keys += [f"{name}.{key}" for key in spec if key not in ("terms", "dimension")]
         terms = []
         for i, entry in enumerate(spec["terms"]):
             if not isinstance(entry, list) or len(entry) != 2:
-                raise ConfigError(f"term {i} must be [frequency, coefficient]", field=field_name)
+                raise ValueError(f"term {i} must be [frequency, coefficient]")
             freq, coeff = entry
             freq = tuple(_int(v) for v in freq) if isinstance(freq, list) else (_int(freq),)
-            terms.append((freq, _coeff_from_json(coeff, field_name)))
+            terms.append((freq, _coeff_from_json(coeff, name)))
         dimension = spec.get("dimension")
         return systems.observable(terms, None if dimension is None else _int(dimension))
 
 
-def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("weight spec needs a 'kind'", field=field_name)
-    kind = spec["kind"]
-    with _field(field_name):
-        if kind == "polynomial_phase":
-            return nilseq.PolynomialPhase(tuple(_real(c) for c in spec["coefficients"]))
-        if kind == "torus_nilseq":
-            func = build_observable(spec["observable"], field_name + ".observable")
-            return nilseq.OrbitWeight(
-                RotationTorus(tuple(_real(a) for a in spec["alpha"])),
-                func,
-                tuple(_real(b) for b in spec.get("base", [0.0] * func.dimension)),
-            )
-        if kind == "heisenberg_nilseq":
-            inv = spec.get("invariant", {})
-            ikind = inv.get("kind")
-            if ikind == "torus_char":
-                func = nilseq.TorusChar(_int(inv["m"]), _int(inv["k"]))
-            elif ikind == "theta":
-                func = nilseq.ThetaType(_int(inv["ell"]), width=_real(inv.get("width", 1.0)))
-            else:
-                raise ConfigError(f"unknown invariant kind {ikind!r}", field=field_name + ".invariant")
-            g = nilseq.HeisenbergElement(*(_real(v) for v in spec["g"]))
-            base = nilseq.HeisenbergElement(*(_real(v) for v in spec.get("base", [0, 0, 0])))
-            return nilseq.HeisenbergNilseq(g, base, func)
-        if kind == "product":
-            return nilseq.Product(
-                build_weight(spec["left"], field_name + ".left", base_dir),
-                build_weight(spec["right"], field_name + ".right", base_dir),
-            )
-        if kind == "scaled":
-            return nilseq.Scaled(
-                _coeff_from_json(spec["scale"], field_name + ".scale"),
-                build_weight(spec["inner"], field_name + ".inner", base_dir),
-            )
-        if kind == "table":
-            path = Path(spec["path"])
-            if not path.is_absolute():
-                path = base_dir / path
-            return nilseq.table_from_csv(path, _real(spec.get("sup_error_budget", 0.0)))
-    raise ConfigError(f"unknown weight kind {kind!r}", field=field_name)
+def _torus_nilseq(spec, name: str, cfg) -> nilseq.OrbitWeight:  # an orbit of a rotation
+    func = _observable(spec["observable"], name + ".observable", cfg)
+    return nilseq.OrbitWeight(_rotation(spec, name, cfg), func,
+                              tuple(_real(b) for b in spec.get("base", [0.0] * func.dimension)))
 
 
-# assertion check -> (keys it reads, row column it tests at N, test of one value);
-# "N", "from", "small" and "large" are integers
-_CHECKS = {
-    "passed": ((), None, None),
-    "abs_below": (("N", "value"), "abs", lambda v, spec: v < spec["value"]),
-    "sup_below": (("N", "value"), "sup", lambda v, spec: v < spec["value"]),
-    "sup_at_least": (("N", "value"), "sup", lambda v, spec: v >= spec["value"]),
-    "seminorm_below": (("N", "value"), "seminorm", lambda v, spec: v <= spec["value"]),
-    "seminorm_between": (("N", "low", "high"), "seminorm",
-                         lambda v, spec: spec["low"] <= v <= spec["high"]),
-    "deltas_below_first": (("from",), None, None),
-    "delta_trend": (("small", "large"), None, None),
+def _heisenberg(spec, name: str, cfg) -> nilseq.HeisenbergNilseq:
+    with _field(name + ".invariant"):
+        invariant = _entry(_INVARIANTS, "invariant", spec["invariant"], name + ".invariant", cfg)
+    func = invariant.fn(spec["invariant"])  # a malformed value is reported on the weight
+    g = nilseq.HeisenbergElement(*(_real(v) for v in spec["g"]))
+    base = nilseq.HeisenbergElement(*(_real(v) for v in spec.get("base", [0, 0, 0])))
+    return nilseq.HeisenbergNilseq(g, base, func)
+
+
+_INVARIANTS = {
+    "torus_char": _Kind(lambda inv: nilseq.TorusChar(_int(inv["m"]), _int(inv["k"])), ("m", "k")),
+    "theta": _Kind(lambda inv: nilseq.ThetaType(
+        _int(inv["ell"]), width=_real(inv.get("width", 1.0))), ("ell",), ("width",)),
+}
+_WEIGHTS = {
+    "polynomial_phase": _Kind(lambda spec, name, cfg: nilseq.PolynomialPhase(
+        tuple(_real(c) for c in spec["coefficients"])), ("coefficients",)),
+    "torus_nilseq": _Kind(_torus_nilseq, ("alpha", "observable"), ("base",)),
+    "heisenberg_nilseq": _Kind(_heisenberg, ("g", "invariant"), ("base",)),
+    "product": _Kind(lambda spec, name, cfg: nilseq.Product(
+        _build(_WEIGHTS, "weight", spec["left"], name + ".left", cfg),
+        _build(_WEIGHTS, "weight", spec["right"], name + ".right", cfg)), ("left", "right")),
+    "scaled": _Kind(lambda spec, name, cfg: nilseq.Scaled(
+        _coeff_from_json(spec["scale"], name + ".scale"),
+        _build(_WEIGHTS, "weight", spec["inner"], name + ".inner", cfg)), ("scale", "inner")),
+    "table": _Kind(lambda spec, name, cfg: nilseq.table_from_csv(  # an absolute path stays
+        cfg.base_dir / spec["path"], _real(spec.get("sup_error_budget", 0.0))),
+        ("path",), ("sup_error_budget",)),
 }
 
 
-def _check_assertion(spec) -> dict:
-    if not isinstance(spec, dict) or spec.get("check") not in _CHECKS:
-        raise ValueError(f"an assertion needs a 'check' among {sorted(_CHECKS)}, got {spec!r}")
-    for key in _CHECKS[spec["check"]][0]:
-        (_int if key in ("N", "from", "small", "large") else _real)(spec[key])
-    return spec
+def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence:
+    return _build(_WEIGHTS, "weight", spec, field_name, ExperimentConfig("", "", {}, base_dir))
+
+
+def _at(column: str, test: Callable) -> Callable:
+    """Verdict of test(value, spec) on the `column` of every row at N = spec["N"]."""
+    def verdict(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+        n = int(spec["N"])
+        picked = [getattr(r, column) for r in rows if r.N == n]
+        if not picked:
+            return False, f"no rows at N={n}"
+        vals = [v for v in picked if v is not None]
+        label = f"|A_{n}|" if column == "abs" else column
+        return bool(vals) and all(test(v, spec) for v in vals), f"{label} = {vals}"
+    return verdict
+
+
+def _passed(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+    oks = [x.get("passed") for x in extras if "passed" in x]
+    return bool(oks) and all(oks), f"pass flags: {oks}"
+
+
+def _deltas(rows: list[Row]) -> dict[str, dict[int, float]]:
+    """Per experiment id, in sorted order: |A_N' - A_N| at each N, N' the next N with a value."""
+    values: dict[str, list[tuple[int, complex]]] = {}
+    for r in sorted((r for r in rows if r.re is not None and r.N is not None),
+                    key=lambda r: (r.experiment_id, r.N)):
+        values.setdefault(r.experiment_id, []).append((r.N, complex(r.re, r.im)))
+    return {rid: {n: abs(v[i + 1][1] - z) for i, (n, z) in enumerate(v[:-1])}
+            for rid, v in values.items()}
+
+
+def _deltas_below_first(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+    n0, by_id = int(spec["from"]), _deltas(rows)
+    if not by_id or any(n0 not in d for d in by_id.values()):
+        return False, f"no delta at N={n0}" if by_id else "no value rows"
+    later = {rid: sorted(x for n, x in d.items() if n > n0) for rid, d in by_id.items()}
+    return (all(x < d[n0] for rid, d in by_id.items() for x in later[rid]),
+            "; ".join(f"{rid}: delta@{n0}={d[n0]:.6g}, later={later[rid]}"
+                      for rid, d in by_id.items()))
+
+
+def _delta_trend(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+    small, large, by_id = int(spec["small"]), int(spec["large"]), _deltas(rows)
+    if not by_id or any(small not in d or large not in d for d in by_id.values()):
+        return False, f"need deltas at N={small} and N={large}" if by_id else "no value rows"
+    return (all(d[large] < d[small] for d in by_id.values()),
+            "; ".join(f"{rid}: delta@{small}={d[small]:.6g} delta@{large}={d[large]:.6g}"
+                      for rid, d in by_id.items()))
+
+
+# "N", "from", "small" and "large" are integers, the other keys numbers
+_CHECKS = {
+    "passed": _Kind(_passed),
+    "abs_below": _Kind(_at("abs", lambda v, spec: v < spec["value"]), ("N", "value")),
+    "sup_below": _Kind(_at("sup", lambda v, spec: v < spec["value"]), ("N", "value")),
+    "sup_at_least": _Kind(_at("sup", lambda v, spec: v >= spec["value"]), ("N", "value")),
+    "seminorm_below": _Kind(_at("seminorm", lambda v, spec: v <= spec["value"]), ("N", "value")),
+    "seminorm_between": _Kind(_at("seminorm", lambda v, spec: spec["low"] <= v <= spec["high"]),
+                              ("N", "low", "high")),
+    "deltas_below_first": _Kind(_deltas_below_first, ("from",)),
+    "delta_trend": _Kind(_delta_trend, ("small", "large")),
+}
+
+
+def _assertions(specs, name: str, cfg) -> list:
+    for i, spec in enumerate(specs):
+        for key in _entry(_CHECKS, "assertion", spec, f"{name}[{i}]", cfg, tag="check").keys:
+            (_int if key in ("N", "from", "small", "large") else _real)(spec[key])
+    return specs
 
 
 def _key(read: Callable, check: Callable = lambda value: None, **default):
-    """A config key, declared on its field: `read(value, name, cfg, base_dir)` gives the field
-    from the JSON value, after the keys above it; `check` is the library's own test of it."""
+    """A config key, declared on its field: `read(value, name, cfg)` gives the field from the
+    JSON value, after the keys above it; `check` is the library's own test of it."""
     return field(metadata={"read": read, "check": check}, **(default or {"default": None}))
 
 
 def _value(conv: Callable) -> Callable:  # a key whose JSON value alone gives its field
-    return lambda value, name, cfg, base_dir: conv(value)
+    return lambda value, name, cfg: conv(value)
 
 
-def _spec(build: Callable) -> Callable:  # a spec that build(spec, name) reads
-    return lambda value, name, cfg, base_dir: build(value, name)
+def _g_list(specs, name: str, cfg) -> list[Observable]:
+    return [_observable(spec, f"{name}[{i}]", cfg) for i, spec in enumerate(specs)]
 
 
-def _weight(spec, name: str, cfg, base_dir: Path) -> nilseq.WeightSequence:
-    return build_weight(spec, name, base_dir)
-
-
-def _g_list(specs, name: str, cfg, base_dir) -> list[Observable]:
-    return [build_observable(spec, f"{name}[{i}]") for i, spec in enumerate(specs)]
-
-
-def _points(pts, name: str, cfg, base_dir) -> list[tuple]:  # residue pairs on a lattice
+def _points(pts, name: str, cfg) -> list[tuple]:  # residue pairs on a lattice
     if not isinstance(pts, list) or not pts:
         raise ConfigError("x0 must be a nonempty list of points", field=name)
-    conv = _int if isinstance(cfg.system, ToralAutomorphism) else _real
+    conv = _SYSTEMS[cfg.raw["system"]["kind"]].coord if cfg.system is not None else _real
     points = [tuple(conv(v) for v in p) for p in (pts if isinstance(pts[0], list) else [pts])]
     for p in points if cfg.system is not None else ():
         systems.orbit_point(cfg.system, p, 0)  # a point off the system is a config error
     return points
 
 
-def _exponent(value, name: str, cfg, base_dir) -> int:  # b, with a whenever both are given
+def _exponent(value, name: str, cfg) -> int:  # b, with a whenever both are given
     b = _int(value)
     if cfg.a is not None:
         averages.check_exponents(cfg.a, b)
@@ -281,15 +336,17 @@ class ExperimentConfig:
     experiment: str
     id: str
     raw: dict
-    system: System | None = _key(_spec(build_system))
-    system_s: System | None = _key(_spec(build_system))
-    observable: Observable | None = _key(_spec(build_observable))
-    observable1: Observable | None = _key(_spec(build_observable))
-    observable2: Observable | None = _key(_spec(build_observable))
+    base_dir: Path = Path(".")  # where a table weight's relative path starts
+    ignored_keys: list[str] = field(default_factory=list)  # keys nothing reads, as "shedule"
+    system: System | None = _key(partial(_build, _SYSTEMS, "system"))
+    system_s: System | None = _key(partial(_build, _SYSTEMS, "system"))
+    observable: Observable | None = _key(_observable)
+    observable1: Observable | None = _key(_observable)
+    observable2: Observable | None = _key(_observable)
     g_list: list[Observable] = _key(_g_list, default_factory=list)
-    weight: nilseq.WeightSequence | None = _key(_weight)
-    weight1: nilseq.WeightSequence | None = _key(_weight)
-    weight2: nilseq.WeightSequence | None = _key(_weight)
+    weight: nilseq.WeightSequence | None = _key(partial(_build, _WEIGHTS, "weight"))
+    weight1: nilseq.WeightSequence | None = _key(partial(_build, _WEIGHTS, "weight"))
+    weight2: nilseq.WeightSequence | None = _key(partial(_build, _WEIGHTS, "weight"))
     x0: list = _key(_points, default_factory=list)
     a: int | None = _key(_value(_int))
     b: int | None = _key(_exponent)
@@ -303,12 +360,7 @@ class ExperimentConfig:
     tol: float | None = _key(_value(_real))
     schedule: tuple[int, ...] = _key(_value(lambda v: check_schedule(_int(n) for n in v)),
                                      default=DEFAULT_SCHEDULE)
-    assertions: list = _key(_value(lambda v: [_check_assertion(a) for a in v]),
-                            default_factory=list)
-
-    @property
-    def ignored_keys(self) -> list[str]:  # top-level keys no declaration reads, as "shedule"
-        return [key for key in self.raw if key not in _KEYS and key not in ("id", "experiment")]
+    assertions: list = _key(_assertions, default_factory=list)
 
 
 _KEYS = {f.name: f.metadata for f in fields(ExperimentConfig) if f.metadata}
@@ -332,11 +384,12 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     missing = [name for name in entry.required if name not in doc]
     if missing:
         raise ConfigError(f"{experiment} requires {', '.join(missing)}", field=missing[0])
-    cfg = ExperimentConfig(experiment=experiment, id=rid, raw=doc)
+    unread = [key for key in doc if key not in _KEYS and key not in ("id", "experiment")]
+    cfg = ExperimentConfig(experiment, rid, doc, base_dir or Path("."), ignored_keys=unread)
     for name, key in _KEYS.items():
         if name in doc:
             with _field(name):
-                value = key["read"](doc[name], name, cfg, base_dir or Path("."))
+                value = key["read"](doc[name], name, cfg)
                 key["check"](value)
             setattr(cfg, name, value)
     entry.check(cfg)
@@ -374,11 +427,9 @@ def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict, lis
         v = rep.values[i]
         kw = dict(N=n, re=v.real, im=v.imag, abs=abs(v))
         if rep.sup_data is not None:
-            kw["sup"] = rep.sup_data[i].sup_value
-            kw["t_star"] = rep.sup_data[i].t_star
+            kw.update(sup=rep.sup_data[i].sup_value, t_star=rep.sup_data[i].t_star)
         if rep.seminorm_data is not None:
-            kw["seminorm"] = rep.seminorm_data[i].value
-            kw["clamped"] = rep.seminorm_data[i].clamped
+            kw.update(seminorm=rep.seminorm_data[i].value, clamped=rep.seminorm_data[i].clamped)
         rows.append(Row(rid, **kw))
     diag: dict = {"id": rid, "error_budget": rep.error_budget}
     if rep.sup_data is not None:
@@ -439,16 +490,13 @@ def _run_ghk_seminorm(cfg: ExperimentConfig, rid: str, x0):
 
 def _run_vanishing(cfg: ExperimentConfig, rid: str, x0):
     return _from_report(rid, seminorms.vanishing_experiment(
-        cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
-        cfg.weight, cfg.k, cfg.schedule,
-    ))
+        cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b, cfg.weight, cfg.k,
+        cfg.schedule))
 
 
 def _run_product_formula(cfg: ExperimentConfig, rid: str, x0):
-    rep = joinings.product_formula_check(
-        cfg.system, cfg.observable1, cfg.observable2, x0, cfg.a, cfg.b,
-        cfg.N, cfg.tol,
-    )
+    rep = joinings.product_formula_check(cfg.system, cfg.observable1, cfg.observable2, x0,
+                                         cfg.a, cfg.b, cfg.N, cfg.tol)
     rows = [Row(f"{rid}:{side}", N=rep.N, re=v.real, im=v.imag, abs=abs(v))
             for side, v in (("lhs", rep.lhs), ("rhs", rep.rhs))]
     return rows, {"passed": rep.passed, "gap": abs(rep.lhs - rep.rhs)}, []
@@ -467,9 +515,8 @@ def _cube_reach(cfg: ExperimentConfig) -> int:
 
 def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
     length = _cube_reach(cfg)
-    s1 = averages.weight_samples(cfg.weight1, length)
-    s2 = averages.weight_samples(cfg.weight2, length)
-    v = seminorms.cube_average(s1, s2, cfg.H)
+    v = seminorms.cube_average(*(averages.weight_samples(w, length)
+                                 for w in (cfg.weight1, cfg.weight2)), cfg.H)
     return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {}, []
 
 
@@ -526,54 +573,8 @@ def list_experiments() -> list[str]:
     return sorted(_EXPERIMENTS)
 
 
-# ---------------------------------------------------------------------------
-# assertions
-# ---------------------------------------------------------------------------
-
-
 def _eval_assertion(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
-    check = spec.get("check")
-    if check == "passed":
-        oks = [x.get("passed") for x in extras if "passed" in x]
-        return (bool(oks) and all(oks), f"pass flags: {oks}")
-    _, column, test = _CHECKS[check]
-    if column is not None:
-        n = int(spec["N"])
-        picked = [getattr(r, column) for r in rows if r.N == n]
-        if not picked:
-            return False, f"no rows at N={n}"
-        vals = [v for v in picked if v is not None]
-        label = f"|A_{n}|" if column == "abs" else column
-        return bool(vals) and all(test(v, spec) for v in vals), f"{label} = {vals}"
-    # group rows by experiment_id, recompute deltas from the value column
-    by_id: dict[str, list[Row]] = {}
-    for r in rows:
-        if r.re is not None and r.N is not None:
-            by_id.setdefault(r.experiment_id, []).append(r)
-    if not by_id:
-        return False, "no value rows"
-    details = []
-    ok = True
-    for rid, rs in sorted(by_id.items()):
-        rs.sort(key=lambda r: r.N)
-        deltas = {
-            rs[i].N: abs(complex(rs[i + 1].re, rs[i + 1].im) - complex(rs[i].re, rs[i].im))
-            for i in range(len(rs) - 1)
-        }
-        if check == "deltas_below_first":
-            n0 = int(spec["from"])
-            if n0 not in deltas:
-                return False, f"no delta at N={n0}"
-            later = {n: d for n, d in deltas.items() if n > n0}
-            ok = ok and all(d < deltas[n0] for d in later.values())
-            details.append(f"{rid}: delta@{n0}={deltas[n0]:.6g}, later={sorted(later.values())}")
-        else:
-            small, large = int(spec["small"]), int(spec["large"])
-            if small not in deltas or large not in deltas:
-                return False, f"need deltas at N={small} and N={large}"
-            ok = ok and deltas[large] < deltas[small]
-            details.append(f"{rid}: delta@{small}={deltas[small]:.6g} delta@{large}={deltas[large]:.6g}")
-    return ok, "; ".join(details)
+    return _CHECKS[spec["check"]].fn(spec, rows, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +626,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
         body = CSV_HEADER + "\n" + "".join(r.format() + "\n" for r in rows)
         csv_path.write_bytes(body.encode("ascii"))
         summary = {
-            "experiment": cfg.experiment,
-            "id": cfg.id,
-            "config": cfg.raw,
-            "rows": len(rows),
+            "experiment": cfg.experiment, "id": cfg.id, "config": cfg.raw, "rows": len(rows),
             "extras": [{k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
                         for k, v in x.items()} for x in extras],
             "diagnostics": diagnostics,

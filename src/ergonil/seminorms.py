@@ -84,6 +84,14 @@ def _as_sequence(a) -> np.ndarray:
     return arr
 
 
+def _finite(what: str, *values):
+    """The values, or a DomainError when finite inputs overflowed float64 on the way to them:
+    the products run under np.errstate, and an overflow shows as inf or nan here."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} overflow float64 ({', '.join(map(str, values))})")
+    return values
+
+
 def _check_order(k: int):
     if k < 1 or k > MAX_ORDER:
         raise ValueError(f"order k must be in 1..{MAX_ORDER}")
@@ -121,14 +129,16 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
     _require_length(a, N + sum(h), "correlation")
     prod = np.ones(N, dtype=np.complex128)
     factor = np.empty(N, dtype=np.complex128)
-    for eps in itertools.product((0, 1), repeat=k):
-        off = sum(e * v for e, v in zip(eps, h))
-        window = a[off : off + N]
-        if sum(eps) % 2:
-            np.multiply(np.conjugate(window, out=factor), prod, out=prod)
-        else:
-            np.multiply(prod, window, out=prod)
-    return CorrelationBox(k, h, N, complex(pairwise_mean(prod)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps in itertools.product((0, 1), repeat=k):
+            off = sum(e * v for e, v in zip(eps, h))
+            window = a[off : off + N]
+            if sum(eps) % 2:
+                np.multiply(np.conjugate(window, out=factor), prod, out=prod)
+            else:
+                np.multiply(prod, window, out=prod)
+        value = complex(pairwise_mean(prod))
+    return CorrelationBox(k, h, N, *_finite(f"order-{k} cube products", value))
 
 
 def _block_rows(reach: int, H: int) -> int:
@@ -183,13 +193,11 @@ def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
     its multiplicity, in the order of `itertools.combinations_with_replacement`. leaf maps a
     block of rows D_h to one value per row. A sum that finite entries overflow is a DomainError."""
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the total
+    with np.errstate(over="ignore", invalid="ignore"):
         for hs, block in _row_blocks(seq, depth, H, reach):
             for h, value in zip(hs, leaf(block)):
                 total += _multiplicity(h) * value
-    if not np.isfinite(total):
-        raise DomainError(f"order-{depth + 1} box products overflow float64 (sum {total})")
-    return total
+    return _finite(f"order-{depth + 1} box products", total)[0]
 
 
 def _window_mean_leaf(N: int, H: int):
@@ -272,15 +280,17 @@ def vdc_bound(u, N: int, K: int) -> VdcReport:
     _check_vdc(N, K)
     _require_length(u, N, "van der Corput")
     u = u[:N]
-    lhs = abs(pairwise_sum(u) / N) ** 2
     buf = np.empty(N, dtype=np.complex128)
     rhs = 0.0
-    for k in range(K + 1):
-        prod = buf[: N - k]
-        np.multiply(np.conjugate(u[: N - k], out=prod), u[k:], out=prod)
-        corr = float(abs(pairwise_sum(prod)) / N)
-        rhs += corr if k == 0 else 2.0 * (1.0 - k / (K + 1.0)) * corr
-    rhs *= (N + K) / N / (K + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = abs(pairwise_sum(u) / N) ** 2
+        for k in range(K + 1):
+            prod = buf[: N - k]
+            np.multiply(np.conjugate(u[: N - k], out=prod), u[k:], out=prod)
+            corr = float(abs(pairwise_sum(prod)) / N)
+            rhs += corr if k == 0 else 2.0 * (1.0 - k / (K + 1.0)) * corr
+        rhs *= (N + K) / N / (K + 1.0)
+    _finite("van der Corput sums", lhs, rhs)
     return VdcReport(float(lhs), float(rhs), lhs <= rhs + 1e-12, N, K)
 
 
@@ -306,20 +316,22 @@ def cube_average(s1, s2, H: int) -> complex:
     d2 = np.empty(length, dtype=np.complex128)
     w1 = np.lib.stride_tricks.sliding_window_view(d1, base)  # row h3 = d1[h3 : h3+base]
     w2 = np.lib.stride_tricks.sliding_window_view(d2, base)
-    for h1 in range(H):
-        for h2 in range(h1, H):  # the product is symmetric in (h1, h2)
-            # the 8-fold product splits on the h3 bit: it equals
-            # d[n] * d[n + h3] for the order-2 product d on offsets (h1, h2),
-            # so one sliding-window matvec yields all h3 at once
-            for s, d in ((s1, d1), (s2, d2)):
-                np.multiply(s[:length], s[h1 : length + h1], out=d)
-                np.multiply(d, s[h2 : length + h2], out=d)
-                np.multiply(d, s[h1 + h2 : length + h1 + h2], out=d)
-            g1 = (w1 @ d1[:base]) / base
-            g2 = (w2 @ d2[:base]) / base
-            g = complex(g1 @ g2)
-            acc += g if h1 == h2 else 2.0 * g
-    return complex(acc / H**3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h1 in range(H):
+            for h2 in range(h1, H):  # the product is symmetric in (h1, h2)
+                # the 8-fold product splits on the h3 bit: it equals
+                # d[n] * d[n + h3] for the order-2 product d on offsets (h1, h2),
+                # so one sliding-window matvec yields all h3 at once
+                for s, d in ((s1, d1), (s2, d2)):
+                    np.multiply(s[:length], s[h1 : length + h1], out=d)
+                    np.multiply(d, s[h2 : length + h2], out=d)
+                    np.multiply(d, s[h1 + h2 : length + h1 + h2], out=d)
+                g1 = (w1 @ d1[:base]) / base
+                g2 = (w2 @ d2[:base]) / base
+                g = complex(g1 @ g2)
+                acc += g if h1 == h2 else 2.0 * g
+        value = complex(acc / H**3)
+    return _finite("order-3 cube products", value)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ determinism, CLI subcommands and exit codes."""
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -724,6 +725,17 @@ class TestCli:
         assert "overflow" in capsys.readouterr().err
         assert not (tmp_path / "out" / "big.csv").exists()
 
+    def test_cube_overflow_exits_3(self, tmp_path, capsys):
+        # the 8-fold products of a weight scaled by 1e40 overflow; this once wrote a nan row
+        doc = dict(_RUNNABLE_DOCS["cube"], id="cube_big",
+                   weight1={"kind": "scaled", "scale": 1e40, "inner": _PHASES["weight1"]})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cube_big.csv").exists()
+
     def test_run_assertion_failure_exit_4(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(ww_config(assertions=[
@@ -961,3 +973,70 @@ class TestKindSpecs:
     def test_spec_without_a_kind_exits_2(self, field, tmp_path, capsys):
         self.exits(_KINDLESS[field], tmp_path, 2)
         assert capsys.readouterr().err.count(f"config error: {field}: ") == 2
+
+
+class TestKindTables:
+    """Each nested kind is one table entry, which names the keys its spec reads."""
+
+    def test_the_tables_hold_every_kind(self):
+        tables = harness._SYSTEMS | harness._WEIGHTS | harness._INVARIANTS
+        assert sorted(tables) == sorted(_KIND_CASES)
+
+    @pytest.mark.parametrize("kind, key, field", _REQUIRED_KEYS)
+    def test_missing_key_is_one_message_on_the_spec_field(self, kind, key, field):
+        spec = {k: v for k, v in _KIND_CASES[kind][2].items() if k != key}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(_kind_doc(kind, spec))
+        want = ".".join(_KIND_CASES[kind][1])
+        assert (err.value.field, str(err.value)) == (want, f"{want}: {kind} requires {key}")
+
+    def test_missing_assertion_key_is_one_message(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(ww_config(assertions=[{"check": "seminorm_between", "N": 256,
+                                                    "low": 0.0}]))
+        assert str(err.value) == "assertions: seminorm_between requires high"
+
+    def test_torus_nilseq_reads_a_rational_angle_as_a_rotation_does(self, tmp_path):
+        spec = dict(_KIND_CASES["torus_nilseq"][2], alpha=["1/4"])
+        cfg = config_from_dict(dict(_WEIGHT_DOC, weight=spec, schedule=[64]))
+        assert cfg.weight.system.rational_angles == (Fraction(1, 4),)
+        as_float = config_from_dict(dict(_WEIGHT_DOC, weight=dict(spec, alpha=[0.25]),
+                                         schedule=[64]))
+        assert run_experiment(cfg).rows == run_experiment(as_float).rows
+
+    def test_lattice_points_are_integers(self):
+        cfg = config_from_dict(_SLOT_DOCS["cat"])
+        assert cfg.x0 == [(3, 5)] and all(type(v) is int for v in cfg.x0[0])
+        with pytest.raises(ConfigError, match="expected an integer") as err:
+            config_from_dict(dict(_SLOT_DOCS["cat"], x0=[[3.5, 5]]))
+        assert err.value.field == "x0"
+
+    def test_nested_keys_nothing_reads_are_named_with_their_paths(self, tmp_path, capsys):
+        doc = dict(_KIND_CASES["heisenberg_nilseq"][0], id="unread", seed=3, weight={
+            "kind": "product", "note": "x",
+            "left": dict(_KIND_CASES["heisenberg_nilseq"][2],
+                         invariant=dict(_INVARIANTS["theta"], truncation=8)),
+            "right": dict(_KIND_CASES["torus_nilseq"][2], bsae=[0.1],
+                          observable={"terms": [[[1], 1.0]], "dimensions": 1})},
+            assertions=[{"check": "abs_below", "N": 2, "value": 2.0},
+                        {"check": "abs_below", "N": 2, "value": 2.0, "why": "bounded"}])
+        want = ["seed", "weight.note", "weight.left.invariant.truncation",
+                "weight.right.bsae", "weight.right.observable.dimensions", "assertions[1].why"]
+        assert config_from_dict(doc).ignored_keys == want
+        for experiment_doc, key in ((ww_config(system={"kind": "rotation_torus", "alpha": [PHI],
+                                                       "dim": 1}), "system.dim"),
+                                    (dict(_SLOT_DOCS["cat"], system=dict(
+                                        _SLOT_DOCS["cat"]["system"], moduls=7)), "system.moduls")):
+            assert config_from_dict(experiment_doc).ignored_keys == [key]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert [line.split(": ")[1] for line in err.splitlines()] == want * 2
+        summary = json.loads((tmp_path / "out" / "unread.summary.json").read_text())
+        assert summary["ignored_keys"] == want
+
+    def test_shipped_configs_have_no_ignored_keys(self):
+        paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+        assert paths and all(load_config(p).ignored_keys == [] for p in paths)

@@ -317,6 +317,9 @@ _OVERFLOW = {  # finite entries whose 2^k-fold box products overflow float64
     "local_k2": lambda u: local_seminorm(1e80 * u, 2, 4, 16),
     "ghk_k3": lambda u: ghk_seminorm(RotationTorus((PHI,)), observable([((1,), 1e100)]), (0.2,),
                                      3, 4, 64),
+    "cube_average": lambda u: cube_average(1e40 * u, 1e40 * u, 4),
+    "vdc_bound": lambda u: vdc_bound(1e200 * np.tile(u, 2), 256, 10),
+    "c_h_estimate": lambda u: c_h_estimate(1e80 * u, 2, (1, 2), 64),
 }
 
 
