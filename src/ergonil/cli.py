@@ -48,7 +48,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         cfg = load_config(args.config)
         for key in cfg.ignored_keys:  # a misspelled key would otherwise run on its default
-            print(f"warning: {key}: ignored, no config declaration reads it", file=sys.stderr)
+            print(f"warning: {key}: ignored, {cfg.experiment} does not read it", file=sys.stderr)
         if args.command == "validate":
             print(f"ok: {cfg.id} ({cfg.experiment})")
             return EXIT_OK

@@ -4,8 +4,9 @@ One config describes one experiment (an operation name plus its inputs). Each to
 declared once, on its `ExperimentConfig` field. Each nested kind is one entry of a table:
 `_SYSTEMS`, `_WEIGHTS`, `_INVARIANTS` (of a Heisenberg weight) or `_CHECKS` (assertions), which
 holds what the kind does and the keys it reads. `_entry` owns the errors for a missing or
-unknown kind and a missing key. A key nothing reads is named, with its path, under the
-summary's ``ignored_keys``.
+unknown kind and a missing key. Each experiment, one `_EXPERIMENTS` entry, lists the top-level
+keys it reads. A key the experiment or its kind does not read is still checked, and named, with
+its path, under the summary's ``ignored_keys``.
 
 Data rows are deterministic: re-running a config, with any worker count, yields byte-identical
 CSV bytes. Wall-clock metadata lives only in the summary file and is excluded from that
@@ -320,7 +321,7 @@ def _points(pts, name: str, cfg) -> list[tuple]:  # residue pairs on a lattice
     conv = _SYSTEMS[cfg.raw["system"]["kind"]].coord if cfg.system is not None else _real
     points = [tuple(conv(v) for v in p) for p in (pts if isinstance(pts[0], list) else [pts])]
     for p in points if cfg.system is not None else ():
-        systems.orbit_point(cfg.system, p, 0)  # a point off the system is a config error
+        cfg.system.check_point(p)  # a point off the system is a config error
     return points
 
 
@@ -337,7 +338,7 @@ class ExperimentConfig:
     id: str
     raw: dict
     base_dir: Path = Path(".")  # where a table weight's relative path starts
-    ignored_keys: list[str] = field(default_factory=list)  # keys nothing reads, as "shedule"
+    ignored_keys: list[str] = field(default_factory=list)  # keys the run skips, as "shedule"
     system: System | None = _key(partial(_build, _SYSTEMS, "system"))
     system_s: System | None = _key(partial(_build, _SYSTEMS, "system"))
     observable: Observable | None = _key(_observable)
@@ -384,7 +385,8 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
     missing = [name for name in entry.required if name not in doc]
     if missing:
         raise ConfigError(f"{experiment} requires {', '.join(missing)}", field=missing[0])
-    unread = [key for key in doc if key not in _KEYS and key not in ("id", "experiment")]
+    reads = ("id", "experiment", "assertions", *entry.required, *entry.optional)
+    unread = [key for key in doc if key not in reads]
     cfg = ExperimentConfig(experiment, rid, doc, base_dir or Path("."), ignored_keys=unread)
     for name, key in _KEYS.items():
         if name in doc:
@@ -539,6 +541,7 @@ class _Experiment(NamedTuple):
     run: Callable  # (cfg, rid, x0) -> (rows, extras, diagnostics); x0 None if not pointwise
     reach: Callable = lambda cfg: 0  # cfg -> R: the run reads its weights at the times n < R
     check: Callable = lambda cfg: None  # raises a ConfigError on inputs only this one rejects
+    optional: tuple[str, ...] = ("schedule",)  # keys read when given; "assertions" always is
 
 
 _ORBIT = ("system", "observable", "x0")
@@ -558,14 +561,17 @@ _EXPERIMENTS = {
                                    check=_auxiliary),
     "cesaro_nilseq": _Experiment(("weight",), _run_cesaro, lambda cfg: cfg.schedule[-1]),
     "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm, _local_reach,
-                                  check=_coupled_box),
-    "ghk_seminorm": _Experiment(_ORBIT + ("k",), _run_ghk_seminorm),
+                                  check=_coupled_box, optional=("schedule", "H")),
+    "ghk_seminorm": _Experiment(_ORBIT + ("k",), _run_ghk_seminorm,
+                                optional=("schedule", "H")),
     "vdc_bound": _Experiment(("weight", "N", "K"), _run_vdc_bound, lambda cfg: cfg.N,
-                             check=_field("K")(lambda cfg: seminorms._check_vdc(cfg.N, cfg.K))),
-    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), _run_cube_average, _cube_reach),
+                             check=_field("K")(lambda cfg: seminorms._check_vdc(cfg.N, cfg.K)),
+                             optional=()),
+    "cube_average": _Experiment(("weight1", "weight2", "H", "N"), _run_cube_average, _cube_reach,
+                                optional=()),
     "vanishing_experiment": _Experiment(_PAIR + ("weight", "k"), _run_vanishing,
                                         lambda cfg: cfg.schedule[-1]),
-    "product_formula_check": _Experiment(_PAIR + ("N", "tol"), _run_product_formula),
+    "product_formula_check": _Experiment(_PAIR + ("N", "tol"), _run_product_formula, optional=()),
 }
 
 

@@ -29,7 +29,6 @@ modules read the declaration (`rational_angles`), never float comparisons.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,14 +231,14 @@ def _mat_mul(x, y, mod: int | None = None):
 
 
 def _mat_inv_mod(m, mod: int):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    inv_det = det % mod if det == 1 or det % mod == mod - 1 else pow(det, -1, mod)
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]  # +-1, its own inverse
     adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-    return tuple(tuple((inv_det * v) % mod for v in row) for row in adj)
+    return tuple(tuple((det * v) % mod for v in row) for row in adj)
 
 
 def mat_pow_mod(m, n: int, mod: int):
-    """m**n mod `mod` by square-and-multiply; negative n uses the exact inverse."""
+    """m**n mod `mod` by square-and-multiply; negative n uses the exact inverse, which
+    needs det m = +-1 (as every `ToralAutomorphism` matrix has)."""
     if n < 0:
         return mat_pow_mod(_mat_inv_mod(m, mod), -n, mod)
     r = ((1, 0), (0, 1))
@@ -332,35 +331,24 @@ def _check_system(obj) -> System:
 def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: int):
     """Residue pairs of A**(start + j*step) x0 for j = 0..count-1, exact.
 
-    Baby-step/giant-step: with B = ceil(sqrt(count)), the B baby matrices
-    A**(j*step) and the ceil(count/B) giant points A**(start + i*B*step) x0
-    are built with exact 2x2 steps, then one broadcast mat-vec fills row
-    i*B + j with A**(j*step) applied to giant point i. Its int64 sums are
-    exact while 2(q-1)**2 < 2**63, which holds up to q = 2**31 - 1; above
+    Doubling: the first row is A**start x0; while m rows are known, the next
+    m are those rows times G = A**(m*step), one (m, 2) @ (2, 2) mat-vec, and G
+    is then squared. count rows take ceil(log2 count) rounds. The int64 sums
+    are exact while 2(q-1)**2 < 2**63, which holds up to q = 2**31 - 1; above
     that the same mat-vec runs on Python ints.
     """
     q = system.modulus
     p1, p2 = system.check_point(x0)
-    babies = math.isqrt(max(count - 1, 0)) + 1
-    giants = -(-count // babies)
-    b = mat_pow_mod(system.matrix, step, q)
-    powers = [((1, 0), (0, 1))]
-    for _ in range(babies - 1):
-        powers.append(_mat_mul(powers[-1], b, q))
-    g = _mat_mul(powers[-1], b, q)  # A**(babies*step), one giant step
     s = mat_pow_mod(system.matrix, start, q)
-    v1 = (s[0][0] * p1 + s[0][1] * p2) % q
-    v2 = (s[1][0] * p1 + s[1][1] * p2) % q
-    points = []
-    for _ in range(giants):
-        points.append((v1, v2))
-        v1, v2 = (g[0][0] * v1 + g[0][1] * v2) % q, (g[1][0] * v1 + g[1][1] * v2) % q
     dtype = np.int64 if 2 * (q - 1) ** 2 < 1 << 63 else object
-    # (giants, 2) @ (2, 2*babies): column 2j + r is row r of A**(j*step)
-    rows = np.array(powers, dtype=dtype).reshape(-1, 2)
-    out = np.array(points, dtype=dtype).reshape(giants, 2) @ rows.T
-    out %= q
-    return out.astype(np.int64, copy=False).reshape(-1, 2)[:count]
+    out = np.empty((max(count, 1), 2), dtype=dtype)
+    out[0] = (s[0][0] * p1 + s[0][1] * p2) % q, (s[1][0] * p1 + s[1][1] * p2) % q
+    g, m = mat_pow_mod(system.matrix, step, q), 1
+    while m < count:
+        k = min(m, count - m)
+        out[m:m + k] = out[:k] @ np.array(g, dtype=dtype).T % q
+        g, m = _mat_mul(g, g, q), 2 * m
+    return out[:count].astype(np.int64, copy=False)
 
 
 def check_times(n: np.ndarray, system: System | None = None, e: int = 1) -> None:

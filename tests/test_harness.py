@@ -1,6 +1,7 @@
 """Harness: config parsing/validation, experiment runs, CSV round-trip,
 determinism, CLI subcommands and exit codes."""
 
+import importlib.util
 import json
 import re
 from fractions import Fraction
@@ -1040,3 +1041,37 @@ class TestKindTables:
     def test_shipped_configs_have_no_ignored_keys(self):
         paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert paths and all(load_config(p).ignored_keys == [] for p in paths)
+
+    def test_declared_keys_the_experiment_does_not_read_are_named(self, tmp_path, capsys):
+        doc = ww_config(experiment="birkhoff_avg", id="extra", eps=0.01, weight=_POLY)
+        assert config_from_dict(doc).ignored_keys == ["t", "eps", "weight"]
+        vanishing = dict(_PAIR_DOC, experiment="vanishing_experiment", k=1, weight=_POLY, H=4)
+        assert config_from_dict(vanishing).ignored_keys == ["H"]
+        # a key the run skips is still read: a malformed one is a config error on its field
+        for key, bad in (("t", "0.37"), ("eps", -1.0), ("weight", {"kind": "nope"})):
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(dict(doc, **{key: bad}))
+            assert err.value.field == key
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert [line.split(": ")[1] for line in err.splitlines()] == ["t", "eps", "weight"]
+        summary = json.loads((tmp_path / "out" / "extra.summary.json").read_text())
+        assert summary["ignored_keys"] == ["t", "eps", "weight"]
+
+    def test_every_config_key_is_read_by_some_experiment(self):
+        reads = {key for e in harness._EXPERIMENTS.values() for key in e.required + e.optional}
+        assert reads | {"assertions"} == set(harness._KEYS)
+
+    def test_workload_configs_name_only_their_stale_keys(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        named = {}
+        for w in ("orbit_weights", "seminorm_boxes", "sweep_peaked"):
+            for path in workloads.write_configs(w, 0, Path("."), tmp_path / w, tiny=True):
+                cfg = load_config(path)
+                named.update({cfg.id: cfg.ignored_keys} if cfg.ignored_keys else {})
+        assert named == {"ow_dual": ["grid_size"], "ow_nil_theta": ["weight.invariant.truncation"]}

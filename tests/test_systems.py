@@ -212,7 +212,9 @@ class TestLattice:
         start=st.integers(-60, 60),
         step=st.integers(-6, 6),
         count=st.sampled_from([0, 1, 2])
-        | st.integers(1, 24).flatmap(lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1])),
+        | st.integers(1, 24).flatmap(lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1]))
+        | st.integers(1, 11).flatmap(  # the edges of the doubling rounds
+            lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1])),
     )
     def test_block_layout_matches_step_loop(self, modulus, matrix, x0, start, step, count):
         system = ToralAutomorphism(matrix, modulus=modulus)
