@@ -291,8 +291,7 @@ def nil_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int,
 
 @dataclass(frozen=True)
 class DualSystemResult:
-    grid: tuple[float, ...]
-    node_values: tuple[complex, ...]
+    coefficients: Observable  # sum_K c_K e(K y), the average as a function of y
     l2_norm: float
 
 
@@ -334,23 +333,17 @@ def _dual_expansion(base: np.ndarray, n: np.ndarray, system_s: RotationTorus, g_
 
 
 def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
-                    system_s: RotationTorus, g_list, grid_size: int, N: int) -> DualSystemResult:
-    """Node values y_j -> (1/N) sum f1(T^{an}x0) f2(T^{bn}x0) prod_i g_i(S^{in} y_j).
+                    system_s: RotationTorus, g_list, N: int) -> DualSystemResult:
+    """y -> (1/N) sum f1(T^{an}x0) f2(T^{bn}x0) prod_i g_i(S^{in} y), exactly as the
+    trigonometric polynomial of `_dual_expansion`, with its L2 norm in y by Parseval.
 
-    S must be a circle rotation. `l2_norm` is the exact L2 norm in y, by
-    Parseval on the coefficients of `_dual_expansion`; the uniform grid of at
-    least 64 nodes only places the reported node values.
+    S must be a circle rotation.
     """
-    if grid_size < 64:
-        raise ValueError("node grid needs at least 64 nodes")
     g_list = check_auxiliary(system_s, g_list)
     n = _times(N)
     base = orbit_terms(system, x0, n, obs1, a, obs2, b)
     coeffs, l2 = _dual_expansion(base, n, system_s, g_list, [N])[0]
-    nodes = np.arange(grid_size, dtype=np.float64) / grid_size
-    poly = Observable(1, tuple(((K,), c) for K, c in coeffs.items()))
-    values = tuple(eval_observable_many(poly, nodes[:, None]).tolist())
-    return DualSystemResult(tuple(nodes.tolist()), values, l2)
+    return DualSystemResult(Observable(1, tuple(((K,), c) for K, c in coeffs.items())), l2)
 
 
 # ---------------------------------------------------------------------------

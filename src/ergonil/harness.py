@@ -376,9 +376,12 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
                           field="experiment")
     entry = _EXPERIMENTS[experiment]
     rid = doc.get("id", experiment)
-    # the id names the output files, which must stay inside the output directory
-    if not isinstance(rid, str) or rid in ("", ".", "..") or any(c in rid for c in "/\\\0"):
-        raise ConfigError(f"id must be a plain file name, got {rid!r}", field="id")
+    # the id names the output files, which must stay inside the output directory, and
+    # leads each ASCII CSV row as one field
+    plain = isinstance(rid, str) and rid.isascii() and rid.isprintable()
+    if not plain or rid in ("", ".", "..") or any(c in rid for c in "/\\,"):
+        raise ConfigError(f"id must be a printable ASCII file name without a comma, got {rid!r}",
+                          field="id")
     if "index_base" in doc:  # a moved origin would shift every average by O(1/N)
         raise ConfigError("n starts where the experiment fixes it (1 for orbit averages, "
                           "0 for weight and seminorm sequences)", field="index_base")
@@ -407,8 +410,8 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentConfi
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     try:
         doc = json.loads(text)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
 from .numerics import frac, frac_combine, frac_poly, ordered_product, two_prod, unit_phase
-from .systems import (SKEW_MAX_TIME, Observable, System, _check_system, eval_observable_many,
-                      orbit_coords)
+from .systems import (AnzaiSkew, Observable, System, _check_system, check_times,
+                      eval_observable_many, orbit_coords)
 
 
 @dataclass(frozen=True)
@@ -292,10 +292,10 @@ class HeisenbergNilseq(WeightSequence):
     """Basic 2-step sequence b_n = F(g^n * base) on the Heisenberg quotient.
 
     Coordinates of g^n * base are reduced mod the lattice with compensated
-    arithmetic before F is applied, so phases stay accurate at n ~ 2**20
-    even though the raw center coordinate grows like n^2. Declared for
-    |n| <= 2**27 - 1, where n(n-1)/2 is exact in float, and |floor(Y) n| < 2**53
-    (Y = n g.b + base.b), where the lattice twist is; `DomainError` past either.
+    arithmetic before F is applied, so phases stay accurate at every declared
+    time even though the raw center coordinate grows like n^2. Declared for
+    the skew's times, where n(n-1) fits in int64, and |floor(Y) n| < 2**53
+    (Y = n g.b + base.b), where the lattice twist is exact; `DomainError` past either.
     """
 
     g: HeisenbergElement
@@ -312,31 +312,26 @@ class HeisenbergNilseq(WeightSequence):
 
     def eval_many(self, n):
         n = np.atleast_1d(np.asarray(n, dtype=np.int64))
-        top = max(-int(n.min()), int(n.max())) if n.size else 0
-        if top > SKEW_MAX_TIME:
-            raise DomainError(f"Heisenberg time {top} is past the limit |n| <= {SKEW_MAX_TIME}, "
-                              "where n(n-1)/2 stays exact in float")
-        nf = n.astype(np.float64)
-        half = ((n * (n - 1)) // 2).astype(np.float64)
+        check_times(n, AnzaiSkew)  # the centre's n(n-1)/2 is the skew's
+        half = n * (n - 1) // 2
         ga, gb, gc = self.g.a, self.g.b, self.g.c
         u, v, w = self.base.a, self.base.b, self.base.c
         ab_hi, ab_lo = two_prod(ga, gb)
-        na_hi, na_lo = two_prod(nf, ga)
+        na_hi, na_lo = two_prod(n, ga)  # exact: |n| < 2**53
         # raw point e = g^n * base = (X, Y, Z); reduce by the lattice element
         # gamma = (p, q, r) with q = -floor(Y): x and z shift by integers (the
         # function only sees them through integer-frequency phases) but the
         # center picks up the twist X*q, which must use the same q that the
         # fractional part of Y implies
         z_raw = frac_combine(
-            products=[(nf, gc), (half, ab_hi), (half, ab_lo), (na_hi, v), (na_lo, v)],
+            products=[(n, gc), (half, ab_hi), (half, ab_lo), (na_hi, v), (na_lo, v)],
             terms=[w],
         )
         del half, na_hi, na_lo  # free each length-N temporary after its last use: lower peak
-        x = frac_combine(products=[(nf, ga)], terms=[u])
-        y = frac_combine(products=[(nf, gb)], terms=[v])
-        floor_y = np.round(nf * gb + v - y)  # exact: the true floor is within ~1e-10
-        kn = floor_y * nf  # exact while |floor_y * n| < 2**53
-        del nf
+        x = frac_combine(products=[(n, ga)], terms=[u])
+        y = frac_combine(products=[(n, gb)], terms=[v])
+        floor_y = np.round(n * gb + v - y)  # exact: the true floor is within ~1e-10
+        kn = floor_y * n  # exact while |floor_y * n| < 2**53
         if n.size and np.abs(kn).max() >= 2.0**53:
             raise DomainError("Heisenberg twist floor(Y) * n reaches 2^53, the limit of its "
                               "exact float product")

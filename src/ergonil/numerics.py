@@ -17,7 +17,7 @@ they keep those forms' bits:
 
 * `frac`: r = x - floor(x), then r - 1 where r >= 1;
 * `frac_combine`: for each product a*b, b is split once into bhi + blo and a
-  into ahi + alo (Veltkamp); p = a*b and
+  (an int64 a cast to float first) into ahi + alo (Veltkamp); p = a*b and
   e = (((ahi*bhi - p) + ahi*blo) + alo*bhi) + alo*blo. The total starts at 0.0,
   takes (total + frac(p)) + frac(e) for the products in order, then
   total + frac(t) for the terms, and the result is frac(total);
@@ -71,22 +71,32 @@ def two_prod(a, b):
 
 
 def frac_combine(products=(), terms=()):
-    """frac(sum of a*b products plus plain terms), compensated; each b is a scalar.
+    """frac(sum of a*b products plus plain terms), compensated; each b is a scalar, each a
+    floats or int64 integers, exact at every element.
 
     Each product is split error-free as in `two_prod` and both halves are
     reduced mod 1 before accumulation, so magnitudes never reach the range
     where the fractional bits would be rounded away. The scalar b is split
     once, and every step writes into the output or one of four scratch
-    buffers of the block's shape.
+    buffers of the block's shape. An int64 a is cast into e, which is free
+    until the error term, so |a| <= 2**53 gives the float form's bits; where
+    the cast rounds, a - float(a) (below 2**10) is one more product.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a, _ in products), *map(np.shape, terms))
     total = np.zeros(shape)
     p, e, hi, lo = (np.empty(shape) for _ in range(4))
-    for a, b in products:
+    products = list(products)
+    for a, b in products:  # a remainder appended below is reduced in its turn
         b = float(b)
         cb = _SPLITTER * b
         bhi = cb - (cb - b)
         blo = b - bhi
+        if getattr(a, "dtype", None) == np.int64:
+            e[...] = a
+            if a.size and (a.min() < -2**53 or a.max() > 2**53):
+                np.minimum(e, 2.0**63 - 2**10, out=e)  # 2**63 would not cast back to int64
+                products.append((a - e.astype(np.int64), b))
+            a = e
         np.multiply(a, b, out=p)
         np.multiply(a, _SPLITTER, out=hi)  # ca
         np.subtract(hi, np.subtract(hi, a, out=lo), out=hi)  # ahi = ca - (ca - a)
@@ -132,12 +142,12 @@ def _exact_root(h):
 def frac_poly(coefficients, n):
     """frac(c0 + c1*n + ... + cd*n**d), exact mod 1, one vectorized path for int64 n.
 
-    Each n**j is float parts with an exact sum, chosen per element so that no value depends
-    on the other times: where |n|**ceil(j/2) <= 2**53, a plain product or `two_prod` of the
-    single floats n**ceil(j/2), n**floor(j/2) (same bits: an exact product's low part is 0),
-    else base-2**24 digits d_i mod 2**(24 K) laid out for every int64 time, each below c_j's
-    last bit entering as d_i * (c_j 2**(24 i)). An element is 0 in the other kind's parts.
-    `frac_combine` adds the parts times c_j, a few ulp each. Integer c_j are skipped.
+    c_1 takes n as an int64 multiplier. Each other n**j is float parts with an exact sum, chosen
+    per element so that no value depends on the other times: where |n|**ceil(j/2) <= 2**53, a plain
+    product or `two_prod` of the single floats n**ceil(j/2), n**floor(j/2) (same bits: an exact
+    product's low part is 0), else base-2**24 digits d_i mod 2**(24 K) laid out for every int64
+    time, each below c_j's last bit entering as d_i * (c_j 2**(24 i)). An element is 0 in the other
+    kind's parts. `frac_combine` adds the parts times c_j, a few ulp each. Integer c_j are skipped.
     """
     coefficients = [float(c) for c in coefficients]
     if not all(map(math.isfinite, coefficients)):
@@ -146,7 +156,7 @@ def frac_poly(coefficients, n):
     top = max(-int(n_arr.min()), int(n_arr.max())) if n_arr.size else 0
     # (j, c_j, digits of n**j below the last bit of c_j), and the places K for all
     monomials = [(j, c, -(-(c.as_integer_ratio()[1].bit_length() - 1) // _DIGIT))
-                 for j, c in enumerate(coefficients) if j and not c.is_integer()]
+                 for j, c in enumerate(coefficients) if j > 1 and not c.is_integer()]
     places = max((min(k, (_INT64_TOP**j).bit_length() // _DIGIT + 2) for j, _, k in monomials),
                  default=0)
 
@@ -168,13 +178,12 @@ def frac_poly(coefficients, n):
                     .astype(np.float64) for s in range(0, last + 1, _DIGIT)][:places]
         return _digit_product(digits((j + 1) // 2), digits(j // 2), places)
 
-    products = []
+    products = [(n_arr, c) for c in coefficients[1:2] if not c.is_integer()]
     for j, c, k in monomials:
         limit = _exact_root((j + 1) // 2)
         if top <= limit or inside(limit).any():
-            hi, lo = power((j + 1) // 2, limit), power(j // 2, limit) if j > 1 else None
-            parts = ([hi] if j == 1 else [hi * lo] if min(top, limit) ** j <= 2**53
-                     else two_prod(hi, lo))
+            hi, lo = power((j + 1) // 2, limit), power(j // 2, limit)
+            parts = [hi * lo] if min(top, limit) ** j <= 2**53 else two_prod(hi, lo)
             products += [(part, c) for part in parts]
         if top > limit:
             products += [(np.where(inside(limit), 0.0, d), math.ldexp(c, _DIGIT * i))

@@ -8,17 +8,17 @@ the declared rational angle of each coordinate. The module functions
 that is not a `System` raises `UnsupportedSystemError`. Three kinds exist:
 
 * `RotationTorus`: x -> x + alpha on T^d, each coordinate frac(x + n*alpha)
-  by `frac_poly`, exact mod 1 for every int64 time;
+  for every int64 time;
 * `AnzaiSkew`: (x, y) -> (x + alpha, y + x) on T^2, whose n-th iterate is
-  (x + n*alpha, y + n*x + n(n-1)/2 * alpha), declared for |n| <= 2**27 - 1,
-  where n(n-1)/2 is exact in float;
+  (x + n*alpha, y + n*x + n(n-1)/2 * alpha), declared for
+  |n| <= isqrt(2**63 - 1), where n(n-1) fits in int64;
 * `ToralAutomorphism`: a hyperbolic 2x2 integer matrix acting exactly on the
   rational lattice (Z_q)^2 for a prime modulus q, for int64 times.
 
 Orbits are never iterated in floating point. The rotation and skew closed
-forms run through compensated mod-1 reduction (error stays below 1e-12 for
-n up to 2**20), and automorphism orbits are exact modular arithmetic
-(`lattice_orbit`). A time past the declared domain (`check_times`),
+forms are int64 multiples of floats, reduced mod 1 by `frac_combine` within a
+few ulp at every declared time, and automorphism orbits are exact modular
+arithmetic (`lattice_orbit`). A time past the declared domain (`check_times`),
 including an exponent times n, raises `DomainError` before it can round or
 wrap.
 
@@ -29,6 +29,7 @@ modules read the declaration (`rational_angles`), never float comparisons.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,15 +39,13 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, UnsupportedSystemError
-from .numerics import frac, frac_combine, frac_poly, is_prime, unit_phase
+from .numerics import frac, frac_combine, is_prime, unit_phase
 
 Angle = Union[float, Fraction]
 
 _MAX_MODULUS = 1 << 53  # lattice coordinates residue/q are exact doubles below this
 
-# Largest skew time |n| whose n(n-1)/2, or |n|(|n|+1)/2 for negative n, is
-# at most 2**53 and therefore exact in float.
-SKEW_MAX_TIME = (1 << 27) - 1
+SKEW_MAX_TIME = math.isqrt(2**63 - 1)  # |n|(|n| + 1), so n(n - 1) at n = +-|n|, fits in int64
 INT64_MAX = (1 << 63) - 1
 
 
@@ -109,7 +108,7 @@ class RotationTorus(System):
         return tuple(_angle_float(a) for a in self.alpha)
 
     def coords(self, x, n):
-        return np.stack([frac_poly((b, a), n) for b, a in zip(x, self.alpha_floats)], axis=-1)
+        return np.stack([frac_combine([(n, a)], [b]) for b, a in zip(x, self.alpha_floats)], 1)
 
     def project_Zk(self, obs, k):
         return obs
@@ -121,7 +120,8 @@ class RotationTorus(System):
 
 @dataclass(frozen=True)
 class AnzaiSkew(System):
-    """Skew product (x, y) -> (x + alpha, y + x) on T^2.
+    """Skew product (x, y) -> (x + alpha, y + x) on T^2; the closed form takes n and n(n-1)/2
+    as int64 multipliers, so it is declared while n(n-1) fits in int64 (`SKEW_MAX_TIME`).
 
     Z_1 is the base rotation, so k = 1 keeps the terms constant in y; the
     skew is 2-step, so k >= 2 keeps everything. The fiber carries no angle.
@@ -131,17 +131,15 @@ class AnzaiSkew(System):
 
     dimension = 2
     time_limit = SKEW_MAX_TIME
-    time_why = "n(n-1)/2 stays exact in float"
+    time_why = "n(n-1) fits in int64"
 
     def __post_init__(self):
         _angle_float(self.alpha)
 
     def coords(self, x, n):
         (x, y), a = x, float(self.alpha)
-        nf = n.astype(np.float64)
-        mf = ((n * (n - 1)) // 2).astype(np.float64)
-        xs = frac_combine(products=[(nf, a)], terms=[x])
-        ys = frac_combine(products=[(nf, x), (mf, a)], terms=[y])
+        xs = frac_combine(products=[(n, a)], terms=[x])
+        ys = frac_combine(products=[(n, x), (n * (n - 1) // 2, a)], terms=[y])
         return np.stack([xs, ys], axis=-1)
 
     def project_Zk(self, obs, k):
@@ -351,14 +349,15 @@ def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: i
     return out[:count].astype(np.int64, copy=False)
 
 
-def check_times(n: np.ndarray, system: System | None = None, e: int = 1) -> None:
-    """Raise DomainError when the times e * n pass `system`'s declared domain.
+def check_times(n: np.ndarray, system: System | type[System] | None = None, e: int = 1) -> None:
+    """Raise DomainError when the times e * n pass the declared times of `system` or kind.
 
     |e| * max|n| is formed in Python integers, so it is checked before an
     int64 product e * n could be rounded or wrap; without a system the
     domain is int64.
     """
-    kind = System if system is None else _check_system(system)
+    kind = system if isinstance(system, type) and issubclass(system, System) else (
+        System if system is None else _check_system(system))
     top = abs(int(e)) * max(-int(n.min()), int(n.max())) if n.size else 0
     if top > kind.time_limit:
         raise DomainError(f"time {top} is past the closed form's limit |n| <= {kind.time_limit}, "

@@ -42,6 +42,7 @@ from ergonil import (
     wwdr_avg,
 )
 from ergonil.harness import config_from_dict, run_experiment
+from ergonil.systems import eval_observable_many
 
 import oracles
 
@@ -109,10 +110,12 @@ def test_criterion_01_exact_reductions(capsys):
         # degree-1 polynomial weight collapses to the frequency weight
         tw = wwdr_avg(system, o1, o2, x0, a, b, t, n)
         worst = max(worst, abs(poly_wwdr_avg(system, o1, o2, x0, a, b, (0.0, t), n) - tw))
-        # one auxiliary rotation factor collapses to the frequency weight
+        # one auxiliary rotation factor collapses to the frequency weight: the exact
+        # coefficients in y, evaluated at 64 nodes
         res = dual_system_avg(system, o1, o2, x0, a, b, RotationTorus((t,)),
-                              [observable([((1,), 1.0)])], 64, n)
-        for y, v in zip(res.grid, res.node_values):
+                              [observable([((1,), 1.0)])], n)
+        nodes = np.arange(64, dtype=np.float64) / 64
+        for y, v in zip(nodes, eval_observable_many(res.coefficients, nodes[:, None])):
             worst = max(worst, abs(v - np.exp(2j * np.pi * y) * tw))
     _report(capsys, 1, "exact reductions on 50 random configs", worst <= 1e-12,
             f"max deviation {worst:.2e} <= 1e-12", time.perf_counter() - t0, 10)

@@ -226,7 +226,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t"):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize("rid", ["../escaped", "a/b", "a\\b", ".", "..", "", 7])
+    # the id is also the first field of every ASCII CSV row: "a,b" wrote a 10-field row and
+    # "café" failed the run only at the CSV write, with exit 3
+    @pytest.mark.parametrize("rid", ["../escaped", "a/b", "a\\b", ".", "..", "", 7, "a,b", "café",
+                                     "tab\tin", "line\nbreak", "nul\0"])
     def test_id_must_be_a_plain_file_name(self, rid, tmp_path):
         with pytest.raises(ConfigError) as err:
             config_from_dict(ww_config(id=rid))
@@ -241,6 +244,23 @@ class TestConfigParsing:
         p.write_text('{"experiment": "ww_avg",\n  broken\n}')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(p)
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # a decode error was reported as a numeric error, exit 3
+        p = tmp_path / "latin1.json"
+        p.write_bytes(json.dumps(ww_config(id="cafe")).replace("cafe", "caf\xe9").encode("latin-1"))
+        with pytest.raises(ConfigError, match="cannot read config: 'utf-8' codec"):
+            load_config(p)
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli_main([*command, "--config", str(p)]) == 2
+            assert "config error: cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ids_of_printable_ascii_run(self, tmp_path):
+        rid = "ww run-1 (x=0.2; t=0.37)"
+        report = run_experiment(config_from_dict(ww_config(id=rid, schedule=[4])),
+                                out_dir=tmp_path)
+        assert report.csv_path.read_bytes().split(b"\n")[1].startswith(rid.encode() + b",4,")
 
     def test_index_base_defaults(self):
         # each experiment fixes where n starts: an orbit average's first term is
@@ -785,7 +805,8 @@ class TestCli:
         assert "limit" in capsys.readouterr().err
 
     def test_run_skew_past_domain_exit_3(self, tmp_path, capsys):
-        # exponent 2^20 at N = 256 asks the skew closed form for times up to 2^28
+        # exponent 2^24 at N = 256 asks the skew closed form for times up to 2^32, past
+        # isqrt(2^63 - 1), where n(n-1) stops fitting in int64
         doc = {
             "experiment": "double_avg",
             "system": {"kind": "anzai_skew", "alpha": PHI},
@@ -793,7 +814,7 @@ class TestCli:
             "observable2": {"terms": [[[0, 1], 1.0]]},
             "x0": [[0.2, 0.3]],
             "a": 1,
-            "b": 1 << 20,
+            "b": 1 << 24,
             "schedule": [256],
         }
         p = tmp_path / "c.json"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ergonil import (
     AnzaiSkew,
@@ -35,6 +36,7 @@ from ergonil.averages import orbit_terms
 from ergonil.errors import ConfigError, DimensionMismatchError, DomainError, UnsupportedSystemError
 from ergonil.harness import build_weight
 from ergonil.nilseq import THETA_TAIL, THETA_WIDTH_RANGE, WeightSequence
+from ergonil.systems import SKEW_MAX_TIME
 
 import oracles
 
@@ -465,6 +467,8 @@ class TestHeisenbergDomain:
 
     @pytest.mark.parametrize("gb, n", [
         (0.3, (1 << 27) - 1), (0.3, -(1 << 27) + 1), (0.3, (1 << 26) + 3),
+        # the skew's time limit, where n(n-1) fits in int64: floor(Y) * n is about 9.2e14
+        (1e-4, SKEW_MAX_TIME), (1e-4, -SKEW_MAX_TIME),
         # floor(Y) = 2^27 - 2, so floor(Y) * n = 2^53 - 2^27, just inside
         (2.0 - 1.5 / (1 << 26), 1 << 26),
     ])
@@ -474,8 +478,21 @@ class TestHeisenbergDomain:
         diff = np.abs(got - _reduced_exact(g, self.BASE, n))
         assert np.minimum(diff, 1.0 - diff).max() < 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(g=st.tuples(*[st.floats(-4.0, 4.0)] * 3), times=st.lists(
+        st.integers(-SKEW_MAX_TIME, SKEW_MAX_TIME), min_size=1, max_size=6))
+    def test_exact_up_to_the_time_limit(self, g, times):
+        g = HeisenbergElement(*g)
+        # keep floor(Y) * n below 2^53, the twist's own limit, at every drawn time
+        n = np.array([m for m in times if abs(math.floor(m * g.b + 0.25) * m) < 2**52], np.int64)
+        assume(n.size)
+        got = HeisenbergNilseq(g, self.BASE, _Coordinates()).eval_many(n)
+        want = np.array([_reduced_exact(g, self.BASE, int(m)) for m in n])
+        diff = np.abs(got - want)
+        assert np.minimum(diff, 1.0 - diff).max() < 1e-12
+
     @pytest.mark.parametrize("gb, n", [
-        (0.3, 1 << 27), (0.3, -(1 << 27)),
+        (1e-4, SKEW_MAX_TIME + 1), (1e-4, -SKEW_MAX_TIME - 1),
         # floor(Y) * n = 2^53 and about 9.5e16, past the exact twist
         (2.0 + 1.0 / (1 << 27), 1 << 26), (5.3, (1 << 27) - 1),
     ])

@@ -3,6 +3,7 @@ rational arithmetic, over all of int64 and every small degree; the in-place
 kernels `frac`, `frac_combine` and `unit_phase` against their allocating
 references, bit for bit."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,98 @@ class TestFracCombine:
         got, want = frac_combine(terms=[2.25, -0.5]), oracles.frac_combine(terms=[2.25, -0.5])
         assert np.ndim(got) == 0 and got == 0.75
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# int64 multipliers: every range, the edges of the exact cast, and the top, where the cast
+# rounds to 2**63 itself
+int64s = (st.integers(INT64_MIN, INT64_MAX)
+          | st.sampled_from([INT64_MIN, INT64_MAX, -INT64_MAX, (1 << 53) - 1, (1 << 53) + 1,
+                             -(1 << 53) + 1, -(1 << 53) - 1, 1 << 53, -(1 << 53), 0])
+          | st.integers((1 << 63) - 600, INT64_MAX) | st.integers(INT64_MIN, INT64_MIN + 600))
+small_ints = st.integers(-(1 << 53), 1 << 53)
+
+
+def _reduced_values(products, terms):
+    """How many values in [0, 1) `frac_combine` adds: two per product, two more per int64
+    multiplier with some |a| > 2**53 (its remainder), one per term."""
+    big = sum(bool((np.abs(a.astype(np.float64)) >= 2.0**53).any()) for a, _ in products)
+    return 2 * (len(products) + big) + len(terms)
+
+
+class TestFracCombineIntegers:
+    """An int64 multiplier is exact at every element, and where every |a| <= 2**53 it has
+    the bits of its float form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scalars=st.lists(scalar, min_size=1, max_size=4),
+           terms=st.lists(term, max_size=2))
+    def test_within_a_few_ulp_of_exact_rationals(self, data, scalars, terms):
+        length = data.draw(st.integers(1, 6))
+        firsts = [np.array(data.draw(st.lists(int64s, min_size=length, max_size=length)),
+                           dtype=np.int64) for _ in scalars]
+        before = b"".join(a.tobytes() for a in firsts)
+        products = list(zip(firsts, scalars))
+        got = frac_combine(products, terms)
+        assert b"".join(a.tobytes() for a in firsts) == before  # the operands are only read
+        m = _reduced_values(products, terms)
+        for i in range(length):
+            exact = (sum(Fraction(int(a[i])) * Fraction(b) for a, b in products)
+                     + sum(map(Fraction, terms)))
+            assert 0.0 <= got[i] < 1.0
+            assert circle_distance(float(got[i]), exact % 1) <= m * m * 2.0**-53
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, BLOCK, BLOCK + 1]),
+           top=st.integers(0, 53), scalars=st.lists(scalar, min_size=1, max_size=4),
+           terms=st.lists(term, max_size=2))
+    def test_bit_equal_to_the_float_form_up_to_2_53(self, seed, length, top, scalars, terms):
+        floats = _first_operands(seed, length, top, True, len(scalars))
+        ints = [a.astype(np.int64) for a in floats]
+        got = frac_combine(list(zip(ints, scalars)), terms)
+        assert got.tobytes() == frac_combine(list(zip(floats, scalars)), terms).tobytes()
+        assert got.tobytes() == oracles.frac_combine(list(zip(floats, scalars)), terms).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), scalars=st.lists(scalar, min_size=1, max_size=3),
+           terms=st.lists(term, max_size=2))
+    def test_small_multipliers_keep_their_bits_beside_large_ones(self, data, scalars, terms):
+        # a large element in the same array, or in another product of the call, adds a
+        # remainder product that is 0 at every small element, so their bits do not move
+        length = data.draw(st.integers(2, 8))
+        firsts = [np.array(data.draw(st.lists(small_ints, min_size=length, max_size=length)),
+                           dtype=np.int64) for _ in scalars]
+        big = data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=length - 1,
+                                 unique=True))
+        for i in big:
+            firsts[data.draw(st.integers(0, len(firsts) - 1))][i] = data.draw(
+                int64s.filter(lambda v: abs(v) > 1 << 53))
+        small = np.setdiff1d(np.arange(length), big)
+        got = frac_combine(list(zip(firsts, scalars)), terms)
+        alone = frac_combine([(a[small].astype(np.float64), b) for a, b in zip(firsts, scalars)],
+                             terms)
+        assert got[small].tobytes() == alone.tobytes()
+
+    def test_large_multipliers_need_their_remainder(self):
+        # 2**63 - 1 casts to 2**63, and 2**53 + 1 to 2**53: the float form is off by b
+        a, b = np.array([INT64_MAX, (1 << 53) + 1, INT64_MIN], dtype=np.int64), 0.375
+        got = frac_combine([(a, b)])
+        assert got.tolist() == [float((Fraction(int(v)) * Fraction(b)) % 1) for v in a]
+        assert got.tolist() == [0.625, 0.375, 0.0]
+
+    def test_an_int_block_adds_no_block_sized_array(self):
+        n = np.arange(BLOCK, dtype=np.int64) - BLOCK // 2
+
+        def peak(a):
+            frac_combine([(a, PHI)], [0.25])
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                frac_combine([(a, PHI)], [0.25])
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak(n) <= peak(n.astype(np.float64)) + 4096
 
 
 def _phase_reference(theta):

@@ -239,13 +239,31 @@ class TestDomain:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             orbit_coords(AnzaiSkew(PHI), x0, np.arange(4))
 
-    @pytest.mark.parametrize("n", [SKEW_MAX_TIME, -SKEW_MAX_TIME, SKEW_MAX_TIME - 1, (1 << 26) + 3])
+    # n(n-1) fits in int64 up to SKEW_MAX_TIME = isqrt(2^63 - 1); the times around 2^27
+    # were the limit while n(n-1)/2 had to be an exact float
+    @pytest.mark.parametrize("n", [SKEW_MAX_TIME, -SKEW_MAX_TIME, SKEW_MAX_TIME - 1,
+                                   (1 << 27) - 1, -(1 << 27) + 1, (1 << 27) - 2, (1 << 26) + 3])
     def test_skew_just_inside_limit(self, n):
         got = orbit_coords(AnzaiSkew(PHI), (0.2, 0.3), [n])[0]
         diff = np.abs(got - oracles.exact_anzai(PHI, (0.2, 0.3), n))
         assert np.minimum(diff, 1.0 - diff).max() < 1e-12
 
-    @pytest.mark.parametrize("n", [SKEW_MAX_TIME + 1, -SKEW_MAX_TIME - 1, (1 << 27) + 3])
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_max=True), x=st.floats(0.0, 1.0, exclude_max=True),
+           y=st.floats(0.0, 1.0, exclude_max=True),
+           times=st.lists(st.integers(-SKEW_MAX_TIME, SKEW_MAX_TIME), min_size=1, max_size=6))
+    def test_skew_exact_up_to_the_limit(self, alpha, x, y, times):
+        got = orbit_coords(AnzaiSkew(alpha), (x, y), np.array(times, np.int64))
+        want = np.array([oracles.exact_anzai(alpha, (x, y), m) for m in times])
+        diff = np.abs(got - want)
+        assert np.minimum(diff, 1.0 - diff).max() < 1e-12
+
+    def test_skew_limit_is_where_n_times_n_minus_1_fits_in_int64(self):
+        assert SKEW_MAX_TIME == 3037000499
+        assert SKEW_MAX_TIME * (SKEW_MAX_TIME + 1) <= INT64_MAX
+        assert (SKEW_MAX_TIME + 1) * (SKEW_MAX_TIME + 2) > INT64_MAX
+
+    @pytest.mark.parametrize("n", [SKEW_MAX_TIME + 1, -SKEW_MAX_TIME - 1, 1 << 32])
     def test_skew_past_limit_raises(self, n):
         with pytest.raises(DomainError, match="limit"):
             orbit_coords(AnzaiSkew(PHI), (0.2, 0.3), [0, 5, n])
@@ -286,7 +304,7 @@ class TestExponentDomain:
         y = oracles.exact_anzai(PHI, (0.2, 0.3), SKEW_MAX_TIME)[1]
         assert abs(got[0] - oracles.unit(y)) < 1e-12
         # 2^62 * 4 wraps to 0 in int64; the check runs in Python integers first
-        for e, n in ((SKEW_MAX_TIME, [2]), (1 << 62, [4]), (1 << 26, [-2])):
+        for e, n in ((SKEW_MAX_TIME, [2]), (1 << 62, [4]), (1 << 31, [-2])):
             with pytest.raises(DomainError):
                 orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array(n), self.SKEW_Y, e)
 
@@ -426,6 +444,15 @@ class TestSystemChecks:
             with pytest.raises(UnsupportedSystemError):
                 call()
 
+    def test_check_times_takes_a_system_kind(self):
+        # a kind's declared times, as for its instances; another class is not a kind
+        n = np.array([0, SKEW_MAX_TIME + 1], np.int64)
+        check_times(n, RotationTorus)
+        with pytest.raises(DomainError, match="n\\(n-1\\) fits in int64"):
+            check_times(n, AnzaiSkew)
+        with pytest.raises(UnsupportedSystemError):
+            check_times(n, self.NotASystem)
+
     @pytest.mark.parametrize("x0", [(3.7, 5), (3.0, 5), (True, 5), (5, np.nan), (np.float64(3), 5)])
     def test_lattice_point_must_be_integers(self, x0):
         # truncating a float or counting a bool as 1 would start the orbit elsewhere
@@ -443,7 +470,8 @@ class TestSystemChecks:
 
 
 class TestRotationClosedForm:
-    """Each rotation coordinate is frac_poly((x_i, alpha_i), n), exact for every int64 time."""
+    """Each rotation coordinate is frac_combine([(n, alpha_i)], [x_i]) on the int64 times,
+    exact for every int64 time."""
 
     angles = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3)
 
