@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
 from .numerics import frac, frac_combine, frac_poly, ordered_product, two_prod, unit_phase
 from .systems import (AnzaiSkew, Observable, System, _check_system, check_times,
-                      eval_observable_many, orbit_coords)
+                      eval_observable_many, integer_frequency, orbit_coords)
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ class TorusChar:
     m: int
     k: int
 
+    bound = 1.0
     tail_bound = 0.0  # nothing is truncated
 
-    @property
-    def bound(self) -> float:
-        return 1.0
+    def __post_init__(self):  # e(1.5 x) is not lattice-invariant
+        integer_frequency(self.m), integer_frequency(self.k)
 
     def eval_raw(self, x, y, z):
         return unit_phase(frac(self.m * np.asarray(x) + self.k * np.asarray(y)))
@@ -121,6 +121,7 @@ class ThetaType:
     width: float = 1.0
 
     def __post_init__(self):
+        integer_frequency(self.ell)
         if self.ell == 0:
             raise ValueError("center frequency ell must be nonzero")
         lo, hi = THETA_WIDTH_RANGE
@@ -294,13 +295,18 @@ class HeisenbergNilseq(WeightSequence):
     Coordinates of g^n * base are reduced mod the lattice with compensated
     arithmetic before F is applied, so phases stay accurate at every declared
     time even though the raw center coordinate grows like n^2. Declared for
-    the skew's times, where n(n-1) fits in int64, and |floor(Y) n| < 2**53
-    (Y = n g.b + base.b), where the lattice twist is exact; `DomainError` past either.
+    the skew's times, where n(n-1) fits in int64, while |n g.b| + |base.b| < 2**50
+    (floor(Y), Y = n g.b + base.b, is then exact) and the int64 twist floor(Y) n
+    fits; `DomainError` past any of them. With |g.b|, |base.b| < 1 that is every time.
     """
 
     g: HeisenbergElement
     base: HeisenbergElement
     func: TorusChar | ThetaType
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self.g) + astuple(self.base))):
+            raise ValueError(f"g and base must be finite, got {self.g} and {self.base}")
 
     @property
     def bound(self) -> float:
@@ -312,10 +318,12 @@ class HeisenbergNilseq(WeightSequence):
 
     def eval_many(self, n):
         n = np.atleast_1d(np.asarray(n, dtype=np.int64))
-        check_times(n, AnzaiSkew)  # the centre's n(n-1)/2 is the skew's
-        half = n * (n - 1) // 2
+        top = check_times(n, AnzaiSkew)  # the centre's n(n-1)/2 is the skew's
         ga, gb, gc = self.g.a, self.g.b, self.g.c
         u, v, w = self.base.a, self.base.b, self.base.c
+        if top * abs(gb) + abs(v) >= 2.0**50:
+            raise DomainError("Heisenberg |n g.b| + |base.b| reaches 2^50: floor(Y) inexact")
+        half = n * (n - 1) // 2
         ab_hi, ab_lo = two_prod(ga, gb)
         na_hi, na_lo = two_prod(n, ga)  # exact: |n| < 2**53
         # raw point e = g^n * base = (X, Y, Z); reduce by the lattice element
@@ -330,11 +338,9 @@ class HeisenbergNilseq(WeightSequence):
         del half, na_hi, na_lo  # free each length-N temporary after its last use: lower peak
         x = frac_combine(products=[(n, ga)], terms=[u])
         y = frac_combine(products=[(n, gb)], terms=[v])
-        floor_y = np.round(n * gb + v - y)  # exact: the true floor is within ~1e-10
-        kn = floor_y * n  # exact while |floor_y * n| < 2**53
-        if n.size and np.abs(kn).max() >= 2.0**53:
-            raise DomainError("Heisenberg twist floor(Y) * n reaches 2^53, the limit of its "
-                              "exact float product")
+        floor_y = np.round(n * gb + v - y)  # exact: below 2**50 three roundings miss by <= 1/4
+        check_times(floor_y, e=top)  # the twist floor(Y) * n is formed in int64
+        kn = floor_y.astype(np.int64) * n
         twist = frac_combine(products=[(kn, ga), (floor_y, u)])
         z = frac(z_raw - twist)
         del floor_y, z_raw, kn, twist
@@ -370,6 +376,10 @@ class Scaled(WeightSequence):
     scale: complex
     inner: WeightSequence
 
+    def __post_init__(self):
+        if not cmath.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
+
     @property
     def bound(self) -> float:
         return abs(self.scale) * self.inner.bound
@@ -395,11 +405,11 @@ class Table(WeightSequence):
 
     def __init__(self, values, sup_error_budget: float = 0.0):
         self.values = np.asarray(values, dtype=np.complex128)
+        self.error_budget = float(sup_error_budget)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("table must be a nonempty 1-d complex sequence")
-        self.error_budget = float(sup_error_budget)
-        if self.error_budget < 0:
-            raise ValueError("sup_error_budget must be >= 0")
+        if not (np.isfinite(self.values).all() and 0 <= self.error_budget < math.inf):
+            raise ValueError("table values must be finite, and sup_error_budget finite and >= 0")
         self.bound = float(np.abs(self.values).max())
 
     @property

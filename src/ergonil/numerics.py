@@ -1,13 +1,14 @@
 """Compensated floating-point kernels: exact mod-1 reduction of products and
 polynomial values, and a fixed-shape pairwise summation tree.
 
-The mod-1 helpers rely on three facts about IEEE double arithmetic:
+The mod-1 helpers rely on three facts about IEEE double arithmetic, and one about int64:
 
 * ``x - floor(x)`` is exact for every finite double (for |x| >= 2**52 the
   value is an integer and the result is 0);
 * Dekker's product splitting returns a pair (p, e) with p + e == a*b exactly,
   so ``a*b mod 1`` can be assembled from ``frac(p) + frac(e)``;
-* integers below 2**53 are exact, so base-2**24 digits multiply exactly.
+* integers below 2**53 are exact, so base-2**24 digits multiply exactly;
+* int64 array products wrap mod 2**64, which moves c*n by an integer if c has <= 64 fractional bits.
 
 So every reduced coordinate is within a few ulp, however large the product.
 
@@ -27,7 +28,6 @@ they keep those forms' bits:
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -130,65 +130,43 @@ def _digit_product(a, b, places):
     return cols[:places]
 
 
-@functools.cache
-def _exact_root(h):
-    """Largest m with m**h <= 2**53: n**h is then one exact float for every |n| <= m."""
-    m = int(2.0 ** (53 / h)) + 1  # at least the answer: the float root is within an ulp
-    while m**h > 2**53:
-        m -= 1
-    return m
+def _power_digits(n, j, places, memo):
+    """Base-2**24 digits of n**j mod 2**(24 places), each within 2**23 (n's own low ones in
+    [0, 2**24), its top one signed), by halving j; `memo` keeps every power on the way."""
+    if j == 1:
+        last = _INT64_TOP.bit_length() // _DIGIT * _DIGIT
+        return [((n >> s) & ((1 << _DIGIT) - 1) if s < last else n >> s).astype(np.float64)
+                for s in range(0, last + 1, _DIGIT)][:places]
+    if j not in memo:
+        memo[j] = _digit_product(_power_digits(n, (j + 1) // 2, places, memo),
+                                 _power_digits(n, j // 2, places, memo), places)
+    return memo[j]
 
 
 def frac_poly(coefficients, n):
     """frac(c0 + c1*n + ... + cd*n**d), exact mod 1, one vectorized path for int64 n.
 
-    c_1 takes n as an int64 multiplier. Each other n**j is float parts with an exact sum, chosen
-    per element so that no value depends on the other times: where |n|**ceil(j/2) <= 2**53, a plain
-    product or `two_prod` of the single floats n**ceil(j/2), n**floor(j/2) (same bits: an exact
-    product's low part is 0), else base-2**24 digits d_i mod 2**(24 K) laid out for every int64
-    time, each below c_j's last bit entering as d_i * (c_j 2**(24 i)). An element is 0 in the other
-    kind's parts. `frac_combine` adds the parts times c_j, a few ulp each. Integer c_j are skipped.
+    The form of each non-integer c_j n**j is chosen per coefficient, so no value depends on the
+    other times. Where j = 1 or c_j has at most 64 fractional bits, n**j is one int64 multiplier:
+    the array power wraps mod 2**64, a multiple of c_j's denominator, so c_j n**j moves by an
+    integer. Otherwise n**j is base-2**24 digits d_i mod 2**(24 K) for every int64 time, the K
+    above c_j's last bit each entering as d_i * (c_j 2**(24 i)). Integer c_j are skipped.
     """
     coefficients = [float(c) for c in coefficients]
     if not all(map(math.isfinite, coefficients)):
         raise DomainError(f"polynomial coefficients must be finite, got {coefficients}")
     n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    top = max(-int(n_arr.min()), int(n_arr.max())) if n_arr.size else 0
-    # (j, c_j, digits of n**j below the last bit of c_j), and the places K for all
-    monomials = [(j, c, -(-(c.as_integer_ratio()[1].bit_length() - 1) // _DIGIT))
-                 for j, c in enumerate(coefficients) if j > 1 and not c.is_integer()]
-    places = max((min(k, (_INT64_TOP**j).bit_length() // _DIGIT + 2) for j, _, k in monomials),
+    bits = [c.as_integer_ratio()[1].bit_length() - 1 for c in coefficients]  # fractional bits
+    wide = {j: -(-e // _DIGIT) for j, e in enumerate(bits) if j > 1 and e > 64}  # j -> K digits
+    places = max((min(k, (_INT64_TOP**j).bit_length() // _DIGIT + 2) for j, k in wide.items()),
                  default=0)
-
-    @functools.cache
-    def inside(limit):
-        return (n_arr >= -limit) & (n_arr <= limit)
-
-    @functools.cache
-    def power(j, limit):  # n**j as one exact float where |n| <= limit, else 0
-        if j > 1:
-            return power((j + 1) // 2, limit) * power(j // 2, limit)
-        return (n_arr if top <= limit else np.where(inside(limit), n_arr, 0)).astype(np.float64)
-
-    @functools.cache
-    def digits(j):
-        if j == 1:  # low digits in [0, 2**24), the top one signed
-            last = _INT64_TOP.bit_length() // _DIGIT * _DIGIT
-            return [((n_arr >> s) & ((1 << _DIGIT) - 1) if s < last else n_arr >> s)
-                    .astype(np.float64) for s in range(0, last + 1, _DIGIT)][:places]
-        return _digit_product(digits((j + 1) // 2), digits(j // 2), places)
-
-    products = [(n_arr, c) for c in coefficients[1:2] if not c.is_integer()]
-    for j, c, k in monomials:
-        limit = _exact_root((j + 1) // 2)
-        if top <= limit or inside(limit).any():
-            hi, lo = power((j + 1) // 2, limit), power(j // 2, limit)
-            parts = [hi * lo] if min(top, limit) ** j <= 2**53 else two_prod(hi, lo)
-            products += [(part, c) for part in parts]
-        if top > limit:
-            products += [(np.where(inside(limit), 0.0, d), math.ldexp(c, _DIGIT * i))
-                         for i, d in enumerate(digits(j)[:k])]
-    del power, digits  # they refer to themselves: break those cycles so their arrays go now
+    products, memo = [], {}
+    for j, c in enumerate(coefficients):
+        if j in wide:
+            digits = _power_digits(n_arr, j, places, memo)[:wide[j]]
+            products += [(d, math.ldexp(c, _DIGIT * i)) for i, d in enumerate(digits)]
+        elif j and bits[j]:
+            products.append((n_arr**j, c))
     out = frac_combine(products, terms=(coefficients[0],))
     out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
     return float(out[0]) if np.ndim(n) == 0 else np.asarray(out, dtype=np.float64)

@@ -254,6 +254,13 @@ def mat_pow_mod(m, n: int, mod: int):
 # ---------------------------------------------------------------------------
 
 
+def integer_frequency(value) -> int:
+    """`value` as an int; ValueError unless it is integral (1.0 is, 1.5, NaN and inf are not)."""
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"frequency {value!r} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Observable:
     """Finite trigonometric polynomial sum(c_k * e(k . x)) on T^d.
@@ -269,7 +276,8 @@ class Observable:
         seen = set()
         canon = []
         for freq, coeff in self.terms:
-            f = tuple(int(v) for v in (freq if isinstance(freq, (tuple, list, np.ndarray)) else (freq,)))
+            f = tuple(map(integer_frequency,
+                          freq if isinstance(freq, (tuple, list, np.ndarray)) else (freq,)))
             if len(f) != self.dimension:
                 raise DimensionMismatchError(
                     f"frequency {f} has length {len(f)}, system dimension is {self.dimension}"
@@ -277,6 +285,8 @@ class Observable:
             if f in seen:
                 raise ValueError(f"duplicate frequency {f}")
             seen.add(f)
+            if not np.isfinite(complex(coeff)):
+                raise ValueError(f"coefficient of frequency {f} must be finite, got {coeff}")
             canon.append((f, complex(coeff)))
         canon.sort(key=lambda t: t[0])
         object.__setattr__(self, "terms", tuple(canon))
@@ -286,7 +296,7 @@ class Observable:
         return float(sum(abs(c) for _, c in self.terms))
 
     def coefficient(self, freq) -> complex:
-        f = tuple(int(v) for v in (freq if isinstance(freq, (tuple, list)) else (freq,)))
+        f = tuple(map(integer_frequency, freq if isinstance(freq, (tuple, list)) else (freq,)))
         for g, c in self.terms:
             if g == f:
                 return c
@@ -349,8 +359,8 @@ def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: i
     return out[:count].astype(np.int64, copy=False)
 
 
-def check_times(n: np.ndarray, system: System | type[System] | None = None, e: int = 1) -> None:
-    """Raise DomainError when the times e * n pass the declared times of `system` or kind.
+def check_times(n: np.ndarray, system: System | type[System] | None = None, e: int = 1) -> int:
+    """|e| * max|n|; DomainError when the times e * n pass the declared times of `system` or kind.
 
     |e| * max|n| is formed in Python integers, so it is checked before an
     int64 product e * n could be rounded or wrap; without a system the
@@ -362,6 +372,7 @@ def check_times(n: np.ndarray, system: System | type[System] | None = None, e: i
     if top > kind.time_limit:
         raise DomainError(f"time {top} is past the closed form's limit |n| <= {kind.time_limit}, "
                           f"where {kind.time_why}")
+    return top
 
 
 def orbit_coords(system: System, x0, n) -> np.ndarray:

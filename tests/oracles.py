@@ -8,6 +8,7 @@ sums are literal nested loops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -321,6 +322,80 @@ def rotation_coords(alpha, x0, n):
     nf = np.asarray(n, dtype=np.int64).astype(np.float64)
     return np.stack([frac_combine([(nf, float(a))], [float(x)]) for a, x in zip(alpha, x0)],
                     axis=-1)
+
+
+# Reference polynomial phase: `frac_poly` as it was while it chose the form of each power per
+# element (one exact float, a Dekker pair, or base-2**24 digits, each element 0 in the other
+# kind's parts), kept unchanged so the per-coefficient form can be pinned to it bit for bit. It
+# reduces through the library's `frac_combine`, which the tests pin to `frac_combine` above.
+
+_DIGIT = 24
+_INT64_TOP = 1 << 63
+
+
+def _digit_product(a, b, places):
+    cols = [0.0] * (places + 1)
+    for i, x in enumerate(a[:places]):
+        for j, y in enumerate(b[: places - i]):
+            cols[i + j] = cols[i + j] + x * y
+    for k in range(places):
+        carry = np.rint(cols[k] / 2.0**_DIGIT)
+        cols[k] = cols[k] - carry * 2.0**_DIGIT
+        cols[k + 1] = cols[k + 1] + carry
+    return cols[:places]
+
+
+@functools.cache
+def _exact_root(h):
+    """Largest m with m**h <= 2**53: n**h is then one exact float for every |n| <= m."""
+    m = int(2.0 ** (53 / h)) + 1
+    while m**h > 2**53:
+        m -= 1
+    return m
+
+
+def frac_poly_per_element(coefficients, n):
+    from ergonil.numerics import frac_combine
+
+    coefficients = [float(c) for c in coefficients]
+    n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    top = max(-int(n_arr.min()), int(n_arr.max())) if n_arr.size else 0
+    monomials = [(j, c, -(-(c.as_integer_ratio()[1].bit_length() - 1) // _DIGIT))
+                 for j, c in enumerate(coefficients) if j > 1 and not c.is_integer()]
+    places = max((min(k, (_INT64_TOP**j).bit_length() // _DIGIT + 2) for j, _, k in monomials),
+                 default=0)
+
+    @functools.cache
+    def inside(limit):
+        return (n_arr >= -limit) & (n_arr <= limit)
+
+    @functools.cache
+    def power(j, limit):
+        if j > 1:
+            return power((j + 1) // 2, limit) * power(j // 2, limit)
+        return (n_arr if top <= limit else np.where(inside(limit), n_arr, 0)).astype(np.float64)
+
+    @functools.cache
+    def digits(j):
+        if j == 1:
+            last = _INT64_TOP.bit_length() // _DIGIT * _DIGIT
+            return [((n_arr >> s) & ((1 << _DIGIT) - 1) if s < last else n_arr >> s)
+                    .astype(np.float64) for s in range(0, last + 1, _DIGIT)][:places]
+        return _digit_product(digits((j + 1) // 2), digits(j // 2), places)
+
+    products = [(n_arr, c) for c in coefficients[1:2] if not c.is_integer()]
+    for j, c, k in monomials:
+        limit = _exact_root((j + 1) // 2)
+        if top <= limit or inside(limit).any():
+            hi, lo = power((j + 1) // 2, limit), power(j // 2, limit)
+            parts = [hi * lo] if min(top, limit) ** j <= 2**53 else two_prod(hi, lo)
+            products += [(part, c) for part in parts]
+        if top > limit:
+            products += [(np.where(inside(limit), 0.0, d), math.ldexp(c, _DIGIT * i))
+                         for i, d in enumerate(digits(j)[:k])]
+    out = frac_combine(products, terms=(coefficients[0],))
+    out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
+    return np.asarray(out, dtype=np.float64)
 
 
 # Reference box walk: the one-offset-tuple-at-a-time form that `ergonil.seminorms` had

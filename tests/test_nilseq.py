@@ -469,8 +469,12 @@ class TestHeisenbergDomain:
         (0.3, (1 << 27) - 1), (0.3, -(1 << 27) + 1), (0.3, (1 << 26) + 3),
         # the skew's time limit, where n(n-1) fits in int64: floor(Y) * n is about 9.2e14
         (1e-4, SKEW_MAX_TIME), (1e-4, -SKEW_MAX_TIME),
-        # floor(Y) = 2^27 - 2, so floor(Y) * n = 2^53 - 2^27, just inside
-        (2.0 - 1.5 / (1 << 26), 1 << 26),
+        # floor(Y) * n = 2^53 - 2^27, 2^53 and about 9.5e16: an int64 twist takes them exactly
+        (2.0 - 1.5 / (1 << 26), 1 << 26), (2.0 + 1.0 / (1 << 27), 1 << 26), (5.3, (1 << 27) - 1),
+        # floor(Y) * n = (2^32 - 2)(2^31 - 1), just below 2^63
+        (2.0, (1 << 31) - 1),
+        # |n g.b| + |base.b| just below 2^50, where floor(Y) is still exact
+        ((2.0**50 - 2) / 3 + 1 / 7, 3), (-((2.0**50 - 2) / 3 + 1 / 7), -3),
     ])
     def test_just_inside_limits(self, gb, n):
         g = HeisenbergElement(PHI, gb, 0.1)
@@ -483,8 +487,9 @@ class TestHeisenbergDomain:
         st.integers(-SKEW_MAX_TIME, SKEW_MAX_TIME), min_size=1, max_size=6))
     def test_exact_up_to_the_time_limit(self, g, times):
         g = HeisenbergElement(*g)
-        # keep floor(Y) * n below 2^53, the twist's own limit, at every drawn time
-        n = np.array([m for m in times if abs(math.floor(m * g.b + 0.25) * m) < 2**52], np.int64)
+        # keep the twist floor(Y) * n in int64: |floor(Y)| <= |n g.b| + 1 at every drawn time,
+        # so the largest time bounds both factors (|n g.b| stays far below 2^50)
+        n = np.array([m for m in times if abs(m) * (abs(m * g.b) + 2) < 2**63], np.int64)
         assume(n.size)
         got = HeisenbergNilseq(g, self.BASE, _Coordinates()).eval_many(n)
         want = np.array([_reduced_exact(g, self.BASE, int(m)) for m in n])
@@ -493,14 +498,17 @@ class TestHeisenbergDomain:
 
     @pytest.mark.parametrize("gb, n", [
         (1e-4, SKEW_MAX_TIME + 1), (1e-4, -SKEW_MAX_TIME - 1),
-        # floor(Y) * n = 2^53 and about 9.5e16, past the exact twist
-        (2.0 + 1.0 / (1 << 27), 1 << 26), (5.3, (1 << 27) - 1),
+        # |n g.b| = 2^50: floor(Y) would no longer be exact
+        (2.0**20, 1 << 30),
+        # floor(Y) * n = 2^33 * 2^31 = 2^64: the twist would not fit in int64
+        (4.0, 1 << 31),
     ])
     def test_past_limits_raise(self, gb, n):
+        match = {2.0**20: "2\\^50", 4.0: "int64"}.get(gb, "limit")  # the guard that fires
         w = HeisenbergNilseq(HeisenbergElement(PHI, gb, 0.1), self.BASE, _Coordinates())
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=match):
             w.eval_many(np.array([0, 7, n]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=match):
             HeisenbergNilseq(w.g, self.BASE, TorusChar(1, 1)).eval(n)
 
 
@@ -522,6 +530,47 @@ class TestHeisenbergMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 8 * block, peak / (8 * block)
+
+
+class TestConstructorsCheckTheirNumbers:
+    """What the config reader rejects, the library constructors reject too, with a
+    `ValueError` in place of a weight that returns NaN or the wrong function."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_table_value_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Table([1.0, value, 0.5j])
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -0.5])
+    def test_table_budget_must_be_finite_and_nonnegative(self, budget):
+        with pytest.raises(ValueError, match="sup_error_budget"):
+            Table(np.ones(4), sup_error_budget=budget)
+
+    @pytest.mark.parametrize("scale", [np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf)])
+    def test_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            Scaled(scale, PolynomialPhase((0.0, PHI)))
+
+    @pytest.mark.parametrize("g, base", [((np.nan, 0.3, 0.1), (0.1, 0.25, 0.7)),
+                                         ((PHI, np.inf, 0.1), (0.1, 0.25, 0.7)),
+                                         ((PHI, 0.3, 0.1), (0.1, 0.25, -np.inf))])
+    def test_heisenberg_elements_must_be_finite(self, g, base):
+        with pytest.raises(ValueError, match="finite"):
+            HeisenbergNilseq(HeisenbergElement(*g), HeisenbergElement(*base), TorusChar(1, 1))
+
+    @pytest.mark.parametrize("m, k", [(1.5, 0), (0, -0.5), (np.nan, 1), (1, np.inf)])
+    def test_torus_char_frequencies_must_be_integers(self, m, k):
+        # e(1.5 x) is not lattice-invariant
+        with pytest.raises(ValueError, match="integer"):
+            TorusChar(m, k)
+
+    def test_theta_frequency_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            ThetaType(1.5)
+
+    def test_integral_floats_are_accepted(self):
+        assert TorusChar(1.0, np.float64(-2.0)) == TorusChar(1, -2)
+        assert ThetaType(2.0).ell == 2
 
 
 class TestTable:

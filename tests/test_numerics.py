@@ -3,6 +3,7 @@ rational arithmetic, over all of int64 and every small degree; the in-place
 kernels `frac`, `frac_combine` and `unit_phase` against their allocating
 references, bit for bit."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergonil import DomainError, PolynomialPhase
+from ergonil import numerics
 from ergonil.numerics import frac, frac_combine, frac_poly, ordered_product, unit_phase
 
 import oracles
@@ -19,7 +21,8 @@ PHI = (np.sqrt(5.0) - 1.0) / 2.0
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 EDGES = [0, 1, -1, (1 << 26) - 1, (1 << 26) + 1, -(1 << 26) - 1, (1 << 53) - 1, (1 << 53) + 1,
          -(1 << 53) - 1, INT64_MAX, -INT64_MAX, INT64_MIN]
-# around the largest |n| whose n**h is an exact float, where a power changes its parts
+# around the largest |n| whose n**h is an exact float: past it the power's int64 cast rounds,
+# and `frac_combine` adds the remainder as one more product
 ROOTS = [s * (m + d) for m in (94906265, 208063, 9741, 1552, 456, 1 << 53)
          for d in (0, 1) for s in (1, -1)]
 
@@ -33,6 +36,18 @@ def circle_error(coefficients, ns):
 
 
 coefficient = st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False)
+# coefficients with at most 64 fractional bits: every |c| >= 2**-12, and dyadic ones below
+short_coefficient = (st.floats(-4.0, 4.0).filter(lambda c: c == 0.0 or abs(c) >= 2.0**-12)
+                     | st.builds(math.ldexp, st.integers(-(1 << 53), 1 << 53), st.integers(-64, 0))
+                     | st.sampled_from([2.0**60, -3.0, 0.5, 2.0**-64, -(2.0**-63)]))
+
+
+def _root_below(bound, d):
+    """Largest m with m**d < bound."""
+    m = math.isqrt(bound) if d == 2 else int(bound ** (1.0 / d)) + 1
+    while m**d >= bound:
+        m -= 1
+    return m
 
 
 class TestFracPoly:
@@ -60,8 +75,8 @@ class TestFracPoly:
             assert together[i:i + 1].tobytes() == frac_poly(coefficients, ns[i:i + 1]).tobytes()
 
     def test_degree5_value_does_not_depend_on_the_longest_time(self):
-        # past |n| = 208063, n**3 is no exact float: the degree-5 part of those
-        # times takes digits, but the times below keep their own parts
+        # past |n| = 1552, n**5 is no exact float: `frac_combine` adds a remainder
+        # product for those times, and the times below keep their bits
         p = (0.0, 0.1, 0.2, 0.3, 0.4, 0.123456789)
         ns = np.arange(1, (1 << 18) + 1, dtype=np.int64)
         assert frac_poly(p, ns)[:1024].tobytes() == frac_poly(p, ns[:1024]).tobytes()
@@ -78,6 +93,41 @@ class TestFracPoly:
         # |c| * n^d reaches 2^1200 here: far past what a float product can hold
         coefficients = (0.1,) * degree + (PHI,)
         assert circle_error(coefficients, [INT64_MAX, INT64_MIN, (1 << 60) + 3, 12345]) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), degree=st.integers(0, 6))
+    def test_matches_the_per_element_form_bit_for_bit(self, data, degree):
+        # where every |n|**d < 2**63 - 2**10 and every c_j has at most 64 fractional bits, the
+        # int64 cast of n**j is the single float of the old form, and the remainder that
+        # `frac_combine` appends is its Dekker low part, added last as it was
+        coefficients = data.draw(st.lists(short_coefficient, min_size=degree + 1,
+                                          max_size=degree + 1))
+        top = _root_below(2**63 - 2**10, max(degree, 1))
+        ns = np.array(data.draw(st.lists(st.integers(-top, top)
+                                         | st.sampled_from([m for m in ROOTS if abs(m) <= top]),
+                                         min_size=1, max_size=12)), dtype=np.int64)
+        assert (frac_poly(coefficients, ns).tobytes()
+                == oracles.frac_poly_per_element(coefficients, ns).tobytes())
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("bits, digits", [(64, False), (65, True)])
+    def test_64_fractional_bits_take_int64_and_65_take_digits(self, monkeypatch, degree, bits,
+                                                              digits):
+        calls, power_digits = [], numerics._power_digits
+        monkeypatch.setattr(numerics, "_power_digits",
+                            lambda n, j, *rest: calls.append(j) or power_digits(n, j, *rest))
+        coefficients = (0.25, PHI) + (0.0,) * (degree - 2) + (3.0 * 2.0**-bits,)
+        ns = [INT64_MAX, INT64_MIN, (1 << 53) + 1, -(1 << 53) - 1]
+        assert circle_error(coefficients, ns) < 1e-12
+        assert (degree in calls) == digits
+
+    def test_int64_array_powers_wrap_without_a_warning(self):
+        # the int64 form relies on this: pytest makes a RuntimeWarning an error, and a scalar
+        # int64 product that overflows does warn
+        ns = np.array([INT64_MAX, INT64_MIN, 3037000500, -(1 << 53) - 1], dtype=np.int64)
+        for j in range(2, 7):
+            wrapped = [((m**j + (1 << 63)) % (1 << 64)) - (1 << 63) for m in map(int, ns)]
+            assert (ns**j).tolist() == wrapped
 
     def test_scalar_and_empty(self):
         assert frac_poly((0.5, 0.25), 3) == 0.25

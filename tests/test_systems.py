@@ -357,6 +357,24 @@ class TestObservables:
         with pytest.raises(ValueError, match="duplicate"):
             observable([((1,), 1.0), ((1,), 2.0)])
 
+    @pytest.mark.parametrize("coefficient", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        with pytest.raises(ValueError, match="finite"):
+            observable([((1,), 0.5), ((2,), coefficient)])
+
+    @pytest.mark.parametrize("frequency", [1.5, np.nan, np.inf, np.float64(-0.25)])
+    def test_non_integer_frequency_rejected(self, frequency):
+        # int(1.5) would have made it e(x)
+        with pytest.raises(ValueError, match="integer"):
+            observable([((frequency,), 1.0)])
+        with pytest.raises(ValueError, match="integer"):
+            Observable(2, (((1, frequency), 1.0),))
+        with pytest.raises(ValueError, match="integer"):
+            observable([((1,), 0.5)]).coefficient(frequency)
+
+    def test_integral_float_frequency_accepted(self):
+        assert observable([((1.0, np.float64(-2.0)), 0.5)]) == observable([((1, -2), 0.5)])
+
     def test_lattice_point_is_residue_over_modulus(self):
         # the residue pair itself would read e(k . p) = 1 for every frequency k
         obs = observable([((1, 0), 1.0), ((2, -1), 0.5 - 0.25j)])
