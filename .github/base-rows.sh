@@ -20,7 +20,8 @@ if ! git worktree add --detach base-tree "$base" > /dev/null 2>&1; then
   echo "Rows against the base commit: cannot check out $base" >> "$summary"
   exit 0
 fi
-(cd base-tree && python -c "import sys; from pathlib import Path; sys.path.insert(0, 'perfbench'); import workloads; [workloads.write_configs(w, 0, Path('.'), Path(d), tiny=True) for w, d in (('seminorm_boxes', 'seminorm-configs'), ('orbit_weights', 'bench-configs'), ('sweep_peaked', 'bench-configs'))]") > /dev/null 2>&1
+(cd base-tree && python -c "import sys; from pathlib import Path; sys.path.insert(0, 'perfbench'); import workloads; [workloads.write_configs(w, 0, Path('.'), Path(d), tiny=True) for w, d in (('seminorm_boxes', 'seminorm-configs'), ('orbit_weights', 'bench-configs'), ('sweep_peaked', 'bench-configs'))]") > /dev/null 2>&1 \
+  || echo "The base cannot write the benchmark config sets: their CSVs read 'only in this tree'." >> "$summary"
 {
   echo "Rows against the base commit $(git rev-parse --short "$base"):"
   echo '```'
