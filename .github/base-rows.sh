@@ -8,7 +8,8 @@
 #
 # The base runs its own copy of each config set (its `configs/` and the sets its
 # `perfbench/workloads.py` writes) from a worktree under `base-tree/`. The report goes to
-# $GITHUB_STEP_SUMMARY, or to stdout outside CI. It only reports: the exit status is always 0.
+# $GITHUB_STEP_SUMMARY, or to stdout outside CI, and ends with the line count of
+# `src/ergonil/*.py` in both trees. It only reports: the exit status is always 0.
 set -u
 base=$1
 summary=${GITHUB_STEP_SUMMARY:-/dev/stdout}
@@ -42,6 +43,8 @@ fi
     done
   done
   echo '```'
+  echo "Lines of src/ergonil/*.py: $(cat base-tree/src/ergonil/*.py | wc -l) at the base," \
+       "$(cat src/ergonil/*.py | wc -l) in this tree."
 } >> "$summary"
 git worktree remove --force base-tree
 exit 0

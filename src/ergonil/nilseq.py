@@ -256,6 +256,8 @@ class PolynomialPhase(WeightSequence):
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError(f"coefficients must be finite, got {self.coefficients}")
 
     def eval_many(self, n):
         return unit_phase(frac_poly(self.coefficients, n))

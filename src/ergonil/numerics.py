@@ -1,5 +1,8 @@
-"""Compensated floating-point kernels: exact mod-1 reduction of products and
-polynomial values, and a fixed-shape pairwise summation tree.
+"""The numeric kernels every layer shares: exact mod-1 reduction of products
+(`frac_combine`) and of polynomial values (`frac_poly`), unit phases, the
+ordered complex product and a fixed-shape pairwise summation tree. Exact
+integer arithmetic on lattices is int64 and lives with its system
+(`systems.mat_pow_mod`, `systems.lattice_orbit`).
 
 The mod-1 helpers rely on three facts about IEEE double arithmetic, and one about int64:
 
@@ -220,31 +223,3 @@ def pairwise_mean(x):
     if x.size == 0:
         raise ValueError("mean of empty array")
     return pairwise_sum(x) / x.size
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit moduli."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

@@ -13,14 +13,15 @@ that is not a `System` raises `UnsupportedSystemError`. Three kinds exist:
   (x + n*alpha, y + n*x + n(n-1)/2 * alpha), declared for
   |n| <= isqrt(2**63 - 1), where n(n-1) fits in int64;
 * `ToralAutomorphism`: a hyperbolic 2x2 integer matrix acting exactly on the
-  rational lattice (Z_q)^2 for a prime modulus q, for int64 times.
+  rational lattice (Z_q)^2 for a prime modulus q <= 2^31 - 1, for int64 times.
 
 Orbits are never iterated in floating point. The rotation and skew closed
 forms are int64 multiples of floats, reduced mod 1 by `frac_combine` within a
-few ulp at every declared time, and automorphism orbits are exact modular
-arithmetic (`lattice_orbit`). A time past the declared domain (`check_times`),
-including an exponent times n, raises `DomainError` before it can round or
-wrap.
+few ulp at every declared time, and automorphism orbits are exact int64
+modular arithmetic (`mat_pow_mod`, `lattice_orbit`): below 2^31 every residue
+sum 2(q-1)^2 of a 2x2 mat-vec fits in int64. A time past the declared domain
+(`check_times`), including an exponent times n, raises `DomainError` before it
+can round or wrap.
 
 Rotation and skew angles may be declared either as decimal literals (treated
 as irrational) or as `fractions.Fraction` (treated as rational). Downstream
@@ -39,11 +40,12 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, UnsupportedSystemError
-from .numerics import frac, frac_combine, is_prime, unit_phase
+from .numerics import frac, frac_combine, unit_phase
 
 Angle = Union[float, Fraction]
 
-_MAX_MODULUS = 1 << 53  # lattice coordinates residue/q are exact doubles below this
+# the largest prime q with 2(q - 1)^2 < 2^63: every lattice mat-vec sum fits in int64
+MAX_MODULUS = (1 << 31) - 1
 
 SKEW_MAX_TIME = math.isqrt(2**63 - 1)  # |n|(|n| + 1), so n(n - 1) at n = +-|n|, fits in int64
 INT64_MAX = (1 << 63) - 1
@@ -154,7 +156,8 @@ class AnzaiSkew(System):
 
 @dataclass(frozen=True)
 class ToralAutomorphism(System):
-    """Hyperbolic integer matrix acting on the lattice (Z_q)^2, q prime.
+    """Hyperbolic integer matrix acting on the lattice (Z_q)^2, q prime and at most
+    `MAX_MODULUS` = 2^31 - 1, so that every residue product sum fits in int64.
 
     Points are pairs of integers (p1, p2) standing for (p1/q, p2/q), and
     orbit times form arithmetic progressions. Orbits are exact: hyperbolic
@@ -185,12 +188,12 @@ class ToralAutomorphism(System):
         # tr = 0, and then M^2 = I by Cayley-Hamilton
         if det == -1 and tr == 0:
             raise ValueError("matrix has finite order 2; eigenvalues are roots of unity")
-        if self.modulus >= _MAX_MODULUS:
-            raise ValueError(
-                f"modulus {self.modulus} must be below 2^53 so residue/q is exact in float"
-            )
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} must be prime")
+        q = self.modulus
+        if q > MAX_MODULUS:
+            raise ValueError(f"modulus {q} must be at most 2^31 - 1, so that the lattice "
+                             "mat-vec sums 2(q - 1)^2 fit in int64")
+        if q < 2 or (q % np.arange(2, math.isqrt(q) + 1) == 0).any():  # trial division
+            raise ValueError(f"modulus {q} must be prime")
 
     def check_point(self, x0) -> tuple[int, int]:
         """x0 as residues mod q; a float (even 3.0) or a bool is refused, not truncated."""
@@ -218,33 +221,25 @@ class ToralAutomorphism(System):
         return (None, None)
 
 
-def _mat_mul(x, y, mod: int | None = None):
-    out = (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
-    if mod is None:
-        return out
-    return tuple(tuple(v % mod for v in row) for row in out)
+def mat_pow_mod(m, n: int, mod: int) -> np.ndarray:
+    """m**n mod `mod` as a 2x2 int64 array, by square-and-multiply, for mod <= 2^31 - 1.
 
-
-def _mat_inv_mod(m, mod: int):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]  # +-1, its own inverse
-    adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-    return tuple(tuple((det * v) % mod for v in row) for row in adj)
-
-
-def mat_pow_mod(m, n: int, mod: int):
-    """m**n mod `mod` by square-and-multiply; negative n uses the exact inverse, which
-    needs det m = +-1 (as every `ToralAutomorphism` matrix has)."""
+    The entries are reduced mod `mod` in Python integers first, so a matrix
+    with entries past int64 is taken. Negative n uses the exact inverse det *
+    adj(m), which needs det m = +-1 (as every `ToralAutomorphism` matrix has).
+    """
+    if mod > MAX_MODULUS:
+        raise ValueError(f"modulus {mod} must be at most 2^31 - 1 for int64 products")
+    (a, b), (c, d) = m
     if n < 0:
-        return mat_pow_mod(_mat_inv_mod(m, mod), -n, mod)
-    r = ((1, 0), (0, 1))
-    b = tuple(tuple(v % mod for v in row) for row in m)
+        det = a * d - b * c
+        (a, b), (c, d), n = (det * d, -det * b), (-det * c, det * a), -n
+    base = np.array([[a % mod, b % mod], [c % mod, d % mod]], dtype=np.int64)
+    r = np.eye(2, dtype=np.int64)
     while n:
         if n & 1:
-            r = _mat_mul(r, b, mod)
-        b = _mat_mul(b, b, mod)
+            r = r @ base % mod
+        base = base @ base % mod
         n >>= 1
     return r
 
@@ -340,23 +335,19 @@ def lattice_orbit(system: ToralAutomorphism, x0, start: int, step: int, count: i
     """Residue pairs of A**(start + j*step) x0 for j = 0..count-1, exact.
 
     Doubling: the first row is A**start x0; while m rows are known, the next
-    m are those rows times G = A**(m*step), one (m, 2) @ (2, 2) mat-vec, and G
-    is then squared. count rows take ceil(log2 count) rounds. The int64 sums
-    are exact while 2(q-1)**2 < 2**63, which holds up to q = 2**31 - 1; above
-    that the same mat-vec runs on Python ints.
+    m are those rows times G = A**(m*step), one (m, 2) @ (2, 2) int64 mat-vec,
+    and G is then squared. count rows take ceil(log2 count) rounds. Every sum
+    is at most 2(q-1)^2 < 2^63, so each is exact (`MAX_MODULUS`).
     """
     q = system.modulus
-    p1, p2 = system.check_point(x0)
-    s = mat_pow_mod(system.matrix, start, q)
-    dtype = np.int64 if 2 * (q - 1) ** 2 < 1 << 63 else object
-    out = np.empty((max(count, 1), 2), dtype=dtype)
-    out[0] = (s[0][0] * p1 + s[0][1] * p2) % q, (s[1][0] * p1 + s[1][1] * p2) % q
+    out = np.empty((max(count, 1), 2), dtype=np.int64)
+    out[0] = mat_pow_mod(system.matrix, start, q) @ system.check_point(x0) % q
     g, m = mat_pow_mod(system.matrix, step, q), 1
     while m < count:
         k = min(m, count - m)
-        out[m:m + k] = out[:k] @ np.array(g, dtype=dtype).T % q
-        g, m = _mat_mul(g, g, q), 2 * m
-    return out[:count].astype(np.int64, copy=False)
+        out[m:m + k] = out[:k] @ g.T % q
+        g, m = g @ g % q, 2 * m
+    return out[:count]
 
 
 def check_times(n: np.ndarray, system: System | type[System] | None = None, e: int = 1) -> int:

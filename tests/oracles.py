@@ -96,6 +96,25 @@ def cat_orbit(matrix, modulus: int, v0, start: int, step: int, count: int):
     return np.array(out, dtype=np.int64).reshape(count, 2)
 
 
+def is_prime_by_trial(n: int) -> bool:
+    """n is prime: no divisor in 2..isqrt(n), one Python-int remainder at a time."""
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+def integer_matrix_power(matrix, n: int):
+    """matrix**n in Python integers, one product at a time; negative n uses the integer
+    inverse det * adj(matrix) (det = +-1)."""
+    (a, b), (c, d) = matrix
+    if n < 0:
+        det = a * d - b * c
+        (a, b), (c, d), n = (det * d, -det * b), (-det * c, det * a), -n
+    r = ((1, 0), (0, 1))
+    for _ in range(n):
+        r = ((r[0][0] * a + r[0][1] * c, r[0][0] * b + r[0][1] * d),
+             (r[1][0] * a + r[1][1] * c, r[1][0] * b + r[1][1] * d))
+    return r
+
+
 def exact_anzai(alpha: float, x0, n: int):
     """T^n (x, y) of the skew product in exact rationals, rounded at the end."""
     a, x, y = Fraction(alpha), Fraction(x0[0]), Fraction(x0[1])

@@ -198,15 +198,35 @@ class TestConfigParsing:
         assert sorted(cfg.ignored_keys) == ["grid_size", "seed"]
 
     def test_oversized_lattice_modulus_is_config_error(self):
-        doc = {
-            "experiment": "birkhoff_avg",
-            "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]],
-                       "modulus": (1 << 53) + 5},
-            "observable": {"terms": [[[1, 0], 1.0]]},
-            "x0": [[1, 0]],
-        }
-        with pytest.raises(ConfigError, match="system.*2\\^53"):
-            config_from_dict(doc)
+        # both are prime: the first past the int64 rule, the second the old largest modulus
+        for q in ((1 << 31) + 11, (1 << 53) - 111):
+            doc = {
+                "experiment": "birkhoff_avg",
+                "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]],
+                           "modulus": q},
+                "observable": {"terms": [[[1, 0], 1.0]]},
+                "x0": [[1, 0]],
+            }
+            with pytest.raises(ConfigError, match="system.*2\\^31 - 1, .* fit in int64"):
+                config_from_dict(doc)
+
+    def test_matrix_entries_past_int64_run(self, tmp_path):
+        # a det +1 matrix with entries past int64: the reader keeps the Python integers, and
+        # the rows are the means of e(x) + (0.5 - 0.25i) e(2y) over n = 1..N of the exact orbit
+        q, matrix = (1 << 31) - 1, ((2**70 + 1, 2**70), (1, 1))
+        doc = {"experiment": "birkhoff_avg", "schedule": [16, 4096],
+               "x0": [[3, 5], [q - 1, 12345]],
+               "system": {"kind": "toral_automorphism", "matrix": matrix, "modulus": q},
+               "observable": {"terms": [[[1, 0], 1.0], [[0, 2], [0.5, -0.25]]]}}
+        cfg = config_from_dict(json.loads(json.dumps(doc)))
+        assert cfg.system.matrix == matrix
+        rows = iter(run_experiment(cfg, out_dir=tmp_path).rows)
+        for x0 in doc["x0"]:
+            orbit = oracles.cat_orbit(matrix, q, x0, 1, 1, 4096) / q
+            terms = np.exp(2j * np.pi * orbit[:, 0]) + (0.5 - 0.25j) * np.exp(4j * np.pi * orbit[:, 1])
+            for N in doc["schedule"]:
+                row = next(rows)
+                assert row.N == N and abs(complex(row.re, row.im) - terms[:N].mean()) < 1e-12
 
     def test_fraction_string_declares_rational(self):
         cfg = config_from_dict(ww_config(system={"kind": "rotation_torus", "alpha": ["1/3"]}))
@@ -582,6 +602,17 @@ class TestCli:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(ww_config(t="oops")))
         assert cli_main(["validate", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("q", [(1 << 31) + 11, (1 << 53) - 111])  # both prime
+    def test_lattice_modulus_past_int64_rule_exits_2(self, q, tmp_path, capsys):
+        doc = json.loads(json.dumps(_SLOT_DOCS["cat"]))
+        doc["system"]["modulus"] = q
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli_main([*command, "--config", str(p)]) == 2
+            assert "config error: system: modulus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_writes_and_exits_zero(self, tmp_path, capsys):
         p = tmp_path / "c.json"

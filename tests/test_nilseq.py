@@ -546,6 +546,12 @@ class TestConstructorsCheckTheirNumbers:
         with pytest.raises(ValueError, match="sup_error_budget"):
             Table(np.ones(4), sup_error_budget=budget)
 
+    @pytest.mark.parametrize("coefficients", [(np.nan, 0.1), (0.0, PHI, np.inf), (-np.inf,)])
+    def test_polynomial_coefficients_must_be_finite(self, coefficients):
+        # (nan, 0.1) once built and raised only when evaluated, from frac_poly
+        with pytest.raises(ValueError, match="finite"):
+            PolynomialPhase(coefficients)
+
     @pytest.mark.parametrize("scale", [np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf)])
     def test_scale_must_be_finite(self, scale):
         with pytest.raises(ValueError, match="finite"):

@@ -26,10 +26,9 @@ from ergonil import (
     zk_complement,
 )
 from ergonil.errors import UnsupportedSystemError
-from ergonil.numerics import is_prime
 from ergonil.averages import orbit_terms
-from ergonil.systems import (INT64_MAX, SKEW_MAX_TIME, check_times, eval_observable_many,
-                             lattice_orbit, mat_pow_mod)
+from ergonil.systems import (INT64_MAX, MAX_MODULUS, SKEW_MAX_TIME, check_times,
+                             eval_observable_many, lattice_orbit, mat_pow_mod)
 
 import oracles
 
@@ -41,6 +40,9 @@ CAT = ((2, 1), (1, 1))
 NEG_CAT = ((-2, -1), (-1, -1))
 INT64_EDGE = (1 << 31) - 1  # largest prime with 2(q - 1)^2 < 2^63
 PAST_INT64_EDGE = (1 << 31) + 11  # the next prime
+BELOW_INT64_EDGE = ((1 << 31) - 19, (1 << 31) - 61, (1 << 31) - 69)  # the primes just below it
+# det +1 and hyperbolic, with entries past int64: taken mod q in Python integers first
+BIG_ENTRIES = ((2**70 + 1, 2**70), (1, 1))
 
 
 class TestOrbits:
@@ -138,13 +140,12 @@ class TestLattice:
             ToralAutomorphism(((2, 1), (1, 1)), modulus=91)
 
     def test_modulus_must_keep_residues_exact(self):
-        # 2^53 + 5 is prime, but residue / q is no longer exact in float
-        with pytest.raises(ValueError, match="2\\^53"):
-            ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 53) + 5)
-        with pytest.raises(ValueError, match="2\\^53"):
-            ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 64) + 13)
-        big = ToralAutomorphism(((2, 1), (1, 1)), modulus=(1 << 53) - 111)  # largest prime
-        assert orbit_point(big, orbit_point(big, (3, 5), 7), -7) == (3, 5)
+        # 2^31 + 11 and 2^53 - 111 are prime, but a mat-vec sum 2(q - 1)^2 no longer fits in int64
+        for q in (PAST_INT64_EDGE, (1 << 53) - 111, (1 << 53) + 5, (1 << 64) + 13):
+            with pytest.raises(ValueError, match="at most 2\\^31 - 1, .* fit in int64"):
+                ToralAutomorphism(((2, 1), (1, 1)), modulus=q)
+        top = ToralAutomorphism(((2, 1), (1, 1)), modulus=INT64_EDGE)  # the largest accepted
+        assert orbit_point(top, orbit_point(top, (3, 5), 7), -7) == (3, 5)
 
     def test_finite_order_rule_matches_the_powers(self):
         # every 2x2 matrix with entries in [-6, 6]: accepted exactly when det = +-1, no
@@ -178,35 +179,80 @@ class TestLattice:
 
     def test_mat_pow_mod(self):
         m = ((2, 1), (1, 1))
-        assert mat_pow_mod(m, 0, 97) == ((1, 0), (0, 1))
+        np.testing.assert_array_equal(mat_pow_mod(m, 0, 97), [[1, 0], [0, 1]])
         p5 = mat_pow_mod(m, 5, 10**9)
         it = ((1, 0), (0, 1))
         for _ in range(5):
             it = tuple(tuple(sum(it[i][l] * m[l][j] for l in range(2)) for j in range(2)) for i in range(2))
-        assert p5 == it
+        assert p5.dtype == np.int64
+        np.testing.assert_array_equal(p5, it)
 
-    def test_large_modulus_orbit_matches_step_loop(self):
+    def test_large_modulus_is_refused_before_any_orbit(self):
+        # the q = 2^53 - 111 orbits once ran on Python ints; now no system or power takes q
         q = (1 << 53) - 111
-        cat = ToralAutomorphism(CAT, modulus=q)
-        for x0, start, step, count in (((3, 5), -7, 3, 3000), ((q - 1, 12345), 11, -2, 4097)):
-            got = lattice_orbit(cat, x0, start, step, count)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, oracles.cat_orbit(CAT, q, x0, start, step, count))
+        with pytest.raises(ValueError, match="2\\^31 - 1"):
+            ToralAutomorphism(CAT, modulus=q)
+        with pytest.raises(ValueError, match="2\\^31 - 1"):
+            mat_pow_mod(CAT, 3, q)
 
     def test_primes_around_int64_bound(self):
+        assert MAX_MODULUS == INT64_EDGE
         assert 2 * (INT64_EDGE - 1) ** 2 < 1 << 63 <= 2 * (PAST_INT64_EDGE - 1) ** 2
-        assert is_prime(INT64_EDGE) and is_prime(PAST_INT64_EDGE)
-        assert not any(is_prime(q) for q in range(INT64_EDGE + 1, PAST_INT64_EDGE))
-        for q in (INT64_EDGE, PAST_INT64_EDGE):
-            for matrix in (CAT, NEG_CAT):
-                system = ToralAutomorphism(matrix, modulus=q)
-                for x0, start, step, count in (((q - 1, q - 1), 0, 1, 2000), ((12345, 678), -3, 5, 2500)):
-                    want = oracles.cat_orbit(matrix, q, x0, start, step, count)
-                    np.testing.assert_array_equal(lattice_orbit(system, x0, start, step, count), want)
+        assert oracles.is_prime_by_trial(INT64_EDGE) and oracles.is_prime_by_trial(PAST_INT64_EDGE)
+        assert not any(map(oracles.is_prime_by_trial, range(INT64_EDGE + 1, PAST_INT64_EDGE)))
+        below = [q for q in range(INT64_EDGE - 70, INT64_EDGE) if oracles.is_prime_by_trial(q)]
+        assert tuple(reversed(below)) == BELOW_INT64_EDGE
+        for matrix in (CAT, NEG_CAT):
+            system = ToralAutomorphism(matrix, modulus=INT64_EDGE)
+            for x0, start, step, count in (((INT64_EDGE - 1,) * 2, 0, 1, 2000), ((12345, 678), -3, 5, 2500)):
+                want = oracles.cat_orbit(matrix, INT64_EDGE, x0, start, step, count)
+                np.testing.assert_array_equal(lattice_orbit(system, x0, start, step, count), want)
+            with pytest.raises(ValueError, match="fit in int64"):
+                ToralAutomorphism(matrix, modulus=PAST_INT64_EDGE)
+
+    def test_trial_division_matches_the_oracle(self):
+        for q in itertools.chain(range(-3, 400), BELOW_INT64_EDGE, range(INT64_EDGE - 70, INT64_EDGE + 1)):
+            try:
+                ToralAutomorphism(CAT, modulus=q)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == oracles.is_prime_by_trial(q), q
+        # the largest prime square below 2^31: its only divisor is isqrt(q) itself
+        with pytest.raises(ValueError, match="prime"):
+            ToralAutomorphism(CAT, modulus=46337**2)
+
+    def test_entries_past_int64_keep_their_residues(self):
+        system = ToralAutomorphism(BIG_ENTRIES)
+        for x0, start, step, count in (((3, 5), -7, 3, 3000), ((INT64_EDGE - 1, 12345), 11, -2, 4097)):
+            want = oracles.cat_orbit(BIG_ENTRIES, INT64_EDGE, x0, start, step, count)
+            np.testing.assert_array_equal(lattice_orbit(system, x0, start, step, count), want)
+        for n in (-5, -1, 0, 1, 6):
+            want = [[v % INT64_EDGE for v in row] for row in oracles.integer_matrix_power(BIG_ENTRIES, n)]
+            np.testing.assert_array_equal(mat_pow_mod(BIG_ENTRIES, n, INT64_EDGE), want)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        modulus=st.sampled_from([101, INT64_EDGE, PAST_INT64_EDGE, (1 << 53) - 111]),
+        modulus=st.sampled_from((INT64_EDGE,) + BELOW_INT64_EDGE),
+        # hyperbolic det +-1 matrices whose residues sit near q - 1 or that pass int64
+        matrix=st.sampled_from([NEG_CAT, ((-3, -2), (-1, -1)), ((-1, -1), (-1, 0)), BIG_ENTRIES,
+                                ((-(2**64) - 1, -(2**64)), (-1, -1))]),
+        x0=st.tuples(st.integers(-(1 << 60), 1 << 60), st.integers(-(1 << 60), 1 << 60)),
+        start=st.integers(-200, 200),
+        step=st.integers(-40, 40),
+        count=st.integers(0, 300),
+    )
+    def test_int64_orbits_and_powers_match_python_ints(self, modulus, matrix, x0, start, step, count):
+        system = ToralAutomorphism(matrix, modulus=modulus)
+        np.testing.assert_array_equal(lattice_orbit(system, x0, start, step, count),
+                                      oracles.cat_orbit(matrix, modulus, x0, start, step, count))
+        for n in (start, step):
+            want = [[v % modulus for v in row] for row in oracles.integer_matrix_power(matrix, n)]
+            np.testing.assert_array_equal(mat_pow_mod(matrix, n, modulus), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        modulus=st.sampled_from((101, INT64_EDGE) + BELOW_INT64_EDGE),
         matrix=st.sampled_from([CAT, NEG_CAT, ((1, 1), (1, 0)), ((3, 2), (1, 1))]),
         x0=st.tuples(st.integers(-(1 << 60), 1 << 60), st.integers(-(1 << 60), 1 << 60)),
         start=st.integers(-60, 60),
