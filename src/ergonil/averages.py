@@ -25,7 +25,9 @@ them. Terms are reduced by `prefix_means`, the mean of each scheduled prefix
 on the pairwise tree it would get alone (a one-shot average is its one-point
 case), or by the certified sup over t of each prefix: `run_schedule` equals
 the one-shot values bit for bit at every scheduled N, and the Wiener-Wintner
-sup is the sup reducer over the Birkhoff terms.
+sup is the sup reducer over the Birkhoff terms. The sup is one coarse FFT,
+then levels of halving spacing around the nodes whose Bernstein bound could
+still pass the running maximum by eps/2, in blocks of at most `_BLOCK` terms.
 Exponent times n are checked against the system's time domain first, and the
 auxiliary-system norm is exact by Parseval on its Fourier coefficients in y.
 """
@@ -160,29 +162,22 @@ def ww_avg(system: System, obs: Observable, x0, t: float, N: int) -> complex:
     return _mean(system, x0, N, obs, weight=PolynomialPhase((0.0, t)))
 
 
-def _refine(u: np.ndarray, cells: np.ndarray, s: int, p: int, rows: int):
-    """Sweep values at the dyadic nodes (k*s + i) / 2^p, 0 < |i| <= s/2, of each cell k.
-
-    e(j t) splits into e(j k s / 2^p) e(j i / 2^p); both arguments are
-    reduced mod 1 exactly in int64, and every node's sum runs through the
-    pairwise tree. Blocks hold at most `rows` phase rows of length N.
-    Returns (nodes, values), cell-major.
-    """
-    j = np.arange(u.size, dtype=np.int64)
-    mask = (1 << p) - 1
-
-    def phases(r):  # one row per node
-        return unit_phase(((r[:, None] * j) & mask) / float(1 << p))
-
-    steps = np.arange(-(s // 2), s // 2 + 1, dtype=np.int64)
-    steps = steps[steps != 0]
-    centred = u * phases(cells * s)
-    vals = np.empty((cells.size, steps.size))
-    for lo in range(0, steps.size, rows):
-        w = phases(steps[lo:lo + rows])
-        for c, row in enumerate(centred):
-            vals[c, lo:lo + rows] = np.abs(pairwise_sum((row * w).T))
-    return (cells[:, None] * s + steps).ravel(), vals.ravel() / u.size
+def _node_values(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """|(1/N) sum_j u_j e(j m / 2^p)| at each dyadic node m / 2^p, j m reduced mod 2^p
+    exactly in int64. A block holds `_BLOCK // N` nodes, or one node's `_BLOCK`-term
+    slices when N is longer: the pairwise tree sums such aligned power-of-two slices
+    first, so each node has the bits of one pairwise sum of its N terms."""
+    N = u.size
+    rows = max(1, _BLOCK // N)
+    out = np.empty(m.size)
+    for lo in range(0, m.size, rows):
+        parts = []
+        for k in range(0, N, _BLOCK):
+            j = np.arange(k, min(k + _BLOCK, N), dtype=np.int64)
+            w = unit_phase(((m[lo:lo + rows, None] * j) & ((1 << p) - 1)) / float(1 << p))
+            parts.append(pairwise_sum(ordered_product(u[k:k + _BLOCK], w, w).T))
+        out[lo:lo + rows] = np.abs(pairwise_sum(np.array(parts)))
+    return out / N
 
 
 def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
@@ -193,14 +188,15 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
     polynomial of degree N-1 in t/2, so by Bernstein's inequality its
     modulus has slope in t at most pi*(N-1) times its sup S.
 
-    Stage 1 is one FFT on m0 >= 16N nodes of spacing h = 1/m0. Its maximum G
-    certifies S <= U = min(max|u_n|, G / (1 - pi*(N-1)*h/2)); set
-    L = pi*(N-1)*U. Stage 2 refines, highest first, every coarse cell whose
-    bound value + L*h/2 exceeds the running maximum plus eps/2, on dyadic
-    nodes of spacing at most eps/L. `error_bound` is the largest cell bound
-    minus the reported maximum, at most eps/2; `grid_size` counts evaluated
-    nodes and `grid_spacing` is the finest spacing used. Raises
-    GridTooFineError when eps/L < 1/MAX_SUP_GRID.
+    One FFT on m0 >= 16N nodes of spacing h = 1/m0 gives the grid maximum G,
+    so S <= U = min(max|u_n|, G / (1 - pi*(N-1)*h/2)); set L = pi*(N-1)*U.
+    A node at spacing h bounds its cell of radius h/2 by value + L*h/2. Level
+    by level, a node is kept while that bound exceeds the running maximum
+    plus eps/2, the spacing halves and each kept node gains its two new
+    neighbours, until h <= eps/L. `error_bound` is the largest bound of a
+    dropped or final node minus the reported maximum, at most eps/2;
+    `grid_size` counts evaluated nodes and `grid_spacing` is the finest
+    spacing used. Raises GridTooFineError when eps/L < 1/MAX_SUP_GRID.
     """
     _check_eps(eps)
     u = np.asarray(u, dtype=np.complex128)
@@ -215,9 +211,9 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
         m0 <<= 1
     while m0 < N:
         m0 <<= 1
-    coarse = np.abs(np.fft.ifft(u, m0)) * (m0 / N)
-    k_best = int(np.argmax(coarse))
-    best = float(coarse[k_best])
+    vals = np.abs(np.fft.ifft(u, m0)) * (m0 / N)  # at the coarse nodes
+    k_best = int(np.argmax(vals))
+    best = float(vals[k_best])
     t_star = k_best / m0
     slack = np.pi * (N - 1) / (2 * m0)  # slope bound times h/2, per unit of sup
     U = min(B, best / (1.0 - slack)) if slack < 1.0 else B
@@ -227,27 +223,28 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
             f"eps={eps} needs a grid spacing of {eps / L:.3e} < 1/{MAX_SUP_GRID}; "
             f"floor for this sequence is eps >= {L / MAX_SUP_GRID:.3e}"
         )
-    half = slack * U  # L*h/2: how far a coarse cell can rise above its node
-    cand = np.flatnonzero(coarse + half > best + eps / 2)
-    cand = cand[np.argsort(-coarse[cand], kind="stable")]
-    p = max(m0.bit_length(), math.frexp(L / eps)[1])  # 2^p >= 2*m0 and >= L/eps
-    s = (1 << p) // m0  # fine nodes per coarse cell
-    rows = max(1, m0 // N)  # refinement blocks hold at most m0 terms
-    fine_top = -np.inf
-    done = 0
-    while done < cand.size and coarse[cand[done]] + half > best + eps / 2:
-        batch = cand[done:done + rows]
-        done += batch.size
-        nodes, vals = _refine(u, batch, s, p, rows)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            t_star = float(nodes[i] & ((1 << p) - 1)) / (1 << p)
-        fine_top = max(fine_top, float(vals.max()), float(coarse[batch].max()))
-    coarse[cand[:done]] = -np.inf  # refined cells are bounded by their fine nodes
-    top = max(float(coarse.max()) + half, fine_top + L / (2 << p))
-    spacing = 1.0 / ((1 << p) if done else m0)
-    return SupPoint(best, t_star, m0 + done * s, spacing, top - best)
+    p, size, top = m0.bit_length() - 1, m0, -np.inf
+    m = None  # the nodes m / 2^p of `vals`; None at the coarse level, which holds them all
+    while True:
+        half = L / (2 << p)  # L*h/2 at the spacing h = 2^-p
+        # kept while the bound passes the running maximum by eps/2; none once h <= eps/L
+        keep = vals + half > (best + eps / 2 if L > eps * (1 << p) else np.inf)
+        m, kept = np.flatnonzero(keep) if m is None else m[keep], vals[keep]
+        vals[keep] = -np.inf  # vals.max() is then the largest dropped value, with no copy
+        top, vals = max(top, float(vals.max()) + half), kept
+        if not m.size:
+            break
+        p += 1
+        m <<= 1
+        new = np.sort(np.concatenate((m - 1, m + 1)) & ((1 << p) - 1))
+        new = new[np.diff(new, prepend=-1) > 0]  # once each (np.unique would import numpy.ma)
+        new_vals = _node_values(u, new, p)
+        size += new.size
+        i = int(np.argmax(new_vals))
+        if new_vals[i] > best:
+            best, t_star = float(new_vals[i]), float(new[i]) / (1 << p)
+        m, vals = np.concatenate((m, new)), np.concatenate((vals, new_vals))
+    return SupPoint(best, t_star, size, 1.0 / (1 << p), top - best)
 
 
 def ww_sup(system: System, obs: Observable, x0, N: int, eps: float) -> SupPoint:

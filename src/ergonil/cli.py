@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, ErgonilError
-from .harness import default_out_dir, list_experiments, load_config, run_experiment
+from .harness import list_experiments, load_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment config")
     run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    run.add_argument("--out", default=None,
-                     help="output directory (default: $ERGONIL_OUT or ./ergonil-out)")
+    run.add_argument("--out", default="ergonil-out",
+                     help="output directory (default: ./ergonil-out)")
     run.add_argument("--workers", type=int, default=1,
                      help="worker threads for independent sample points")
 
@@ -52,8 +52,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(f"ok: {cfg.id} ({cfg.experiment})")
             return EXIT_OK
-        out_dir = args.out if args.out is not None else default_out_dir()
-        report = run_experiment(cfg, out_dir=out_dir, workers=args.workers)
+        report = run_experiment(cfg, out_dir=args.out, workers=args.workers)
         for v in report.verdicts:
             status = "PASS" if v["passed"] else "FAIL"
             print(f"[{status}] {v['assertion']} :: {v['detail']}")

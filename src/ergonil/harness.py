@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -192,6 +191,14 @@ def _observable(spec, name: str, cfg) -> Observable:
         return systems.observable(terms, None if dimension is None else _int(dimension))
 
 
+def _system_observable(spec, name: str, cfg) -> Observable:  # a function on the system's torus
+    obs = _observable(spec, name, cfg)
+    if cfg.system is not None and obs.dimension != cfg.system.dimension:
+        raise DimensionMismatchError(
+            f"observable dimension {obs.dimension} != system dimension {cfg.system.dimension}")
+    return obs
+
+
 def _torus_nilseq(spec, name: str, cfg) -> nilseq.OrbitWeight:  # an orbit of a rotation
     func = _observable(spec["observable"], name + ".observable", cfg)
     return nilseq.OrbitWeight(_rotation(spec, name, cfg), func,
@@ -341,9 +348,9 @@ class ExperimentConfig:
     ignored_keys: list[str] = field(default_factory=list)  # keys the run skips, as "shedule"
     system: System | None = _key(partial(_build, _SYSTEMS, "system"))
     system_s: System | None = _key(partial(_build, _SYSTEMS, "system"))
-    observable: Observable | None = _key(_observable)
-    observable1: Observable | None = _key(_observable)
-    observable2: Observable | None = _key(_observable)
+    observable: Observable | None = _key(_system_observable)
+    observable1: Observable | None = _key(_system_observable)
+    observable2: Observable | None = _key(_system_observable)
     g_list: list[Observable] = _key(_g_list, default_factory=list)
     weight: nilseq.WeightSequence | None = _key(partial(_build, _WEIGHTS, "weight"))
     weight1: nilseq.WeightSequence | None = _key(partial(_build, _WEIGHTS, "weight"))
@@ -647,7 +654,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
         summary_path = Path(out_dir) / f"{cfg.id}.summary.json"
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return ExperimentReport(cfg, rows, verdicts, all_passed, csv_path, summary_path, wall)
-
-
-def default_out_dir() -> Path:
-    return Path(os.environ.get("ERGONIL_OUT", "ergonil-out"))

@@ -48,7 +48,7 @@ from ergonil.errors import (
     SequenceTooShortError,
     UnsupportedSystemError,
 )
-from ergonil.numerics import pairwise_mean
+from ergonil.numerics import pairwise_mean, pairwise_sum, unit_phase
 from ergonil.systems import eval_observable_many
 
 import oracles
@@ -158,6 +158,8 @@ def _sweep_input(kind: str, N: int, rng) -> np.ndarray:
         return rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if kind == "peaked":
         return 0.8 * np.exp(2j * np.pi * (PHI * n + 0.1))
+    if kind == "two_peaks":  # a rival peak 0.01 below the sup, which pruning must not lose
+        return 0.6 * np.exp(2j * np.pi * PHI * n) + 0.59 * np.exp(2j * np.pi * SQRT2M1 * n)
     if kind == "real":
         return np.cos(2 * np.pi * SQRT2M1 * n) + 0.3 * rng.standard_normal(N)
     raise ValueError(kind)
@@ -176,7 +178,7 @@ def _value_at(u: np.ndarray, first: int, t: float) -> float:
 
 
 class TestSweepCertificate:
-    @pytest.mark.parametrize("kind", ["random", "peaked", "real"])
+    @pytest.mark.parametrize("kind", ["random", "peaked", "two_peaks", "real"])
     @pytest.mark.parametrize("N,first", [(1, 1), (1, 0), (255, 1), (256, 0), (301, 0),
                                          (512, 1)])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
@@ -208,6 +210,37 @@ class TestSweepCertificate:
         # refined cells add nodes below the coarse spacing 1/(16N)
         assert res.grid_size > 16 * 1024
         assert res.grid_spacing <= 1e-3 / (np.pi * 1023 * 0.8)
+
+    @pytest.mark.parametrize("N", [1, 3, 300, _BLOCK, 2 * _BLOCK + 3])
+    def test_node_values_are_one_pairwise_sum_per_node(self, N):
+        # blocks of nodes, or aligned slices of one node's terms, keep the bits of one
+        # unblocked pairwise sum of the node's N terms
+        u = _sweep_input("random", N, np.random.default_rng(N))
+        p = 24
+        m = np.array([0, 1, 5, (1 << p) - 1, 12345677] * 2 * (_BLOCK // N + 1), dtype=np.int64)
+        j = np.arange(N, dtype=np.int64)
+        sums = [pairwise_sum(np.multiply(u, unit_phase(((k * j) & ((1 << p) - 1)) / (1 << p))))
+                for k in m]
+        assert averages._node_values(u, m, p).tobytes() == (np.abs(sums) / N).tobytes()
+
+    def test_memory_is_the_coarse_fft_and_a_few_blocks(self):
+        # the levels hold a few `_BLOCK`-term blocks and the nodes they keep, never an
+        # array of the coarse grid's size per refined node
+        N = 1 << 17
+        u = _sweep_input("peaked", N, None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            np.abs(np.fft.ifft(u, 16 * N))  # the coarse spectrum and its modulus
+            fft = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            res = sup_over_frequency(u, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert res.grid_spacing < 1.0 / (16 * N)  # it refined
+        assert peak <= fft + 8 * 16 * _BLOCK, (fft / 2**20, peak / 2**20)
 
     def test_previous_floor_still_accepted(self):
         # the earlier sweep rejected eps below 2*pi*(first n + N - 1)*max|u| / 2^28

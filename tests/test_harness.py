@@ -716,6 +716,26 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert cli_main(["validate", "--config", str(p)]) == 0
 
+    @pytest.mark.parametrize("field", ["observable", "observable1", "observable2"])
+    def test_observable_dimension_not_the_systems_exits_2(self, field, tmp_path, capsys):
+        # a 2-d observable on a circle rotation is a config error when the config is read,
+        # not a numeric error (exit 3) once the run evaluates it
+        doc = ww_config()
+        if field != "observable":
+            del doc["observable"], doc["t"]
+            doc.update(experiment="double_avg", observable1={"terms": [[[1], 1.0]]},
+                       observable2={"terms": [[[2], 1.0]]}, a=1, b=2)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(p)]) == 0
+        p.write_text(json.dumps(dict(doc, **{field: {"terms": [[[1, 0], 1.0]]}})))
+        assert cli_main(["validate", "--config", str(p)]) == 2
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {field}: observable dimension 2 != system "
+                         "dimension 1") == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name, path", _NUMERIC_SLOTS,
                              ids=[".".join([name, *map(str, path)]) for name, path in _NUMERIC_SLOTS])
