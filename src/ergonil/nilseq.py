@@ -21,13 +21,14 @@ import cmath
 import csv
 import math
 from dataclasses import KW_ONLY, astuple, dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
-from .numerics import frac, frac_combine, frac_poly, ordered_product, two_prod, unit_phase
+from .numerics import frac, frac_poly, from_turns, ordered_product, turn_sum, unit_phase
 from .systems import (AnzaiSkew, Observable, System, _check_system, check_times,
                       eval_observable_many, integer_frequency, orbit_coords)
 
@@ -294,12 +295,14 @@ class OrbitWeight(WeightSequence):
 class HeisenbergNilseq(WeightSequence):
     """Basic 2-step sequence b_n = F(g^n * base) on the Heisenberg quotient.
 
-    Coordinates of g^n * base are reduced mod the lattice with compensated
-    arithmetic before F is applied, so phases stay accurate at every declared
-    time even though the raw center coordinate grows like n^2. Declared for
+    Coordinates of g^n * base are reduced mod the lattice in uint64 turns
+    (`numerics.turn_sum`) before F is applied, so phases stay accurate at every
+    declared time even though the raw center coordinate grows like n^2; the
+    products g.a g.b and g.a base.b enter exactly, as fractions. Declared for
     the skew's times, where n(n-1) fits in int64, while |n g.b| + |base.b| < 2**50
-    (floor(Y), Y = n g.b + base.b, is then exact) and the int64 twist floor(Y) n
-    fits; `DomainError` past any of them. With |g.b|, |base.b| < 1 that is every time.
+    (floor(Y), Y = n g.b + base.b, is then exact) and the twist multiplier
+    floor(Y) n fits in int64; `DomainError` past any of them. With |g.b|,
+    |base.b| < 1 that is every time.
     """
 
     g: HeisenbergElement
@@ -321,32 +324,23 @@ class HeisenbergNilseq(WeightSequence):
     def eval_many(self, n):
         n = np.atleast_1d(np.asarray(n, dtype=np.int64))
         top = check_times(n, AnzaiSkew)  # the centre's n(n-1)/2 is the skew's
-        ga, gb, gc = self.g.a, self.g.b, self.g.c
-        u, v, w = self.base.a, self.base.b, self.base.c
+        (ga, gb, gc), (u, v, w) = astuple(self.g), astuple(self.base)
         if top * abs(gb) + abs(v) >= 2.0**50:
             raise DomainError("Heisenberg |n g.b| + |base.b| reaches 2^50: floor(Y) inexact")
-        half = n * (n - 1) // 2
-        ab_hi, ab_lo = two_prod(ga, gb)
-        na_hi, na_lo = two_prod(n, ga)  # exact: |n| < 2**53
         # raw point e = g^n * base = (X, Y, Z); reduce by the lattice element
         # gamma = (p, q, r) with q = -floor(Y): x and z shift by integers (the
         # function only sees them through integer-frequency phases) but the
         # center picks up the twist X*q, which must use the same q that the
         # fractional part of Y implies
-        z_raw = frac_combine(
-            products=[(n, gc), (half, ab_hi), (half, ab_lo), (na_hi, v), (na_lo, v)],
-            terms=[w],
-        )
-        del half, na_hi, na_lo  # free each length-N temporary after its last use: lower peak
-        x = frac_combine(products=[(n, ga)], terms=[u])
-        y = frac_combine(products=[(n, gb)], terms=[v])
-        floor_y = np.round(n * gb + v - y)  # exact: below 2**50 three roundings miss by <= 1/4
-        check_times(floor_y, e=top)  # the twist floor(Y) * n is formed in int64
-        kn = floor_y.astype(np.int64) * n
-        twist = frac_combine(products=[(kn, ga), (floor_y, u)])
-        z = frac(z_raw - twist)
-        del floor_y, z_raw, kn, twist
-        return self.func.eval_raw(x, y, z)
+        z = turn_sum([(n, gc), (n * (n - 1) >> 1, Fraction(ga) * Fraction(gb)),
+                      (n, Fraction(ga) * Fraction(v))], [w])
+        y = from_turns(turn_sum([(n, gb)], [v]))
+        floor_y = np.rint(n * gb + v - y)  # exact: below 2**50 three roundings miss by <= 1/4
+        check_times(floor_y, e=top)  # the twist multiplier floor(Y) * n is formed in int64
+        floor_y = floor_y.astype(np.int64)
+        z -= turn_sum([(floor_y * n, ga), (floor_y, u)])
+        del floor_y  # free each length-N temporary after its last use: lower peak
+        return self.func.eval_raw(from_turns(turn_sum([(n, ga)], [u])), y, from_turns(z))
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,37 @@
-"""The numeric kernels every layer shares: exact mod-1 reduction of products
-(`frac_combine`) and of polynomial values (`frac_poly`), unit phases, the
-ordered complex product and a fixed-shape pairwise summation tree. Exact
-integer arithmetic on lattices is int64 and lives with its system
-(`systems.mat_pow_mod`, `systems.lattice_orbit`).
+"""The numeric kernels every layer shares: points of the circle as exact uint64 turns
+(`turn_sum`, `to_turns`, `from_turns`), polynomial values mod 1 (`frac_poly`), unit phases,
+the ordered complex product and a fixed-shape pairwise summation tree. Exact integer
+arithmetic on lattices is int64 and lives with its system (`systems.mat_pow_mod`,
+`systems.lattice_orbit`).
 
-The mod-1 helpers rely on three facts about IEEE double arithmetic, and one about int64:
+A turn is a uint64 U standing for the point U / 2**64 of T = R/Z, so reduction mod 1 is the
+wraparound of uint64 arithmetic, which numpy's array sums and products do exactly and without
+a warning. The kernels rely on these facts:
 
-* ``x - floor(x)`` is exact for every finite double (for |x| >= 2**52 the
-  value is an integer and the result is 0);
-* Dekker's product splitting returns a pair (p, e) with p + e == a*b exactly,
-  so ``a*b mod 1`` can be assembled from ``frac(p) + frac(e)``;
-* integers below 2**53 are exact, so base-2**24 digits multiply exactly;
-* int64 array products wrap mod 2**64, which moves c*n by an integer if c has <= 64 fractional bits.
+* a double b with at most 64 fractional bits (every |b| >= 2**-12, and 0) is exactly the turn
+  B = b 2**64 mod 2**64, so n b mod 1 for int64 times n is the uint64 product
+  n.view(uint64) * B, and sums of such products are exact whatever the magnitudes;
+* a double with more fractional bits (or an exact product of two) is B + f turns with f in
+  [0, 1): the second word adds the float n f, below 2**63 units of 2**-64, rounded into the
+  turn, so each such part is within 2**-52 of exact on the circle;
+* uint64 -> float64 conversion rounds once, to nearest, so a sum of one-word parts becomes the
+  correctly rounded coordinate; a value that rounds to 1.0 is reported as 0.0;
+* integers below 2**53 are exact, so base-2**24 digits multiply exactly.
 
-So every reduced coordinate is within a few ulp, however large the product.
-
-The kernels write into preallocated buffers but keep the order of every
-operation of their allocating forms (kept in the tests as references), so
-they keep those forms' bits:
-
-* `frac`: r = x - floor(x), then r - 1 where r >= 1;
-* `frac_combine`: for each product a*b, b is split once into bhi + blo and a
-  (an int64 a cast to float first) into ahi + alo (Veltkamp); p = a*b and
-  e = (((ahi*bhi - p) + ahi*blo) + alo*bhi) + alo*blo. The total starts at 0.0,
-  takes (total + frac(p)) + frac(e) for the products in order, then
-  total + frac(t) for the terms, and the result is frac(total);
-* `unit_phase`: cos and sin of theta*2pi, which is how numpy's complex exp
-  evaluates exp((2j*pi)*theta) = exp(0 + i*2pi*theta).
+`frac` (r = x - floor(x), then r - 1 where r >= 1) and `unit_phase` (cos and sin of
+theta*2pi, which is how numpy's complex exp evaluates exp((2j*pi)*theta)) keep float inputs.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
+_WORD = 1 << 64  # one turn is 2**64 units
 
 
 def frac(x):
@@ -48,71 +42,57 @@ def frac(x):
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
-    return _frac(x, out, out)
-
-
-def _frac(x, out, floor):
-    """frac(x) written into `out`, which may be `x`: floor, subtract, then take 1 from the
-    values that rounded to 1.0. `floor` holds floor(x) while x is still read, so it must
-    not be `x`; it may be `out`."""
-    np.floor(x, out=floor)
-    np.subtract(x, floor, out=out)
+    np.floor(x, out=out)
+    np.subtract(x, out, out=out)
     return np.subtract(out, 1.0, out=out, where=out >= 1.0)
 
 
-def two_prod(a, b):
-    """Error-free product: returns (p, e) with p + e == a*b exactly."""
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
+def _split(b):
+    """b mod 1 in turns as (B, f): a np.uint64 word B and a float f in [0, 1) with
+    b 2**64 = B + f mod 2**64 (f within 2**-53 for a Fraction); b is a float, int or Fraction."""
+    p, q = (b if isinstance(b, Fraction) else float(b)).as_integer_ratio()
+    whole, rest = divmod(p << 64, q)
+    return np.uint64(whole % _WORD), min(rest / q, 1.0 - 2.0**-53)
 
 
-def frac_combine(products=(), terms=()):
-    """frac(sum of a*b products plus plain terms), compensated; each b is a scalar, each a
-    floats or int64 integers, exact at every element.
+def turn_sum(products=(), terms=()):
+    """sum a*b + sum t mod 1 as uint64 turns: each a an int64 array, each b and t a float, int
+    or Fraction.
 
-    Each product is split error-free as in `two_prod` and both halves are
-    reduced mod 1 before accumulation, so magnitudes never reach the range
-    where the fractional bits would be rounded away. The scalar b is split
-    once, and every step writes into the output or one of four scratch
-    buffers of the block's shape. An int64 a is cast into e, which is free
-    until the error term, so |a| <= 2**53 gives the float form's bits; where
-    the cast rounds, a - float(a) (below 2**10) is one more product.
+    Where b has at most 64 fractional bits a*b is exact at every int64 a: the uint64 product
+    wraps mod 2**64. Otherwise b's second word adds rint(a f), so the part is within 2**-52 of
+    exact on the circle. A term is rounded to the nearest turn, within 2**-65.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a, _ in products), *map(np.shape, terms))
-    total = np.zeros(shape)
-    p, e, hi, lo = (np.empty(shape) for _ in range(4))
-    products = list(products)
-    for a, b in products:  # a remainder appended below is reduced in its turn
-        b = float(b)
-        cb = _SPLITTER * b
-        bhi = cb - (cb - b)
-        blo = b - bhi
-        if getattr(a, "dtype", None) == np.int64:
-            e[...] = a
-            if a.size and (a.min() < -2**53 or a.max() > 2**53):
-                np.minimum(e, 2.0**63 - 2**10, out=e)  # 2**63 would not cast back to int64
-                products.append((a - e.astype(np.int64), b))
-            a = e
-        np.multiply(a, b, out=p)
-        np.multiply(a, _SPLITTER, out=hi)  # ca
-        np.subtract(hi, np.subtract(hi, a, out=lo), out=hi)  # ahi = ca - (ca - a)
-        np.subtract(a, hi, out=lo)  # alo
-        np.subtract(np.multiply(hi, bhi, out=e), p, out=e)
-        np.add(e, np.multiply(hi, blo, out=hi), out=e)
-        np.add(e, np.multiply(lo, bhi, out=hi), out=e)
-        np.add(e, np.multiply(lo, blo, out=lo), out=e)
-        np.add(total, _frac(p, p, hi), out=total)
-        np.add(total, _frac(e, e, hi), out=total)
-    for t in terms:
-        np.add(total, frac(t), out=total)
-    return _frac(total, total, hi)
+    shape = np.broadcast_shapes(*(np.shape(a) for a, _ in products))
+    out = np.full(shape, sum(int(B) + (f >= 0.5) for B, f in map(_split, terms)) % _WORD,
+                  dtype=np.uint64)
+    part = np.empty(shape, dtype=np.uint64)
+    for a, b in products:
+        B, f = _split(b)
+        np.add(out, np.multiply(a.view(np.uint64), B, out=part), out=out)
+        if f:  # rint(a f), below 2**63 in magnitude, as int64 bits in `part`
+            w = np.multiply(a, f, out=np.empty(shape))
+            np.copyto(part.view(np.int64), np.rint(w, out=w), casting="unsafe")
+            np.add(out, part, out=out)
+    return out
+
+
+def to_turns(x):
+    """Float coordinates x mod 1 as turns: exact where x has at most 64 fractional bits,
+    otherwise cut toward 0 at the last turn (within 2**-64). NaN or inf raises DomainError."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DomainError("coordinates must be finite")
+    part = x - np.trunc(x)  # exact, |part| < 1, with the sign of x
+    u = np.multiply(np.abs(part), 2.0**64).astype(np.uint64)
+    return np.where(part < 0, np.negative(u), u)
+
+
+def from_turns(u, out=None):
+    """The floats of turns u in [0, 1): u / 2**64 rounded once to nearest, 0.0 where that
+    is 1.0. `out` is an optional float buffer of u's shape."""
+    x = np.multiply(u, 2.0**-64, out=np.empty(np.shape(u)) if out is None else out)
+    return np.subtract(x, 1.0, out=x, where=x >= 1.0)
 
 
 _DIGIT = 24  # base-2**24 digits: a column of their products stays below 2**53
@@ -151,9 +131,9 @@ def frac_poly(coefficients, n):
 
     The form of each non-integer c_j n**j is chosen per coefficient, so no value depends on the
     other times. Where j = 1 or c_j has at most 64 fractional bits, n**j is one int64 multiplier:
-    the array power wraps mod 2**64, a multiple of c_j's denominator, so c_j n**j moves by an
-    integer. Otherwise n**j is base-2**24 digits d_i mod 2**(24 K) for every int64 time, the K
-    above c_j's last bit each entering as d_i * (c_j 2**(24 i)). Integer c_j are skipped.
+    the array power wraps mod 2**64, and so does its product with c_j's turn. Otherwise n**j is
+    base-2**24 digits d_i mod 2**(24 K) for every int64 time, the K above c_j's last bit each
+    entering as d_i * (c_j 2**(24 i)) with its second word. Integer c_j are skipped.
     """
     coefficients = [float(c) for c in coefficients]
     if not all(map(math.isfinite, coefficients)):
@@ -167,12 +147,12 @@ def frac_poly(coefficients, n):
     for j, c in enumerate(coefficients):
         if j in wide:
             digits = _power_digits(n_arr, j, places, memo)[:wide[j]]
-            products += [(d, math.ldexp(c, _DIGIT * i)) for i, d in enumerate(digits)]
+            products += [(d.astype(np.int64), math.ldexp(c, _DIGIT * i))
+                         for i, d in enumerate(digits)]
         elif j and bits[j]:
             products.append((n_arr**j, c))
-    out = frac_combine(products, terms=(coefficients[0],))
-    out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
-    return float(out[0]) if np.ndim(n) == 0 else np.asarray(out, dtype=np.float64)
+    out = np.broadcast_to(turn_sum(products, terms=(coefficients[0],)), n_arr.shape)
+    return float(from_turns(out[0])) if np.ndim(n) == 0 else from_turns(out)
 
 
 def unit_phase(theta):

@@ -7,7 +7,7 @@ the declared rational angle of each coordinate. The module functions
 (`orbit_coords`, `check_times`, `project_Zk`, ...) ask the system; an object
 that is not a `System` raises `UnsupportedSystemError`. Three kinds exist:
 
-* `RotationTorus`: x -> x + alpha on T^d, each coordinate frac(x + n*alpha)
+* `RotationTorus`: x -> x + alpha on T^d, each coordinate X + n*A in turns
   for every int64 time;
 * `AnzaiSkew`: (x, y) -> (x + alpha, y + x) on T^2, whose n-th iterate is
   (x + n*alpha, y + n*x + n(n-1)/2 * alpha), declared for
@@ -15,11 +15,15 @@ that is not a `System` raises `UnsupportedSystemError`. Three kinds exist:
 * `ToralAutomorphism`: a hyperbolic 2x2 integer matrix acting exactly on the
   rational lattice (Z_q)^2 for a prime modulus q <= 2^31 - 1, for int64 times.
 
-Orbits are never iterated in floating point. The rotation and skew closed
-forms are int64 multiples of floats, reduced mod 1 by `frac_combine` within a
-few ulp at every declared time, and automorphism orbits are exact int64
-modular arithmetic (`mat_pow_mod`, `lattice_orbit`): below 2^31 every residue
-sum 2(q-1)^2 of a 2x2 mat-vec fits in int64. A time past the declared domain
+Orbits are never iterated in floating point, and coordinates are uint64 turns
+(`numerics.turn_sum`): U stands for U / 2^64 mod 1. The rotation and skew
+closed forms are int64 multiples of the turns of floats, exact wherever the
+angle and point have at most 64 fractional bits (every value >= 2^-12).
+Automorphism orbits are exact int64 modular arithmetic (`mat_pow_mod`,
+`lattice_orbit`): below 2^31 every residue sum 2(q-1)^2 of a 2x2 mat-vec fits
+in int64, and a residue p becomes the turn floor(p 2^64 / q), exact in 64 bits.
+An observable reads k . x as the uint64 sum of k_i X_i, exact for every integer
+frequency, and rounds it to a float phase once. A time past the declared domain
 (`check_times`), including an exponent times n, raises `DomainError` before it
 can round or wrap.
 
@@ -40,7 +44,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, UnsupportedSystemError
-from .numerics import frac, frac_combine, unit_phase
+from .numerics import _WORD, from_turns, to_turns, turn_sum, unit_phase
 
 Angle = Union[float, Fraction]
 
@@ -61,8 +65,8 @@ def _angle_float(a: Angle) -> float:
 class System:
     """A measure-preserving system on T^d whose orbits have a closed form.
 
-    A kind sets `dimension` and defines `coords(x, n)`, the (len(n), d) float
-    coordinates of T^n x at a checked point and checked times; `project_Zk(obs,
+    A kind sets `dimension` and defines `coords(x, n)`, the (len(n), d) uint64
+    turns of T^n x at a checked point and checked times; `project_Zk(obs,
     k)`, E[obs | Z_k] for k >= 1; and `rational_angles`, per coordinate the
     declared rational angle or None. It overrides `check_point` and its
     declared times (`time_limit`, `time_why`) where the defaults do not hold.
@@ -110,7 +114,7 @@ class RotationTorus(System):
         return tuple(_angle_float(a) for a in self.alpha)
 
     def coords(self, x, n):
-        return np.stack([frac_combine([(n, a)], [b]) for b, a in zip(x, self.alpha_floats)], 1)
+        return np.stack([turn_sum([(n, a)], [b]) for b, a in zip(x, self.alpha_floats)], 1)
 
     def project_Zk(self, obs, k):
         return obs
@@ -140,9 +144,8 @@ class AnzaiSkew(System):
 
     def coords(self, x, n):
         (x, y), a = x, float(self.alpha)
-        xs = frac_combine(products=[(n, a)], terms=[x])
-        ys = frac_combine(products=[(n, x), (n * (n - 1) // 2, a)], terms=[y])
-        return np.stack([xs, ys], axis=-1)
+        half = n * (n - 1) >> 1  # n(n-1)/2, exact: n(n-1) is even and fits in int64
+        return np.stack([turn_sum([(n, a)], [x]), turn_sum([(n, x), (half, a)], [y])], axis=-1)
 
     def project_Zk(self, obs, k):
         if k >= 2:
@@ -210,7 +213,12 @@ class ToralAutomorphism(System):
             raise ValueError("automorphism orbit times must be an arithmetic progression")
         start = int(n[0]) if n.size else 0
         step = int(steps[0]) if steps.size else 1
-        return lattice_orbit(self, x, start, step, n.size) / self.modulus
+        p, q = lattice_orbit(self, x, start, step, n.size).view(np.uint64), self.modulus
+        low = p * np.uint64(_WORD % q)  # floor(p 2^64 / q) = p (2^64 // q) + p (2^64 % q) // q
+        low //= np.uint64(q)
+        p *= np.uint64(_WORD // q)
+        p += low
+        return p
 
     def project_Zk(self, obs, k):
         c = integrate_observable(obs)
@@ -367,7 +375,7 @@ def check_times(n: np.ndarray, system: System | type[System] | None = None, e: i
 
 
 def orbit_coords(system: System, x0, n) -> np.ndarray:
-    """Float coordinates of T^n x0 for an int64 vector of times n.
+    """The (len(n), d) uint64 turns of T^n x0 for an int64 vector of times n.
 
     The system checks the times against its declared domain (`DomainError`
     past it) and the point, then evaluates its closed form. Automorphism
@@ -380,10 +388,10 @@ def orbit_coords(system: System, x0, n) -> np.ndarray:
 
 
 def orbit_point(system: System, x0, n: int):
-    """T^n x0. Returns a residue pair for lattice systems, floats otherwise."""
+    """T^n x0. Returns a residue pair for lattice systems, float coordinates otherwise."""
     if isinstance(system, ToralAutomorphism):
         return tuple(int(v) for v in lattice_orbit(system, x0, int(n), 1, 1)[0])
-    return orbit_coords(system, x0, np.asarray([int(n)]))[0]
+    return from_turns(orbit_coords(system, x0, np.asarray([int(n)]))[0])
 
 
 def eval_observable(obs: Observable, x) -> complex:
@@ -398,23 +406,28 @@ def eval_observable(obs: Observable, x) -> complex:
 
 
 def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an (N, d) float coordinate array."""
+    """Vectorized evaluation on an (N, d) array of turns, as `orbit_coords` returns; float
+    coordinates are read mod 1 through `to_turns`. Each k . x is the uint64 sum of the
+    k_i X_i, exact for every integer frequency, rounded once to its float phase."""
     if coords.shape[-1] != obs.dimension:
         raise DimensionMismatchError(
             f"coords dimension {coords.shape[-1]} != observable dimension {obs.dimension}"
         )
+    if coords.dtype != np.uint64:
+        coords = to_turns(coords)
     out = np.zeros(coords.shape[0], dtype=np.complex128)
-    # one row would take BLAS's dot, not the matrix-vector product, and round
-    # differently: with a second row every row has its bits at any length
-    rows = np.repeat(coords, 2, axis=0) if out.size == 1 else coords
+    theta = np.empty(coords.shape[0])
     for freq, coeff in obs.terms:
         if not any(freq):  # e(0) is exactly 1, so the term is its coefficient
             out += coeff
             continue
-        k = np.asarray(freq, dtype=np.float64)
+        kx = np.zeros(coords.shape[0], dtype=np.uint64)
+        for i, k in enumerate(freq):
+            if k:
+                kx += coords[:, i] * np.uint64(k % _WORD)
         # the temporary goes first: numpy's elision turns `c * f()` into f() * c
         # on large arrays, and the order of a complex product moves its last bit
-        out += unit_phase(frac((rows @ k)[:out.size])) * coeff
+        out += unit_phase(from_turns(kx, theta)) * coeff
     return out
 
 

@@ -8,7 +8,6 @@ sums are literal nested loops.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -38,6 +37,18 @@ def iterate_rotation(alpha, x0, n: int):
     for _ in range(n):
         x = (x + a) % 1.0
     return x
+
+
+def rounded(exact: Fraction) -> float:
+    """The correctly rounded float of exact mod 1, 0.0 where that is 1.0."""
+    x = float(exact % 1)
+    return 0.0 if x == 1.0 else x
+
+
+def circle_distance(x: float, exact: Fraction) -> float:
+    """Distance on the circle from the float x to the exact value, mod 1."""
+    d = abs(Fraction(x) - exact) % 1
+    return float(min(d, 1 - d))
 
 
 def exact_rotation(alpha: float, x0: float, n: int) -> Fraction:
@@ -290,10 +301,8 @@ def cube_average_brute(s1, s2, H: int) -> complex:
     return total / H**3
 
 
-# Reference mod-1 kernels: the allocating forms that `ergonil.numerics` had before
-# its in-place rewrite, kept unchanged so the rewrite can be pinned bit for bit.
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
+# Reference fractional part: the allocating form of `ergonil.numerics.frac`, kept unchanged so
+# the in-place kernel can be pinned bit for bit.
 
 
 def frac(x):
@@ -304,117 +313,6 @@ def frac(x):
     """
     r = x - np.floor(x)
     return np.where(r >= 1.0, r - 1.0, r)
-
-
-def two_prod(a, b):
-    """Error-free product: returns (p, e) with p + e == a*b exactly."""
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
-
-
-def frac_combine(products=(), terms=()):
-    """frac(sum of a*b products plus plain terms), compensated.
-
-    Each product is split error-free and both halves are reduced mod 1
-    before accumulation, so magnitudes never reach the range where the
-    fractional bits would be rounded away.
-    """
-    total = 0.0
-    for a, b in products:
-        p, e = two_prod(a, b)
-        total = total + frac(p) + frac(e)
-    for t in terms:
-        total = total + frac(t)
-    return frac(total)
-
-
-def rotation_coords(alpha, x0, n):
-    """Rotation coordinates frac(x_i + n alpha_i) in the frac_combine form: the split
-    of n alpha_i plus x_i, which the rotation evaluated while its times stopped at 2^53."""
-    nf = np.asarray(n, dtype=np.int64).astype(np.float64)
-    return np.stack([frac_combine([(nf, float(a))], [float(x)]) for a, x in zip(alpha, x0)],
-                    axis=-1)
-
-
-# Reference polynomial phase: `frac_poly` as it was while it chose the form of each power per
-# element (one exact float, a Dekker pair, or base-2**24 digits, each element 0 in the other
-# kind's parts), kept unchanged so the per-coefficient form can be pinned to it bit for bit. It
-# reduces through the library's `frac_combine`, which the tests pin to `frac_combine` above.
-
-_DIGIT = 24
-_INT64_TOP = 1 << 63
-
-
-def _digit_product(a, b, places):
-    cols = [0.0] * (places + 1)
-    for i, x in enumerate(a[:places]):
-        for j, y in enumerate(b[: places - i]):
-            cols[i + j] = cols[i + j] + x * y
-    for k in range(places):
-        carry = np.rint(cols[k] / 2.0**_DIGIT)
-        cols[k] = cols[k] - carry * 2.0**_DIGIT
-        cols[k + 1] = cols[k + 1] + carry
-    return cols[:places]
-
-
-@functools.cache
-def _exact_root(h):
-    """Largest m with m**h <= 2**53: n**h is then one exact float for every |n| <= m."""
-    m = int(2.0 ** (53 / h)) + 1
-    while m**h > 2**53:
-        m -= 1
-    return m
-
-
-def frac_poly_per_element(coefficients, n):
-    from ergonil.numerics import frac_combine
-
-    coefficients = [float(c) for c in coefficients]
-    n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    top = max(-int(n_arr.min()), int(n_arr.max())) if n_arr.size else 0
-    monomials = [(j, c, -(-(c.as_integer_ratio()[1].bit_length() - 1) // _DIGIT))
-                 for j, c in enumerate(coefficients) if j > 1 and not c.is_integer()]
-    places = max((min(k, (_INT64_TOP**j).bit_length() // _DIGIT + 2) for j, _, k in monomials),
-                 default=0)
-
-    @functools.cache
-    def inside(limit):
-        return (n_arr >= -limit) & (n_arr <= limit)
-
-    @functools.cache
-    def power(j, limit):
-        if j > 1:
-            return power((j + 1) // 2, limit) * power(j // 2, limit)
-        return (n_arr if top <= limit else np.where(inside(limit), n_arr, 0)).astype(np.float64)
-
-    @functools.cache
-    def digits(j):
-        if j == 1:
-            last = _INT64_TOP.bit_length() // _DIGIT * _DIGIT
-            return [((n_arr >> s) & ((1 << _DIGIT) - 1) if s < last else n_arr >> s)
-                    .astype(np.float64) for s in range(0, last + 1, _DIGIT)][:places]
-        return _digit_product(digits((j + 1) // 2), digits(j // 2), places)
-
-    products = [(n_arr, c) for c in coefficients[1:2] if not c.is_integer()]
-    for j, c, k in monomials:
-        limit = _exact_root((j + 1) // 2)
-        if top <= limit or inside(limit).any():
-            hi, lo = power((j + 1) // 2, limit), power(j // 2, limit)
-            parts = [hi * lo] if min(top, limit) ** j <= 2**53 else two_prod(hi, lo)
-            products += [(part, c) for part in parts]
-        if top > limit:
-            products += [(np.where(inside(limit), 0.0, d), math.ldexp(c, _DIGIT * i))
-                         for i, d in enumerate(digits(j)[:k])]
-    out = frac_combine(products, terms=(coefficients[0],))
-    out = np.broadcast_to(out, n_arr.shape) if np.ndim(out) == 0 else out
-    return np.asarray(out, dtype=np.float64)
 
 
 # Reference box walk: the one-offset-tuple-at-a-time form that `ergonil.seminorms` had

@@ -610,8 +610,8 @@ class TestOrbitTermBlocks:
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
     def test_one_time_alone_has_its_bits(self):
-        # a one-row coordinate matrix once took BLAS's dot, which rounds
-        # k . x differently from the matrix-vector product of longer arrays
+        # k . x is an integer turn sum, so one time alone has the bits it has in a
+        # longer array
         rot = RotationTorus((PHI, SQRT2M1))
         n = np.arange(1, 300, dtype=np.int64)
         whole = orbit_terms(rot, (0.2, 0.7), n, _F2)

@@ -3,6 +3,7 @@ evaluators, products, tables, Cesaro averaging."""
 
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -512,11 +513,23 @@ class TestHeisenbergDomain:
             HeisenbergNilseq(w.g, self.BASE, TorusChar(1, 1)).eval(n)
 
 
+    @pytest.mark.parametrize("g", [HeisenbergElement(PHI, 0.3, 0.1),
+                                   HeisenbergElement(1e-5, 2.0**-40 + 2.0**-90, -3e-7)])
+    def test_no_warning_for_empty_one_element_and_zero_d_times(self, g):
+        w = HeisenbergNilseq(g, self.BASE, TorusChar(2, -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (SKEW_MAX_TIME, -SKEW_MAX_TIME, 0, -1):
+                want = w.eval_many(np.array([n, 5]))[0]
+                assert w.eval(n) == w.eval_many(np.array(n)) == want
+            assert w.eval_many(np.array([], np.int64)).shape == (0,)
+
+
 class TestHeisenbergMemory:
     def test_coordinate_stage_peak_is_pinned(self):
         # on one block of the blocked core, with a character as F so the coordinate
-        # stage dominates: `frac_combine` writes into block-sized buffers, and the
-        # whole evaluation stays within 12 block-sized float arrays (15 before it did)
+        # stage dominates: the turn sums write into block-sized buffers, and the
+        # whole evaluation stays within 12 block-sized float arrays
         block = 1 << 14
         w = HeisenbergNilseq(HeisenbergElement(PHI, 0.3, 0.1), HeisenbergElement(0.1, 0.25, 0.7),
                              TorusChar(1, 1))

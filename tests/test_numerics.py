@@ -1,10 +1,12 @@
-"""Numerics: the exact mod-1 polynomial kernel `frac_poly` against exact
-rational arithmetic, over all of int64 and every small degree; the in-place
-kernels `frac`, `frac_combine` and `unit_phase` against their allocating
-references, bit for bit."""
+"""Numerics: the uint64 turn kernels (`turn_sum`, `to_turns`, `from_turns`) and the
+mod-1 polynomial kernel `frac_poly` against exact rational arithmetic, over all of
+int64 and every small degree: bit for bit where every part has one word, within the
+stated bound where a part has a second word; `frac` and `unit_phase` against their
+allocating references, bit for bit."""
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,16 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 from ergonil import DomainError, PolynomialPhase
 from ergonil import numerics
-from ergonil.numerics import frac, frac_combine, frac_poly, ordered_product, unit_phase
+from ergonil.numerics import (frac, frac_poly, from_turns, ordered_product, to_turns, turn_sum,
+                              unit_phase)
 
 import oracles
+from oracles import circle_distance, rounded
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 EDGES = [0, 1, -1, (1 << 26) - 1, (1 << 26) + 1, -(1 << 26) - 1, (1 << 53) - 1, (1 << 53) + 1,
          -(1 << 53) - 1, INT64_MAX, -INT64_MAX, INT64_MIN]
-# around the largest |n| whose n**h is an exact float: past it the power's int64 cast rounds,
-# and `frac_combine` adds the remainder as one more product
+# around the largest |n| whose n**h is an exact float
 ROOTS = [s * (m + d) for m in (94906265, 208063, 9741, 1552, 456, 1 << 53)
          for d in (0, 1) for s in (1, -1)]
 
@@ -36,6 +39,8 @@ def circle_error(coefficients, ns):
 
 
 coefficient = st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False)
+TWO_WORD = 2.0**-52  # the most a part with a second word moves a value (README)
+HALF_ULP = 2.0**-54  # the final rounding of a value in [0, 1)
 # coefficients with at most 64 fractional bits: every |c| >= 2**-12, and dyadic ones below
 short_coefficient = (st.floats(-4.0, 4.0).filter(lambda c: c == 0.0 or abs(c) >= 2.0**-12)
                      | st.builds(math.ldexp, st.integers(-(1 << 53), 1 << 53), st.integers(-64, 0))
@@ -75,8 +80,7 @@ class TestFracPoly:
             assert together[i:i + 1].tobytes() == frac_poly(coefficients, ns[i:i + 1]).tobytes()
 
     def test_degree5_value_does_not_depend_on_the_longest_time(self):
-        # past |n| = 1552, n**5 is no exact float: `frac_combine` adds a remainder
-        # product for those times, and the times below keep their bits
+        # past |n| = 1552, n**5 is no exact float; the times below keep their bits
         p = (0.0, 0.1, 0.2, 0.3, 0.4, 0.123456789)
         ns = np.arange(1, (1 << 18) + 1, dtype=np.int64)
         assert frac_poly(p, ns)[:1024].tobytes() == frac_poly(p, ns[:1024]).tobytes()
@@ -96,18 +100,35 @@ class TestFracPoly:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), degree=st.integers(0, 6))
-    def test_matches_the_per_element_form_bit_for_bit(self, data, degree):
-        # where every |n|**d < 2**63 - 2**10 and every c_j has at most 64 fractional bits, the
-        # int64 cast of n**j is the single float of the old form, and the remainder that
-        # `frac_combine` appends is its Dekker low part, added last as it was
+    def test_short_coefficients_are_correctly_rounded(self, data, degree):
+        # every c_j with at most 64 fractional bits: each part is exact in turns, so the
+        # value is the exact one rounded once
         coefficients = data.draw(st.lists(short_coefficient, min_size=degree + 1,
                                           max_size=degree + 1))
-        top = _root_below(2**63 - 2**10, max(degree, 1))
-        ns = np.array(data.draw(st.lists(st.integers(-top, top)
-                                         | st.sampled_from([m for m in ROOTS if abs(m) <= top]),
-                                         min_size=1, max_size=12)), dtype=np.int64)
-        assert (frac_poly(coefficients, ns).tobytes()
-                == oracles.frac_poly_per_element(coefficients, ns).tobytes())
+        ns = data.draw(st.lists(st.integers(INT64_MIN, INT64_MAX)
+                                | st.sampled_from(EDGES + ROOTS), min_size=1, max_size=12))
+        got = frac_poly(coefficients, np.array(ns, dtype=np.int64))
+        want = [rounded(sum(Fraction(c) * m**j for j, c in enumerate(coefficients)))
+                for m in ns]
+        assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), degree=st.integers(2, 6))
+    def test_wide_coefficients_within_the_bound(self, data, degree):
+        # a c_j with more than 64 fractional bits enters as base-2**24 digit parts, each
+        # with a second word: within TWO_WORD per part, plus the final rounding
+        wide = st.sampled_from([1e-5, 2.0**-40 + 2.0**-90, -3e-7, 1e-30, 5e-324, PHI * 2.0**-13])
+        coefficients = data.draw(st.lists(short_coefficient | wide, min_size=degree + 1,
+                                          max_size=degree + 1))
+        ns = data.draw(st.lists(st.integers(INT64_MIN, INT64_MAX) | st.sampled_from(EDGES),
+                                min_size=1, max_size=8))
+        got = frac_poly(coefficients, np.array(ns, dtype=np.int64))
+        parts = sum(-(-(c.as_integer_ratio()[1].bit_length() - 1) // 24)
+                    for j, c in enumerate(coefficients) if j > 1)
+        for g, m in zip(got, ns):
+            exact = sum(Fraction(c) * m**j for j, c in enumerate(coefficients))
+            assert 0.0 <= g < 1.0
+            assert circle_distance(float(g), exact) <= parts * TWO_WORD + HALF_ULP
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("bits, digits", [(64, False), (65, True)])
@@ -148,29 +169,6 @@ class TestFracPoly:
 
 
 BLOCK = 1 << 14  # the block length of `averages.orbit_terms`
-# the second operand of every product: 0, negative, integer-valued, large and plain reals
-scalar = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 2.0**40, -(2.0**52), PHI, -PHI])
-          | st.floats(-1e6, 1e6)
-          | st.floats(-(2.0**300), 2.0**300).filter(lambda b: b == 0.0 or abs(b) > 2.0**-300))
-term = st.floats(-1e3, 1e3)
-
-
-def _first_operands(seed, length, top, integral, count):
-    """`count` arrays of times |n| <= 2**top (integral) or reals below 2**top, each
-    with one element at the edge 2**top."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        a = (rng.integers(-(1 << top), (1 << top) + 1, length).astype(np.float64) if integral
-             else rng.uniform(-1.0, 1.0, length) * 2.0**top)
-        a[rng.integers(length)] = rng.choice([-1.0, 1.0]) * 2.0**top
-        out.append(a)
-    return out
-
-
-def circle_distance(x: float, exact: Fraction) -> float:
-    d = abs(Fraction(x) - exact)
-    return float(min(d, 1 - d))
 
 
 class TestFrac:
@@ -207,133 +205,162 @@ class TestFrac:
         assert x.tolist() == [0.5, -1.25, 3.75]
 
 
-class TestFracCombine:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           length=st.sampled_from([1, 2, BLOCK, BLOCK + 1]),
-           top=st.integers(0, 53),
-           integral=st.booleans(),
-           scalars=st.lists(scalar, min_size=1, max_size=5),
-           terms=st.lists(term, max_size=2))
-    def test_matches_the_reference_bit_for_bit(self, seed, length, top, integral, scalars, terms):
-        firsts = _first_operands(seed, length, top, integral, len(scalars))
-        products = list(zip(firsts, scalars))
-        before = b"".join(a.tobytes() for a in firsts)
-        got = frac_combine(products, terms)
-        assert b"".join(a.tobytes() for a in firsts) == before  # the operands are only read
-        assert got.tobytes() == oracles.frac_combine(products, terms).tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(times=st.lists(st.integers(-(1 << 53), 1 << 53), min_size=1, max_size=6),
-           scalars=st.lists(scalar, min_size=1, max_size=5),
-           terms=st.lists(term, max_size=2))
-    def test_within_a_few_ulp_of_exact_rationals(self, times, scalars, terms):
-        # 2k + m values in [0, 1) are added; the j-th addition rounds by at most j
-        # half-ulps of 1, so the error is below M**2 * 2**-53 with M = 2k + m
-        n = np.array(times, dtype=np.float64)
-        got = frac_combine([(n, b) for b in scalars], terms)
-        m = 2 * len(scalars) + len(terms)
-        for i, t in enumerate(times):
-            exact = sum(Fraction(t) * Fraction(b) for b in scalars) + sum(map(Fraction, terms))
-            assert 0.0 <= got[i] < 1.0
-            assert circle_distance(float(got[i]), exact % 1) <= m * m * 2.0**-53
-
-    def test_terms_alone(self):
-        got, want = frac_combine(terms=[2.25, -0.5]), oracles.frac_combine(terms=[2.25, -0.5])
-        assert np.ndim(got) == 0 and got == 0.75
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-# int64 multipliers: every range, the edges of the exact cast, and the top, where the cast
-# rounds to 2**63 itself
+WORD = 1 << 64
+# int64 multipliers: every range, the edges of an exact float, and the extremes
 int64s = (st.integers(INT64_MIN, INT64_MAX)
           | st.sampled_from([INT64_MIN, INT64_MAX, -INT64_MAX, (1 << 53) - 1, (1 << 53) + 1,
-                             -(1 << 53) + 1, -(1 << 53) - 1, 1 << 53, -(1 << 53), 0])
+                             -(1 << 53) + 1, -(1 << 53) - 1, 1 << 53, -(1 << 53), 0, 1, -1])
           | st.integers((1 << 63) - 600, INT64_MAX) | st.integers(INT64_MIN, INT64_MIN + 600))
-small_ints = st.integers(-(1 << 53), 1 << 53)
+# scalars with at most 64 fractional bits, which are exact turns
+one_word = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 2.0**40, -(2.0**52), 1e300, PHI,
+                             -PHI, 2.0**-64, -(2.0**-63), 0.375])
+            | st.floats(-1e6, 1e6).filter(lambda b: b == 0.0 or abs(b) >= 2.0**-12)
+            | st.builds(math.ldexp, st.integers(-(1 << 53), 1 << 53), st.integers(-64, 0)))
+# scalars with more fractional bits: a second word
+two_word = (st.sampled_from([1e-5, 2.0**-40 + 2.0**-90, -1e-300, 5e-324, PHI * 2.0**-13])
+            | st.floats(-(2.0**-12), 2.0**-12).filter(lambda b: b.as_integer_ratio()[1] > WORD))
 
 
-def _reduced_values(products, terms):
-    """How many values in [0, 1) `frac_combine` adds: two per product, two more per int64
-    multiplier with some |a| > 2**53 (its remainder), one per term."""
-    big = sum(bool((np.abs(a.astype(np.float64)) >= 2.0**53).any()) for a, _ in products)
-    return 2 * (len(products) + big) + len(terms)
+def is_wide(b) -> bool:
+    return Fraction(b).denominator > WORD
 
 
-class TestFracCombineIntegers:
-    """An int64 multiplier is exact at every element, and where every |a| <= 2**53 it has
-    the bits of its float form."""
+def exact_sum(products, terms, i):
+    return (sum(Fraction(int(a[i])) * Fraction(b) for a, b in products)
+            + sum(map(Fraction, terms)))
+
+
+def products_of(data, scalars):
+    length = data.draw(st.integers(1, 6))
+    return [(np.array(data.draw(st.lists(int64s, min_size=length, max_size=length)),
+                      dtype=np.int64), b) for b in scalars], length
+
+
+class TestTurnSum:
+    """`turn_sum` is exact in uint64 turns where every scalar has at most 64 fractional bits,
+    and within TWO_WORD per part that has a second word."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), scalars=st.lists(scalar, min_size=1, max_size=4),
-           terms=st.lists(term, max_size=2))
-    def test_within_a_few_ulp_of_exact_rationals(self, data, scalars, terms):
-        length = data.draw(st.integers(1, 6))
-        firsts = [np.array(data.draw(st.lists(int64s, min_size=length, max_size=length)),
-                           dtype=np.int64) for _ in scalars]
-        before = b"".join(a.tobytes() for a in firsts)
-        products = list(zip(firsts, scalars))
-        got = frac_combine(products, terms)
-        assert b"".join(a.tobytes() for a in firsts) == before  # the operands are only read
-        m = _reduced_values(products, terms)
-        for i in range(length):
-            exact = (sum(Fraction(int(a[i])) * Fraction(b) for a, b in products)
-                     + sum(map(Fraction, terms)))
-            assert 0.0 <= got[i] < 1.0
-            assert circle_distance(float(got[i]), exact % 1) <= m * m * 2.0**-53
+    @given(data=st.data(), scalars=st.lists(one_word, min_size=1, max_size=4),
+           terms=st.lists(one_word, max_size=2))
+    def test_matches_exact_turns_bit_for_bit(self, data, scalars, terms):
+        products, length = products_of(data, scalars)
+        before = b"".join(a.tobytes() for a, _ in products)
+        got = turn_sum(products, terms)
+        assert b"".join(a.tobytes() for a, _ in products) == before  # the operands are only read
+        assert got.dtype == np.uint64
+        want = [int(exact_sum(products, terms, i) * WORD) % WORD for i in range(length)]
+        assert got.tolist() == want
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, BLOCK, BLOCK + 1]),
-           top=st.integers(0, 53), scalars=st.lists(scalar, min_size=1, max_size=4),
-           terms=st.lists(term, max_size=2))
-    def test_bit_equal_to_the_float_form_up_to_2_53(self, seed, length, top, scalars, terms):
-        floats = _first_operands(seed, length, top, True, len(scalars))
-        ints = [a.astype(np.int64) for a in floats]
-        got = frac_combine(list(zip(ints, scalars)), terms)
-        assert got.tobytes() == frac_combine(list(zip(floats, scalars)), terms).tobytes()
-        assert got.tobytes() == oracles.frac_combine(list(zip(floats, scalars)), terms).tobytes()
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scalars=st.lists(one_word, min_size=1, max_size=4),
+           terms=st.lists(one_word, max_size=2))
+    def test_one_word_sums_are_correctly_rounded(self, data, scalars, terms):
+        products, length = products_of(data, scalars)
+        got = from_turns(turn_sum(products, terms))
+        assert got.tolist() == [rounded(exact_sum(products, terms, i)) for i in range(length)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scalars=st.lists(one_word | two_word, min_size=1, max_size=4),
+           terms=st.lists(one_word | two_word, max_size=2))
+    def test_two_word_parts_within_the_bound(self, data, scalars, terms):
+        products, length = products_of(data, scalars)
+        got = from_turns(turn_sum(products, terms))
+        parts = sum(map(is_wide, scalars + terms))
+        for i in range(length):
+            assert 0.0 <= got[i] < 1.0
+            assert circle_distance(float(got[i]), exact_sum(products, terms, i)) <= (
+                parts * TWO_WORD + HALF_ULP)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), pair=st.tuples(one_word | two_word, one_word | two_word))
+    def test_exact_products_of_two_floats(self, data, pair):
+        # as the Heisenberg centre passes g.a * g.b: a Fraction, read with its second word
+        b = Fraction(pair[0]) * Fraction(pair[1])
+        products, length = products_of(data, [b])
+        got = from_turns(turn_sum(products))
+        for i in range(length):
+            assert circle_distance(float(got[i]), exact_sum(products, [], i)) <= (
+                TWO_WORD + HALF_ULP)
+
+    def test_terms_alone(self):
+        got = turn_sum(terms=[2.25, -0.5])
+        assert np.ndim(got) == 0 and int(got) == 3 << 62 and from_turns(got) == 0.75
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), scalars=st.lists(scalar, min_size=1, max_size=3),
-           terms=st.lists(term, max_size=2))
-    def test_small_multipliers_keep_their_bits_beside_large_ones(self, data, scalars, terms):
-        # a large element in the same array, or in another product of the call, adds a
-        # remainder product that is 0 at every small element, so their bits do not move
-        length = data.draw(st.integers(2, 8))
-        firsts = [np.array(data.draw(st.lists(small_ints, min_size=length, max_size=length)),
-                           dtype=np.int64) for _ in scalars]
-        big = data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=length - 1,
-                                 unique=True))
-        for i in big:
-            firsts[data.draw(st.integers(0, len(firsts) - 1))][i] = data.draw(
-                int64s.filter(lambda v: abs(v) > 1 << 53))
-        small = np.setdiff1d(np.arange(length), big)
-        got = frac_combine(list(zip(firsts, scalars)), terms)
-        alone = frac_combine([(a[small].astype(np.float64), b) for a, b in zip(firsts, scalars)],
-                             terms)
-        assert got[small].tobytes() == alone.tobytes()
+    @given(data=st.data(), scalars=st.lists(one_word | two_word, min_size=1, max_size=3),
+           terms=st.lists(one_word | two_word, max_size=2))
+    def test_each_value_depends_on_its_own_multipliers_only(self, data, scalars, terms):
+        products, length = products_of(data, scalars)
+        got = turn_sum(products, terms)
+        for i in range(length):
+            alone = turn_sum([(a[i:i + 1], b) for a, b in products], terms)
+            assert got[i:i + 1].tobytes() == alone.tobytes()
 
-    def test_large_multipliers_need_their_remainder(self):
-        # 2**63 - 1 casts to 2**63, and 2**53 + 1 to 2**53: the float form is off by b
-        a, b = np.array([INT64_MAX, (1 << 53) + 1, INT64_MIN], dtype=np.int64), 0.375
-        got = frac_combine([(a, b)])
-        assert got.tolist() == [float((Fraction(int(v)) * Fraction(b)) % 1) for v in a]
-        assert got.tolist() == [0.625, 0.375, 0.0]
+    def test_int64_extremes(self):
+        a = np.array([INT64_MAX, (1 << 53) + 1, INT64_MIN, -1, 0], dtype=np.int64)
+        assert from_turns(turn_sum([(a, 0.375)])).tolist() == [0.625, 0.375, 0.0, 0.625, 0.0]
+        for b in (1e-5, 2.0**-40 + 2.0**-90):
+            got = from_turns(turn_sum([(a, b)], [0.25]))
+            for g, m in zip(got, a.tolist()):
+                assert circle_distance(float(g), m * Fraction(b) + Fraction(1, 4)) <= (
+                    TWO_WORD + HALF_ULP)
 
-    def test_an_int_block_adds_no_block_sized_array(self):
+    @pytest.mark.parametrize("b, blocks", [(PHI, 2), (1e-5, 3.5)])
+    def test_a_block_adds_at_most_its_buffers(self, b, blocks):
+        # the output and one product buffer; a second word adds its float product, and
+        # numpy's half-block buffer for the int64 -> float cast of the multiplier
         n = np.arange(BLOCK, dtype=np.int64) - BLOCK // 2
+        turn_sum([(n, b)], [0.25])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            turn_sum([(n, b)], [0.25])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= blocks * 8 * BLOCK + 4096, peak / (8 * BLOCK)
 
-        def peak(a):
-            frac_combine([(a, PHI)], [0.25])
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                frac_combine([(a, PHI)], [0.25])
-                return tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
 
-        assert peak(n) <= peak(n.astype(np.float64)) + 4096
+class TestTurnConversions:
+    def test_from_turns_rounds_once_to_nearest(self):
+        rng = np.random.default_rng(11)
+        u = rng.integers(0, WORD, 4096, dtype=np.uint64)
+        # ties at the 2**11 spacing of [2**63, 2**64), and the top, which rounds to 1.0
+        top = (u[:512] | np.uint64(1 << 63)) >> np.uint64(11) << np.uint64(11)
+        u[:512] = top | np.uint64(1 << 10)
+        u[512:520] = [WORD - 1, WORD - 1024, WORD - 1025, 0, 1, 1 << 63, (1 << 53) + 1, 3]
+        assert from_turns(u).tolist() == [rounded(Fraction(int(v), WORD)) for v in u]
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(one_word | st.floats(-1e20, 1e20), min_size=1, max_size=8))
+    def test_to_turns_is_exact_or_cut_within_a_turn(self, x):
+        got = to_turns(np.array(x))
+        for g, v in zip(got.tolist(), x):
+            exact = Fraction(v) * WORD % WORD
+            if not is_wide(v):
+                assert g == exact
+            else:  # cut toward 0 before the reduction: at most one turn away
+                assert min((g - exact) % WORD, (exact - g) % WORD) < 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_to_turns_refuses_non_finite_coordinates(self, bad):
+        # a NaN would otherwise cast to some turn and read as a valid phase
+        with pytest.raises(DomainError, match="finite"):
+            to_turns(np.array([0.25, bad]))
+
+    def test_empty_one_element_and_zero_d_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (np.array([], np.int64), np.array([INT64_MIN], np.int64),
+                      np.array(INT64_MAX, np.int64)):
+                for b in (PHI, 1e-5, Fraction(PHI) * Fraction(1e-5)):
+                    got = turn_sum([(n, b)], [0.3])
+                    assert got.shape == n.shape and from_turns(got).shape == n.shape
+            assert to_turns(np.array(-0.25)).shape == () and to_turns(-0.25) == 3 << 62
+            assert from_turns(np.uint64(WORD - 1)) == 0.0
+            assert frac_poly((0.1, PHI, 1e-5), INT64_MIN) == frac_poly((0.1, PHI, 1e-5),
+                                                                     [INT64_MIN])[0]
 
 
 def _phase_reference(theta):

@@ -2,6 +2,7 @@
 model factor-projection table."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from ergonil import (
 )
 from ergonil.errors import UnsupportedSystemError
 from ergonil.averages import orbit_terms
+from ergonil.numerics import from_turns
 from ergonil.systems import (INT64_MAX, MAX_MODULUS, SKEW_MAX_TIME, check_times,
                              eval_observable_many, lattice_orbit, mat_pow_mod)
 
 import oracles
+from oracles import circle_distance, rounded
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -278,7 +281,7 @@ class TestDomain:
     ])
     def test_empty_times(self, system, x0, d):
         out = orbit_coords(system, x0, np.array([], np.int64))
-        assert out.shape == (0, d) and out.dtype == np.float64
+        assert out.shape == (0, d) and out.dtype == np.uint64
 
     @pytest.mark.parametrize("x0", [(np.nan, 0.3), (0.2, np.inf), (-1e-300, 0.3), (0.2, 1.0)])
     def test_point_off_the_unit_cube_raises(self, x0):
@@ -422,13 +425,17 @@ class TestObservables:
         assert observable([((1.0, np.float64(-2.0)), 0.5)]) == observable([((1, -2), 0.5)])
 
     def test_lattice_point_is_residue_over_modulus(self):
-        # the residue pair itself would read e(k . p) = 1 for every frequency k
+        # the residue pair itself would read e(k . p) = 1 for every frequency k; the float
+        # point p / q and the orbit's exact turns both give e(k . p / q) within 1e-15
         obs = observable([((1, 0), 1.0), ((2, -1), 0.5 - 0.25j)])
         for q in (101, (1 << 31) - 1):
             cat = ToralAutomorphism(((2, 1), (1, 1)), modulus=q)
             for n in (0, 1, 7, 1000):
-                got = eval_observable(obs, np.divide(orbit_point(cat, (3, 5), n), q))
-                assert got == orbit_terms(cat, (3, 5), np.array([n]), obs)[0]
+                p1, p2 = orbit_point(cat, (3, 5), n)
+                want = (oracles.unit_exact(Fraction(p1, q))
+                        + (0.5 - 0.25j) * oracles.unit_exact(Fraction(2 * p1 - p2, q)))
+                assert abs(eval_observable(obs, np.divide((p1, p2), q)) - want) < 1e-15
+                assert abs(orbit_terms(cat, (3, 5), np.array([n]), obs)[0] - want) < 1e-15
         cat = ToralAutomorphism(((2, 1), (1, 1)), modulus=101)
         assert orbit_point(cat, (3, 5), 1) == (11, 8)
         got = eval_observable(observable([((1, 0), 1.0)]), np.divide((11, 8), 101))
@@ -533,21 +540,123 @@ class TestSystemChecks:
         assert orbit_point(cat, (np.int32(3), 5), 2) == oracles.iterate_cat(CAT, 101, (3, 5), 2)
 
 
-class TestRotationClosedForm:
-    """Each rotation coordinate is frac_combine([(n, alpha_i)], [x_i]) on the int64 times,
-    exact for every int64 time."""
+WORD = 1 << 64
+# times: every declared int64 (|n| <= 2^63 - 1), the edges of an exact float, 0, +-1 and
+# the extremes
+int64_times = (st.integers(-INT64_MAX, INT64_MAX)
+               | st.sampled_from([0, 1, -1, INT64_MAX, -INT64_MAX, (1 << 53) + 1,
+                                  -(1 << 53) - 1]))
+skew_times = (st.integers(-SKEW_MAX_TIME, SKEW_MAX_TIME)
+              | st.sampled_from([0, 1, -1, SKEW_MAX_TIME, -SKEW_MAX_TIME, SKEW_MAX_TIME - 1]))
+# angles and points in [0, 1): one word (at least 2^-12, or 0), and more fractional bits
+one_word = (st.floats(2.0**-12, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.5, 2.0**-64]))
+two_word = (st.sampled_from([1e-5, 2.0**-40 + 2.0**-90, 5e-324, PHI * 2.0**-13])
+            | st.floats(0.0, 2.0**-12, exclude_min=True, exclude_max=True))
+TWO_WORD, HALF_ULP = 2.0**-52, 2.0**-54  # README: per part with a second word; final rounding
 
-    angles = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3)
+
+def is_wide(b) -> bool:
+    return Fraction(b).denominator > WORD
+
+
+def exact_coords(system, x0, n: int):
+    """T^n x0 of a rotation or the skew in exact rationals, not reduced."""
+    if isinstance(system, AnzaiSkew):
+        a, (x, y) = Fraction(system.alpha), map(Fraction, x0)
+        return [x + n * a, y + n * x + Fraction(n * (n - 1), 2) * a]
+    return [Fraction(x) + n * Fraction(a) for a, x in zip(system.alpha, x0)]
+
+
+class TestTurnCoordinates:
+    """Rotation and skew coordinates are turns: correctly rounded when every angle and point
+    has at most 64 fractional bits, within TWO_WORD per two-word part otherwise. Lattice
+    residues are the exact floor of p 2^64 / q."""
 
     @settings(max_examples=200, deadline=None)
-    @given(alpha=angles, data=st.data())
-    def test_bit_equal_to_the_frac_combine_form_up_to_2_53(self, alpha, data):
-        x0 = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=len(alpha),
-                                max_size=len(alpha)))
-        n = np.array(data.draw(st.lists(st.integers(-(1 << 53), 1 << 53), max_size=8)), np.int64)
-        got = orbit_coords(RotationTorus(alpha), x0, n)
-        assert got.tobytes() == oracles.rotation_coords(alpha, x0, n).tobytes()
+    @given(alpha=st.lists(one_word, min_size=1, max_size=3), data=st.data())
+    def test_rotation_one_word_is_correctly_rounded(self, alpha, data):
+        x0 = data.draw(st.lists(one_word, min_size=len(alpha), max_size=len(alpha)))
+        times = data.draw(st.lists(int64_times, min_size=1, max_size=6))
+        system = RotationTorus(alpha)
+        got = from_turns(orbit_coords(system, x0, np.array(times, np.int64)))
+        assert got.tolist() == [[rounded(c) for c in exact_coords(system, x0, m)] for m in times]
 
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=one_word, x=one_word, y=one_word,
+           times=st.lists(skew_times, min_size=1, max_size=6))
+    def test_skew_one_word_is_correctly_rounded(self, alpha, x, y, times):
+        system = AnzaiSkew(alpha)
+        got = from_turns(orbit_coords(system, (x, y), np.array(times, np.int64)))
+        assert got.tolist() == [[rounded(c) for c in exact_coords(system, (x, y), m)]
+                                for m in times]
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=one_word | two_word, x=one_word | two_word, y=one_word | two_word,
+           data=st.data())
+    def test_two_words_within_the_bound(self, alpha, x, y, data):
+        for system, x0, times in ((RotationTorus((alpha, x)), (x, y), int64_times),
+                                  (AnzaiSkew(alpha), (x, y), skew_times)):
+            n = data.draw(st.lists(times, min_size=1, max_size=6))
+            got = from_turns(orbit_coords(system, x0, np.array(n, np.int64)))
+            # the parts of each coordinate: a rotation's n alpha_i and x_i; the skew's x part
+            # n alpha and x, its y part n x, n(n-1)/2 alpha and y
+            parts = ([[a, p] for a, p in zip(system.alpha, x0)] if isinstance(system, RotationTorus)
+                     else [[alpha, x], [x, alpha, y]])
+            for row, m in zip(got, n):
+                for g, c, p in zip(row, exact_coords(system, x0, m), parts):
+                    bound = sum(map(is_wide, p)) * TWO_WORD + HALF_ULP
+                    assert circle_distance(float(g), c) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(modulus=st.sampled_from([INT64_EDGE, INT64_EDGE, 101, 3, 2]),
+           x0=st.tuples(st.integers(0, INT64_EDGE - 1), st.integers(0, INT64_EDGE - 1)),
+           start=st.integers(-50, 50), count=st.integers(1, 40))
+    def test_lattice_turns_are_the_exact_floor(self, modulus, x0, start, count):
+        # 2^64 // q passes int64 at q = 3 and is 2^63 at q = 2
+        cat = ToralAutomorphism(CAT, modulus=modulus)
+        got = orbit_coords(cat, x0, np.arange(start, start + count))
+        residues = lattice_orbit(cat, x0, start, 1, count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[(int(v) << 64) // modulus for v in row] for row in residues]
+
+    def test_no_warning_for_empty_one_element_and_zero_d_inputs(self):
+        obs = observable([((1, 0), 0.5), ((-3, 2), 0.25j), ((0, 0), 1.0)])
+        systems = ((RotationTorus((PHI, 1e-5)), (0.1, 2.0**-40 + 2.0**-90)),
+                   (AnzaiSkew(PHI), (1e-5, 0.3)), (ToralAutomorphism(CAT), (12345, 678)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for system, x0 in systems:
+                for n in (np.array([], np.int64), np.array([-1]), np.array(SKEW_MAX_TIME),
+                          np.array([0, 1, -SKEW_MAX_TIME])):
+                    if isinstance(system, ToralAutomorphism) and n.size > 1:
+                        n = np.arange(n.size)
+                    coords = orbit_coords(system, x0, n)
+                    assert coords.shape == (np.atleast_1d(n).size, 2)
+                    assert eval_observable_many(obs, coords).shape == coords.shape[:1]
+                point = orbit_point(system, x0, -3)
+                if isinstance(system, ToralAutomorphism):
+                    point = np.divide(point, system.modulus)
+                assert np.isfinite(eval_observable(obs, point))
+            assert eval_observable(obs, np.array([0.5, -0.25])) == pytest.approx(
+                0.5 * -1 + 0.25j * 1 + 1.0, abs=1e-15)
+
+    def test_negative_and_large_frequencies_are_exact(self):
+        # k . x wraps mod 2^64 whatever k, so a negative frequency or one past int64 reads
+        # e(k . x) of the exact turns
+        coords = orbit_coords(RotationTorus((PHI, 0.3)), (0.1, 0.7), np.arange(-50, 50))
+        for k in ((3, -2), (INT64_MAX, 1), (-(1 << 70) - 1, 5)):
+            up = eval_observable_many(observable([(k, 1.0)]), coords)
+            down = eval_observable_many(observable([(tuple(-v for v in k), 1.0)]), coords)
+            assert np.abs(np.conj(up) - down).max() < 1e-15
+            for row, value in zip(coords.tolist(), up):
+                kx = Fraction(sum(v * c for v, c in zip(k, row)), WORD)
+                assert abs(value - oracles.unit_exact(kx)) < 1e-15
+
+
+class TestRotationClosedForm:
+    """Each rotation coordinate is the turn X_i + n A_i, exact for every int64 time."""
+
+    angles = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3)
     @settings(max_examples=200, deadline=None)
     @given(alpha=angles, data=st.data())
     def test_exact_for_every_int64_time(self, alpha, data):
