@@ -2,7 +2,7 @@
 
 Three model systems: an irrational rotation, the Anzai skew product, and a
 hyperbolic automorphism iterated exactly on a prime lattice. Orbits are
-evaluated in closed form with compensated mod-1 arithmetic, so there is no
+evaluated in closed form with exact uint64 turn arithmetic, so there is no
 step-by-step drift even at n = 2**20.
 """
 

@@ -416,7 +416,7 @@ def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
     if coords.dtype != np.uint64:
         coords = to_turns(coords)
     out = np.zeros(coords.shape[0], dtype=np.complex128)
-    theta = np.empty(coords.shape[0])
+    theta = np.empty(coords.shape[0])  # one phase buffer for all terms keeps peak RSS down
     for freq, coeff in obs.terms:
         if not any(freq):  # e(0) is exactly 1, so the term is its coefficient
             out += coeff

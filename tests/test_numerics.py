@@ -362,6 +362,12 @@ class TestTurnConversions:
             assert frac_poly((0.1, PHI, 1e-5), INT64_MIN) == frac_poly((0.1, PHI, 1e-5),
                                                                      [INT64_MIN])[0]
 
+    def test_the_suite_raises_runtime_warnings(self):
+        # pyproject.toml's filterwarnings turns every RuntimeWarning into an error, so a
+        # uint64 product that warned anywhere in the turn kernels would fail its test
+        with pytest.raises(RuntimeWarning):
+            warnings.warn("wrapped", RuntimeWarning)
+
 
 def _phase_reference(theta):
     return np.exp((2j * np.pi) * theta)
