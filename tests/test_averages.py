@@ -177,6 +177,13 @@ def _value_at(u: np.ndarray, first: int, t: float) -> float:
     return abs(np.mean(u * np.exp(2j * np.pi * n * t)))
 
 
+def _factored_phase(m: int, j: np.ndarray, p: int) -> np.ndarray:
+    """e(j m / 2^p) as `_node_values` forms it: e(q m / 2^p) * e(r m / 2^p), j = q + r with
+    q a multiple of `_FACTOR` and 0 <= r < `_FACTOR`, each argument reduced mod 2^p."""
+    r = j % averages._FACTOR
+    return np.multiply(*(unit_phase(((m * x) & ((1 << p) - 1)) / (1 << p)) for x in (j - r, r)))
+
+
 class TestSweepCertificate:
     @pytest.mark.parametrize("kind", ["random", "peaked", "two_peaks", "real"])
     @pytest.mark.parametrize("N,first", [(1, 1), (1, 0), (255, 1), (256, 0), (301, 0),
@@ -211,17 +218,40 @@ class TestSweepCertificate:
         assert res.grid_size > 16 * 1024
         assert res.grid_spacing <= 1e-3 / (np.pi * 1023 * 0.8)
 
-    @pytest.mark.parametrize("N", [1, 3, 300, _BLOCK, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("N", [1, 3, 127, 128, 129, 300, _BLOCK, 2 * _BLOCK + 3])
     def test_node_values_are_one_pairwise_sum_per_node(self, N):
         # blocks of nodes, or aligned slices of one node's terms, keep the bits of one
-        # unblocked pairwise sum of the node's N terms
+        # unblocked pairwise sum of the node's N terms times their factored phases
         u = _sweep_input("random", N, np.random.default_rng(N))
         p = 24
         m = np.array([0, 1, 5, (1 << p) - 1, 12345677] * 2 * (_BLOCK // N + 1), dtype=np.int64)
         j = np.arange(N, dtype=np.int64)
-        sums = [pairwise_sum(np.multiply(u, unit_phase(((k * j) & ((1 << p) - 1)) / (1 << p))))
-                for k in m]
+        sums = [pairwise_sum(np.multiply(u, _factored_phase(k, j, p))) for k in m]
         assert averages._node_values(u, m, p).tobytes() == (np.abs(sums) / N).tobytes()
+
+    @given(p=st.integers(12, 28), m=st.integers(0, (1 << 28) - 1),
+           j=st.integers(0, (1 << 20) + 3))
+    @settings(max_examples=300, deadline=None)
+    def test_factored_phase_is_within_eight_ulps(self, p, m, j):
+        # e(q m / 2^p) e(r m / 2^p) against e(j m / 2^p) reduced in exact rationals
+        m %= 1 << p
+        got = complex(_factored_phase(m, np.array([j]), p)[0])
+        assert abs(got - oracles.unit_exact(oracles.Fraction(j * m, 1 << p))) <= 8 * 2.0**-52
+
+    def test_a_node_pays_two_short_rows_of_phases(self, monkeypatch):
+        # a revert to one phase per term and node evaluates N phases per node
+        N, m, p = 1 << 15, np.array([1, 3, 12345677], dtype=np.int64), 26
+        counted = []
+
+        def counting(theta):
+            counted.append(np.size(theta))
+            return unit_phase(theta)
+
+        monkeypatch.setattr(averages, "unit_phase", counting)
+        averages._node_values(_sweep_input("random", N, np.random.default_rng(0)), m, p)
+        rows, F = max(1, _BLOCK // N), averages._FACTOR
+        blocks = [min(_BLOCK, N - k) for k in range(0, N, _BLOCK)] * -(-m.size // rows)
+        assert 0 < sum(counted) <= sum(rows * (-(-size // F) + F) for size in blocks)
 
     def test_memory_is_the_coarse_fft_and_a_few_blocks(self):
         # the levels hold a few `_BLOCK`-term blocks and the nodes they keep, never an
@@ -633,6 +663,20 @@ class TestOrbitTermBlocks:
             orbit_terms(rot, (0.2,), n[:-1], E1, weight=Table(np.ones(3 * B - 2)))
         with pytest.raises(InvalidExponentsError):
             orbit_terms(rot, (0.2,), n[:-1], E1, 2, E1, 2)
+
+    def test_point_is_checked_once_per_call(self, monkeypatch):
+        # the core checks the point before its blocks, not in each of them, and a bad
+        # point or an object that is no system still raises
+        rot, calls = RotationTorus((PHI,)), []
+        check = type(rot).check_point
+        monkeypatch.setattr(type(rot), "check_point", lambda s, x0: calls.append(x0) or check(s, x0))
+        n = np.arange(1, 3 * B + 2, dtype=np.int64)
+        orbit_terms(rot, (0.2,), n, E1, 1, E1, 2)
+        assert calls == [(0.2,)]
+        with pytest.raises(ValueError, match="lie in"):
+            orbit_terms(rot, (1.2,), n, E1)
+        with pytest.raises(UnsupportedSystemError):
+            orbit_terms(object(), (0.2,), n, E1)
 
     def test_theta_weight_memory_is_pinned(self):
         # a theta Heisenberg weight has the largest temporaries of any term: at
