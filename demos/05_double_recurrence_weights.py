@@ -3,7 +3,10 @@
 The same average accepts frequency weights e(nt), polynomial-phase weights
 e(p(n)), or arbitrary bounded weight sequences; the simpler weights are exact
 special cases of the more general ones, and those collapses hold bit-for-bit
-because both run through one evaluation path.
+because both run through one evaluation path: `orbit_terms` multiplies a tuple
+of (observable, exponent) factors in order, then the weight, and
+`run_schedule` takes the same factors and weight to reduce them along a
+schedule in one pass.
 """
 
 import numpy as np
@@ -50,11 +53,7 @@ fy = observable([((0, 1), 1.0)])
 w = HeisenbergNilseq(HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1),
                      HeisenbergElement.identity(), TorusChar(1, 0))
 for x0 in ((0.2, 0.3), (0.5, 0.7)):
-    rep = run_schedule(
-        "nil_wwdr",
-        dict(system=anz, obs1=fy, obs2=fy, x0=x0, a=1, b=2, weight=w),
-        [1 << k for k in range(10, 18)],
-    )
+    rep = run_schedule(anz, x0, [1 << k for k in range(10, 18)], ((fy, 1), (fy, 2)), w)
     d10, d16 = rep.delta_at(1 << 10), rep.delta_at(1 << 16)
     print(f"  x0 = {x0}: dyadic delta falls from {d10:.5f} (N=2^10) to {d16:.5f} (N=2^16)")
 

@@ -9,23 +9,26 @@ weight's Cesaro mean and the seminorm module run over n = 0 .. N - 1.
 Sums use the fixed-shape pairwise tree from `numerics`, so identical inputs
 give bit-identical outputs regardless of blocking or worker count.
 
-Every weighted average is (1/N) sum f1(T^{an} x0) f2(T^{bn} x0) b_n with some
-factors absent, and every term array comes from one core, `orbit_terms`, the
-only code that evaluates a weight over a range of times: weight samples
-(`weight_samples`) and the seminorm module's orbit products are its terms.
+Every weighted average is (1/N) sum f1(T^{a1 n} x0) ... fk(T^{ak n} x0) b_n, and
+every term array comes from one core, `orbit_terms`, whose factors are a tuple
+of (observable, exponent) pairs (none, one or two here; exponents distinct and
+nonzero) and whose weight b is optional. It is the only code that evaluates a
+weight over a range of times: weight samples (`weight_samples`) and the
+seminorm module's orbit products are its terms.
 `_weighted` multiplies built terms f1 f2 by one more weight, so the dual
 twists e(s n t) and the vanishing average each read one base built once.
 A frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
-`PolynomialPhase(p)`; an absent factor is skipped, not multiplied as ones.
-Factors multiply in the fixed order f1 * f2 * b, so the exact reductions
+`PolynomialPhase(p)`; an absent weight is skipped, not multiplied as ones.
+Factors multiply in the fixed order f1 * ... * fk * b, so the exact reductions
 (t = 0, constant weights) hold bit for bit. Observables and weights fix their
 operand order too, so no term's bits depend on the array length, and the core
 fills its output in cache-sized blocks of `_BLOCK` times after checking all of
-them. Terms are reduced by `prefix_means`, the mean of each scheduled prefix
-on the pairwise tree it would get alone (a one-shot average is its one-point
-case), or by the certified sup over t of each prefix: `run_schedule` equals
-the one-shot values bit for bit at every scheduled N, and the Wiener-Wintner
-sup is the sup reducer over the Birkhoff terms. The sup is one coarse FFT,
+them. `run_schedule` builds one average's terms once, at the largest scheduled
+N, for one reducer: `means`, the mean of each scheduled prefix on the pairwise
+tree it would get alone, equal bit for bit to the one-shot value (its
+one-point case); `sups(eps)`, the certified sup over t of each prefix (the
+Wiener-Wintner sup of the Birkhoff terms); or `dual_norms`, the
+auxiliary-system norm of the pair terms. The sup is one coarse FFT,
 then levels of halving spacing around the nodes whose Bernstein bound could
 still pass the running maximum by eps/2, in blocks of at most `_BLOCK` terms;
 a node's phases e(j m / 2^p) are the outer product of two rows of at most
@@ -83,39 +86,31 @@ def _times(N: int, first: int = 1) -> np.ndarray:
     return np.arange(first, first + N, dtype=np.int64)
 
 
-def check_exponents(a: int, b: int):
-    """Double-recurrence exponents must be distinct and nonzero."""
-    if a == b or a == 0 or b == 0:
-        raise InvalidExponentsError(f"exponents must be distinct and nonzero, got a={a}, b={b}")
+def check_exponents(*exponents: int):
+    """Orbit exponents, one per factor, must be distinct and nonzero."""
+    if 0 in exponents or len(set(exponents)) < len(exponents):
+        raise InvalidExponentsError(f"exponents must be distinct and nonzero, got {exponents}")
 
 
-def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | None,
-                a: int = 1, obs2: Observable | None = None, b: int | None = None,
+def orbit_terms(system: System | None, x0, n: np.ndarray, factors=(),
                 weight: WeightSequence | None = None) -> np.ndarray:
-    """Terms f1(T^{an} x0) * f2(T^{bn} x0) * weight(n) on the int64 times `n`.
+    """Terms f1(T^{a1 n} x0) * ... * fk(T^{ak n} x0) * weight(n) on the int64 times `n`,
+    for `factors` = ((f1, a1), ..., (fk, ak)); the empty product is 1.
 
-    A factor left as None is skipped; with neither observable the terms are
-    the weight alone. Exponents are checked when obs2 is given, and a
-    finite-length weight must cover every time in `n`. After those checks and
-    the checks of the point and of the times on the whole of `n`, done once,
-    the terms are built into one output `_BLOCK` times at a time from the
-    system's closed form, so every temporary is block-sized; each term
-    depends on its own time only, so the blocks change no bits.
+    The exponents, the weight's length, the point and each factor's times are
+    checked on the whole of `n`, once. Then the terms are built into one output
+    `_BLOCK` times at a time from the system's closed form, so every temporary
+    is block-sized; each term depends on its own time only, so the blocks
+    change no bits.
     """
-    if obs2 is not None:
-        check_exponents(a, b)
+    check_exponents(*(e for _, e in factors))
     if weight is not None and weight.length is not None and n.size and n.max() >= weight.length:
         raise SequenceTooShortError(
             f"weight defined for n < {weight.length}, average needs n < {int(n.max()) + 1}"
         )
-    for obs, e in ((obs1, a), (obs2, b)):
-        if obs is not None:
-            check_times(n, system, e)  # before e * n can round or wrap in int64
-    if obs1 is not None or obs2 is not None:
-        x0 = _check_system(system).check_point(x0)  # once, not in every block
-
-    def orbit(obs, e, t):
-        return eval_observable_many(obs, system.coords(x0, e * t))
+    for _, e in factors:
+        check_times(n, system, e)  # before e * n can round or wrap in int64
+    x0 = _check_system(system).check_point(x0) if factors else x0  # once, not in every block
 
     out = np.empty(n.size, dtype=np.complex128)
     for lo in range(0, n.size, _BLOCK):
@@ -123,10 +118,12 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
         # the weight is evaluated first, while no other term block is alive: its
         # temporaries are the largest (a theta weight peaks near ten blocks)
         w = weight.eval_many(t) if weight is not None else None
-        terms = orbit(obs1, a, t) if obs1 is not None else w  # then times f2, times w
-        if obs2 is not None:
-            terms = ordered_product(terms, orbit(obs2, b, t), terms)
-        if obs1 is not None and w is not None:
+        terms = 1.0 if w is None else w  # the empty product, or the weight alone
+        for i, (obs, e) in enumerate(factors):  # f1 * f2 * ... * fk, then times w
+            f = eval_observable_many(obs, system.coords(x0, e * t))
+            terms = f if i == 0 else ordered_product(terms, f, terms)
+            del f  # so no factor block outlives its product into the next block's weight
+        if factors and w is not None:
             terms = ordered_product(terms, w, terms)
         out[lo:lo + t.size] = terms
     return out
@@ -134,12 +131,12 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, obs1: Observable | Non
 
 def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray:
     """w(start), ..., w(start + length - 1): the weight's terms from `orbit_terms`."""
-    return orbit_terms(None, None, np.arange(start, start + length, dtype=np.int64), None, weight=w)
+    return orbit_terms(None, None, np.arange(start, start + length, dtype=np.int64), weight=w)
 
 
 def _weighted(base: np.ndarray, n: np.ndarray, w: WeightSequence) -> np.ndarray:
     """base * w(n) for built terms `base` at the times `n`, in the core's order f1 f2 * w."""
-    terms = orbit_terms(None, None, n, None, weight=w)
+    terms = orbit_terms(None, None, n, weight=w)
     return ordered_product(base, terms, terms)
 
 
@@ -148,9 +145,9 @@ def prefix_means(terms: np.ndarray, schedule) -> list[complex]:
     return [complex(pairwise_sum(terms[:n]) / n) for n in schedule]
 
 
-def _mean(system: System, x0, N: int, *args, **kwargs) -> complex:
-    """(1/N) sum over n = 1 .. N of `orbit_terms(system, x0, n, *args, **kwargs)`."""
-    return prefix_means(orbit_terms(system, x0, _times(N), *args, **kwargs), [N])[0]
+def _mean(system: System, x0, N: int, factors, weight: WeightSequence | None = None) -> complex:
+    """(1/N) sum over n = 1 .. N of `orbit_terms(system, x0, n, factors, weight)`."""
+    return prefix_means(orbit_terms(system, x0, _times(N), factors, weight), [N])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +157,12 @@ def _mean(system: System, x0, N: int, *args, **kwargs) -> complex:
 
 def birkhoff_avg(system: System, obs: Observable, x0, N: int) -> complex:
     """(1/N) sum f(T^n x0)."""
-    return _mean(system, x0, N, obs)
+    return _mean(system, x0, N, ((obs, 1),))
 
 
 def ww_avg(system: System, obs: Observable, x0, t: float, N: int) -> complex:
     """(1/N) sum f(T^n x0) e(n t)."""
-    return _mean(system, x0, N, obs, weight=PolynomialPhase((0.0, t)))
+    return _mean(system, x0, N, ((obs, 1),), PolynomialPhase((0.0, t)))
 
 
 def _node_values(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
@@ -265,7 +262,7 @@ def sup_over_frequency(u: np.ndarray, eps: float) -> SupPoint:
 
 def ww_sup(system: System, obs: Observable, x0, N: int, eps: float) -> SupPoint:
     """Certified sup over the frequency t of |(1/N) sum f(T^n x0) e(n t)|."""
-    return sup_over_frequency(orbit_terms(system, x0, _times(N), obs), eps)
+    return sup_over_frequency(orbit_terms(system, x0, _times(N), ((obs, 1),)), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +273,25 @@ def ww_sup(system: System, obs: Observable, x0, N: int, eps: float) -> SupPoint:
 def double_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                N: int) -> complex:
     """(1/N) sum f1(T^{an} x0) f2(T^{bn} x0)."""
-    return _mean(system, x0, N, obs1, a, obs2, b)
+    return _mean(system, x0, N, ((obs1, a), (obs2, b)))
 
 
 def wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
              t: float, N: int) -> complex:
     """Double recurrence with frequency weight e(n t); t = 0 reduces bit-for-bit."""
-    return _mean(system, x0, N, obs1, a, obs2, b, PolynomialPhase((0.0, t)))
+    return _mean(system, x0, N, ((obs1, a), (obs2, b)), PolynomialPhase((0.0, t)))
 
 
 def poly_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                   p, N: int) -> complex:
     """Double recurrence with polynomial weight e(p(n))."""
-    return _mean(system, x0, N, obs1, a, obs2, b, PolynomialPhase(p))
+    return _mean(system, x0, N, ((obs1, a), (obs2, b)), PolynomialPhase(p))
 
 
 def nil_wwdr_avg(system: System, obs1: Observable, obs2: Observable, x0, a: int, b: int,
                  w: WeightSequence, N: int) -> complex:
     """Double recurrence against an arbitrary weight sequence."""
-    return _mean(system, x0, N, obs1, a, obs2, b, w)
+    return _mean(system, x0, N, ((obs1, a), (obs2, b)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +351,7 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
     """
     g_list = check_auxiliary(system_s, g_list)
     n = _times(N)
-    base = orbit_terms(system, x0, n, obs1, a, obs2, b)
+    base = orbit_terms(system, x0, n, ((obs1, a), (obs2, b)))
     coeffs, l2 = _dual_expansion(base, n, system_s, g_list, [N])[0]
     return DualSystemResult(Observable(1, tuple(((K,), c) for K, c in coeffs.items())), l2)
 
@@ -364,64 +361,44 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
 # ---------------------------------------------------------------------------
 
 
-def _pair(p: dict) -> dict:
-    return dict(obs1=p["obs1"], a=p["a"], obs2=p["obs2"], b=p["b"])
-
-
-def _dual_pair(p: dict) -> dict:
-    check_auxiliary(p["system_s"], p["g_list"])  # before the orbit pass, not after it
-    return _pair(p)
-
-
-def _means(terms: np.ndarray, schedule, params: dict) -> dict:
+def means(terms: np.ndarray, schedule) -> dict:
+    """The reducer of `run_schedule` to the mean of each scheduled prefix."""
     return dict(values=prefix_means(terms, schedule))
 
 
-def _sups(terms: np.ndarray, schedule, params: dict) -> dict:
-    sups = tuple(sup_over_frequency(terms[:n], params["eps"]) for n in schedule)
-    return dict(values=[s.sup_value for s in sups], sup_data=sups)
+def sups(eps: float):
+    """The reducer to the certified sup over t, at `eps`, of each scheduled prefix."""
+    _check_eps(eps)
+    def reduce(terms: np.ndarray, schedule) -> dict:
+        sup = tuple(sup_over_frequency(terms[:n], eps) for n in schedule)
+        return dict(values=[s.sup_value for s in sup], sup_data=sup)
+    return reduce
 
 
-def _norms(terms: np.ndarray, schedule, params: dict) -> dict:
-    expansion = _dual_expansion(terms, _times(schedule[-1]), params["system_s"],
-                                params["g_list"], schedule)  # checked by `_dual_pair`
-    return dict(values=[l2 for _, l2 in expansion])
+def dual_norms(system_s: RotationTorus, g_list):
+    """The reducer to `dual_system_avg`'s Parseval norm; it checks S before any orbit pass."""
+    g_list = check_auxiliary(system_s, g_list)
+    def reduce(terms: np.ndarray, schedule) -> dict:
+        expansion = _dual_expansion(terms, _times(schedule[-1]), system_s, g_list, schedule)
+        return dict(values=[l2 for _, l2 in expansion])
+    return reduce
 
 
-# kind of `run_schedule` -> (its `orbit_terms` keyword arguments from the params,
-# the reducer of the terms to the report's columns at each scheduled N)
-_KINDS = {
-    "birkhoff": (lambda p: dict(obs1=p["obs"]), _means),
-    "ww": (lambda p: dict(obs1=p["obs"], weight=PolynomialPhase((0.0, p["t"]))), _means),
-    "ww_sup": (lambda p: dict(obs1=p["obs"]), _sups),
-    "double": (_pair, _means),
-    "wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase((0.0, p["t"]))), _means),
-    "poly_wwdr": (lambda p: dict(_pair(p), weight=PolynomialPhase(p["p"])), _means),
-    "nil_wwdr": (lambda p: dict(_pair(p), weight=p["weight"]), _means),
-    "dual_system": (_dual_pair, _norms),
-}
+def run_schedule(system: System | None, x0, schedule, factors=(),
+                 weight: WeightSequence | None = None, reduce=means) -> ConvergenceReport:
+    """One average along an increasing schedule, in a single pass over n = 1 .. N.
 
-
-def run_schedule(kind: str, params: dict, schedule) -> ConvergenceReport:
-    """Evaluate one average along an increasing schedule in a single pass.
-
-    Each kind in `_KINDS` builds its terms once at the largest N through
-    `orbit_terms`, the core of the one-shot functions, and reduces them with
-    `prefix_means`, so every A_N equals the one-shot value bit for bit, or for
-    ww_sup (the birkhoff terms) with the certified sup at `params["eps"]`, or
-    for dual_system (the pair terms) with `dual_system_avg`'s Parseval norm.
-    Every kind runs n = 1 .. N, as the one-shot functions do; a weight's own
-    Cesaro means, from n = 0, are `cesaro_nilseq`. A reducer rebuilds any
-    times it needs, so none are held through it.
+    `orbit_terms(system, x0, n, factors, weight)`, the core of the one-shot
+    functions, builds the terms once at the largest N; `reduce` is `means`, so
+    each A_N is the one-shot value bit for bit, `sups(eps)` (`ww_sup`'s sweep) or
+    `dual_norms(system_s, g_list)` (`dual_system_avg`'s norm). A reducer rebuilds
+    any times it needs, so none are held through it. A weight's own Cesaro
+    means, from n = 0, are `cesaro_nilseq`.
     """
     schedule = check_schedule(schedule)
-    if kind not in _KINDS:
-        raise ValueError(f"unknown schedule op {kind!r}")
-    factors, reduce = _KINDS[kind]
-    kw = factors(params)
-    terms = orbit_terms(params["system"], params["x0"], _times(schedule[-1]), **kw)
-    return make_report(schedule, **reduce(terms, schedule, params),
-                       error_budget=getattr(kw.get("weight"), "error_budget", 0.0))
+    terms = orbit_terms(system, x0, _times(schedule[-1]), factors, weight)
+    return make_report(schedule, **reduce(terms, schedule),
+                       error_budget=getattr(weight, "error_budget", 0.0))
 
 
 def cesaro_nilseq(w: WeightSequence, schedule) -> ConvergenceReport:

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="ergonil-out",
                      help="output directory (default: ./ergonil-out)")
     run.add_argument("--workers", type=int, default=1,
-                     help="worker threads for independent sample points")
+                     help="worker threads for independent sample points (at least 1)")
 
     val = sub.add_parser("validate", help="parse and validate a config, run nothing")
     val.add_argument("--config", required=True)
@@ -40,7 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")  # exit 2
     try:
         if args.command == "list-experiments":
             for name in list_experiments():

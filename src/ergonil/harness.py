@@ -460,16 +460,6 @@ def _seminorm_certificate(est: SeminormEstimate) -> dict:
             "clamped": est.clamped}
 
 
-def _scheduled(kind: str) -> Callable:
-    """Runner evaluating the average `kind` of `averages.run_schedule`."""
-    def run(cfg: ExperimentConfig, rid: str, x0):
-        params = dict(system=cfg.system, x0=x0, obs=cfg.observable, obs1=cfg.observable1,
-                      obs2=cfg.observable2, a=cfg.a, b=cfg.b, t=cfg.t, p=cfg.p,
-                      weight=cfg.weight, eps=cfg.eps, system_s=cfg.system_s, g_list=cfg.g_list)
-        return _from_report(rid, averages.run_schedule(kind, params, cfg.schedule))
-    return run
-
-
 def _run_cesaro(cfg: ExperimentConfig, rid: str, x0):
     return _from_report(rid, averages.cesaro_nilseq(cfg.weight, cfg.schedule))
 
@@ -556,19 +546,31 @@ class _Experiment(NamedTuple):
 
 _ORBIT = ("system", "observable", "x0")
 _PAIR = ("system", "observable1", "observable2", "x0", "a", "b")
+_FACTORS = {_ORBIT: lambda cfg: ((cfg.observable, 1),),  # f(T^n x0)
+            _PAIR: lambda cfg: ((cfg.observable1, cfg.a), (cfg.observable2, cfg.b))}  # f1 f2
+
+
+def _scheduled(keys: tuple, more: tuple = (), weight: Callable = lambda cfg: None,
+               reduce: Callable = lambda cfg: averages.means, **kw) -> _Experiment:
+    """The entry of `averages.run_schedule` on the factors of `keys`, weight and reducer of cfg."""
+    def run(cfg: ExperimentConfig, rid: str, x0):
+        return _from_report(rid, averages.run_schedule(
+            cfg.system, x0, cfg.schedule, _FACTORS[keys](cfg), weight(cfg), reduce(cfg)))
+    return _Experiment(keys + more, run, **kw)
+
 
 # orbit averages run n = 1..N; a weight's Cesaro mean and the sequence/seminorm family 0..N-1
 _EXPERIMENTS = {
-    "birkhoff_avg": _Experiment(_ORBIT, _scheduled("birkhoff")),
-    "ww_avg": _Experiment(_ORBIT + ("t",), _scheduled("ww")),
-    "ww_sup": _Experiment(_ORBIT + ("eps",), _scheduled("ww_sup")),
-    "double_avg": _Experiment(_PAIR, _scheduled("double")),
-    "wwdr_avg": _Experiment(_PAIR + ("t",), _scheduled("wwdr")),
-    "poly_wwdr_avg": _Experiment(_PAIR + ("p",), _scheduled("poly_wwdr")),
-    "nil_wwdr_avg": _Experiment(_PAIR + ("weight",), _scheduled("nil_wwdr"),
-                                lambda cfg: cfg.schedule[-1] + 1),
-    "dual_system_avg": _Experiment(_PAIR + ("system_s", "g_list"), _scheduled("dual_system"),
-                                   check=_auxiliary),
+    "birkhoff_avg": _scheduled(_ORBIT),
+    "ww_avg": _scheduled(_ORBIT, ("t",), lambda cfg: nilseq.PolynomialPhase((0.0, cfg.t))),
+    "ww_sup": _scheduled(_ORBIT, ("eps",), reduce=lambda cfg: averages.sups(cfg.eps)),
+    "double_avg": _scheduled(_PAIR),
+    "wwdr_avg": _scheduled(_PAIR, ("t",), lambda cfg: nilseq.PolynomialPhase((0.0, cfg.t))),
+    "poly_wwdr_avg": _scheduled(_PAIR, ("p",), lambda cfg: nilseq.PolynomialPhase(cfg.p)),
+    "nil_wwdr_avg": _scheduled(_PAIR, ("weight",), lambda cfg: cfg.weight,
+                               reach=lambda cfg: cfg.schedule[-1] + 1),
+    "dual_system_avg": _scheduled(_PAIR, ("system_s", "g_list"), check=_auxiliary,
+                                  reduce=lambda cfg: averages.dual_norms(cfg.system_s, cfg.g_list)),
     "cesaro_nilseq": _Experiment(("weight",), _run_cesaro, lambda cfg: cfg.schedule[-1]),
     "local_seminorm": _Experiment(("weight", "k"), _run_local_seminorm, _local_reach,
                                   check=_coupled_box, optional=("schedule", "H")),
@@ -615,6 +617,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
     Worker threads split the per-sample-point tasks; results are assembled in
     configured order, so the data rows do not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.perf_counter()
     if out_dir is not None:  # made first, so a file in its way fails before the run
         Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -246,7 +246,7 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int) ->
     """
     _check_order(k)
     _check_box(H)
-    u = orbit_terms(system, x0, _times(N + (k - 1) * H, first=0), obs)
+    u = orbit_terms(system, x0, _times(N + (k - 1) * H, first=0), ((obs, 1),))
     total = _sorted_offset_sum(
         u, k - 1, H, N, lambda d: [abs(v / N) ** 2 for v in pairwise_sum(d[:, :N].T)])
     avg = float(total / H ** (k - 1))
@@ -358,15 +358,15 @@ def vanishing_experiment(system: System, obs1: Observable, obs2: Observable, x0,
     weighted averages against any lower-step weight must vanish too, and this
     report lets that implication be eyeballed and thresholded. The pair is built
     once, to top + k H(top) for the largest N = top; the averages weight its first
-    top terms, n = 0 .. N - 1 (the products `run_schedule("nil_wwdr")` weights, but
-    that average runs n = 1 .. N), and each seminorm reads a prefix.
+    top terms, n = 0 .. N - 1 (the products `nil_wwdr_avg` weights, but that
+    average runs n = 1 .. N), and each seminorm reads a prefix.
     """
     _check_order(k)
     schedule = check_schedule(schedule)
     g1, g2 = (zk_complement(system, f, k - 1) if k > 1 else f for f in (obs1, obs2))
     top = schedule[-1]
     n = _times(top + k * coupled_box_size(top), first=0)
-    pair = orbit_terms(system, x0, n, g1, a, g2, b)
+    pair = orbit_terms(system, x0, n, ((g1, a), (g2, b)))
     values = prefix_means(_weighted(pair[:top], n[:top], w), schedule)
     semis = tuple(local_seminorm(pair, k, coupled_box_size(N), N) for N in schedule)
     return make_report(schedule, values, error_budget=w.error_budget, seminorm_data=semis)

@@ -395,8 +395,9 @@ def orbit_point(system: System, x0, n: int):
 
 
 def eval_observable(obs: Observable, x) -> complex:
-    """Evaluate at one point x of the torus, taken mod 1. A lattice residue pair p of
-    modulus q (what `orbit_point` returns for a `ToralAutomorphism`) is the point p / q."""
+    """Evaluate at one point x of the torus, float coordinates read mod 1. A lattice
+    residue pair p of modulus q (what `orbit_point` returns for a `ToralAutomorphism`)
+    must be passed as `np.divide(p, q)`: the integers themselves read as 0 mod 1."""
     coords = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if coords.shape[1] != obs.dimension:
         raise DimensionMismatchError(

@@ -294,11 +294,7 @@ def test_criterion_10_main_trend(capsys):
     details = []
     ok = True
     for x0 in ((0.2, 0.3), (0.5, 0.7), (0.05, 0.9)):
-        rep = run_schedule(
-            "nil_wwdr",
-            dict(system=anz, obs1=obs, obs2=obs, x0=x0, a=1, b=2, weight=w),
-            [1 << k for k in range(10, 18)],
-        )
+        rep = run_schedule(anz, x0, [1 << k for k in range(10, 18)], ((obs, 1), (obs, 2)), w)
         d10, d16 = rep.delta_at(1 << 10), rep.delta_at(1 << 16)
         ok = ok and d16 < d10
         details.append(f"{d16:.5f}<{d10:.5f}")

@@ -41,14 +41,23 @@ from ergonil import (
     wwdr_avg,
 )
 from ergonil import averages
-from ergonil.averages import _BLOCK, MAX_SUP_GRID, _dual_expansion, orbit_terms
+from ergonil.averages import (
+    _BLOCK,
+    MAX_SUP_GRID,
+    _dual_expansion,
+    check_exponents,
+    dual_norms,
+    means,
+    orbit_terms,
+    sups,
+)
 from ergonil.errors import (
     DimensionMismatchError,
     DomainError,
     SequenceTooShortError,
     UnsupportedSystemError,
 )
-from ergonil.numerics import pairwise_mean, pairwise_sum, unit_phase
+from ergonil.numerics import ordered_product, pairwise_mean, pairwise_sum, unit_phase
 from ergonil.systems import eval_observable_many
 
 import oracles
@@ -390,11 +399,8 @@ class TestDoubleRecurrence:
             HeisenbergElement.identity(),
             TorusChar(1, 0),
         )
-        rep = run_schedule(
-            "nil_wwdr",
-            dict(system=anz, obs1=obs, obs2=obs, x0=(0.2, 0.3), a=1, b=2, weight=w),
-            [1 << k for k in range(10, 18)],
-        )
+        rep = run_schedule(anz, (0.2, 0.3), [1 << k for k in range(10, 18)],
+                           ((obs, 1), (obs, 2)), w)
         assert rep.delta_at(1 << 16) < rep.delta_at(1 << 10)
 
 
@@ -474,12 +480,8 @@ class TestDualSystem:
         rot = RotationTorus((SQRT2M1,))
         f = observable([((0,), 0.5), ((1,), 0.5)])
         g = observable([((0,), 0.5), ((1,), 0.5)])
-        rep = run_schedule(
-            "dual_system",
-            dict(system=rot, obs1=f, obs2=f, x0=(0.25,), a=1, b=2,
-                 system_s=RotationTorus((PHI,)), g_list=[g, g]),
-            [1 << k for k in range(10, 15)],
-        )
+        rep = run_schedule(rot, (0.25,), [1 << k for k in range(10, 15)], ((f, 1), (f, 2)),
+                           reduce=dual_norms(RotationTorus((PHI,)), [g, g]))
         assert rep.dyadic_deltas[-1] < rep.dyadic_deltas[0]
 
     def test_norm_exact_when_frequencies_alias_on_the_grid(self):
@@ -515,7 +517,7 @@ class TestDualSystem:
 
         def expansion(schedule):
             n = np.arange(1, schedule[-1] + 1, dtype=np.int64)
-            base = orbit_terms(anz, (0.2, 0.3), n, f1, 1, f2, 2)
+            base = orbit_terms(anz, (0.2, 0.3), n, ((f1, 1), (f2, 2)))
             return _dual_expansion(base, n, s, gs, schedule)[0]
 
         assert expansion([100, 1 << 15]) == expansion([100])
@@ -535,12 +537,11 @@ class TestDualSystem:
             raise AssertionError("orbit terms built before the auxiliary system was checked")
 
         monkeypatch.setattr(averages, "orbit_terms", no_orbit_pass)
-        pair = dict(system=RotationTorus((PHI,)), obs1=E1, obs2=E1, x0=(0.1,), a=1, b=2)
+        pair = (RotationTorus((PHI,)), (0.1,), [64], ((E1, 1), (E1, 2)))
         with pytest.raises(UnsupportedSystemError):
-            run_schedule("dual_system", dict(pair, system_s=AnzaiSkew(PHI), g_list=[E1]), [64])
+            run_schedule(*pair, reduce=dual_norms(AnzaiSkew(PHI), [E1]))
         with pytest.raises(DimensionMismatchError):
-            run_schedule("dual_system", dict(pair, system_s=RotationTorus((0.3,)),
-                                             g_list=[E1] * 4), [64])
+            run_schedule(*pair, reduce=dual_norms(RotationTorus((0.3,)), [E1] * 4))
 
 
 def _check_schedule_against_single_shots(sched):
@@ -551,31 +552,29 @@ def _check_schedule_against_single_shots(sched):
     f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
     w = Scaled(0.6 + 0.8j, HeisenbergNilseq(HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1),
                                             HeisenbergElement.identity(), ThetaType(1)))
-    pair = dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3), a=1, b=2)
+    one, pair = (rot, (0.2,), ((obs, 1),)), (anz, (0.2, 0.3), ((f1, 1), (f2, 2)))
     p = (0.1, 0.3, PHI)
     gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
           observable([((0,), 0.4), ((1,), 0.6 - 0.1j)]),
           observable([((-1,), 0.7 + 0.7j), ((3,), 0.1)])]
     cases = [
-        ("birkhoff", dict(system=rot, obs=obs, x0=(0.2,)),
-         lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
-        ("ww", dict(system=rot, obs=obs, x0=(0.2,), t=0.31),
+        ("birkhoff", one, None, means, lambda n: birkhoff_avg(rot, obs, (0.2,), n)),
+        ("ww", one, PolynomialPhase((0.0, 0.31)), means,
          lambda n: ww_avg(rot, obs, (0.2,), 0.31, n)),
-        ("ww_sup", dict(system=rot, obs=obs, x0=(0.2,), eps=1e-3),
-         lambda n: ww_sup(rot, obs, (0.2,), n, 1e-3)),
-        ("double", pair, lambda n: double_avg(anz, f1, f2, (0.2, 0.3), 1, 2, n)),
-        ("wwdr", dict(pair, t=0.31),
+        ("ww_sup", one, None, sups(1e-3), lambda n: ww_sup(rot, obs, (0.2,), n, 1e-3)),
+        ("double", pair, None, means, lambda n: double_avg(anz, f1, f2, (0.2, 0.3), 1, 2, n)),
+        ("wwdr", pair, PolynomialPhase((0.0, 0.31)), means,
          lambda n: wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, 0.31, n)),
-        ("poly_wwdr", dict(pair, p=p),
+        ("poly_wwdr", pair, PolynomialPhase(p), means,
          lambda n: poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, n)),
-        ("nil_wwdr", dict(pair, weight=w),
+        ("nil_wwdr", pair, w, means,
          lambda n: nil_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, w, n)),
-        ("dual_system", dict(pair, system_s=RotationTorus((PHI,)), g_list=gs),
+        ("dual_system", pair, None, dual_norms(RotationTorus((PHI,)), gs),
          lambda n: dual_system_avg(anz, f1, f2, (0.2, 0.3), 1, 2, RotationTorus((PHI,)),
                                    gs, n).l2_norm),
     ]
-    for kind, params, one_shot in cases:
-        rep = run_schedule(kind, params, sched)
+    for kind, (system, x0, factors), weight, reduce, one_shot in cases:
+        rep = run_schedule(system, x0, sched, factors, weight, reduce)
         # a sweep's whole certified point, every other kind's average
         got = rep.sup_data if kind == "ww_sup" else rep.values
         for n, v in zip(sched, got, strict=True):
@@ -590,28 +589,29 @@ _HEIS = HeisenbergElement(np.sqrt(3) - 1, 0.3, 0.1)
 _F1 = observable([((0, 0), -0.1), ((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
 _F2 = observable([((1, 1), 0.6), ((0, 1), 0.4j), ((3, -2), 0.1)])
 _E = observable([((0,), 0.4), ((1,), 0.6), ((3,), 0.1j)])
+_E2 = observable([((1, -1), 0.5 - 0.5j), ((0, 2), 0.3)])
 _TORUS_W = OrbitWeight(RotationTorus((PHI, SQRT2M1)), _F2, (0.1, 0.7))
 SPLIT_CASES = {
-    "poly_degree6": (None, None, dict(obs1=None, weight=PolynomialPhase(
+    "poly_degree6": (None, None, dict(weight=PolynomialPhase(
         (0.1, PHI, 0.2, 0.3, SQRT2M1, 0.4, 0.123456789))), (1 << 62)),
-    "poly_degree3": (None, None, dict(obs1=None, weight=PolynomialPhase((0.5, 0.1, PHI, 0.3))),
+    "poly_degree3": (None, None, dict(weight=PolynomialPhase((0.5, 0.1, PHI, 0.3))),
                      (1 << 40)),
     "rotation_torus": (RotationTorus((PHI, SQRT2M1)), (0.2, 0.7),
-                       dict(obs1=_F1, a=3, obs2=_F2, b=-2, weight=_TORUS_W), 1 << 50),
-    "rotation_birkhoff": (RotationTorus((PHI,)), (0.2,), dict(obs1=_E), 1 << 52),
-    "skew_theta": (AnzaiSkew(SQRT2M1), (0.2, 0.3), dict(obs1=_F1, a=1, obs2=_F2, b=2, weight=(
+                       dict(factors=((_F1, 3), (_F2, -2)), weight=_TORUS_W), 1 << 50),
+    "rotation_birkhoff": (RotationTorus((PHI,)), (0.2,), dict(factors=((_E, 1),)), 1 << 52),
+    "skew_theta": (AnzaiSkew(SQRT2M1), (0.2, 0.3), dict(factors=((_F1, 1), (_F2, 2)), weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement.identity(), ThetaType(1)))), 1 << 25),
-    "skew_theta_ell2": (AnzaiSkew(PHI), (0.4, 0.9), dict(obs1=_F2, a=2, obs2=_F1, b=-1, weight=(
+    "skew_theta_ell2": (AnzaiSkew(PHI), (0.4, 0.9), dict(factors=((_F2, 2), (_F1, -1)), weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), ThetaType(2, width=0.5)))), 1 << 25),
-    "skew_torus_char": (AnzaiSkew(PHI), (0.6, 0.1), dict(obs1=_F2, a=-1, obs2=_F1, b=1, weight=(
+    "skew_torus_char": (AnzaiSkew(PHI), (0.6, 0.1), dict(factors=((_F2, -1), (_F1, 1)), weight=(
         HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), TorusChar(2, 3)))), 1 << 25),
     "cat_product": (ToralAutomorphism(((2, 1), (1, 1))), (3, 5), dict(
-        obs1=_F1, a=1, obs2=_F2, b=3, weight=Product(_TORUS_W, PolynomialPhase((0.0, PHI)))),
+        factors=((_F1, 1), (_F2, 3)), weight=Product(_TORUS_W, PolynomialPhase((0.0, PHI)))),
         1 << 50),
     "rotation_scaled": (RotationTorus((PHI,)), (0.2,), dict(
-        obs1=_E, a=2, obs2=_E, b=5, weight=Scaled(0.6 - 0.8j, PolynomialPhase((0.1, 0.2, PHI)))),
+        factors=((_E, 2), (_E, 5)), weight=Scaled(0.6 - 0.8j, PolynomialPhase((0.1, 0.2, PHI)))),
         1 << 40),
-    "rotation_table": (RotationTorus((PHI,)), (0.2,), dict(obs1=_E, a=1, obs2=_E, b=2, weight=(
+    "rotation_table": (RotationTorus((PHI,)), (0.2,), dict(factors=((_E, 1), (_E, 2)), weight=(
         Table(np.exp(1j * np.arange(3 * B + 8)), sup_error_budget=0.1))), None),
 }
 
@@ -644,9 +644,10 @@ class TestOrbitTermBlocks:
         # longer array
         rot = RotationTorus((PHI, SQRT2M1))
         n = np.arange(1, 300, dtype=np.int64)
-        whole = orbit_terms(rot, (0.2, 0.7), n, _F2)
+        whole = orbit_terms(rot, (0.2, 0.7), n, ((_F2, 1),))
         for i in range(n.size):
-            assert whole[i:i + 1].tobytes() == orbit_terms(rot, (0.2, 0.7), n[i:i + 1], _F2).tobytes()
+            one = orbit_terms(rot, (0.2, 0.7), n[i:i + 1], ((_F2, 1),))
+            assert whole[i:i + 1].tobytes() == one.tobytes()
 
     def test_checks_run_before_the_first_block(self):
         # each check covers all of n before any block is built, so a bad time
@@ -654,15 +655,45 @@ class TestOrbitTermBlocks:
         rot = RotationTorus((PHI,))
         n = np.arange(3 * B, dtype=np.int64)
         n[-1] = 1 << 52  # 4 n = 2^54 lies inside the rotation's int64 times, exactly
-        got = orbit_terms(rot, (0.2,), n, E1, 4)[-1]
+        got = orbit_terms(rot, (0.2,), n, ((E1, 4),))[-1]
         assert abs(got - oracles.unit(float(oracles.exact_rotation(PHI, 0.2, 1 << 54)))) < 1e-12
         n[-1] = 1 << 61  # 4 n = 2^63 is past int64: it would wrap
         with pytest.raises(DomainError):
-            orbit_terms(rot, (0.2,), n, E1, 4)
+            orbit_terms(rot, (0.2,), n, ((E1, 4),))
         with pytest.raises(SequenceTooShortError):
-            orbit_terms(rot, (0.2,), n[:-1], E1, weight=Table(np.ones(3 * B - 2)))
+            orbit_terms(rot, (0.2,), n[:-1], ((E1, 1),), Table(np.ones(3 * B - 2)))
         with pytest.raises(InvalidExponentsError):
-            orbit_terms(rot, (0.2,), n[:-1], E1, 2, E1, 2)
+            orbit_terms(rot, (0.2,), n[:-1], ((E1, 2), (E1, 2)))
+
+    @pytest.mark.parametrize("weight", [None, PolynomialPhase((0.1, PHI, 0.3))])
+    def test_three_factors_multiply_in_order(self, weight):
+        # the core's product of k factors is the one-factor terms multiplied left to
+        # right, then the weight, over times that cross two block edges
+        anz, x0 = AnzaiSkew(SQRT2M1), (0.2, 0.3)
+        n = np.arange(-5, 2 * B + 3, dtype=np.int64)
+        factors = ((_F1, 1), (_F2, 2), (_E2, -3))
+        want = orbit_terms(anz, x0, n, factors[:1])
+        for f in factors[1:]:
+            want = ordered_product(want, orbit_terms(anz, x0, n, (f,)), np.empty_like(want))
+        if weight is not None:
+            want = ordered_product(want, weight.eval_many(n), np.empty_like(want))
+        assert orbit_terms(anz, x0, n, factors, weight).tobytes() == want.tobytes()
+        assert orbit_terms(anz, x0, n[:1], factors, weight).tobytes() == want[:1].tobytes()
+
+    def test_no_factors_and_no_weight_is_the_empty_product(self):
+        for size in (0, 1, 3, B + 1):
+            got = orbit_terms(None, None, np.arange(size, dtype=np.int64))
+            assert got.dtype == np.complex128 and got.tobytes() == np.ones(size, complex).tobytes()
+
+    def test_exponents_are_distinct_and_nonzero_for_any_count(self):
+        anz, n = AnzaiSkew(SQRT2M1), np.arange(1, 9, dtype=np.int64)
+        for bad in ((1, 2, 1), (0,), (3, 0, -1), (2, 2)):
+            with pytest.raises(InvalidExponentsError):
+                orbit_terms(anz, (0.2, 0.3), n, tuple((_F1, e) for e in bad))
+            with pytest.raises(InvalidExponentsError):
+                check_exponents(*bad)
+        for good in ((), (1,), (-1,), (1, 2, 3), (1, -1, 2, -2)):
+            check_exponents(*good)
 
     def test_point_is_checked_once_per_call(self, monkeypatch):
         # the core checks the point before its blocks, not in each of them, and a bad
@@ -671,12 +702,12 @@ class TestOrbitTermBlocks:
         check = type(rot).check_point
         monkeypatch.setattr(type(rot), "check_point", lambda s, x0: calls.append(x0) or check(s, x0))
         n = np.arange(1, 3 * B + 2, dtype=np.int64)
-        orbit_terms(rot, (0.2,), n, E1, 1, E1, 2)
+        orbit_terms(rot, (0.2,), n, ((E1, 1), (E1, 2)))
         assert calls == [(0.2,)]
         with pytest.raises(ValueError, match="lie in"):
-            orbit_terms(rot, (1.2,), n, E1)
+            orbit_terms(rot, (1.2,), n, ((E1, 1),))
         with pytest.raises(UnsupportedSystemError):
-            orbit_terms(object(), (0.2,), n, E1)
+            orbit_terms(object(), (0.2,), n, ((E1, 1),))
 
     def test_theta_weight_memory_is_pinned(self):
         # a theta Heisenberg weight has the largest temporaries of any term: at
@@ -685,11 +716,11 @@ class TestOrbitTermBlocks:
         # evaluation that keeps extra block temporaries alive fails here
         w = HeisenbergNilseq(_HEIS, HeisenbergElement(0.1, 0.2, 0.3), ThetaType(1))
         n = np.arange(1 << 18, dtype=np.int64)
-        orbit_terms(None, None, n[:2], None, weight=w)  # the cached window and bound
+        orbit_terms(None, None, n[:2], weight=w)  # the cached window and bound
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            orbit_terms(None, None, n, None, weight=w)
+            orbit_terms(None, None, n, weight=w)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -730,27 +761,23 @@ class TestSchedule:
         f1 = observable([((0, 1), 1.0), ((1, 0), 0.2 + 0.3j)])
         f2 = observable([((1, 1), 0.6), ((0, 1), 0.4j)])
         p = (0.0, 0.1, 0.2, 0.3, 0.4, 0.123456789)
-        rep = run_schedule("poly_wwdr", dict(system=anz, obs1=f1, obs2=f2, x0=(0.2, 0.3),
-                                             a=1, b=2, p=p), [1024, 1 << 18])
+        rep = run_schedule(anz, (0.2, 0.3), [1024, 1 << 18], ((f1, 1), (f2, 2)),
+                           PolynomialPhase(p))
         assert rep.values[0] == poly_wwdr_avg(anz, f1, f2, (0.2, 0.3), 1, 2, p, 1024)
 
     def test_deltas_are_consecutive_differences(self):
         rot = RotationTorus((PHI,))
-        rep = run_schedule("birkhoff", dict(system=rot, obs=E1, x0=(0.2,)), [64, 128, 256])
+        rep = run_schedule(rot, (0.2,), [64, 128, 256], ((E1, 1),))
         assert rep.dyadic_deltas[0] == abs(rep.values[1] - rep.values[0])
 
     def test_error_budget_from_table_weight(self):
         rot = RotationTorus((PHI,))
         w = Table(np.ones(1024), sup_error_budget=0.25)
-        rep = run_schedule(
-            "nil_wwdr",
-            dict(system=rot, obs1=E1, obs2=E1, x0=(0.2,), a=1, b=2, weight=w),
-            [128, 256],
-        )
+        rep = run_schedule(rot, (0.2,), [128, 256], ((E1, 1), (E1, 2)), w)
         assert rep.error_budget == 0.25
 
     def test_rejects_bad_schedule(self):
         rot = RotationTorus((PHI,))
         for bad in ([64, 64], [], [0, 64], [8.7, 16]):
             with pytest.raises(ValueError):
-                run_schedule("birkhoff", dict(system=rot, obs=E1, x0=(0.2,)), bad)
+                run_schedule(rot, (0.2,), bad, ((E1, 1),))

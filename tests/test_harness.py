@@ -10,7 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergonil import ThetaType, harness, local_seminorm, weight_samples
+from ergonil import (
+    ThetaType,
+    birkhoff_avg,
+    double_avg,
+    dual_system_avg,
+    harness,
+    local_seminorm,
+    nil_wwdr_avg,
+    poly_wwdr_avg,
+    weight_samples,
+    ww_avg,
+    ww_sup,
+    wwdr_avg,
+)
 from ergonil.cli import main as cli_main
 from ergonil.errors import ConfigError
 from ergonil.harness import (
@@ -351,6 +364,66 @@ class TestRowRoundTrip:
         assert parse_row(text) == row
 
 
+# each scheduled experiment, and its one-shot function on the config's inputs at one N
+_SCHEDULE = [1, 7, 1000, 1 << 14, (1 << 14) + 1]  # the last two about a block edge
+_ONE_DOC = {"system": {"kind": "rotation_torus", "alpha": [PHI, 0.3]},
+            "observable": {"terms": [[[1, 0], [0.6, 0.1]], [[2, -1], 0.4]]},
+            "x0": [[0.2, 0.7], [0.5, 0.1]], "schedule": _SCHEDULE}
+_TWO_DOC = {"system": {"kind": "anzai_skew", "alpha": PHI},
+            "observable1": {"terms": [[[0, 1], 1.0], [[1, 0], [0.2, 0.3]]]},
+            "observable2": {"terms": [[[1, 1], 0.6], [[0, 1], [0.0, 0.4]]]},
+            "x0": [[0.2, 0.3], [0.6, 0.1]], "a": 1, "b": -2, "schedule": _SCHEDULE}
+_SCHEDULED = {
+    "birkhoff_avg": ({}, lambda c, x0, n: birkhoff_avg(c.system, c.observable, x0, n)),
+    "ww_avg": ({"t": 0.31}, lambda c, x0, n: ww_avg(c.system, c.observable, x0, c.t, n)),
+    "ww_sup": ({"eps": 0.01}, lambda c, x0, n: ww_sup(c.system, c.observable, x0, n, c.eps)),
+    "double_avg": ({}, lambda c, x0, n: double_avg(
+        c.system, c.observable1, c.observable2, x0, c.a, c.b, n)),
+    "wwdr_avg": ({"t": 0.31}, lambda c, x0, n: wwdr_avg(
+        c.system, c.observable1, c.observable2, x0, c.a, c.b, c.t, n)),
+    "poly_wwdr_avg": ({"p": [0.1, 0.3, PHI]}, lambda c, x0, n: poly_wwdr_avg(
+        c.system, c.observable1, c.observable2, x0, c.a, c.b, c.p, n)),
+    "nil_wwdr_avg": ({"weight": {"kind": "heisenberg_nilseq", "g": [PHI, 0.3, 0.1],
+                                 "invariant": {"kind": "theta", "ell": 1}}},
+                     lambda c, x0, n: nil_wwdr_avg(
+                         c.system, c.observable1, c.observable2, x0, c.a, c.b, c.weight, n)),
+    "dual_system_avg": ({"system_s": {"kind": "rotation_torus", "alpha": [0.3]},
+                         "g_list": [{"terms": [[[1], [0.5, 0.2]], [[-2], [0.0, 0.3]]]},
+                                    {"terms": [[[0], 0.4], [[1], [0.6, -0.1]]]}]},
+                        lambda c, x0, n: dual_system_avg(
+                            c.system, c.observable1, c.observable2, x0, c.a, c.b,
+                            c.system_s, c.g_list, n).l2_norm),
+}
+
+
+class TestScheduledRegistry:
+    def test_every_scheduled_experiment_is_covered(self):
+        scheduled = {name for name, entry in harness._EXPERIMENTS.items()
+                     if entry.run.__qualname__.startswith("_scheduled.")}
+        assert scheduled == set(_SCHEDULED)
+
+    @pytest.mark.parametrize("experiment", sorted(_SCHEDULED))
+    def test_rows_equal_the_one_shot_function(self, experiment):
+        # each `_EXPERIMENTS` entry reads its factors, weight and reducer from the
+        # config; its rows must have the bits of the one-shot function at every N
+        more, one_shot = _SCHEDULED[experiment]
+        doc = dict(_TWO_DOC if "observable1" in harness._EXPERIMENTS[experiment].required
+                   else _ONE_DOC, experiment=experiment, id="e", **more)
+        cfg = config_from_dict(doc)
+        rows = run_experiment(cfg).rows
+        assert len(rows) == len(cfg.x0) * len(_SCHEDULE)
+        for i, x0 in enumerate(cfg.x0):
+            for n, row in zip(_SCHEDULE, rows[i * len(_SCHEDULE):][:len(_SCHEDULE)], strict=True):
+                assert (row.experiment_id, row.N) == (f"e/x{i}", n)
+                want = one_shot(cfg, x0, n)
+                if experiment == "ww_sup":
+                    assert (row.sup, row.t_star) == (want.sup_value, want.t_star), (x0, n)
+                elif experiment == "dual_system_avg":
+                    assert (row.re, row.im) == (want, 0.0), (x0, n)
+                else:
+                    assert (row.re, row.im) == (want.real, want.imag), (x0, n)
+
+
 class TestRunExperiment:
     def test_ww_run_writes_files(self, tmp_path):
         cfg = config_from_dict(ww_config(assertions=[
@@ -365,6 +438,12 @@ class TestRunExperiment:
         summary = json.loads(rep.summary_path.read_text())
         assert summary["all_passed"] is True
         assert summary["config"] == cfg.raw
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_raise(self, workers, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(config_from_dict(ww_config()), out_dir=tmp_path, workers=workers)
+        assert not any(tmp_path.iterdir())
 
     def test_zero_observable_rows_exact_zero(self, tmp_path):
         cfg = config_from_dict(ww_config(observable={"terms": [[[1], 0.0]]}))
@@ -612,6 +691,17 @@ class TestCli:
         for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
             assert cli_main([*command, "--config", str(p)]) == 2
             assert "config error: system: modulus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, workers, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(ww_config()))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out"),
+                      "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_writes_and_exits_zero(self, tmp_path, capsys):

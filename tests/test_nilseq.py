@@ -418,9 +418,9 @@ class TestOrbitWeight:
     def test_equals_the_orbit_terms(self, kind, times):
         system, y, F = _ORBIT_CASES[kind]
         n = _ORBIT_TIMES[times]
-        want = orbit_terms(system, y, n, F)
+        want = orbit_terms(system, y, n, ((F, 1),))
         w = OrbitWeight(system, F, y)
-        assert orbit_terms(None, None, n, None, weight=w).tobytes() == want.tobytes()
+        assert orbit_terms(None, None, n, weight=w).tobytes() == want.tobytes()
         assert w.eval_many(n).tobytes() == want.tobytes()
         assert w.bound == F.bound and w.error_budget == 0.0 and w.length is None
 

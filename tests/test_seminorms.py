@@ -275,7 +275,7 @@ class TestBlockedWalk:
         x0 = tuple(rng.random(2))
         skew = AnzaiSkew(alpha)
         obs = observable([((0, 1), 1.0), ((1, 2), coefficient)])
-        u = orbit_terms(skew, x0, np.arange(N + (k - 1) * H), obs)
+        u = orbit_terms(skew, x0, np.arange(N + (k - 1) * H), ((obs, 1),))
         with mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * N * min(rows, H + 1)):
             est = ghk_seminorm(skew, obs, x0, k, H, N)
         want = oracles.ghk_seminorm_walk(u, k, H, N)
@@ -458,7 +458,7 @@ class TestVanishingExperiment:
         for sched in scheds:
             rep = vanishing_experiment(cat, f1, f2, (1, 0), 1, 2, w, k, sched)
             top = np.arange(sched[-1], dtype=np.int64)
-            want = prefix_means(orbit_terms(cat, (1, 0), top, g1, 1, g2, 2, weight=w), sched)
+            want = prefix_means(orbit_terms(cat, (1, 0), top, ((g1, 1), (g2, 2)), w), sched)
             assert list(rep.values) == want, sched
             assert rep.values[-1] != 0
             if k == 3:
@@ -466,7 +466,7 @@ class TestVanishingExperiment:
             for n, est in zip(sched, rep.seminorm_data, strict=True):
                 h = coupled_box_size(n)
                 times = np.arange(n + k * h, dtype=np.int64)
-                pair = orbit_terms(cat, (1, 0), times, g1, 1, g2, 2)
+                pair = orbit_terms(cat, (1, 0), times, ((g1, 1), (g2, 2)))
                 assert est == local_seminorm(pair, k, h, n), (sched, n)
 
     def test_coupling_rule(self):
@@ -480,7 +480,7 @@ class TestOrbitProduct:
         # the orbit product the seminorms read is the pair terms of `orbit_terms`
         anz = AnzaiSkew(PHI)
         obs = observable([((0, 1), 1.0)])
-        seq = orbit_terms(anz, (0.2, 0.7), np.arange(50, dtype=np.int64), obs, 1, obs, 2)
+        seq = orbit_terms(anz, (0.2, 0.7), np.arange(50, dtype=np.int64), ((obs, 1), (obs, 2)))
         for n in (0, 1, 10, 49):
             p1 = oracles.iterate_anzai(PHI, (0.2, 0.7), n)
             p2 = oracles.iterate_anzai(PHI, (0.2, 0.7), 2 * n)

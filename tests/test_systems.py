@@ -329,7 +329,7 @@ class TestExponentDomain:
     @pytest.mark.parametrize("e, n", [((1 << 50), [1, 5, 8]), (-(1 << 50), [8]),
                                       ((1 << 53) - 1, [1]), (3, [(1 << 53) // 3])])
     def test_rotation_just_inside_limit(self, e, n):
-        got = orbit_terms(RotationTorus((PHI,)), (0.1,), np.array(n, np.int64), self.E1, e)
+        got = orbit_terms(RotationTorus((PHI,)), (0.1,), np.array(n, np.int64), ((self.E1, e),))
         want = oracles.unit([float(oracles.exact_rotation(PHI, 0.1, e * m)) for m in n])
         assert np.abs(got - want).max() < 1e-12
 
@@ -341,21 +341,21 @@ class TestExponentDomain:
         rot, times = RotationTorus((PHI,)), np.array(n, np.int64)
         sign, top = (1 if e > 0 else -1), max(map(abs, n))
         for e_in in ((e,) if abs(e) * top <= INT64_MAX else ()) + (sign * (INT64_MAX // top),):
-            got = orbit_terms(rot, (0.1,), times, self.E1, e_in)
+            got = orbit_terms(rot, (0.1,), times, ((self.E1, e_in),))
             want = oracles.unit([float(oracles.exact_rotation(PHI, 0.1, e_in * m)) for m in n])
             assert np.abs(got - want).max() < 1e-12
         for e_past in ((e,) if abs(e) * top > INT64_MAX else ()) + (sign * (INT64_MAX // top + 1),):
             with pytest.raises(DomainError, match="limit"):
-                orbit_terms(rot, (0.1,), times, self.E1, e_past)
+                orbit_terms(rot, (0.1,), times, ((self.E1, e_past),))
 
     def test_skew_exponent_limits(self):
-        got = orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array([1]), self.SKEW_Y, SKEW_MAX_TIME)
+        got = orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array([1]), ((self.SKEW_Y, SKEW_MAX_TIME),))
         y = oracles.exact_anzai(PHI, (0.2, 0.3), SKEW_MAX_TIME)[1]
         assert abs(got[0] - oracles.unit(y)) < 1e-12
         # 2^62 * 4 wraps to 0 in int64; the check runs in Python integers first
         for e, n in ((SKEW_MAX_TIME, [2]), (1 << 62, [4]), (1 << 31, [-2])):
             with pytest.raises(DomainError):
-                orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array(n), self.SKEW_Y, e)
+                orbit_terms(AnzaiSkew(PHI), (0.2, 0.3), np.array(n), ((self.SKEW_Y, e),))
 
     def test_lattice_exponent_limits(self):
         q, x0 = 101, (5, 17)
@@ -366,13 +366,13 @@ class TestExponentDomain:
         system = ToralAutomorphism(CAT, modulus=q)
         for e in ((1 << 62) - 1, -(1 << 62) + 1):
             r = oracles.iterate_cat(CAT, q, x0, e % period)
-            got = orbit_terms(system, x0, np.array([1, 2]), obs, e)
+            got = orbit_terms(system, x0, np.array([1, 2]), ((obs, e),))
             r2 = oracles.iterate_cat(CAT, q, x0, (2 * e) % period)
             want = oracles.unit([(r[0] + 2 * r[1]) / q, (r2[0] + 2 * r2[1]) / q])
             assert np.abs(got - want).max() < 1e-12
         for e, n in ((1 << 62, [4]), (1 << 62, [2])):
             with pytest.raises(DomainError):
-                orbit_terms(system, x0, np.array(n), obs, e)
+                orbit_terms(system, x0, np.array(n), ((obs, e),))
 
 
 class TestObservables:
@@ -435,7 +435,7 @@ class TestObservables:
                 want = (oracles.unit_exact(Fraction(p1, q))
                         + (0.5 - 0.25j) * oracles.unit_exact(Fraction(2 * p1 - p2, q)))
                 assert abs(eval_observable(obs, np.divide((p1, p2), q)) - want) < 1e-15
-                assert abs(orbit_terms(cat, (3, 5), np.array([n]), obs)[0] - want) < 1e-15
+                assert abs(orbit_terms(cat, (3, 5), np.array([n]), ((obs, 1),))[0] - want) < 1e-15
         cat = ToralAutomorphism(((2, 1), (1, 1)), modulus=101)
         assert orbit_point(cat, (3, 5), 1) == (11, 8)
         got = eval_observable(observable([((1, 0), 1.0)]), np.divide((11, 8), 101))
