@@ -2,9 +2,11 @@
 
 The difference inequality bounds the squared mean of a bounded sequence by
 a triangular-weighted sum of shifted correlation means; it holds for every
-finite sequence, so the checker treats any violation beyond float slack as
-a bug. Cube averages of order 3 are the 8-fold offset products that control
-the seminorm machinery; the fast path factorizes the h3 offset, and a
+finite sequence, so the checker treats any violation as a bug. It compares
+the two sides with a slack of 1e-12 at the scale where max |u| lies in
+[1/2, 1), so the slack is relative and a tiny sequence can fail too. Cube
+averages of order 3 are the 8-fold offset products that control the
+seminorm machinery; the fast path factorizes the h3 offset, and a
 brute-force triple loop confirms it.
 """
 

@@ -508,7 +508,8 @@ def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
     seq = averages.weight_samples(cfg.weight, cfg.N)
     rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
     rows = [Row(rid + ":lhs", N=cfg.N, abs=rep.lhs), Row(rid + ":rhs", N=cfg.N, abs=rep.rhs)]
-    return rows, {"passed": rep.passed}, []
+    diag = {"id": rid, "margin": rep.rhs - rep.lhs, "lag_rounding_bound": rep.lag_rounding_bound}
+    return rows, {"passed": rep.passed}, [diag]
 
 
 def _cube_reach(cfg: ExperimentConfig) -> int:

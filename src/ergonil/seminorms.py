@@ -44,6 +44,12 @@ multiply of the float64 view by 1/H: numpy divides a complex array by a
 real as (re + 0 im) (1/H), which for finite entries has the same bits. Each
 row's mean is v / N with v the numpy complex128 sum, as in `pairwise_mean`
 (complex(v) / N rounds differently).
+
+Lag sums: `vdc_bound` reads its K + 1 correlations from `_lag_sums`, zero-padded FFT
+correlations over blocks of `_LAG_FFT` points (fewer when N + K is), run as rows of
+`_block_rows` blocks per transform and summed over the blocks on the pairwise tree, so the
+bits do not depend on the batch. Both of its sides are computed at the exact power-of-two
+scale that puts max |u| in [1/2, 1), so its slack is relative.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ from .report import ConvergenceReport, SeminormEstimate, check_schedule, make_re
 from .systems import Observable, System, zk_complement
 
 MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
-_BLOCK_BYTES = 1 << 19  # one block of box products; a box walk peaks at about four blocks
+_BLOCK_BYTES = 1 << 19  # one block of box products or lag FFT rows; a box walk peaks at ~4 blocks
+_LAG_FFT = 1 << 13  # FFT length of one block of van der Corput lags
 
 
 @dataclass(frozen=True)
@@ -141,10 +148,10 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
     return CorrelationBox(k, h, N, *_finite(f"order-{k} cube products", value))
 
 
-def _block_rows(reach: int, H: int) -> int:
-    """Rows of one (rows, reach) block of box products: as many as `_BLOCK_BYTES` holds, at
-    least 1 and at most the H values the last offset takes."""
-    return max(1, min(H, _BLOCK_BYTES // (16 * reach)))
+def _block_rows(reach: int, most: int) -> int:
+    """Rows of one (rows, reach) complex block: as many as `_BLOCK_BYTES` holds, at least 1 and
+    at most `most` (the H values the last offset takes, or the blocks of lags)."""
+    return max(1, min(most, _BLOCK_BYTES // (16 * reach)))
 
 
 def _multiplicity(h: tuple[int, ...]) -> int:
@@ -265,6 +272,71 @@ class VdcReport:
     passed: bool
     N: int
     K: int
+    lag_rounding_bound: float  # each lag sum of u is within this of its exact value
+
+
+def _pow2(n: int) -> int:
+    """Least power of two >= n (1 for n <= 1)."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
+def _lag_length(N: int, K: int) -> int:
+    """FFT length M of `_lag_sums`: `_LAG_FFT`, or the least power of two >= N + K when that is
+    smaller, and at least 4K, so that every block of L = M - K >= 3K terms carries real work."""
+    return max(min(_LAG_FFT, _pow2(N + K)), _pow2(4 * K))
+
+
+def _lag_error(N: int, K: int) -> float:
+    """beta with |computed c_k - c_k| <= beta sum |u_n|^2 for every lag of `_lag_sums`.
+
+    Normwise FFT analysis (Higham, Accuracy and Stability of Numerical Algorithms, sec. 24.1),
+    taking 8 log2(M) eps for one transform's relative 2-norm error: a block's lag is within
+    about 8 log2(M) (sqrt(M) + 2) eps |x| |y|, with |x| |y| summing to at most sqrt(2) sum |u|^2
+    over the blocks (each term is in at most two y), and the pairwise tree over B blocks adds
+    ceil(log2 B) eps of that sum; 16 (log2 M + log2 B + 1) (sqrt(M) + 2) eps covers both.
+    """
+    M = _lag_length(N, K)
+    blocks = -(-N // (M - K))
+    return 16.0 * (math.log2(M) + math.log2(blocks) + 1.0) * (math.sqrt(M) + 2.0) * 2.0**-52
+
+
+def _lag_sums(u: np.ndarray, K: int, scale: int = 0) -> np.ndarray:
+    """c_k = sum_{n < N-k} conj(v_n) v_{n+k} for k = 0..K, v = u 2^scale and N = u.size >= 1.
+
+    u is cut into blocks of L = M - K terms, M = `_lag_length(N, K)`. A block's lags are one
+    circular correlation of M points, ifft(conj(fft(x)) fft(y))[:K+1], with x the block and y
+    the block extended by the next K terms, both zero-padded to M: nothing wraps, since a
+    term j < L of x meets y only at j + k < L + K = M. Blocks run `_block_rows(M, blocks)`
+    at a time as the rows of one transform, through two buffers allocated once; a batched row
+    has the bits of the same transform alone. The per-block lag vectors are summed on the
+    pairwise tree in block order, so the result does not depend on the batch size. Scaling by
+    2^scale is exact (`np.ldexp`) unless it makes an entry subnormal.
+    """
+    N = u.size
+    M = _lag_length(N, K)
+    L = M - K
+    starts = range(0, N, L)
+    rows = _block_rows(M, len(starts))
+    x = np.empty((rows, M), dtype=np.complex128)
+    y = np.empty((rows, M), dtype=np.complex128)
+    lags = np.empty((len(starts), K + 1), dtype=np.complex128)
+    for first in range(0, len(starts), rows):
+        batch = starts[first : first + rows]
+        xb, yb = x[: len(batch)], y[: len(batch)]
+        for r, start in enumerate(batch):
+            seg = u[start : start + M]
+            yb[r, : seg.size] = seg
+            yb[r, seg.size :] = 0
+        if scale:
+            np.ldexp(yb.view(np.float64), scale, out=yb.view(np.float64))
+        xb[:, :L] = yb[:, :L]
+        xb[:, L:] = 0
+        np.fft.fft(xb, axis=1, out=xb)
+        np.fft.fft(yb, axis=1, out=yb)
+        np.multiply(np.conjugate(xb, out=xb), yb, out=xb)
+        np.fft.ifft(xb, axis=1, out=yb)
+        lags[first : first + len(batch)] = yb[:, : K + 1]
+    return pairwise_sum(lags)
 
 
 def vdc_bound(u, N: int, K: int) -> VdcReport:
@@ -273,25 +345,34 @@ def vdc_bound(u, N: int, K: int) -> VdcReport:
         |(1/N) sum u_n|^2  <=  ((N+K)/N) (1/(K+1))
                                sum_{|k|<=K} (1 - |k|/(K+1)) |(1/N) sum u_{n+k} conj(u_n)|
 
-    with correlations truncated at valid indices. This is a theorem for
-    every finite sequence; `passed` allows 1e-12 of floating slack.
+    with correlations truncated at valid indices. This is a theorem for every finite
+    sequence. Both sides are computed for u 2^s, s the exact power of two that puts max |u|
+    in [1/2, 1), where `passed` allows 1e-12 of slack, and scaled back by 2^-2s; so the check
+    is scale-free. The left side is the pairwise sum of u, scaled exactly; the correlations
+    are `_lag_sums`, each within `lag_rounding_bound` of its exact value. A side that is not
+    finite once scaled back is a DomainError.
     """
     u = _as_sequence(u)
     _check_vdc(N, K)
     _require_length(u, N, "van der Corput")
     u = u[:N]
-    buf = np.empty(N, dtype=np.complex128)
+    s = -math.frexp(float(np.abs(u).max()))[1]  # 0 when u is 0
     rhs = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = abs(pairwise_sum(u) / N) ** 2
+        total = pairwise_sum(u)
+        mean = np.complex128(complex(math.ldexp(total.real, s), math.ldexp(total.imag, s))) / N
+        lhs = abs(mean) ** 2
+        lags = _lag_sums(u, K, s)
         for k in range(K + 1):
-            prod = buf[: N - k]
-            np.multiply(np.conjugate(u[: N - k], out=prod), u[k:], out=prod)
-            corr = float(abs(pairwise_sum(prod)) / N)
+            corr = float(abs(lags[k]) / N)
             rhs += corr if k == 0 else 2.0 * (1.0 - k / (K + 1.0)) * corr
         rhs *= (N + K) / N / (K + 1.0)
+        passed = lhs <= rhs + 1e-12
+        beta = _lag_error(N, K)
+        bound = beta / (1.0 - beta) * float(lags[0].real)  # lags[0] is sum |u|^2 to within beta
+        lhs, rhs, bound = (float(np.ldexp(v, -2 * s)) for v in (lhs, rhs, bound))
     _finite("van der Corput sums", lhs, rhs)
-    return VdcReport(float(lhs), float(rhs), lhs <= rhs + 1e-12, N, K)
+    return VdcReport(lhs, rhs, passed, N, K, bound)
 
 
 def cube_average(s1, s2, H: int) -> complex:

@@ -561,6 +561,13 @@ class TestRunExperiment:
         assert rep.all_passed
         ids = [r.experiment_id for r in rep.rows]
         assert ids == ["vdc_bound:lhs", "vdc_bound:rhs"]
+        summary = json.loads(rep.summary_path.read_text())
+        assert summary["extras"] == [{"passed": True}]
+        (diag,) = summary["diagnostics"]
+        assert sorted(diag) == ["id", "lag_rounding_bound", "margin"]
+        lhs, rhs = (r.abs for r in rep.rows)
+        assert diag["id"] == "vdc_bound" and diag["margin"] == rhs - lhs > 0
+        assert 0 < diag["lag_rounding_bound"] <= 1e-11 * 4096  # beta sum |u_n|^2, |u_n| = 1
 
     def test_product_formula_experiment(self, tmp_path):
         cfg = config_from_dict({

@@ -2,6 +2,7 @@
 orbit seminorm, the van der Corput checker, cube averages, and the paired
 seminorm/average experiment."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -30,6 +31,7 @@ from ergonil import (
 )
 from ergonil.averages import _BLOCK, orbit_terms, prefix_means
 from ergonil import seminorms
+from ergonil.numerics import pairwise_sum
 from ergonil.seminorms import coupled_box_size
 
 import oracles
@@ -282,7 +284,7 @@ class TestBlockedWalk:
         assert _bits(est.value, est.pre_root_average, est.clamped) == _bits(*want)
 
     def test_order_3_box_stays_within_4_mib(self):
-        # below the 6 MiB van der Corput pass of the benchmark, which sets its peak memory
+        # the benchmark's largest order-3 box is N = 2^12, H = 64, as here
         a = quad_phase(4096 + 3 * 64)
         tracemalloc.start()
         try:
@@ -373,6 +375,75 @@ class TestVanDerCorput:
     def test_side_condition(self):
         with pytest.raises(ValueError, match="side condition"):
             vdc_bound(np.ones(100), 100, 10)
+
+    @pytest.mark.parametrize("kind", ("unit", "gauss", "zeros"))
+    def test_scale_free(self, kind):
+        # both sides are computed at the scale where max |u| is in [1/2, 1), so a power of two
+        # c scales them by exactly c^2 and leaves `passed` as it is
+        u = _sequence(kind, 4096, 0, 3)
+        rep = vdc_bound(u, 4096, 32)
+        for j in (-500, -30, 30, 500):
+            c = 2.0**j
+            scaled = vdc_bound(c * u, 4096, 32)
+            assert (scaled.lhs, scaled.rhs, scaled.lag_rounding_bound) == (
+                c * c * rep.lhs, c * c * rep.rhs, c * c * rep.lag_rounding_bound)
+            assert scaled.passed == rep.passed
+
+    def test_check_can_fail_on_small_sequences(self):
+        # an absolute slack of 1e-12 would pass any sequence below about 1e-6; with every lag
+        # sum read as 0 the right side is 0, and 1e-8 * ones must fail at its own scale
+        with mock.patch.object(seminorms, "_lag_sums", lambda u, K, scale: np.zeros(K + 1)):
+            rep = vdc_bound(1e-8 * np.ones(4096), 4096, 32)
+        assert rep.rhs == 0.0 and rep.lhs > 0.0 and not rep.passed
+
+    def test_benchmark_size_stays_within_3_mib(self):
+        u = np.exp(2j * np.pi * np.random.default_rng(5).random(1 << 17))
+        tracemalloc.start()
+        try:
+            vdc_bound(u, 1 << 17, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
+
+
+_EDGES = ("L-1", "L", "L+1", "2L+1", "short")
+
+
+class TestLagSums:
+    """`_lag_sums` against the direct sum per lag, in blocks of L = M - K terms: N at and around
+    block edges and within one block, blocks of M = 64, 256 and 2^13 points, and the same bits
+    with one block per transform, two, or all of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fft=st.sampled_from((64, 256, 1 << 13)), K=st.integers(0, 63),
+           edge=st.sampled_from(_EDGES), kind=st.sampled_from(("unit", "gauss", "zeros")),
+           scale=st.sampled_from((-60, 0, 60)), seed=st.integers(0, 2**32 - 1))
+    @example(fft=64, K=0, edge="2L+1", kind="unit", scale=0, seed=1)
+    @example(fft=256, K=10, edge="L+1", kind="zeros", scale=-60, seed=2)
+    @example(fft=1 << 13, K=63, edge="2L+1", kind="gauss", scale=60, seed=3)
+    @example(fft=64, K=4, edge="short", kind="gauss", scale=0, seed=4)
+    def test_matches_direct_sums(self, fft, K, edge, kind, scale, seed):
+        K = min(K, math.isqrt(fft // 2) - 1)  # (K + 1)^2 < N at every edge, and 4K <= M
+        L = fft - K
+        N = {"L-1": L - 1, "L": L, "L+1": L + 1, "2L+1": 2 * L + 1,
+             "short": (K + 1) ** 2 + 1 + seed % (L - 1 - (K + 1) ** 2)}[edge]
+        u = _sequence(kind, N, 0, seed) * 2.0**scale
+        with mock.patch.object(seminorms, "_LAG_FFT", fft):
+            M = seminorms._lag_length(N, K)
+            blocks = -(-N // (M - K))
+            sums = []
+            for rows in (1, 2, blocks):
+                with mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * M * rows):
+                    sums.append(seminorms._lag_sums(u, K))
+            beta = seminorms._lag_error(N, K)
+        assert M == (min(fft, seminorms._pow2(N + K)) if edge == "short" else fft)
+        assert sums[1].tobytes() == sums[0].tobytes() == sums[2].tobytes()
+        # beta bounds the FFT's error; the direct pairwise sums add up to (log2 N + 3) eps
+        direct = np.array([pairwise_sum(np.conjugate(u[: N - k]) * u[k:]) for k in range(K + 1)])
+        energy = float(np.sum(np.abs(u) ** 2))
+        tol = (beta + (math.log2(N) + 3) * 2.0**-52) * energy
+        assert np.all(np.abs(sums[0] - direct) <= tol)
 
 
 class TestCubeAverage:
