@@ -10,9 +10,11 @@ its path, under the summary's ``ignored_keys``.
 
 Data rows are deterministic: re-running a config, with any worker count, yields byte-identical
 CSV bytes. Wall-clock metadata lives only in the summary file and is excluded from that
-contract. So do the certificates behind the numbers: the summary's ``diagnostics`` list, per
-sample point, the error budget of each average, the grid size, spacing and error bound of each
-certified sup, and the box size H, pre-root average and clamp flag of each seminorm estimate.
+contract. So do the certificates behind the numbers: one task runs per starting point (or one
+in all) and returns its rows and one record, its ``id`` and all it reports about trust. That is
+the error budget of each average, the grid size, spacing and error bound of each certified sup,
+the box size H, pre-root average and clamp flag of each seminorm estimate, and a check's
+``passed``, ``gap`` or ``margin``. The summary's ``diagnostics`` lists the records in task order.
 
 CSV schema (fixed): ``experiment_id,N,re,im,abs,sup,t_star,seminorm,clamped`` with absent
 fields left empty and floats printed with 17 significant digits so every row round-trips.
@@ -115,7 +117,7 @@ def _real(value) -> float:
 
 class _Kind(NamedTuple):
     """One entry of a kind table. fn builds a system or weight from (spec, name, cfg) or an
-    invariant from its spec, or is a check's verdict (spec, rows, extras) -> (ok, detail)."""
+    invariant from its spec, or is a check's verdict (spec, rows, diagnostics) -> (ok, detail)."""
     fn: Callable
     keys: tuple[str, ...] = ()  # the keys fn needs
     optional: tuple[str, ...] = ()  # and those it reads when given
@@ -242,7 +244,7 @@ def build_weight(spec, field_name: str, base_dir: Path) -> nilseq.WeightSequence
 
 def _at(column: str, test: Callable) -> Callable:
     """Verdict of test(value, spec) on the `column` of every row at N = spec["N"]."""
-    def verdict(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+    def verdict(spec: dict, rows: list[Row], diagnostics: list[dict]) -> tuple[bool, str]:
         n = int(spec["N"])
         picked = [getattr(r, column) for r in rows if r.N == n]
         if not picked:
@@ -253,8 +255,8 @@ def _at(column: str, test: Callable) -> Callable:
     return verdict
 
 
-def _passed(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
-    oks = [x.get("passed") for x in extras if "passed" in x]
+def _passed(spec: dict, rows: list[Row], diagnostics: list[dict]) -> tuple[bool, str]:
+    oks = [d["passed"] for d in diagnostics if "passed" in d]
     return bool(oks) and all(oks), f"pass flags: {oks}"
 
 
@@ -268,7 +270,7 @@ def _deltas(rows: list[Row]) -> dict[str, dict[int, float]]:
             for rid, v in values.items()}
 
 
-def _deltas_below_first(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+def _deltas_below_first(spec: dict, rows: list[Row], diagnostics: list[dict]) -> tuple[bool, str]:
     n0, by_id = int(spec["from"]), _deltas(rows)
     if not by_id or any(n0 not in d for d in by_id.values()):
         return False, f"no delta at N={n0}" if by_id else "no value rows"
@@ -278,7 +280,7 @@ def _deltas_below_first(spec: dict, rows: list[Row], extras: list[dict]) -> tupl
                       for rid, d in by_id.items()))
 
 
-def _delta_trend(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
+def _delta_trend(spec: dict, rows: list[Row], diagnostics: list[dict]) -> tuple[bool, str]:
     small, large, by_id = int(spec["small"]), int(spec["large"]), _deltas(rows)
     if not by_id or any(small not in d or large not in d for d in by_id.values()):
         return False, f"need deltas at N={small} and N={large}" if by_id else "no value rows"
@@ -432,7 +434,7 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict, list[dict]]:
+def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict]:
     """A report's CSV rows, and how far its numbers can be trusted (summary only)."""
     rows = []
     for i, n in enumerate(rep.schedule):
@@ -452,7 +454,7 @@ def _from_report(rid: str, rep: ConvergenceReport) -> tuple[list[Row], dict, lis
         ]
     if rep.seminorm_data is not None:
         diag["seminorm"] = [_seminorm_certificate(est) for est in rep.seminorm_data]
-    return rows, {}, [diag]
+    return rows, diag
 
 
 def _seminorm_certificate(est: SeminormEstimate) -> dict:
@@ -469,10 +471,10 @@ def _box_size(cfg: ExperimentConfig, n: int) -> int:
 
 
 def _seminorm_rows(cfg: ExperimentConfig, rid: str, estimate: Callable):
-    """One row per scheduled N of `estimate(N, H)`; its certificate goes to diagnostics."""
+    """One row per scheduled N of `estimate(N, H)`, and their certificates."""
     ests = [estimate(n, _box_size(cfg, n)) for n in cfg.schedule]
     rows = [Row(rid, N=est.N, seminorm=est.value, clamped=est.clamped) for est in ests]
-    return rows, {}, [{"id": rid, "seminorm": [_seminorm_certificate(est) for est in ests]}]
+    return rows, {"id": rid, "seminorm": [_seminorm_certificate(est) for est in ests]}
 
 
 def _local_reach(cfg: ExperimentConfig) -> int:
@@ -501,15 +503,15 @@ def _run_product_formula(cfg: ExperimentConfig, rid: str, x0):
                                          cfg.a, cfg.b, cfg.N, cfg.tol)
     rows = [Row(f"{rid}:{side}", N=rep.N, re=v.real, im=v.imag, abs=abs(v))
             for side, v in (("lhs", rep.lhs), ("rhs", rep.rhs))]
-    return rows, {"passed": rep.passed, "gap": abs(rep.lhs - rep.rhs)}, []
+    return rows, {"id": rid, "passed": rep.passed, "gap": abs(rep.lhs - rep.rhs)}
 
 
 def _run_vdc_bound(cfg: ExperimentConfig, rid: str, x0):
     seq = averages.weight_samples(cfg.weight, cfg.N)
     rep = seminorms.vdc_bound(seq, cfg.N, cfg.K)
     rows = [Row(rid + ":lhs", N=cfg.N, abs=rep.lhs), Row(rid + ":rhs", N=cfg.N, abs=rep.rhs)]
-    diag = {"id": rid, "margin": rep.rhs - rep.lhs, "lag_rounding_bound": rep.lag_rounding_bound}
-    return rows, {"passed": rep.passed}, [diag]
+    return rows, {"id": rid, "passed": rep.passed, "margin": rep.rhs - rep.lhs,
+                  "lag_rounding_bound": rep.lag_rounding_bound}
 
 
 def _cube_reach(cfg: ExperimentConfig) -> int:
@@ -520,7 +522,7 @@ def _run_cube_average(cfg: ExperimentConfig, rid: str, x0):
     length = _cube_reach(cfg)
     v = seminorms.cube_average(*(averages.weight_samples(w, length)
                                  for w in (cfg.weight1, cfg.weight2)), cfg.H)
-    return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {}, []
+    return [Row(rid, N=cfg.N, re=v.real, im=v.imag, abs=abs(v))], {"id": rid}
 
 
 @_field("H")
@@ -539,7 +541,7 @@ def _auxiliary(cfg: ExperimentConfig):
 
 class _Experiment(NamedTuple):
     required: tuple[str, ...]  # runs once per starting point when it holds "x0"
-    run: Callable  # (cfg, rid, x0) -> (rows, extras, diagnostics); x0 None if not pointwise
+    run: Callable  # (cfg, rid, x0) -> (rows, the task's diagnostics); x0 None if not pointwise
     reach: Callable = lambda cfg: 0  # cfg -> R: the run reads its weights at the times n < R
     check: Callable = lambda cfg: None  # raises a ConfigError on inputs only this one rejects
     optional: tuple[str, ...] = ("schedule",)  # keys read when given; "assertions" always is
@@ -592,8 +594,8 @@ def list_experiments() -> list[str]:
     return sorted(_EXPERIMENTS)
 
 
-def _eval_assertion(spec: dict, rows: list[Row], extras: list[dict]) -> tuple[bool, str]:
-    return _CHECKS[spec["check"]].fn(spec, rows, extras)
+def _eval_assertion(spec: dict, rows: list[Row], diagnostics: list[dict]) -> tuple[bool, str]:
+    return _CHECKS[spec["check"]].fn(spec, rows, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +634,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
             results = list(pool.map(lambda t: entry.run(cfg, *t), tasks))
     else:
         results = [entry.run(cfg, *t) for t in tasks]
-    rows = [r for rs, _, _ in results for r in rs]
-    extras = [x for _, x, _ in results]
-    diagnostics = [d for _, _, ds in results for d in ds]
+    rows = [r for rs, _ in results for r in rs]
+    diagnostics = [d for _, d in results]
 
-    verdicts = [dict(zip(("passed", "detail"), _eval_assertion(spec, rows, extras)), assertion=spec)
-                for spec in cfg.assertions]
+    verdicts = [dict(zip(("passed", "detail"), _eval_assertion(spec, rows, diagnostics)),
+                     assertion=spec) for spec in cfg.assertions]
     all_passed = all(v["passed"] for v in verdicts)
 
     wall = time.perf_counter() - t0
@@ -648,8 +649,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> Exp
         csv_path.write_bytes(body.encode("ascii"))
         summary = {
             "experiment": cfg.experiment, "id": cfg.id, "config": cfg.raw, "rows": len(rows),
-            "extras": [{k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-                        for k, v in x.items()} for x in extras],
             "diagnostics": diagnostics,
             "ignored_keys": cfg.ignored_keys,
             "verdicts": verdicts,

@@ -26,7 +26,10 @@ permutations of h (they permute eps and keep |eps|), so the outer offsets
 are walked sorted, h_1 <= ... <= h_{k-1}, each tuple weighted by its
 multiplicity (k-1)!/prod(run length!): C(H+k-2, k-1) outer tuples of O(N)
 work each instead of H^{k-1}, or (2H)^k N for the literal box. The GHK
-recursion and the order-3 cube average walk their offsets the same way.
+recursion walks its offsets the same way. The order-3 cube average sorts only
+h_1 <= h_2, takes every h_3 by one sliding-window matrix-vector product and
+sums G1(h) G2(h) over h_3 by a dot product; both run through BLAS, not the
+pairwise tree, so its last bits depend on the BLAS kernel.
 
 Operand order: in every complex product a conjugated factor comes first,
 otherwise the running product does. Each product is written as
@@ -46,10 +49,9 @@ row's mean is v / N with v the numpy complex128 sum, as in `pairwise_mean`
 (complex(v) / N rounds differently).
 
 Lag sums: `vdc_bound` reads its K + 1 correlations from `_lag_sums`, zero-padded FFT
-correlations over blocks of `_LAG_FFT` points (fewer when N + K is), run as rows of
-`_block_rows` blocks per transform and summed over the blocks on the pairwise tree, so the
-bits do not depend on the batch. Both of its sides are computed at the exact power-of-two
-scale that puts max |u| in [1/2, 1), so its slack is relative.
+correlations over blocks of `_LAG_FFT` points (fewer when N + K is), one block per transform,
+summed over the blocks on the pairwise tree. Both of its sides are computed at the exact
+power-of-two scale that puts max |u| in [1/2, 1), so its slack is relative.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .report import ConvergenceReport, SeminormEstimate, check_schedule, make_re
 from .systems import Observable, System, zk_complement
 
 MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
-_BLOCK_BYTES = 1 << 19  # one block of box products or lag FFT rows; a box walk peaks at ~4 blocks
+_BLOCK_BYTES = 1 << 19  # one block of box products; a box walk peaks at ~4 blocks
 _LAG_FFT = 1 << 13  # FFT length of one block of van der Corput lags
 
 
@@ -149,8 +151,8 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
 
 
 def _block_rows(reach: int, most: int) -> int:
-    """Rows of one (rows, reach) complex block: as many as `_BLOCK_BYTES` holds, at least 1 and
-    at most `most` (the H values the last offset takes, or the blocks of lags)."""
+    """Rows of one (rows, reach) complex block of the box walk: as many as `_BLOCK_BYTES` holds,
+    at least 1 and at most `most` (the H values the last offset takes)."""
     return max(1, min(most, _BLOCK_BYTES // (16 * reach)))
 
 
@@ -306,36 +308,30 @@ def _lag_sums(u: np.ndarray, K: int, scale: int = 0) -> np.ndarray:
     u is cut into blocks of L = M - K terms, M = `_lag_length(N, K)`. A block's lags are one
     circular correlation of M points, ifft(conj(fft(x)) fft(y))[:K+1], with x the block and y
     the block extended by the next K terms, both zero-padded to M: nothing wraps, since a
-    term j < L of x meets y only at j + k < L + K = M. Blocks run `_block_rows(M, blocks)`
-    at a time as the rows of one transform, through two buffers allocated once; a batched row
-    has the bits of the same transform alone. The per-block lag vectors are summed on the
-    pairwise tree in block order, so the result does not depend on the batch size. Scaling by
-    2^scale is exact (`np.ldexp`) unless it makes an entry subnormal.
+    term j < L of x meets y only at j + k < L + K = M. Each block goes through two buffers of
+    M points allocated once, and the per-block lag vectors are summed on the pairwise tree in
+    block order. Scaling by 2^scale is exact (`np.ldexp`) unless it makes an entry subnormal.
     """
     N = u.size
     M = _lag_length(N, K)
     L = M - K
     starts = range(0, N, L)
-    rows = _block_rows(M, len(starts))
-    x = np.empty((rows, M), dtype=np.complex128)
-    y = np.empty((rows, M), dtype=np.complex128)
+    x = np.empty(M, dtype=np.complex128)
+    y = np.empty(M, dtype=np.complex128)
     lags = np.empty((len(starts), K + 1), dtype=np.complex128)
-    for first in range(0, len(starts), rows):
-        batch = starts[first : first + rows]
-        xb, yb = x[: len(batch)], y[: len(batch)]
-        for r, start in enumerate(batch):
-            seg = u[start : start + M]
-            yb[r, : seg.size] = seg
-            yb[r, seg.size :] = 0
+    for lag, start in zip(lags, starts):
+        seg = u[start : start + M]
+        y[: seg.size] = seg
+        y[seg.size :] = 0
         if scale:
-            np.ldexp(yb.view(np.float64), scale, out=yb.view(np.float64))
-        xb[:, :L] = yb[:, :L]
-        xb[:, L:] = 0
-        np.fft.fft(xb, axis=1, out=xb)
-        np.fft.fft(yb, axis=1, out=yb)
-        np.multiply(np.conjugate(xb, out=xb), yb, out=xb)
-        np.fft.ifft(xb, axis=1, out=yb)
-        lags[first : first + len(batch)] = yb[:, : K + 1]
+            np.ldexp(y.view(np.float64), scale, out=y.view(np.float64))
+        x[:L] = y[:L]
+        x[L:] = 0
+        np.fft.fft(x, out=x)
+        np.fft.fft(y, out=y)
+        np.multiply(np.conjugate(x, out=x), y, out=x)
+        np.fft.ifft(x, out=y)
+        lag[:] = y[: K + 1]
     return pairwise_sum(lags)
 
 
@@ -367,7 +363,7 @@ def vdc_bound(u, N: int, K: int) -> VdcReport:
             corr = float(abs(lags[k]) / N)
             rhs += corr if k == 0 else 2.0 * (1.0 - k / (K + 1.0)) * corr
         rhs *= (N + K) / N / (K + 1.0)
-        passed = lhs <= rhs + 1e-12
+        passed = bool(lhs <= rhs + 1e-12)
         beta = _lag_error(N, K)
         bound = beta / (1.0 - beta) * float(lags[0].real)  # lags[0] is sum |u|^2 to within beta
         lhs, rhs, bound = (float(np.ldexp(v, -2 * s)) for v in (lhs, rhs, bound))

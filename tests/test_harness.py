@@ -562,11 +562,13 @@ class TestRunExperiment:
         ids = [r.experiment_id for r in rep.rows]
         assert ids == ["vdc_bound:lhs", "vdc_bound:rhs"]
         summary = json.loads(rep.summary_path.read_text())
-        assert summary["extras"] == [{"passed": True}]
+        assert "extras" not in summary
         (diag,) = summary["diagnostics"]
-        assert sorted(diag) == ["id", "lag_rounding_bound", "margin"]
+        assert sorted(diag) == ["id", "lag_rounding_bound", "margin", "passed"]
         lhs, rhs = (r.abs for r in rep.rows)
-        assert diag["id"] == "vdc_bound" and diag["margin"] == rhs - lhs > 0
+        assert diag["id"] == "vdc_bound" and diag["passed"] is True
+        assert diag["margin"] == rhs - lhs > 0
+        assert summary["verdicts"][0]["detail"] == "pass flags: [True]"
         assert 0 < diag["lag_rounding_bound"] <= 1e-11 * 4096  # beta sum |u_n|^2, |u_n| = 1
 
     def test_product_formula_experiment(self, tmp_path):
@@ -670,6 +672,66 @@ class TestRunExperiment:
         })
         rep = run_experiment(cfg, out_dir=tmp_path)
         assert all(r.seminorm is not None for r in rep.rows)
+
+
+_TINY = [64, 128]
+# one tiny config of every experiment; the pointwise ones run two starting points
+_RECORD_DOCS = {
+    **{name: dict(_TWO_DOC if "observable1" in harness._EXPERIMENTS[name].required else _ONE_DOC,
+                  experiment=name, schedule=_TINY, **more)
+       for name, (more, _) in _SCHEDULED.items()},
+    "cesaro_nilseq": {"experiment": "cesaro_nilseq", "schedule": _TINY,
+                      "weight": _PHASES["weight2"]},
+    "local_seminorm": {"experiment": "local_seminorm", "k": 2, "H": 4, "schedule": _TINY,
+                       "weight": _PHASES["weight2"]},
+    "ghk_seminorm": dict(_ONE_DOC, experiment="ghk_seminorm", k=2, H=4, schedule=_TINY),
+    "vdc_bound": {"experiment": "vdc_bound", "N": 256, "K": 6, "weight": _PHASES["weight1"]},
+    "cube_average": dict(_PHASES, experiment="cube_average", H=4, N=64),
+    "vanishing_experiment": dict(_TWO_DOC, experiment="vanishing_experiment", k=1,
+                                 weight=_PHASES["weight1"], schedule=_TINY),
+    "product_formula_check": dict(_TWO_DOC, experiment="product_formula_check", N=256,
+                                  tol=0.1),
+}
+# the keys of each experiment's records; the other scheduled averages report an error budget
+_RECORD_KEYS = {
+    "ww_sup": ["error_budget", "id", "sup"],
+    "local_seminorm": ["id", "seminorm"],
+    "ghk_seminorm": ["id", "seminorm"],
+    "vanishing_experiment": ["error_budget", "id", "seminorm"],
+    "vdc_bound": ["id", "lag_rounding_bound", "margin", "passed"],
+    "product_formula_check": ["gap", "id", "passed"],
+    "cube_average": ["id"],
+}
+
+
+class TestDiagnosticsRecord:
+    """Every experiment's summary: one `diagnostics` record per task, holding that task's id."""
+
+    def test_every_experiment_is_covered(self):
+        assert sorted(_RECORD_DOCS) == list_experiments()
+
+    @pytest.mark.parametrize("experiment", sorted(_RECORD_DOCS))
+    def test_one_record_per_task(self, experiment, tmp_path):
+        cfg = config_from_dict(dict(_RECORD_DOCS[experiment], id="e"))
+        rep = run_experiment(cfg, out_dir=tmp_path)
+        text = rep.summary_path.read_text()
+        summary = json.loads(text)
+        assert json.dumps(summary, sort_keys=True, indent=2) + "\n" == text
+        assert "extras" not in summary
+        tasks = ["e/x0", "e/x1"] if "x0" in harness._EXPERIMENTS[experiment].required else ["e"]
+        assert [d["id"] for d in summary["diagnostics"]] == tasks
+        assert {r.experiment_id.split(":")[0] for r in rep.rows} == set(tasks)
+        keys = _RECORD_KEYS.get(experiment, ["error_budget", "id"])
+        assert all(sorted(d) == keys for d in summary["diagnostics"])
+
+    def test_check_flags_and_gaps_are_on_the_record(self, tmp_path):
+        doc = dict(_RECORD_DOCS["product_formula_check"], id="e",
+                   assertions=[{"check": "passed"}])
+        summary = json.loads(run_experiment(config_from_dict(doc), tmp_path).summary_path
+                             .read_text())
+        assert all(d["passed"] is (d["gap"] <= 0.1) for d in summary["diagnostics"])
+        flags = [d["passed"] for d in summary["diagnostics"]]
+        assert summary["verdicts"][0]["detail"] == f"pass flags: {flags}"
 
 
 class TestCli:
@@ -978,7 +1040,7 @@ def _value_rows(rid, values):
 
 
 _AT_N = [Row("e", N=4, abs=0.5, sup=0.5, seminorm=0.5), Row("e", N=8)]
-# check -> (passing spec, failing spec, spec whose data is missing, rows, extras, details):
+# check -> (passing spec, failing spec, spec whose data is missing, rows, diagnostics, details):
 # details are the passing, failing and missing-data verdicts' exact text
 _VERDICTS = {
     "passed": ({}, {}, {}, [], None, ("pass flags: [True, True]", "pass flags: [True, False]",
@@ -1010,21 +1072,22 @@ class TestAssertionChecks:
     """Each assertion check's verdict and its exact detail, on rows built by hand."""
 
     @staticmethod
-    def verdict(check, spec, rows, extras):
-        return harness._eval_assertion(dict(spec, check=check), rows, extras)
+    def verdict(check, spec, rows, diagnostics):
+        return harness._eval_assertion(dict(spec, check=check), rows, diagnostics)
 
     @pytest.mark.parametrize("check", sorted(_VERDICTS))
     def test_pass_fail_and_missing_data(self, check):
-        good, bad, missing, rows, extras, details = _VERDICTS[check]
+        good, bad, missing, rows, diagnostics, details = _VERDICTS[check]
         if check == "passed":
-            extras = [{"passed": True}, {}, {"passed": True}]
-        assert self.verdict(check, good, rows, extras) == (True, details[0])
+            diagnostics = [{"id": "e/x0", "passed": True}, {"id": "e/x1"},
+                           {"id": "e/x2", "passed": True}]
+        assert self.verdict(check, good, rows, diagnostics) == (True, details[0])
         if check == "passed":
-            extras = [{"passed": True}, {"passed": False}]
-        assert self.verdict(check, bad, rows, extras) == (False, details[1])
+            diagnostics = [{"id": "e/x0", "passed": True}, {"id": "e/x1", "passed": False}]
+        assert self.verdict(check, bad, rows, diagnostics) == (False, details[1])
         if check == "passed":
-            extras = [{}, {"gap": 0.5}]
-        assert self.verdict(check, missing, rows, extras) == (False, details[2])
+            diagnostics = [{"id": "e/x0"}, {"id": "e/x1", "error_budget": 0.5}]
+        assert self.verdict(check, missing, rows, diagnostics) == (False, details[2])
 
     def test_every_check_is_covered(self):
         assert sorted(_VERDICTS) == sorted(harness._CHECKS)

@@ -396,6 +396,10 @@ class TestVanDerCorput:
             rep = vdc_bound(1e-8 * np.ones(4096), 4096, 32)
         assert rep.rhs == 0.0 and rep.lhs > 0.0 and not rep.passed
 
+    def test_passed_is_a_python_bool(self):
+        # the harness writes the flag into the summary as it is; json cannot write a numpy bool
+        assert type(vdc_bound(np.ones(4096), 4096, 32).passed) is bool
+
     def test_benchmark_size_stays_within_3_mib(self):
         u = np.exp(2j * np.pi * np.random.default_rng(5).random(1 << 17))
         tracemalloc.start()
@@ -412,8 +416,7 @@ _EDGES = ("L-1", "L", "L+1", "2L+1", "short")
 
 class TestLagSums:
     """`_lag_sums` against the direct sum per lag, in blocks of L = M - K terms: N at and around
-    block edges and within one block, blocks of M = 64, 256 and 2^13 points, and the same bits
-    with one block per transform, two, or all of them."""
+    block edges and within one block, and blocks of M = 64, 256 and 2^13 points."""
 
     @settings(max_examples=60, deadline=None)
     @given(fft=st.sampled_from((64, 256, 1 << 13)), K=st.integers(0, 63),
@@ -431,19 +434,14 @@ class TestLagSums:
         u = _sequence(kind, N, 0, seed) * 2.0**scale
         with mock.patch.object(seminorms, "_LAG_FFT", fft):
             M = seminorms._lag_length(N, K)
-            blocks = -(-N // (M - K))
-            sums = []
-            for rows in (1, 2, blocks):
-                with mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * M * rows):
-                    sums.append(seminorms._lag_sums(u, K))
+            sums = seminorms._lag_sums(u, K)
             beta = seminorms._lag_error(N, K)
         assert M == (min(fft, seminorms._pow2(N + K)) if edge == "short" else fft)
-        assert sums[1].tobytes() == sums[0].tobytes() == sums[2].tobytes()
         # beta bounds the FFT's error; the direct pairwise sums add up to (log2 N + 3) eps
         direct = np.array([pairwise_sum(np.conjugate(u[: N - k]) * u[k:]) for k in range(K + 1)])
         energy = float(np.sum(np.abs(u) ** 2))
         tol = (beta + (math.log2(N) + 3) * 2.0**-52) * energy
-        assert np.all(np.abs(sums[0] - direct) <= tol)
+        assert np.all(np.abs(sums - direct) <= tol)
 
 
 class TestCubeAverage:
