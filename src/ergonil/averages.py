@@ -32,7 +32,8 @@ auxiliary-system norm of the pair terms. The sup is one coarse FFT,
 then levels of halving spacing around the nodes whose Bernstein bound could
 still pass the running maximum by eps/2, in blocks of at most `_BLOCK` terms;
 a node's phases e(j m / 2^p) are the outer product of two rows of at most
-`_FACTOR` = sqrt(`_BLOCK`) phases, each within 8 * 2^-52 of exact.
+`_FACTOR` = sqrt(`_BLOCK`) phases of exact turns, each product within
+`FACTORED_PHASE_BOUND` = 4.72 * 2^-52 of exact.
 Exponent times n are checked against the system's time domain first, and the
 auxiliary-system norm is exact by Parseval on its Fourier coefficients in y.
 """
@@ -53,7 +54,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .nilseq import PolynomialPhase, WeightSequence
-from .numerics import ordered_product, pairwise_sum, unit_phase
+from .numerics import PHASE_BOUND, ordered_product, pairwise_sum, phase
 from .report import ConvergenceReport, SupPoint, check_schedule, make_report
 from .systems import (
     Observable,
@@ -69,6 +70,11 @@ _COARSE_MIN = 1 << 12  # coarse FFT size: a power of two >= 16N, within these
 _COARSE_CAP = 1 << 22  # (but never below N)
 _BLOCK = 1 << 14  # times per block of `orbit_terms`: 2^13 to 2^16 measured alike, 2^12 slower
 _FACTOR = math.isqrt(_BLOCK)  # a sweep node's phases are rows of e(q m / 2^p) times e(r m / 2^p)
+_PHASE_CALL = 1 << 12  # the most phases per kernel call in the sweep
+# |e(q m / 2^p) e(r m / 2^p) - e(j m / 2^p)|: each factor within PHASE_BOUND, and the complex
+# product rounds within sqrt(5) 2^-53 of its modulus (Brent, Percival and Zimmermann 2007)
+FACTORED_PHASE_BOUND = (2 * PHASE_BOUND + PHASE_BOUND**2
+                        + math.sqrt(5) * 2.0**-53 * (1 + PHASE_BOUND)**2)  # 4.72 * 2^-52
 
 
 def _check_count(N: int):
@@ -165,31 +171,46 @@ def ww_avg(system: System, obs: Observable, x0, t: float, N: int) -> complex:
     return _mean(system, x0, N, ((obs, 1),), PolynomialPhase((0.0, t)))
 
 
+def _phases(turns: np.ndarray) -> np.ndarray:
+    """`phase` of a 2-d turn array, in kernel calls of at most `_PHASE_CALL` elements: short
+    enough that the kernel's temporaries stay small, long enough to pay its per-call cost."""
+    out = np.empty(turns.shape, dtype=np.complex128)
+    flat, into = turns.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _PHASE_CALL):
+        into[lo:lo + _PHASE_CALL] = phase(flat[lo:lo + _PHASE_CALL])
+    return out
+
+
 def _node_values(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     """|(1/N) sum_j u_j e(j m / 2^p)| at each dyadic node m / 2^p. With j = q + r, q a
     multiple of `_FACTOR` and 0 <= r < `_FACTOR`, the phase is e(q m / 2^p) * e(r m / 2^p),
-    each argument reduced mod 2^p exactly in int64: a node pays about 2 sqrt(`_BLOCK`)
-    cos/sin per block, not one per term, and each phase is within 8 * 2^-52 of e(j m / 2^p).
-    A block holds `_BLOCK // N` nodes, or one node's `_BLOCK`-term slices when N is longer:
-    the pairwise tree sums such aligned power-of-two slices first, so each node has the bits
-    of one pairwise sum of its N terms."""
+    each argument reduced mod 2^p exactly in int64 and shifted to the exact turn: a node pays
+    about N / `_FACTOR` + `_FACTOR` phases, not N, and each product is within
+    `FACTORED_PHASE_BOUND` of e(j m / 2^p). The phase rows of as many nodes as fill a block
+    are taken together. A block of terms holds `_BLOCK // N` nodes, or one node's
+    `_BLOCK`-term slices when N is longer: the pairwise tree sums such aligned power-of-two
+    slices first, so each node has the bits of one pairwise sum of its N terms."""
     N = u.size
-    rows, mask, scale = max(1, _BLOCK // N), (1 << p) - 1, float(1 << p)
+    rows, mask = max(1, _BLOCK // N), (1 << p) - 1
     r = np.arange(min(_FACTOR, N), dtype=np.int64)
+    q = np.arange(0, N, r.size, dtype=np.int64)
+    batch = rows * max(1, _BLOCK // (rows * (r.size + q.size)))  # whole blocks of nodes
     out = np.empty(m.size)
-    for lo in range(0, m.size, rows):
-        node = m[lo:lo + rows, None]
-        inner = unit_phase(((node * r) & mask) / scale)
-        parts = []
-        for k in range(0, N, _BLOCK):
-            size = min(_BLOCK, N - k)
-            q = np.arange(k, k + size, r.size, dtype=np.int64)
-            outer = unit_phase(((node * q) & mask) / scale)
-            w = np.empty((node.size, q.size, r.size), dtype=np.complex128)
-            w = ordered_product(outer[:, :, None], inner[:, None, :], w)
-            w = w.reshape(node.size, -1)[:, :size]
-            parts.append(pairwise_sum(ordered_product(u[k:k + size], w, w).T))
-        out[lo:lo + rows] = np.abs(pairwise_sum(np.array(parts)))
+    for first in range(0, m.size, batch):
+        node = m[first:first + batch, None]
+        turns = np.concatenate(((node * r) & mask, (node * q) & mask), axis=1).view(np.uint64)
+        both = _phases(np.left_shift(turns, np.uint64(64 - p), out=turns))
+        for lo in range(0, node.size, rows):
+            inner, outer = both[lo:lo + rows, :r.size], both[lo:lo + rows, r.size:]
+            parts = []
+            for k in range(0, N, _BLOCK):
+                size = min(_BLOCK, N - k)
+                row = outer[:, k // r.size:(k + size - 1) // r.size + 1]
+                w = np.empty((row.shape[0], row.shape[1], r.size), dtype=np.complex128)
+                w = ordered_product(row[:, :, None], inner[:, None, :], w)
+                w = w.reshape(row.shape[0], -1)[:, :size]
+                parts.append(pairwise_sum(ordered_product(u[k:k + size], w, w).T))
+            out[first + lo:first + lo + rows] = np.abs(pairwise_sum(np.array(parts)))
     return out / N
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
-from .numerics import frac, frac_poly, from_turns, ordered_product, turn_sum, unit_phase
+from .numerics import frac, from_turns, ordered_product, phase, poly_turns, turn_sum, unit_phase
 from .systems import (AnzaiSkew, Observable, System, _check_system, check_times,
                       eval_observable_many, integer_frequency, orbit_coords)
 
@@ -261,7 +261,7 @@ class PolynomialPhase(WeightSequence):
             raise ValueError(f"coefficients must be finite, got {self.coefficients}")
 
     def eval_many(self, n):
-        return unit_phase(frac_poly(self.coefficients, n))
+        return phase(poly_turns(self.coefficients, n))
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,8 @@ class HeisenbergNilseq(WeightSequence):
     the skew's times, where n(n-1) fits in int64, while |n g.b| + |base.b| < 2**50
     (floor(Y), Y = n g.b + base.b, is then exact) and the twist multiplier
     floor(Y) n fits in int64; `DomainError` past any of them. With |g.b|,
-    |base.b| < 1 that is every time.
+    |base.b| < 1 that is every time. A character e(m x + k y) is `numerics.phase` of the
+    uint64 turn m X + k Y, with no float coordinate between.
     """
 
     g: HeisenbergElement
@@ -327,6 +328,16 @@ class HeisenbergNilseq(WeightSequence):
         (ga, gb, gc), (u, v, w) = astuple(self.g), astuple(self.base)
         if top * abs(gb) + abs(v) >= 2.0**50:
             raise DomainError("Heisenberg |n g.b| + |base.b| reaches 2^50: floor(Y) inexact")
+        if isinstance(self.func, TorusChar):  # e(m X + k Y) is the phase of a uint64 sum
+            # no twist is formed, but its guard holds: floor(Y) is monotone in n, so its
+            # largest |floor(Y)| is at the first or last time, exact in Python
+            ends = (int(n.min()), int(n.max())) if n.size else ()
+            check_times(np.array([math.floor(t * Fraction(gb) + Fraction(v)) for t in ends]),
+                        e=top)
+            x, y = turn_sum([(n, ga)], [u]), turn_sum([(n, gb)], [v])
+            x *= np.uint64(self.func.m % 2**64)
+            x += np.multiply(y, np.uint64(self.func.k % 2**64), out=y)
+            return phase(x)
         # raw point e = g^n * base = (X, Y, Z); reduce by the lattice element
         # gamma = (p, q, r) with q = -floor(Y): x and z shift by integers (the
         # function only sees them through integer-frequency phases) but the

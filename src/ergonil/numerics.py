@@ -1,8 +1,8 @@
 """The numeric kernels every layer shares: points of the circle as exact uint64 turns
-(`turn_sum`, `to_turns`, `from_turns`), polynomial values mod 1 (`frac_poly`), unit phases,
-the ordered complex product and a fixed-shape pairwise summation tree. Exact integer
-arithmetic on lattices is int64 and lives with its system (`systems.mat_pow_mod`,
-`systems.lattice_orbit`).
+(`turn_sum`, `to_turns`, `from_turns`), polynomial values mod 1 (`poly_turns`, `frac_poly`),
+the phase e(U / 2**64) of a turn (`phase`), the ordered complex product and a fixed-shape
+pairwise summation tree. Exact integer arithmetic on lattices is int64 and lives with its
+system (`systems.mat_pow_mod`, `systems.lattice_orbit`).
 
 A turn is a uint64 U standing for the point U / 2**64 of T = R/Z, so reduction mod 1 is the
 wraparound of uint64 arithmetic, which numpy's array sums and products do exactly and without
@@ -16,10 +16,14 @@ a warning. The kernels rely on these facts:
   turn, so each such part is within 2**-52 of exact on the circle;
 * uint64 -> float64 conversion rounds once, to nearest, so a sum of one-word parts becomes the
   correctly rounded coordinate; a value that rounds to 1.0 is reported as 0.0;
-* integers below 2**53 are exact, so base-2**24 digits multiply exactly.
+* integers below 2**53 are exact, so base-2**24 digits multiply exactly, and the low 53 bits
+  of a turn are one exact double.
 
-`frac` (r = x - floor(x), then r - 1 where r >= 1) and `unit_phase` (cos and sin of
-theta*2pi, which is how numpy's complex exp evaluates exp((2j*pi)*theta)) keep float inputs.
+Every phase is `phase` of a turn: a table entry for its top 11 bits times short Taylor
+polynomials for the rest, in real arithmetic in a fixed order (Tang's table-lookup method,
+IEEE ARITH 1991), within `PHASE_BOUND` = 1.8 * 2**-52 of exact and with bits that do not
+depend on the CPU. `frac` (r = x - floor(x), then r - 1 where r >= 1) and `unit_phase`
+(`phase` of `to_turns(theta)`) keep float inputs.
 """
 
 from __future__ import annotations
@@ -88,10 +92,10 @@ def to_turns(x):
     return np.where(part < 0, np.negative(u), u)
 
 
-def from_turns(u, out=None):
+def from_turns(u):
     """The floats of turns u in [0, 1): u / 2**64 rounded once to nearest, 0.0 where that
-    is 1.0. `out` is an optional float buffer of u's shape."""
-    x = np.multiply(u, 2.0**-64, out=np.empty(np.shape(u)) if out is None else out)
+    is 1.0."""
+    x = np.multiply(u, 2.0**-64, out=np.empty(np.shape(u)))
     return np.subtract(x, 1.0, out=x, where=x >= 1.0)
 
 
@@ -126,8 +130,9 @@ def _power_digits(n, j, places, memo):
     return memo[j]
 
 
-def frac_poly(coefficients, n):
-    """frac(c0 + c1*n + ... + cd*n**d), exact mod 1, one vectorized path for int64 n.
+def poly_turns(coefficients, n):
+    """c0 + c1*n + ... + cd*n**d mod 1 as uint64 turns of n's shape, for int64 times n: what
+    `frac_poly` rounds, and what `PolynomialPhase` takes its phase from.
 
     The form of each non-integer c_j n**j is chosen per coefficient, so no value depends on the
     other times. Where j = 1 or c_j has at most 64 fractional bits, n**j is one int64 multiplier:
@@ -152,23 +157,85 @@ def frac_poly(coefficients, n):
         elif j and bits[j]:
             products.append((n_arr**j, c))
     out = np.broadcast_to(turn_sum(products, terms=(coefficients[0],)), n_arr.shape)
-    return float(from_turns(out[0])) if np.ndim(n) == 0 else from_turns(out)
+    return out.reshape(np.shape(n))
 
 
-def unit_phase(theta):
-    """exp(2*pi*i*theta) for theta already reduced to [0, 1).
+def frac_poly(coefficients, n):
+    """frac(c0 + c1*n + ... + cd*n**d), exact mod 1 and then rounded once (`poly_turns`,
+    `from_turns`), one vectorized path for int64 n; a float for a scalar n."""
+    out = from_turns(poly_turns(coefficients, n))
+    return float(out) if np.ndim(n) == 0 else out
 
-    cos and sin of theta*2pi go straight into the real and imaginary parts of
-    the output; the bits are those of np.exp((2j*pi)*theta), which evaluates
-    exp(0 + i 2pi theta) through the same cos and sin.
+
+_TABLE_BITS = 11  # e(j / 2048) from a table; the low 53 bits of a turn by a polynomial
+_LOW_BITS = 64 - _TABLE_BITS
+_LOW = np.uint64((1 << _LOW_BITS) - 1)
+_RADIANS = 2.0 * np.pi * 2.0**-64  # one turn unit in radians, rounded once
+
+
+def _tables():
+    """cos and sin of 2 pi j / 2048 for j < 2048: long double values on the first octant,
+    rounded once to double; the rest by exact swaps and negations, so the quarter turns are
+    exact (and no entry is -0.0)."""
+    size = 1 << _TABLE_BITS
+    eighth, quarter = size // 8, size // 4
+    angle = np.arange(eighth + 1, dtype=np.longdouble) * (2 * np.arccos(np.longdouble(-1)) / size)
+    c, s = np.cos(angle).astype(np.float64), np.sin(angle).astype(np.float64)
+    c, s = np.concatenate((c, s[-2::-1]))[:quarter], np.concatenate((s, c[-2::-1]))[:quarter]
+    return np.concatenate((c, -s, -c, s)) + 0.0, np.concatenate((s, c, -s, -c)) + 0.0
+
+
+_COS, _SIN = _tables()
+
+# |phase(U) - e(U / 2**64)| for every uint64 U, as README derives it: per unit of modulus, one
+# rounding each of the table entry, of cos(phi) near 1 (half as much), of the product with it and
+# of the final difference or sum, plus 0.03 * 2**-52 for everything of the size of sin(phi)
+PHASE_BOUND = 1.8 * 2.0**-52
+
+
+def phase(turns):
+    """e(U / 2**64) for uint64 turns U, within `PHASE_BOUND` of exact.
+
+    The top 11 bits of U pick e(j / 2048) = Tc + i Ts from the tables; the low 53 bits are
+    one exact double r, and phi = r 2 pi 2**-64 < 2 pi / 2048 gives c = 1 - phi**2/2 +
+    phi**4/24 and s = phi (1 - phi**2/6 + phi**4/120) in Horner form. The phase is
+    (Tc c - Ts s) + i (Tc s + Ts c) in real arithmetic in this order: no complex product, so
+    no step can take an FMA and the bits do not depend on the CPU. The quarter turns are
+    exact. Temporaries: five float arrays of U's size.
     """
-    out = np.empty(np.shape(theta), dtype=np.complex128)
-    x = np.multiply(theta, 2.0 * np.pi, out=out.imag)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
+    turns = np.asarray(turns, dtype=np.uint64)
+    out = np.empty(turns.shape, dtype=np.complex128)
+    u, z = turns.reshape(-1), out.reshape(-1)  # 1-d views: ufuncs give scalars for 0-d arrays
+    phi = np.bitwise_and(u, _LOW).view(np.float64)  # r < 2**53, converted exactly
+    np.multiply(phi.view(np.uint64), _RADIANS, out=phi)
+    phi2 = np.multiply(phi, phi)
+    s = np.multiply(phi2, 1 / 120)
+    s += -1 / 6
+    s *= phi2
+    s += 1
+    s *= phi
+    c = np.multiply(phi2, 1 / 24, out=phi)  # phi is not read again
+    c += -0.5
+    c *= phi2
+    c += 1
+    j = np.right_shift(u, np.uint64(_LOW_BITS), out=phi2.view(np.uint64)).view(np.int64)
+    tc, ts = np.take(_COS, j), np.take(_SIN, j)
+    part = np.multiply(ts, s, out=phi2)  # j is not read again
+    np.multiply(tc, c, out=z.real)
+    np.subtract(z.real, part, out=z.real)
+    s *= tc
+    c *= ts
+    np.add(s, c, out=z.imag)
     # an array that owns its data: numpy elides `phase * w` into `phase *= w` only
     # then, and otherwise may run `w *= phase`, whose complex product rounds differently
     return out if out.ndim else out[()]
+
+
+def unit_phase(theta):
+    """e(theta) for finite float theta: `phase` of `to_turns(theta)`, the exact turn where
+    theta has at most 64 fractional bits, so within `PHASE_BOUND` of e(theta) there and within
+    `PHASE_BOUND` + 2 pi 2**-64 otherwise. NaN or inf raises DomainError."""
+    return phase(to_turns(theta))
 
 
 def ordered_product(x, y, into):

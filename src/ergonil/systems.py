@@ -23,9 +23,9 @@ Automorphism orbits are exact int64 modular arithmetic (`mat_pow_mod`,
 `lattice_orbit`): below 2^31 every residue sum 2(q-1)^2 of a 2x2 mat-vec fits
 in int64, and a residue p becomes the turn floor(p 2^64 / q), exact in 64 bits.
 An observable reads k . x as the uint64 sum of k_i X_i, exact for every integer
-frequency, and rounds it to a float phase once. A time past the declared domain
-(`check_times`), including an exponent times n, raises `DomainError` before it
-can round or wrap.
+frequency, and takes its phase from that turn (`numerics.phase`), with no float angle
+between. A time past the declared domain (`check_times`), including an exponent times n,
+raises `DomainError` before it can round or wrap.
 
 Rotation and skew angles may be declared either as decimal literals (treated
 as irrational) or as `fractions.Fraction` (treated as rational). Downstream
@@ -44,7 +44,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, UnsupportedSystemError
-from .numerics import _WORD, from_turns, to_turns, turn_sum, unit_phase
+from .numerics import _WORD, from_turns, phase, to_turns, turn_sum
 
 Angle = Union[float, Fraction]
 
@@ -264,6 +264,12 @@ def integer_frequency(value) -> int:
     return int(value)
 
 
+def _frequency(freq) -> tuple[int, ...]:
+    """A frequency vector as ints: a tuple, list or ndarray of integers, or one integer."""
+    return tuple(map(integer_frequency, np.atleast_1d(freq) if isinstance(freq, np.ndarray)
+                     else freq if isinstance(freq, (tuple, list)) else (freq,)))
+
+
 @dataclass(frozen=True)
 class Observable:
     """Finite trigonometric polynomial sum(c_k * e(k . x)) on T^d.
@@ -279,8 +285,7 @@ class Observable:
         seen = set()
         canon = []
         for freq, coeff in self.terms:
-            f = tuple(map(integer_frequency,
-                          freq if isinstance(freq, (tuple, list, np.ndarray)) else (freq,)))
+            f = _frequency(freq)
             if len(f) != self.dimension:
                 raise DimensionMismatchError(
                     f"frequency {f} has length {len(f)}, system dimension is {self.dimension}"
@@ -299,7 +304,7 @@ class Observable:
         return float(sum(abs(c) for _, c in self.terms))
 
     def coefficient(self, freq) -> complex:
-        f = tuple(map(integer_frequency, freq if isinstance(freq, (tuple, list)) else (freq,)))
+        f = _frequency(freq)
         for g, c in self.terms:
             if g == f:
                 return c
@@ -318,8 +323,7 @@ def observable(terms, dimension: int | None = None) -> Observable:
     if dimension is None:
         if not terms:
             raise ValueError("cannot infer dimension of an empty observable")
-        f = terms[0][0]
-        dimension = len(f) if isinstance(f, (tuple, list, np.ndarray)) else 1
+        dimension = len(_frequency(terms[0][0]))
     return Observable(dimension, tuple(terms))
 
 
@@ -409,7 +413,7 @@ def eval_observable(obs: Observable, x) -> complex:
 def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an (N, d) array of turns, as `orbit_coords` returns; float
     coordinates are read mod 1 through `to_turns`. Each k . x is the uint64 sum of the
-    k_i X_i, exact for every integer frequency, rounded once to its float phase."""
+    k_i X_i, exact for every integer frequency, and its phase is `numerics.phase` of that turn."""
     if coords.shape[-1] != obs.dimension:
         raise DimensionMismatchError(
             f"coords dimension {coords.shape[-1]} != observable dimension {obs.dimension}"
@@ -417,7 +421,6 @@ def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
     if coords.dtype != np.uint64:
         coords = to_turns(coords)
     out = np.zeros(coords.shape[0], dtype=np.complex128)
-    theta = np.empty(coords.shape[0])  # one phase buffer for all terms keeps peak RSS down
     for freq, coeff in obs.terms:
         if not any(freq):  # e(0) is exactly 1, so the term is its coefficient
             out += coeff
@@ -428,7 +431,7 @@ def eval_observable_many(obs: Observable, coords: np.ndarray) -> np.ndarray:
                 kx += coords[:, i] * np.uint64(k % _WORD)
         # the temporary goes first: numpy's elision turns `c * f()` into f() * c
         # on large arrays, and the order of a complex product moves its last bit
-        out += unit_phase(from_turns(kx, theta)) * coeff
+        out += phase(kx) * coeff
     return out
 
 

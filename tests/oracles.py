@@ -167,6 +167,24 @@ def unit_exact(theta: Fraction) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
+_PI_LONG = np.arccos(np.longdouble(-1))
+
+
+def turn_of(theta: Fraction) -> int:
+    """theta mod 1 as the nearest uint64 turn U, theta = U / 2^64 within 2^-65."""
+    return round(theta % 1 * 2**64) % 2**64
+
+
+def phase_distance(got, turns) -> np.ndarray:
+    """|got - e(U / 2^64)| for uint64 turns U, all in long double: U / 2^64 is exact there and
+    is taken to [-1/2, 1/2) exactly, so the reference errs by about 2^-62 (an x87 long double)."""
+    t = np.asarray(turns, dtype=np.uint64).astype(np.longdouble) / np.longdouble(2.0**64)
+    a = (2 * _PI_LONG) * np.where(t >= 0.5, t - 1, t)
+    got = np.asarray(got, dtype=np.complex128)
+    return np.hypot(got.real.astype(np.longdouble) - np.cos(a),
+                    got.imag.astype(np.longdouble) - np.sin(a))
+
+
 def heisenberg_reduced_exact(g, base, n: int):
     """g^n * base = (n a + u, n b + v, n c + a b n(n-1)/2 + w + n a v) by the group law
     in exact rationals, reduced with q = -floor(Y) as `HeisenbergNilseq` reduces it."""

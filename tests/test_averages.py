@@ -57,7 +57,7 @@ from ergonil.errors import (
     SequenceTooShortError,
     UnsupportedSystemError,
 )
-from ergonil.numerics import ordered_product, pairwise_mean, pairwise_sum, unit_phase
+from ergonil.numerics import ordered_product, pairwise_mean, pairwise_sum, phase, unit_phase
 from ergonil.systems import eval_observable_many
 
 import oracles
@@ -241,26 +241,30 @@ class TestSweepCertificate:
     @given(p=st.integers(12, 28), m=st.integers(0, (1 << 28) - 1),
            j=st.integers(0, (1 << 20) + 3))
     @settings(max_examples=300, deadline=None)
-    def test_factored_phase_is_within_eight_ulps(self, p, m, j):
-        # e(q m / 2^p) e(r m / 2^p) against e(j m / 2^p) reduced in exact rationals
+    def test_factored_phase_is_within_its_bound(self, p, m, j):
+        # e(q m / 2^p) e(r m / 2^p) against e(j m / 2^p) reduced in exact rationals, taken in
+        # long double, whose own error is far below the 2^-58 allowed for it
         m %= 1 << p
         got = complex(_factored_phase(m, np.array([j]), p)[0])
-        assert abs(got - oracles.unit_exact(oracles.Fraction(j * m, 1 << p))) <= 8 * 2.0**-52
+        turn = oracles.turn_of(oracles.Fraction(j * m, 1 << p))  # exact: a dyadic angle
+        assert oracles.phase_distance(got, turn) <= averages.FACTORED_PHASE_BOUND + 2.0**-58
 
     def test_a_node_pays_two_short_rows_of_phases(self, monkeypatch):
-        # a revert to one phase per term and node evaluates N phases per node
+        # a revert to one phase per term and node evaluates N phases per node; and no kernel
+        # call is longer than `_PHASE_CALL`, whose larger temporaries raise the peak RSS
         N, m, p = 1 << 15, np.array([1, 3, 12345677], dtype=np.int64), 26
         counted = []
 
-        def counting(theta):
-            counted.append(np.size(theta))
-            return unit_phase(theta)
+        def counting(turns):
+            counted.append(np.size(turns))
+            return phase(turns)
 
-        monkeypatch.setattr(averages, "unit_phase", counting)
+        monkeypatch.setattr(averages, "phase", counting)
         averages._node_values(_sweep_input("random", N, np.random.default_rng(0)), m, p)
         rows, F = max(1, _BLOCK // N), averages._FACTOR
         blocks = [min(_BLOCK, N - k) for k in range(0, N, _BLOCK)] * -(-m.size // rows)
         assert 0 < sum(counted) <= sum(rows * (-(-size // F) + F) for size in blocks)
+        assert max(counted) <= averages._PHASE_CALL
 
     def test_memory_is_the_coarse_fft_and_a_few_blocks(self):
         # the levels hold a few `_BLOCK`-term blocks and the nodes they keep, never an

@@ -1,8 +1,8 @@
 """Numerics: the uint64 turn kernels (`turn_sum`, `to_turns`, `from_turns`) and the
 mod-1 polynomial kernel `frac_poly` against exact rational arithmetic, over all of
 int64 and every small degree: bit for bit where every part has one word, within the
-stated bound where a part has a second word; `frac` and `unit_phase` against their
-allocating references, bit for bit."""
+stated bound where a part has a second word; `frac` against its allocating reference, bit
+for bit; `phase` and `unit_phase` within `PHASE_BOUND` of a long-double reference."""
 
 import math
 import tracemalloc
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergonil import DomainError, PolynomialPhase
 from ergonil import numerics
-from ergonil.numerics import (frac, frac_poly, from_turns, ordered_product, to_turns, turn_sum,
-                              unit_phase)
+from ergonil.numerics import (PHASE_BOUND, frac, frac_poly, from_turns, ordered_product, phase,
+                              to_turns, turn_sum, unit_phase)
 
 import oracles
 from oracles import circle_distance, rounded
@@ -369,30 +369,92 @@ class TestTurnConversions:
             warnings.warn("wrapped", RuntimeWarning)
 
 
-def _phase_reference(theta):
-    return np.exp((2j * np.pi) * theta)
+TABLE_EDGES = [(j << 53) + d for j in range(2048) for d in (-1, 0, 1) if 0 <= (j << 53) + d < WORD]
+
+
+def _within_bound(turns):
+    # the long-double reference errs by about 2^-62; 2^-58 is allowed for it
+    got = phase(np.array(turns, dtype=np.uint64))
+    assert oracles.phase_distance(got, turns).max() <= PHASE_BOUND + 2.0**-58
+    return got
+
+
+class TestPhase:
+    """`phase(U)` = e(U / 2^64) within `PHASE_BOUND` of exact, from its 2048-entry tables and
+    short polynomials: README derives the bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(turns=st.lists(st.integers(0, WORD - 1), min_size=1, max_size=64))
+    def test_within_the_bound_at_every_turn(self, turns):
+        _within_bound(turns)
+
+    def test_within_the_bound_at_the_ends_and_every_table_edge(self):
+        _within_bound([0, 1, 2, WORD - 2, WORD - 1] + TABLE_EDGES)
+
+    def test_random_block_within_the_bound(self):
+        _within_bound(np.random.default_rng(11).integers(0, WORD, 1 << 16, dtype=np.uint64))
+
+    def test_quarter_turns_are_exact(self):
+        got = phase(np.array([0, 1 << 62, 2 << 62, 3 << 62], dtype=np.uint64))
+        assert got.tolist() == [1, 1j, -1, -1j]
+        assert not np.signbit(got.view(np.float64)[[1, 2, 5, 6]]).any()  # no -0.0
+        assert phase(np.uint64(0)) == 1 and np.ndim(phase(np.uint64(0))) == 0
+
+    def test_a_block_adds_its_output_and_five_temporaries(self):
+        # the complex output (two block-sized float arrays) and five block-sized float
+        # temporaries: more of them would raise the peak memory of every average
+        turns = np.random.default_rng(2).integers(0, WORD, BLOCK, dtype=np.uint64)
+        phase(turns)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            phase(turns)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 + 5) * 8 * BLOCK + 4096, peak / (8 * BLOCK)
 
 
 class TestUnitPhase:
+    """`unit_phase(theta)` is `phase` of theta's turn (`to_turns`): bit for bit that on every
+    float, so exact turns for dyadic theta, and within the bound of e(theta) for every finite
+    theta (plus 2 pi 2^-64 where theta has more than 64 fractional bits)."""
+
     def assert_same_bits(self, theta):
-        got, want = unit_phase(theta), _phase_reference(theta)
-        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.complex128
+        got, want = unit_phase(theta), phase(to_turns(theta))
+        assert np.shape(got) == np.shape(theta) and np.asarray(got).dtype == np.complex128
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        return got
 
     def test_random_theta(self):
-        self.assert_same_bits(np.random.default_rng(3).random(1 << 16))
+        theta = np.random.default_rng(3).random(1 << 16)
+        got = self.assert_same_bits(theta)
+        turns = [oracles.turn_of(Fraction(t)) for t in theta.tolist()]  # exact: 53 bits
+        assert oracles.phase_distance(got, turns).max() <= PHASE_BOUND + 2.0**-58
 
     @pytest.mark.parametrize("p", [1, 2, 3, 8, 13, 24, 30, 52])
     def test_dyadic_theta(self, p):
+        # theta = k / 2^p is the exact turn k 2^(64 - p), so unit_phase is phase of it
         k = np.random.default_rng(p).integers(0, 1 << p, 4096, dtype=np.int64)
-        self.assert_same_bits(k / float(1 << p))
+        got = self.assert_same_bits(k / float(1 << p))
+        assert got.tobytes() == phase(k.view(np.uint64) << np.uint64(64 - p)).tobytes()
 
     def test_quarter_turns_and_the_top_of_the_circle(self):
-        theta = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
-        self.assert_same_bits(theta)
+        theta = np.array([0.0, 0.25, 0.5, 0.75, -0.25, 3.0, np.nextafter(1.0, 0.0)])
+        got = self.assert_same_bits(theta)
+        assert got[:6].tolist() == [1, 1j, -1, -1j, -1j, 1]
+        assert abs(got[6] - 1) <= PHASE_BOUND + 2 * np.pi * 2.0**-53
         for v in theta:
             self.assert_same_bits(v)
             self.assert_same_bits(float(v))
+
+    @pytest.mark.parametrize("theta", [-0.25, 3.7, -3.7, 0.1, -1e-30, 1e-30, 2.0**-70 + 0.5,
+                                       1e300, -123456.789, np.nextafter(0.5, 0.0)])
+    def test_any_finite_theta_within_the_bound(self, theta):
+        got = self.assert_same_bits(np.array([theta]))
+        turn = oracles.turn_of(Fraction(theta))  # the nearest turn, within 2^-65
+        allowed = PHASE_BOUND + 2 * np.pi * 2.0**-64 + 2.0**-58
+        assert oracles.phase_distance(got, [turn]).max() <= allowed
 
     def test_zero_d_one_element_and_rows(self):
         rng = np.random.default_rng(5)

@@ -421,6 +421,18 @@ class TestObservables:
         with pytest.raises(ValueError, match="integer"):
             observable([((1,), 0.5)]).coefficient(frequency)
 
+    @pytest.mark.parametrize("frequency", [(1, 1), [1, 1], np.array([1, 1]),
+                                           np.array([1.0, 1.0]), (np.int64(1), 1.0)])
+    def test_coefficient_takes_every_frequency_spelling_the_constructor_takes(self, frequency):
+        obs = observable([((0, 1), 1), ((1, 1), 0.5)])
+        assert obs.coefficient(frequency) == 0.5
+        assert observable([(frequency, 0.5)]) == observable([((1, 1), 0.5)])
+
+    @pytest.mark.parametrize("frequency", [3, np.int64(3), np.array(3), np.array([3]), [3.0]])
+    def test_a_circle_frequency_takes_every_spelling(self, frequency):
+        line = observable([((3,), 0.25)])
+        assert line.coefficient(frequency) == 0.25 and observable([(frequency, 0.25)]) == line
+
     def test_integral_float_frequency_accepted(self):
         assert observable([((1.0, np.float64(-2.0)), 0.5)]) == observable([((1, -2), 0.5)])
 
