@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, SequenceTooShortError
-from .numerics import frac, from_turns, ordered_product, phase, poly_turns, turn_sum, unit_phase
+from .numerics import from_turns, ordered_product, phase, poly_turns, to_turns, turn_sum
 from .systems import (AnzaiSkew, Observable, System, _check_system, check_times,
                       eval_observable_many, integer_frequency, orbit_coords)
 
@@ -65,16 +65,18 @@ def reduce_fundamental(e: HeisenbergElement):
     Deterministic choice: p = -floor(a), q = -floor(b), then r lands the
     (already shifted) center coordinate in [0, 1). Idempotent.
     """
-    p = -int(np.floor(e.a))
-    q = -int(np.floor(e.b))
+    p, q = -math.floor(e.a), -math.floor(e.b)
     c_shift = e.c + e.a * q
-    r = -int(np.floor(c_shift))
-    reduced = HeisenbergElement(
-        float(frac(np.float64(e.a))),
-        float(frac(np.float64(e.b))),
-        float(frac(np.float64(c_shift))),
-    )
-    return reduced, (p, q, r)
+    r = -math.floor(c_shift)
+    parts = (e.a + p, e.b + q, c_shift + r)  # t - floor(t): exact, or rounded up to 1.0
+    return HeisenbergElement(*(t if t < 1.0 else 0.0 for t in parts)), (p, q, r)
+
+
+def _flat(*coords):
+    """The shape of float coordinates broadcast together, and each as a 1-d array (a uint64
+    scalar, unlike an array, warns where turn arithmetic wraps)."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in coords))
+    return arrays[0].shape, [a.reshape(-1) for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +86,8 @@ def reduce_fundamental(e: HeisenbergElement):
 
 @dataclass(frozen=True)
 class TorusChar:
-    """F(x, y, z) = e(m x + k y): exactly invariant, descends to the base torus."""
+    """F(x, y, z) = e(m x + k y): exactly invariant, descends to the base torus. Its value is
+    the phase of the uint64 sum m X + k Y of the turns of x and y (`eval_turns`)."""
 
     m: int
     k: int
@@ -95,8 +98,15 @@ class TorusChar:
     def __post_init__(self):  # e(1.5 x) is not lattice-invariant
         integer_frequency(self.m), integer_frequency(self.k)
 
+    def eval_turns(self, X, Y):
+        """F at uint64 turns X and Y, arrays of one shape, at least 1-d; both are overwritten."""
+        X *= np.uint64(self.m % 2**64)
+        X += np.multiply(Y, np.uint64(self.k % 2**64), out=Y)
+        return phase(X)
+
     def eval_raw(self, x, y, z):
-        return unit_phase(frac(self.m * np.asarray(x) + self.k * np.asarray(y)))
+        shape, (x, y) = _flat(x, y)
+        return self.eval_turns(to_turns(x), to_turns(y)).reshape(shape)[()]
 
 
 THETA_TAIL = 2.0**-64  # the most mass a theta window may drop, per element
@@ -111,10 +121,14 @@ class ThetaType:
     bump of the given width. The window shift under a lattice translate
     cancels the z-cocycle exactly, so F is Gamma-invariant.
 
-    Each element sums only its window j = j0 - R .. j0 + R - 1 with
-    j0 = -floor(y). Every dropped term has |y + j| >= R, so the dropped mass is
+    Each element sums only its window j = -j0 - R .. -j0 + R - 1 with
+    j0 = floor(y). Every dropped term has |y + j| >= R, so the dropped mass is
     at most `tail_bound` <= `THETA_TAIL`; R (`window`) is the smallest
     half-width for which that holds, 4 for width 1.
+
+    Phases are of the uint64 products ell X, ell Z of turns (`eval_turns`). `eval_raw` reads
+    float x, z as turns and folds e(-ell j0 x) into Z exactly; `DomainError` at a non-finite
+    coordinate or where j0 leaves int64.
     """
 
     ell: int
@@ -158,44 +172,44 @@ class ThetaType:
         return self._tail(self.window)
 
     def eval_raw(self, x, y, z):
-        x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, z)))
-        R = self.window
-        lo, hi = (float(y.min()), float(y.max())) if y.size else (0.0, 0.0)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("a theta section needs finite y")
-        # window term k is w(y + j0 + k) e(ell (j0 + k) x) with j0 = -floor(y); the
-        # factor e(ell j0 x) is taken out, and it is 1 at every reduced point (j0 = 0).
+        shape, (x, y, z) = _flat(x, y, z)
+        if y.size and not (-2.0**63 <= y.min() and y.max() < 2.0**63):
+            raise DomainError("a theta section needs finite y with floor(y) in int64")
+        j0 = np.floor(y)
+        x, z = to_turns(x), to_turns(z)
+        z -= np.multiply(j0.astype(np.int64).view(np.uint64), x)  # e(ell (z - j0 x))
+        # y - j0 is exact, or rounds up to 1.0, where the window still holds the same terms
+        return self.eval_turns(x, np.subtract(y, j0, out=j0), z).reshape(shape)[()]
+
+    def eval_turns(self, X, y, Z):
+        """F at uint64 turns X and Z and floats y in [0, 1], arrays of one shape, at least
+        1-d: the window's term j is w(y + j) e(ell j x), times e(ell z)."""
+        R, ell = self.window, np.uint64(self.ell % 2**64)
         # Down the window the phases are the conjugates of those up it: stepping by
         # the conjugate of e(ell x) gives them bit for bit.
-        phase = unit_phase(frac(self.ell * x))
+        first = phase(np.multiply(X, ell))  # e(ell x)
         acc = np.zeros(y.shape, dtype=np.complex128)
         val, prod = np.empty(y.shape), np.empty(y.shape)
 
-        def bump(shift):  # w(y + j0 + shift) = exp(-pi ((y + j0 + shift) / width)^2) into val
-            # y - floor(y) is exact, so y + j0 + shift rounds as y + j does alone
-            np.floor(y, out=val)
-            np.add(np.subtract(y, val, out=val), shift, out=val)
+        def bump(shift):  # w(y + shift) = exp(-pi ((y + shift) / width)^2) into val
+            np.add(y, shift, out=val)
             np.divide(val, self.width, out=val)
             np.square(val, out=val)
             np.multiply(val, -np.pi, out=val)
             return np.exp(val, out=val)
 
         acc.real[...] = bump(0)
-        power, step = phase, np.empty_like(phase)
+        power, step = first, np.empty_like(first)
         for k in range(1, R + 1):
             if k > 1:
-                power = ordered_product(phase, power, step)  # e(ell k x)
+                power = ordered_product(first, power, step)  # e(ell k x)
             for shift, add in ((k, np.add), (-k, np.subtract)):
                 if shift < R:  # the window's top shift is R - 1
                     np.add(acc.real, np.multiply(bump(shift), power.real, out=prod), out=acc.real)
                     add(acc.imag, np.multiply(val, power.imag, out=prod), out=acc.imag)
-        del phase, power, step, val, prod
-        if lo < 0 or hi >= 1:  # points off the fundamental domain, as in check_gamma_invariance
-            moved = (y < 0) | (y >= 1)
-            j0 = -np.floor(y[moved])
-            acc[moved] = unit_phase(frac(self.ell * j0 * x[moved])) * acc[moved]
+        del first, power, step, val, prod
         # operand order as in eval_observable_many
-        return ordered_product(unit_phase(frac(self.ell * z)), acc, acc)
+        return ordered_product(phase(np.multiply(Z, ell)), acc, acc)
 
 
 @dataclass(frozen=True)
@@ -302,8 +316,9 @@ class HeisenbergNilseq(WeightSequence):
     the skew's times, where n(n-1) fits in int64, while |n g.b| + |base.b| < 2**50
     (floor(Y), Y = n g.b + base.b, is then exact) and the twist multiplier
     floor(Y) n fits in int64; `DomainError` past any of them. With |g.b|,
-    |base.b| < 1 that is every time. A character e(m x + k y) is `numerics.phase` of the
-    uint64 turn m X + k Y, with no float coordinate between.
+    |base.b| < 1 that is every time. F takes the turns of the reduced point (`eval_turns`):
+    a character X and Y, with no float coordinate between, and a theta section X and Z,
+    with y a float.
     """
 
     g: HeisenbergElement
@@ -334,10 +349,7 @@ class HeisenbergNilseq(WeightSequence):
             ends = (int(n.min()), int(n.max())) if n.size else ()
             check_times(np.array([math.floor(t * Fraction(gb) + Fraction(v)) for t in ends]),
                         e=top)
-            x, y = turn_sum([(n, ga)], [u]), turn_sum([(n, gb)], [v])
-            x *= np.uint64(self.func.m % 2**64)
-            x += np.multiply(y, np.uint64(self.func.k % 2**64), out=y)
-            return phase(x)
+            return self.func.eval_turns(turn_sum([(n, ga)], [u]), turn_sum([(n, gb)], [v]))
         # raw point e = g^n * base = (X, Y, Z); reduce by the lattice element
         # gamma = (p, q, r) with q = -floor(Y): x and z shift by integers (the
         # function only sees them through integer-frequency phases) but the
@@ -351,7 +363,7 @@ class HeisenbergNilseq(WeightSequence):
         floor_y = floor_y.astype(np.int64)
         z -= turn_sum([(floor_y * n, ga), (floor_y, u)])
         del floor_y  # free each length-N temporary after its last use: lower peak
-        return self.func.eval_raw(from_turns(turn_sum([(n, ga)], [u])), y, from_turns(z))
+        return self.func.eval_turns(turn_sum([(n, ga)], [u]), y, z)
 
 
 @dataclass(frozen=True)

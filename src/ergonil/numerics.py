@@ -1,8 +1,8 @@
 """The numeric kernels every layer shares: points of the circle as exact uint64 turns
-(`turn_sum`, `to_turns`, `from_turns`), polynomial values mod 1 (`poly_turns`, `frac_poly`),
-the phase e(U / 2**64) of a turn (`phase`), the ordered complex product and a fixed-shape
-pairwise summation tree. Exact integer arithmetic on lattices is int64 and lives with its
-system (`systems.mat_pow_mod`, `systems.lattice_orbit`).
+(`turn_sum`, `from_turns`, and `to_turns` for float coordinates), polynomial values mod 1
+(`poly_turns`, `frac_poly`), the phase e(U / 2**64) of a turn (`phase`), the ordered complex
+product and a fixed-shape pairwise summation tree. Exact integer arithmetic on lattices is
+int64 and lives with its system (`systems.mat_pow_mod`, `systems.lattice_orbit`).
 
 A turn is a uint64 U standing for the point U / 2**64 of T = R/Z, so reduction mod 1 is the
 wraparound of uint64 arithmetic, which numpy's array sums and products do exactly and without
@@ -22,8 +22,8 @@ a warning. The kernels rely on these facts:
 Every phase is `phase` of a turn: a table entry for its top 11 bits times short Taylor
 polynomials for the rest, in real arithmetic in a fixed order (Tang's table-lookup method,
 IEEE ARITH 1991), within `PHASE_BOUND` = 1.8 * 2**-52 of exact and with bits that do not
-depend on the CPU. `frac` (r = x - floor(x), then r - 1 where r >= 1) and `unit_phase`
-(`phase` of `to_turns(theta)`) keep float inputs.
+depend on the CPU. No kernel takes a float angle: a caller holding float coordinates reads
+them as turns (`to_turns`) and takes phases of uint64 sums and products of those.
 """
 
 from __future__ import annotations
@@ -36,19 +36,6 @@ import numpy as np
 from .errors import DomainError
 
 _WORD = 1 << 64  # one turn is 2**64 units
-
-
-def frac(x):
-    """Fractional part in [0, 1), exact, elementwise.
-
-    Values within half an ulp below an integer round to that integer's
-    fractional part 0.0 rather than returning 1.0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    np.floor(x, out=out)
-    np.subtract(x, out, out=out)
-    return np.subtract(out, 1.0, out=out, where=out >= 1.0)
 
 
 def _split(b):
@@ -229,13 +216,6 @@ def phase(turns):
     # an array that owns its data: numpy elides `phase * w` into `phase *= w` only
     # then, and otherwise may run `w *= phase`, whose complex product rounds differently
     return out if out.ndim else out[()]
-
-
-def unit_phase(theta):
-    """e(theta) for finite float theta: `phase` of `to_turns(theta)`, the exact turn where
-    theta has at most 64 fractional bits, so within `PHASE_BOUND` of e(theta) there and within
-    `PHASE_BOUND` + 2 pi 2**-64 otherwise. NaN or inf raises DomainError."""
-    return phase(to_turns(theta))
 
 
 def ordered_product(x, y, into):

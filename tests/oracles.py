@@ -161,12 +161,6 @@ def heisenberg_products_exact(g, count: int):
     return out
 
 
-def unit_exact(theta: Fraction) -> complex:
-    """e(theta) with theta reduced mod 1 in exact rationals first."""
-    t = 2 * math.pi * float(theta % 1)
-    return complex(math.cos(t), math.sin(t))
-
-
 _PI_LONG = np.arccos(np.longdouble(-1))
 
 
@@ -175,11 +169,23 @@ def turn_of(theta: Fraction) -> int:
     return round(theta % 1 * 2**64) % 2**64
 
 
+def _turn_angle(turns) -> np.ndarray:
+    """2 pi U / 2^64 in long double for uint64 turns U, taken to [-pi, pi) exactly first."""
+    t = np.asarray(turns, dtype=np.uint64).astype(np.longdouble) / np.longdouble(2.0**64)
+    return (2 * _PI_LONG) * np.where(t >= 0.5, t - 1, t)
+
+
+def unit_exact(theta: Fraction) -> complex:
+    """e(theta) with theta reduced mod 1 in exact rationals, to the nearest turn (within
+    2^-65) and then in long double (`phase_distance`), so within about 2^-61 of exact."""
+    a = _turn_angle([turn_of(theta)])[0]
+    return complex(float(np.cos(a)), float(np.sin(a)))
+
+
 def phase_distance(got, turns) -> np.ndarray:
     """|got - e(U / 2^64)| for uint64 turns U, all in long double: U / 2^64 is exact there and
     is taken to [-1/2, 1/2) exactly, so the reference errs by about 2^-62 (an x87 long double)."""
-    t = np.asarray(turns, dtype=np.uint64).astype(np.longdouble) / np.longdouble(2.0**64)
-    a = (2 * _PI_LONG) * np.where(t >= 0.5, t - 1, t)
+    a = _turn_angle(turns)
     got = np.asarray(got, dtype=np.complex128)
     return np.hypot(got.real.astype(np.longdouble) - np.cos(a),
                     got.imag.astype(np.longdouble) - np.sin(a))
@@ -317,20 +323,6 @@ def cube_average_brute(s1, s2, H: int) -> complex:
                     g2 += p2
                 total += (g1 / base) * (g2 / base)
     return total / H**3
-
-
-# Reference fractional part: the allocating form of `ergonil.numerics.frac`, kept unchanged so
-# the in-place kernel can be pinned bit for bit.
-
-
-def frac(x):
-    """Fractional part in [0, 1), exact, elementwise.
-
-    Values within half an ulp below an integer round to that integer's
-    fractional part 0.0 rather than returning 1.0.
-    """
-    r = x - np.floor(x)
-    return np.where(r >= 1.0, r - 1.0, r)
 
 
 # Reference box walk: the one-offset-tuple-at-a-time form that `ergonil.seminorms` had

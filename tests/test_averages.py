@@ -57,7 +57,7 @@ from ergonil.errors import (
     SequenceTooShortError,
     UnsupportedSystemError,
 )
-from ergonil.numerics import ordered_product, pairwise_mean, pairwise_sum, phase, unit_phase
+from ergonil.numerics import ordered_product, pairwise_mean, pairwise_sum, phase
 from ergonil.systems import eval_observable_many
 
 import oracles
@@ -190,7 +190,8 @@ def _factored_phase(m: int, j: np.ndarray, p: int) -> np.ndarray:
     """e(j m / 2^p) as `_node_values` forms it: e(q m / 2^p) * e(r m / 2^p), j = q + r with
     q a multiple of `_FACTOR` and 0 <= r < `_FACTOR`, each argument reduced mod 2^p."""
     r = j % averages._FACTOR
-    return np.multiply(*(unit_phase(((m * x) & ((1 << p) - 1)) / (1 << p)) for x in (j - r, r)))
+    return np.multiply(*(phase(((m * x) & ((1 << p) - 1)).astype(np.uint64) << np.uint64(64 - p))
+                         for x in (j - r, r)))
 
 
 class TestSweepCertificate:

@@ -37,6 +37,7 @@ from ergonil.averages import orbit_terms
 from ergonil.errors import ConfigError, DimensionMismatchError, DomainError, UnsupportedSystemError
 from ergonil.harness import build_weight
 from ergonil.nilseq import THETA_TAIL, THETA_WIDTH_RANGE, WeightSequence
+from ergonil.numerics import PHASE_BOUND, from_turns
 from ergonil.systems import SKEW_MAX_TIME
 
 import oracles
@@ -94,12 +95,14 @@ class TestFundamentalDomain:
 
     def test_idempotent_and_in_cube(self):
         rng = np.random.default_rng(13)
-        for _ in range(10**4):
-            e = HeisenbergElement(*(10 * rng.normal(size=3)))
+        # a fractional part that rounds to 1.0 is 0.0, as is -0.0's and a large integer's
+        edges = [HeisenbergElement(-1e-17, -0.0, 2.0**52 + 1),
+                 HeisenbergElement(-0.0, -5e-324, 1e300)]
+        for e in edges + [HeisenbergElement(*(10 * rng.normal(size=3))) for _ in range(10**4)]:
             red, gamma = reduce_fundamental(e)
             assert all(isinstance(v, int) for v in gamma)
             for v in (red.a, red.b, red.c):
-                assert 0.0 <= v < 1.0
+                assert 0.0 <= v < 1.0 and math.copysign(1.0, v) == 1.0
             again, gamma2 = reduce_fundamental(red)
             assert again == red and gamma2 == (0, 0, 0)
 
@@ -143,8 +146,9 @@ class TestGammaInvariance:
 
 
 # (ell, shift, width): lattice translates reach |shift| in each coordinate; the three
-# widths have windows R = 4, 2 and 8
-THETA_CASES = [(1, 8, 1.0), (2, 8, 0.5), (3, 6, 2.0)]
+# widths have windows R = 4, 2 and 8. At ell = 10^6 the phases are still exact turns, and a
+# float ell x would miss the section by about 1e-10.
+THETA_CASES = [(1, 8, 1.0), (2, 8, 0.5), (3, 6, 2.0), (10**6, 8, 1.0)]
 
 
 class TestThetaWindow:
@@ -197,12 +201,13 @@ class TestThetaWindow:
         want = np.array([oracles.theta_exact(ell, width, *pt) for pt in exact])
         assert np.abs(w.eval_many(n) - want).max() <= 1e-12
         # at the reduced point as floats the window misses the full sum by at most the
-        # reported budget plus roundings: e(ell x) carries about pi ell eps from the
-        # rounding of ell x, and each of its R steps adds that and one product's 2 eps
+        # reported budget plus roundings: each of e(ell x)'s R steps adds one product's
+        # 2 eps, and a turn of x or z may be cut by 2^-64, which e(ell k x) (k <= R) and
+        # e(ell z) carry as at most R + 1 times 2 pi |ell| 2^-64 = 2 pi |ell| 2^-12 eps
         pts = np.array([[float(c) for c in pt] for pt in exact])
         at_floats = np.array([oracles.theta_exact(ell, width, *pt) for pt in pts])
         err = np.abs(theta.eval_raw(*pts.T) - at_floats).max()
-        ulps = 4 + theta.window * (np.pi * abs(ell) + 2)
+        ulps = 4 + 2 * theta.window + (theta.window + 1) * 2 * np.pi * abs(ell) * 2.0**-12
         assert err <= w.error_budget + ulps * w.bound * np.finfo(float).eps, (err, ulps)
         # translated by shift in y, each point sums its own window: still the full sum
         x, y, z = pts.T
@@ -253,6 +258,54 @@ class TestThetaWindow:
         assert check_gamma_invariance(th, 500, 1e-13).passed
         with pytest.raises(DomainError):
             th.eval_raw(0.3, np.nan, 0.0)
+
+    def test_points_far_past_float_precision_are_the_full_sum(self):
+        # floor(y) x is folded into z's turn exactly: a float ell floor(y) x would keep no
+        # fractional bits at y = 1e17 (and missed the sum by 0.66 there)
+        th = ThetaType(1)
+        x = np.array([0.3, 0.3, 0.7, 2.0**-40 + 0.1, -0.45])
+        y = np.array([1e17, -1e17, 2.0**62 + 2.0**10, -(2.0**63), 12345678.9])
+        z = np.array([0.0, 0.2, -3.5, 0.9, 1e9 + 0.25])
+        want = [oracles.theta_exact(1, 1.0, *pt) for pt in zip(x, y, z)]
+        assert np.abs(th.eval_raw(x, y, z) - want).max() <= th.tail_bound + 1e-14
+        assert abs(th.eval_raw(0.3, 1e17, 0.0) - want[0]) <= 1e-14
+
+    @pytest.mark.parametrize("y", [2.0**63, -(2.0**63) * (1 + 2.0**-52), 1e300, -np.inf, np.inf])
+    def test_y_past_int64_floors_raises(self, y):
+        # floor(y) must be an int64 multiplier of x's turn; just inside both ends it is
+        th = ThetaType(2)
+        assert np.isfinite(th.eval_raw(0.3, [np.nextafter(2.0**63, 0.0), -(2.0**63)], 0.1)).all()
+        with pytest.raises(DomainError, match="int64"):
+            th.eval_raw(0.3, [0.5, y], 0.1)
+
+
+class TestFloatEntryPoints:
+    """`eval_raw` of both section functions reads float coordinates as turns."""
+
+    @pytest.mark.parametrize("F", [TorusChar(2**40, -3), TorusChar(-5, 2**40), ThetaType(3),
+                                   ThetaType(-(10**6), width=0.5)])
+    def test_zero_d_and_broadcast_points_have_the_bits_of_each_point_alone(self, F):
+        # turn arithmetic on a uint64 scalar would warn where it wraps (an error here)
+        x, y, z = np.array([[0.3], [-2.7], [1e6 + 0.1]]), np.array([0.7, -4.25, 31.5, 0.0]), 0.2
+        whole = F.eval_raw(x, y, z)
+        assert whole.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                alone = F.eval_raw(x[i, 0], y[j], z)
+                assert np.ndim(alone) == 0 and alone.dtype == np.complex128
+                assert complex(alone) == complex(whole[i, j])
+                assert F.eval_raw(np.array(x[i, 0]), np.array(y[j]), np.array(z)) == alone
+
+    @pytest.mark.parametrize("m, k", [(2**40, -2**33), (2**40 - 1, 2**40), (-3, 2**40 + 7),
+                                      (-(2**40), 1), (1, 0)])
+    def test_torus_char_within_the_phase_bound_at_large_frequencies(self, m, k):
+        # x and y have 53 fractional bits at most, so m X + k Y is the exact turn; a float
+        # m x + k y near 2^39 is a multiple of 2^-13 (and missed by 3.8e-4 at m = 2^40)
+        x, y = np.random.default_rng(11).random((2, 256))
+        turns = [oracles.turn_of(m * oracles.Fraction(a) + k * oracles.Fraction(b))
+                 for a, b in zip(x.tolist(), y.tolist())]
+        got = TorusChar(m, k).eval_raw(x, y, 0.0)
+        assert oracles.phase_distance(got, turns).max() <= PHASE_BOUND + 2.0**-58
 
 
 class TestWeights:
@@ -445,12 +498,12 @@ class TestOrbitWeight:
 
 
 class _Coordinates:
-    """Probe F returning the reduced point (x, y, z) itself."""
+    """Probe F returning the reduced point (x, y, z) itself, x and z rounded from their turns."""
 
     bound = 1.0
 
-    def eval_raw(self, x, y, z):
-        return np.stack([x, y, z], axis=-1)
+    def eval_turns(self, X, y, Z):
+        return np.stack([from_turns(X), y, from_turns(Z)], axis=-1)
 
 
 def _reduced_exact(g, base, n):

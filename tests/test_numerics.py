@@ -1,8 +1,8 @@
 """Numerics: the uint64 turn kernels (`turn_sum`, `to_turns`, `from_turns`) and the
 mod-1 polynomial kernel `frac_poly` against exact rational arithmetic, over all of
 int64 and every small degree: bit for bit where every part has one word, within the
-stated bound where a part has a second word; `frac` against its allocating reference, bit
-for bit; `phase` and `unit_phase` within `PHASE_BOUND` of a long-double reference."""
+stated bound where a part has a second word; `phase`, and the phase of a float's turn,
+within `PHASE_BOUND` of a long-double reference."""
 
 import math
 import tracemalloc
@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergonil import DomainError, PolynomialPhase
+from ergonil import DomainError, PolynomialPhase, TorusChar
 from ergonil import numerics
-from ergonil.numerics import (PHASE_BOUND, frac, frac_poly, from_turns, ordered_product, phase,
-                              to_turns, turn_sum, unit_phase)
+from ergonil.numerics import (PHASE_BOUND, frac_poly, from_turns, ordered_product, phase, to_turns,
+                              turn_sum)
 
 import oracles
 from oracles import circle_distance, rounded
@@ -169,40 +169,6 @@ class TestFracPoly:
 
 
 BLOCK = 1 << 14  # the block length of `averages.orbit_terms`
-
-
-class TestFrac:
-    def test_negative_zero_gives_positive_zero(self):
-        for f in (frac, oracles.frac):
-            assert np.asarray(f(-0.0)).tobytes() == np.float64(0.0).tobytes()
-            assert f(np.array([-0.0, 0.0])).tobytes() == np.zeros(2).tobytes()
-
-    def test_half_an_ulp_below_an_integer_gives_zero(self):
-        # x - floor(x) = 1 - tiny rounds to 1.0, which is reported as 0.0
-        x = np.array([-(2.0**-54), -1e-17, -(2.0**-60), -5e-324])
-        assert (frac(x) == 0.0).all()
-        assert frac(-(2.0**-53)) == 1.0 - 2.0**-53  # one ulp below 1 stays
-
-    def test_values_past_2_52_are_integers(self):
-        x = np.array([2.0**52, 2.0**52 + 1, 2.0**53 + 2, 1e300, -(2.0**52), -(2.0**53) - 2, -1e300])
-        assert (frac(x) == 0.0).all()
-        assert frac(2.0**52 - 0.5) == 0.5
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, 3, BLOCK, BLOCK + 1]),
-           top=st.integers(-2, 60))
-    def test_matches_the_reference_bit_for_bit(self, seed, length, top):
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, length) * 2.0**top
-        got = frac(x)
-        assert got.tobytes() == oracles.frac(x).tobytes()
-        assert ((got >= 0.0) & (got < 1.0)).all()
-        for v in x[:3]:  # 0-d inputs
-            assert np.asarray(frac(v)).tobytes() == np.asarray(oracles.frac(v)).tobytes()
-
-    def test_leaves_its_input_alone(self):
-        x = np.array([0.5, -1.25, 3.75])
-        frac(x)
-        assert x.tolist() == [0.5, -1.25, 3.75]
 
 
 WORD = 1 << 64
@@ -400,6 +366,21 @@ class TestPhase:
         assert not np.signbit(got.view(np.float64)[[1, 2, 5, 6]]).any()  # no -0.0
         assert phase(np.uint64(0)) == 1 and np.ndim(phase(np.uint64(0))) == 0
 
+    def test_zero_d_one_element_and_rows_keep_their_shape_and_bits(self):
+        turns = np.random.default_rng(5).integers(0, WORD, (3, 1000), dtype=np.uint64)
+        rows = phase(turns)
+        assert rows.shape == turns.shape and rows.dtype == np.complex128
+        assert rows[1:2, :1].tobytes() == phase(turns[1:2, :1]).tobytes()
+        assert phase(turns[1]).tobytes() == rows[1].tobytes()
+        assert np.ndim(phase(turns[1, 7])) == 0 and phase(turns[1, 7]) == rows[1, 7]
+        assert phase(turns[:0]).shape == (0, 1000)
+
+    def test_output_owns_its_data(self):
+        # numpy only elides `phase * other` into `phase *= other` on arrays that own
+        # their data; otherwise it may swap the operands, which moves the last bit
+        turns = np.random.default_rng(7).integers(0, WORD, BLOCK, dtype=np.uint64)
+        assert phase(turns).base is None and phase(turns.reshape(2, -1)).base is None
+
     def test_a_block_adds_its_output_and_five_temporaries(self):
         # the complex output (two block-sized float arrays) and five block-sized float
         # temporaries: more of them would raise the peak memory of every average
@@ -415,15 +396,21 @@ class TestPhase:
         assert peak <= (2 + 5) * 8 * BLOCK + 4096, peak / (8 * BLOCK)
 
 
+def unit_phase(theta):
+    """e(theta) at a float coordinate, as the float entry points take it: `TorusChar(1, 0)`."""
+    return TorusChar(1, 0).eval_raw(theta, 0.0, 0.0)
+
+
 class TestUnitPhase:
-    """`unit_phase(theta)` is `phase` of theta's turn (`to_turns`): bit for bit that on every
-    float, so exact turns for dyadic theta, and within the bound of e(theta) for every finite
-    theta (plus 2 pi 2^-64 where theta has more than 64 fractional bits)."""
+    """The unit phase e(theta) of a float coordinate theta is `phase` of its turn (`to_turns`)
+    at every shape: exact turns for dyadic theta, and within the bound of e(theta) for every
+    finite theta (plus 2 pi 2^-64 where theta has more than 64 fractional bits)."""
 
     def assert_same_bits(self, theta):
-        got, want = unit_phase(theta), phase(to_turns(theta))
+        got = unit_phase(theta)
         assert np.shape(got) == np.shape(theta) and np.asarray(got).dtype == np.complex128
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        flat = np.asarray(theta, dtype=np.float64).reshape(-1)
+        assert np.asarray(got).tobytes() == phase(to_turns(flat)).tobytes()
         return got
 
     def test_random_theta(self):
@@ -465,11 +452,6 @@ class TestUnitPhase:
         # the sweep's (rows, N) phase block of the dyadic nodes
         r, j, p = np.arange(5, dtype=np.int64), np.arange(2048, dtype=np.int64), 20
         self.assert_same_bits(((r[:, None] * j) & ((1 << p) - 1)) / float(1 << p))
-
-    def test_output_owns_its_data(self):
-        # numpy only elides `phase * other` into `phase *= other` on arrays that own
-        # their data; otherwise it may swap the operands, which moves the last bit
-        assert unit_phase(np.random.default_rng(7).random(BLOCK)).base is None
 
 
 class TestOrderedProduct:
