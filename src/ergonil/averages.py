@@ -16,19 +16,26 @@ nonzero) and whose weight b is optional. It is the only code that evaluates a
 weight over a range of times: weight samples (`weight_samples`) and the
 seminorm module's orbit products are its terms.
 `_weighted` multiplies built terms f1 f2 by one more weight, so the dual
-twists e(s n t) and the vanishing average each read one base built once.
+twists e(s n t) read each chunk of the pair terms once, and the vanishing
+average reads one base built once.
 A frequency t is the weight `PolynomialPhase((0, t))` and a polynomial p is
 `PolynomialPhase(p)`; an absent weight is skipped, not multiplied as ones.
 Factors multiply in the fixed order f1 * ... * fk * b, so the exact reductions
 (t = 0, constant weights) hold bit for bit. Observables and weights fix their
 operand order too, so no term's bits depend on the array length, and the core
 fills its output in cache-sized blocks of `_BLOCK` times after checking all of
-them. `run_schedule` builds one average's terms once, at the largest scheduled
-N, for one reducer: `means`, the mean of each scheduled prefix on the pairwise
-tree it would get alone, equal bit for bit to the one-shot value (its
-one-point case); `sups(eps)`, the certified sup over t of each prefix (the
-Wiener-Wintner sup of the Birkhoff terms); or `dual_norms`, the
-auxiliary-system norm of the pair terms. The sup is one coarse FFT,
+them. `run_schedule` checks one average's whole range of times at the largest
+scheduled N (`stream_terms`) and hands the unbuilt terms to one reducer:
+`means`, the mean of each scheduled prefix on the pairwise tree it would get
+alone, equal bit for bit to the one-shot value (its one-point case); `sups(eps)`,
+the certified sup over t of each prefix (the Wiener-Wintner sup of the Birkhoff
+terms); or `dual_norms`, the auxiliary-system norm of the pair terms. `means`,
+`dual_norms`, the one-shot means and the Cesaro means build the terms in chunks
+of `_STREAM` = 2^16 times into one reused buffer and `_fold` keeps one sum per
+chunk: the pairwise tree sums each aligned chunk alone, so the mean at N is the
+tree over the chunk sums below N and the partial chunk's sum, bit for bit. Such a
+mean holds a few chunks at any N, not N terms; `sups` still builds all N terms,
+because its FFT reads them together. The sup is one coarse FFT,
 then levels of halving spacing around the nodes whose Bernstein bound could
 still pass the running maximum by eps/2, in blocks of at most `_BLOCK` terms;
 a node's phases e(j m / 2^p) are the outer product of two rows of at most
@@ -69,6 +76,10 @@ MAX_SUP_GRID = 1 << 28  # finest sweep resolution; eps floor is pi*(N-1)*U / thi
 _COARSE_MIN = 1 << 12  # coarse FFT size: a power of two >= 16N, within these
 _COARSE_CAP = 1 << 22  # (but never below N)
 _BLOCK = 1 << 14  # times per block of `orbit_terms`: 2^13 to 2^16 measured alike, 2^12 slower
+# times per streamed chunk (a power of two, so the pairwise tree sums each chunk alone), four
+# blocks: chunks of one block freed only block-sized arrays, which kept glibc's dynamic trim
+# threshold low, and took six times the page faults of 2^16 chunks
+_STREAM = 4 * _BLOCK
 _FACTOR = math.isqrt(_BLOCK)  # a sweep node's phases are rows of e(q m / 2^p) times e(r m / 2^p)
 _PHASE_CALL = 1 << 12  # the most phases per kernel call in the sweep
 # |e(q m / 2^p) e(r m / 2^p) - e(j m / 2^p)|: each factor within PHASE_BOUND, and the complex
@@ -98,17 +109,9 @@ def check_exponents(*exponents: int):
         raise InvalidExponentsError(f"exponents must be distinct and nonzero, got {exponents}")
 
 
-def orbit_terms(system: System | None, x0, n: np.ndarray, factors=(),
-                weight: WeightSequence | None = None) -> np.ndarray:
-    """Terms f1(T^{a1 n} x0) * ... * fk(T^{ak n} x0) * weight(n) on the int64 times `n`,
-    for `factors` = ((f1, a1), ..., (fk, ak)); the empty product is 1.
-
-    The exponents, the weight's length, the point and each factor's times are
-    checked on the whole of `n`, once. Then the terms are built into one output
-    `_BLOCK` times at a time from the system's closed form, so every temporary
-    is block-sized; each term depends on its own time only, so the blocks
-    change no bits.
-    """
+def _check_terms(system: System | None, x0, n: np.ndarray, factors, weight):
+    """The checks of the terms at every time from n.min() to n.max(): the exponents, the
+    weight's length, each factor's times and the point. Returns the checked point."""
     check_exponents(*(e for _, e in factors))
     if weight is not None and weight.length is not None and n.size and n.max() >= weight.length:
         raise SequenceTooShortError(
@@ -116,9 +119,12 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, factors=(),
         )
     for _, e in factors:
         check_times(n, system, e)  # before e * n can round or wrap in int64
-    x0 = _check_system(system).check_point(x0) if factors else x0  # once, not in every block
+    return _check_system(system).check_point(x0) if factors else x0  # once, not in every block
 
-    out = np.empty(n.size, dtype=np.complex128)
+
+def _build_terms(system: System | None, x0, n: np.ndarray, factors, weight,
+                 out: np.ndarray) -> np.ndarray:
+    """The terms at the checked times `n` into out[:n.size], `_BLOCK` times at a time."""
     for lo in range(0, n.size, _BLOCK):
         t = n[lo:lo + _BLOCK]
         # the weight is evaluated first, while no other term block is alive: its
@@ -132,7 +138,60 @@ def orbit_terms(system: System | None, x0, n: np.ndarray, factors=(),
         if factors and w is not None:
             terms = ordered_product(terms, w, terms)
         out[lo:lo + t.size] = terms
-    return out
+    return out[:n.size]
+
+
+def orbit_terms(system: System | None, x0, n: np.ndarray, factors=(),
+                weight: WeightSequence | None = None) -> np.ndarray:
+    """Terms f1(T^{a1 n} x0) * ... * fk(T^{ak n} x0) * weight(n) on the int64 times `n`,
+    for `factors` = ((f1, a1), ..., (fk, ak)); the empty product is 1.
+
+    The exponents, the weight's length, the point and each factor's times are
+    checked on the whole of `n`, once. Then the terms are built into one output
+    `_BLOCK` times at a time from the system's closed form, so every temporary
+    is block-sized; each term depends on its own time only, so the blocks
+    change no bits.
+    """
+    x0 = _check_terms(system, x0, n, factors, weight)
+    return _build_terms(system, x0, n, factors, weight, np.empty(n.size, dtype=np.complex128))
+
+
+@dataclass(frozen=True)
+class TermStream:
+    """The terms of `orbit_terms` at the times first .. first + N - 1, checked (`stream_terms`)
+    but not built: a reducer reads them in chunks of `_STREAM` times or as one array."""
+    system: System | None
+    x0: object  # the checked point
+    factors: tuple
+    weight: WeightSequence | None
+    first: int
+    N: int
+
+    def array(self) -> np.ndarray:
+        """All N terms in one array, for a reducer that needs them together."""
+        n = _times(self.N, self.first)
+        return _build_terms(self.system, self.x0, n, self.factors, self.weight,
+                            np.empty(n.size, dtype=np.complex128))
+
+    def chunks(self):
+        """(times, terms) of each `_STREAM` times in turn, each in one buffer that the next
+        chunk overwrites."""
+        n = _times(min(_STREAM, self.N), self.first)
+        buf = np.empty(n.size, dtype=np.complex128)
+        for lo in range(0, self.N, _STREAM):
+            t = n[:self.N - lo]
+            yield t, _build_terms(self.system, self.x0, t, self.factors, self.weight, buf)
+            n += _STREAM
+
+
+def stream_terms(system: System | None, x0, N: int, factors=(),
+                 weight: WeightSequence | None = None, first: int = 1) -> TermStream:
+    """The terms of `orbit_terms` at the times first .. first + N - 1, every check of the
+    whole range made now, on its end points, and no term built."""
+    _check_count(N)
+    x0 = _check_terms(system, x0, np.array([first, first + N - 1], dtype=np.int64), factors,
+                      weight)
+    return TermStream(system, x0, tuple(factors), weight, first, N)
 
 
 def weight_samples(w: WeightSequence, length: int, start: int = 0) -> np.ndarray:
@@ -151,9 +210,31 @@ def prefix_means(terms: np.ndarray, schedule) -> list[complex]:
     return [complex(pairwise_sum(terms[:n]) / n) for n in schedule]
 
 
+def _fold(chunks, schedule) -> list:
+    """`prefix_means` of the rows of `chunks`, consecutive arrays of `_STREAM` rows (the last
+    may be shorter) that end at the last scheduled N, holding one sum per chunk.
+
+    The pairwise tree pairs adjacent rows and carries an odd last row to the end of its
+    level, so on N rows it sums each aligned `_STREAM`-row chunk below N alone, and the rows
+    of the partial chunk alone, before it adds any two of them: the mean at N is
+    pairwise_sum([S_0, .., S_{q-1}, pairwise_sum(partial)]) / N, bit for bit. A 2-d chunk
+    sums each column as it would alone, and its mean is a list, one complex per column.
+    """
+    sums, out, todo = [], [], list(schedule)
+    for lo, c in zip(itertools.count(0, _STREAM), chunks):
+        while todo and todo[0] <= lo + len(c):
+            N = todo.pop(0)
+            total = pairwise_sum(np.array(sums + [pairwise_sum(c[:N - lo])]))
+            out.append(complex(total / N) if np.ndim(total) == 0
+                       else [complex(v / N) for v in total])
+        if todo:
+            sums.append(pairwise_sum(c))
+    return out
+
+
 def _mean(system: System, x0, N: int, factors, weight: WeightSequence | None = None) -> complex:
     """(1/N) sum over n = 1 .. N of `orbit_terms(system, x0, n, factors, weight)`."""
-    return prefix_means(orbit_terms(system, x0, _times(N), factors, weight), [N])[0]
+    return means(stream_terms(system, x0, N, factors, weight), [N])["values"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +417,45 @@ def check_auxiliary(system_s: System, g_list) -> list[Observable]:
     return g_list
 
 
-def _dual_expansion(base: np.ndarray, n: np.ndarray, system_s: RotationTorus, g_list,
-                    schedule) -> list[tuple[dict[int, complex], float]]:
-    """Coefficients {K: c_K(N)} in y of the auxiliary average and their L2 norm, per N.
-
-    With S^{in} y = y + i n t, a tuple (k_1, .., k_m) of g-frequencies adds
-    C e(K y) e(s n t), where K = sum k_i, s = sum i k_i and C is the product
-    of its coefficients; so c_K(N) = sum_s C_{K,s} A_s(N) with A_s(N) =
-    (1/N) sum f1 f2 e(s n t): `_weighted` twists `base`, f1 f2 at the times `n`.
-    The norm is exact by Parseval, sqrt(sum_K |c_K|^2) summed in increasing K.
-    """
-    weights: dict[tuple[int, int], complex] = {}  # (K, s) -> C_{K,s}
+def _dual_weights(g_list) -> dict[tuple[int, int], complex]:
+    """{(K, s): C_{K,s}}: with S^{in} y = y + i n t, a tuple (k_1, .., k_m) of g-frequencies
+    adds C e(K y) e(s n t), where K = sum k_i, s = sum i k_i and C is the product of its
+    coefficients."""
+    weights: dict[tuple[int, int], complex] = {}
     for combo in itertools.product(*(g.terms for g in g_list)):
         ks = [f[0] for f, _ in combo]
         key = (sum(ks), sum(i * k for i, k in enumerate(ks, 1)))
         weights[key] = weights.get(key, 0j) + math.prod(c for _, c in combo)
+    return weights
+
+
+def _dual_expansion(terms: TermStream, system_s: RotationTorus, g_list,
+                    schedule) -> list[tuple[dict[int, complex], float]]:
+    """Coefficients {K: c_K(N)} in y of the auxiliary average and their L2 norm, per N.
+
+    c_K(N) = sum_s C_{K,s} A_s(N) (`_dual_weights`) with A_s(N) = (1/N) sum f1 f2 e(s n t):
+    each chunk of the pair terms f1 f2 is twisted by `_weighted` into one column per s, and
+    `_fold` sums the columns. The norm is exact by Parseval, sqrt(sum_K |c_K|^2) summed in
+    increasing K.
+    """
+    weights = _dual_weights(g_list)
+    shifts = sorted({s for _, s in weights})
+    for s in shifts:  # before s * n: e(s n t) is exact in the integer s * n
+        check_times(np.array([terms.first, terms.first + terms.N - 1]), e=s)
     twist = PolynomialPhase((0.0, system_s.alpha_floats[0]))  # at the times s * n
-    avgs = {}  # s -> A_s(N) at each scheduled N
-    for s in sorted({s for _, s in weights}):
-        check_times(n, e=s)  # before s * n: e(s n t) is exact in the integer s * n
-        avgs[s] = prefix_means(_weighted(base, s * n, twist) if s else base, schedule)
+
+    out = np.empty((len(shifts), min(_STREAM, terms.N)), dtype=np.complex128)
+
+    def twisted(n, base):  # one contiguous row per s; the fold reads the columns of .T
+        for i, s in enumerate(shifts):
+            out[i, :n.size] = _weighted(base, s * n, twist) if s else base
+        return out[:, :n.size].T
+
+    avgs = _fold((twisted(n, base) for n, base in terms.chunks()), schedule)  # per N, per s
     coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]
     for (K, s), C in sorted(weights.items()):
-        for c, A in zip(coeffs, avgs[s]):
-            c[K] += C * A
+        for c, A in zip(coeffs, avgs):
+            c[K] += C * A[shifts.index(s)]
     return [(c, math.sqrt(sum(abs(v) ** 2 for v in c.values()))) for c in coeffs]
 
 
@@ -371,9 +467,8 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
     S must be a circle rotation.
     """
     g_list = check_auxiliary(system_s, g_list)
-    n = _times(N)
-    base = orbit_terms(system, x0, n, ((obs1, a), (obs2, b)))
-    coeffs, l2 = _dual_expansion(base, n, system_s, g_list, [N])[0]
+    terms = stream_terms(system, x0, N, ((obs1, a), (obs2, b)))
+    coeffs, l2 = _dual_expansion(terms, system_s, g_list, [N])[0]
     return DualSystemResult(Observable(1, tuple(((K,), c) for K, c in coeffs.items())), l2)
 
 
@@ -382,16 +477,18 @@ def dual_system_avg(system: System, obs1: Observable, obs2: Observable, x0, a: i
 # ---------------------------------------------------------------------------
 
 
-def means(terms: np.ndarray, schedule) -> dict:
-    """The reducer of `run_schedule` to the mean of each scheduled prefix."""
-    return dict(values=prefix_means(terms, schedule))
+def means(terms: TermStream, schedule) -> dict:
+    """The reducer of `run_schedule` to the mean of each scheduled prefix, folded chunk by
+    chunk with the bits of `prefix_means`."""
+    return dict(values=_fold((t for _, t in terms.chunks()), schedule))
 
 
 def sups(eps: float):
     """The reducer to the certified sup over t, at `eps`, of each scheduled prefix."""
     _check_eps(eps)
-    def reduce(terms: np.ndarray, schedule) -> dict:
-        sup = tuple(sup_over_frequency(terms[:n], eps) for n in schedule)
+    def reduce(terms: TermStream, schedule) -> dict:
+        u = terms.array()  # the sweep's FFT reads all N terms
+        sup = tuple(sup_over_frequency(u[:n], eps) for n in schedule)
         return dict(values=[s.sup_value for s in sup], sup_data=sup)
     return reduce
 
@@ -399,8 +496,8 @@ def sups(eps: float):
 def dual_norms(system_s: RotationTorus, g_list):
     """The reducer to `dual_system_avg`'s Parseval norm; it checks S before any orbit pass."""
     g_list = check_auxiliary(system_s, g_list)
-    def reduce(terms: np.ndarray, schedule) -> dict:
-        expansion = _dual_expansion(terms, _times(schedule[-1]), system_s, g_list, schedule)
+    def reduce(terms: TermStream, schedule) -> dict:
+        expansion = _dual_expansion(terms, system_s, g_list, schedule)
         return dict(values=[l2 for _, l2 in expansion])
     return reduce
 
@@ -409,15 +506,15 @@ def run_schedule(system: System | None, x0, schedule, factors=(),
                  weight: WeightSequence | None = None, reduce=means) -> ConvergenceReport:
     """One average along an increasing schedule, in a single pass over n = 1 .. N.
 
-    `orbit_terms(system, x0, n, factors, weight)`, the core of the one-shot
-    functions, builds the terms once at the largest N; `reduce` is `means`, so
-    each A_N is the one-shot value bit for bit, `sups(eps)` (`ww_sup`'s sweep) or
-    `dual_norms(system_s, g_list)` (`dual_system_avg`'s norm). A reducer rebuilds
-    any times it needs, so none are held through it. A weight's own Cesaro
-    means, from n = 0, are `cesaro_nilseq`.
+    `stream_terms(system, x0, N, factors, weight)` checks the terms of the
+    core at every time up to the largest N before any is built; `reduce` reads
+    them: `means`, chunk by chunk, so each A_N is the one-shot value bit for bit,
+    `sups(eps)` (`ww_sup`'s sweep, all N terms at once) or
+    `dual_norms(system_s, g_list)` (`dual_system_avg`'s norm, chunk by chunk).
+    A weight's own Cesaro means, from n = 0, are `cesaro_nilseq`.
     """
     schedule = check_schedule(schedule)
-    terms = orbit_terms(system, x0, _times(schedule[-1]), factors, weight)
+    terms = stream_terms(system, x0, schedule[-1], factors, weight)
     return make_report(schedule, **reduce(terms, schedule),
                        error_budget=getattr(weight, "error_budget", 0.0))
 
@@ -425,5 +522,5 @@ def run_schedule(system: System | None, x0, schedule, factors=(),
 def cesaro_nilseq(w: WeightSequence, schedule) -> ConvergenceReport:
     """A_N = (1/N) sum_{n=0}^{N-1} w(n) for each N in an increasing schedule."""
     schedule = check_schedule(schedule)
-    return make_report(schedule, prefix_means(weight_samples(w, schedule[-1]), schedule),
-                       error_budget=w.error_budget)
+    return make_report(schedule, means(stream_terms(None, None, schedule[-1], weight=w, first=0),
+                                       schedule)["values"], error_budget=w.error_budget)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ergonil import (
     AnzaiSkew,
@@ -45,10 +45,13 @@ from ergonil.averages import (
     _BLOCK,
     MAX_SUP_GRID,
     _dual_expansion,
+    _mean,
     check_exponents,
     dual_norms,
     means,
     orbit_terms,
+    prefix_means,
+    stream_terms,
     sups,
 )
 from ergonil.errors import (
@@ -58,7 +61,7 @@ from ergonil.errors import (
     UnsupportedSystemError,
 )
 from ergonil.numerics import ordered_product, pairwise_mean, pairwise_sum, phase
-from ergonil.systems import eval_observable_many
+from ergonil.systems import SKEW_MAX_TIME, eval_observable_many
 
 import oracles
 
@@ -521,9 +524,8 @@ class TestDualSystem:
               observable([((0,), 0.4), ((1,), 0.6 - 0.1j)])]
 
         def expansion(schedule):
-            n = np.arange(1, schedule[-1] + 1, dtype=np.int64)
-            base = orbit_terms(anz, (0.2, 0.3), n, ((f1, 1), (f2, 2)))
-            return _dual_expansion(base, n, s, gs, schedule)[0]
+            terms = stream_terms(anz, (0.2, 0.3), schedule[-1], ((f1, 1), (f2, 2)))
+            return _dual_expansion(terms, s, gs, schedule)[0]
 
         assert expansion([100, 1 << 15]) == expansion([100])
 
@@ -541,7 +543,7 @@ class TestDualSystem:
         def no_orbit_pass(*args, **kwargs):
             raise AssertionError("orbit terms built before the auxiliary system was checked")
 
-        monkeypatch.setattr(averages, "orbit_terms", no_orbit_pass)
+        monkeypatch.setattr(averages, "_build_terms", no_orbit_pass)  # every term goes through it
         pair = (RotationTorus((PHI,)), (0.1,), [64], ((E1, 1), (E1, 2)))
         with pytest.raises(UnsupportedSystemError):
             run_schedule(*pair, reduce=dual_norms(AnzaiSkew(PHI), [E1]))
@@ -786,3 +788,103 @@ class TestSchedule:
         for bad in ([64, 64], [], [0, 64], [8.7, 16]):
             with pytest.raises(ValueError):
                 run_schedule(rot, (0.2,), bad, ((E1, 1),))
+
+
+_S = averages._STREAM
+# scheduled N anywhere in the first two chunks and at least one at a chunk's edges
+_STREAM_EDGES = [_S - 1, _S, _S + 1, 2 * _S + 1]
+_STREAM_SCHEDULES = st.tuples(
+    st.lists(st.integers(1, 2 * _S + 1), max_size=3),
+    st.lists(st.sampled_from(_STREAM_EDGES), min_size=1, max_size=4),
+).map(lambda parts: sorted(set(parts[0] + parts[1])))
+
+
+def _bits(values) -> list[str]:
+    """The exact bits of complex or real values, so -0.0 and 0.0 differ."""
+    return [v.hex() for z in values for v in (complex(z).real, complex(z).imag)]
+
+
+def _materialized_dual(system, x0, factors, system_s, gs, schedule):
+    """`_dual_expansion` on all N pair terms in one array: each twist e(s n t) of the whole
+    base, reduced by `prefix_means`."""
+    n = np.arange(1, schedule[-1] + 1, dtype=np.int64)
+    base = orbit_terms(system, x0, n, factors)
+    weights = averages._dual_weights(gs)
+    twist = PolynomialPhase((0.0, system_s.alpha_floats[0]))
+    avgs = {s: prefix_means(averages._weighted(base, s * n, twist) if s else base, schedule)
+            for s in {s for _, s in weights}}
+    coeffs = [dict.fromkeys(sorted({K for K, _ in weights}), 0j) for _ in schedule]
+    for (K, s), C in sorted(weights.items()):
+        for c, A in zip(coeffs, avgs[s]):
+            c[K] += C * A
+    return coeffs
+
+
+class TestStreamedMeans:
+    @settings(max_examples=6, deadline=None)
+    @given(schedule=_STREAM_SCHEDULES, x=st.floats(0, 0.999), y=st.floats(0, 0.999),
+           t=st.floats(-1, 1))
+    @example(schedule=sorted([1, 2, 100, _S + 1000] + _STREAM_EDGES), x=0.2, y=0.3, t=0.31)
+    def test_means_are_the_prefix_means_of_all_terms(self, schedule, x, y, t):
+        anz = AnzaiSkew(SQRT2M1)
+        factors = ((_F1, 1), (_F2, -2))
+        for weight in (None, PolynomialPhase((0.1, t, PHI))):
+            want = prefix_means(orbit_terms(anz, (x, y), np.arange(1, schedule[-1] + 1), factors,
+                                            weight), schedule)
+            assert _bits(run_schedule(anz, (x, y), schedule, factors, weight).values) == \
+                _bits(want)
+            assert _bits([_mean(anz, (x, y), schedule[0], factors, weight)]) == _bits(want[:1])
+        w = PolynomialPhase((0.1, t, PHI))
+        assert _bits(cesaro_nilseq(w, schedule).values) == \
+            _bits(prefix_means(weight_samples(w, schedule[-1]), schedule))
+
+    @settings(max_examples=4, deadline=None)
+    @given(schedule=_STREAM_SCHEDULES, x=st.floats(0, 0.999), y=st.floats(0, 0.999))
+    @example(schedule=sorted([1, 100, _S + 1000] + _STREAM_EDGES), x=0.2, y=0.3)
+    def test_dual_norms_are_the_materialized_expansion(self, schedule, x, y):
+        anz, s = AnzaiSkew(SQRT2M1), RotationTorus((PHI,))
+        factors = ((_F1, 1), (_F2, 2))
+        gs = [observable([((1,), 0.5 + 0.2j), ((-2,), 0.3j)]),
+              observable([((0,), 0.4), ((1,), 0.6 - 0.1j)])]
+        want = _materialized_dual(anz, (x, y), factors, s, gs, schedule)
+        got = _dual_expansion(stream_terms(anz, (x, y), schedule[-1], factors), s, gs, schedule)
+        assert [list(c) for c, _ in got] == [list(c) for c in want]
+        assert _bits(v for c, _ in got for v in c.values()) == \
+            _bits(v for c in want for v in c.values())
+        norms = run_schedule(anz, (x, y), schedule, factors, reduce=dual_norms(s, gs)).values
+        assert _bits(norms) == _bits(math.sqrt(sum(abs(v) ** 2 for v in c.values())) for c in want)
+
+    def test_a_long_mean_holds_a_few_chunks(self):
+        # all 2^22 terms and their int64 times would take 24 * 2^22 bytes (96 MiB); the
+        # stream holds one chunk of terms, the chunk's times and the core's block temporaries
+        # (3.7 MiB measured), within four chunks of terms and times (6 MiB)
+        rot, N = RotationTorus((PHI,)), 1 << 22
+        f = observable([((0,), 0.4), ((1,), 0.6), ((3,), 0.1j)])
+        double_avg(rot, f, f, (0.2,), 1, 2, 1 << 10)  # any lazy set-up outside the measure
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            double_avg(rot, f, f, (0.2,), 1, 2, N)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 24 * _S, peak / 2**20
+
+    def test_times_past_the_skew_limit_raise_before_any_coordinate(self, monkeypatch):
+        # only the last chunk's e * n passes the skew's limit, and no chunk is built before
+        # the DomainError; one exponent less and the same schedule builds its terms
+        anz, calls = AnzaiSkew(SQRT2M1), []
+        coords = AnzaiSkew.coords
+        monkeypatch.setattr(AnzaiSkew, "coords", lambda s, x, n: calls.append(n.size)
+                            or coords(s, x, n))
+        schedule = [1, 2 * _S + 1]
+        e = SKEW_MAX_TIME // schedule[-1] + 1
+        gs = [observable([((1,), 1.0)])]
+        for reduce in (means, sups(0.1), dual_norms(RotationTorus((PHI,)), gs)):
+            with pytest.raises(DomainError):
+                run_schedule(anz, (0.2, 0.3), schedule, ((_F1, 1), (_F2, e)), reduce=reduce)
+        with pytest.raises(DomainError):
+            double_avg(anz, _F1, _F2, (0.2, 0.3), 1, e, schedule[-1])
+        assert calls == []
+        run_schedule(anz, (0.2, 0.3), schedule, ((_F1, 1), (_F2, e - 1)))
+        assert sum(calls) == 2 * schedule[-1]
