@@ -27,9 +27,10 @@ are walked sorted, h_1 <= ... <= h_{k-1}, each tuple weighted by its
 multiplicity (k-1)!/prod(run length!): C(H+k-2, k-1) outer tuples of O(N)
 work each instead of H^{k-1}, or (2H)^k N for the literal box. The GHK
 recursion walks its offsets the same way. The order-3 cube average sorts only
-h_1 <= h_2, takes every h_3 by one sliding-window matrix-vector product and
-sums G1(h) G2(h) over h_3 by a dot product; both run through BLAS, not the
-pairwise tree, so its last bits depend on the BLAS kernel.
+h_1 <= h_2, forms s[n] s[n+h_1] once per h_1, takes each h_3 as sum_n d[n+h_3]
+d[n] for the order-2 product d by contiguous dot products over pieces of `_DOT`
+terms, summed on the pairwise tree, and sums G1(h) G2(h) over h_3 by a dot
+product. The dots run through BLAS, so its last bits depend on the BLAS kernel.
 
 Operand order: in every complex product a conjugated factor comes first,
 otherwise the running product does. Each product is written as
@@ -37,16 +38,21 @@ np.multiply(x, y, out=buf), since numpy's temporary elision swaps operands
 on arrays of 2^14 or more elements and a complex multiply rounds the two
 orders differently. Products go into buffers allocated once per call.
 
-Row blocks: each level is conjugated once when it is built, and for fixed
-leading offsets the last offset runs over a (rows, reach) block whose rows
-are windows of the conjugated level times the level, with rows set by
-`_BLOCK_BYTES` (1 at large N). Cumsums run along the rows and
-`pairwise_sum` of the block's transpose sums each row as it would alone, so
-the bits do not depend on the block size. The window mean divides by H as a
-multiply of the float64 view by 1/H: numpy divides a complex array by a
-real as (re + 0 im) (1/H), which for finite entries has the same bits. Each
-row's mean is v / N with v the numpy complex128 sum, as in `pairwise_mean`
-(complex(v) / N rounds differently).
+Row blocks and chunks: each level is conjugated once when it is built, and for
+fixed leading offsets the last offset runs over blocks of rows, each row a
+window of the conjugated level times the level, with rows set by
+`_BLOCK_BYTES` (1 at large N). A block's n axis runs in chunks of `_BLOCK` =
+2^14 terms, which fit in cache. The leaf writes a chunk's products into one
+buffer after a slot that holds the running sum at the chunk's first n minus
+one, so one cumsum continues the row's sequential cumsum exactly (the first
+chunk's slot is -0 - 0j, which adds exactly), and it keeps one pairwise sum per
+chunk. The pairwise tree sums each aligned power-of-two chunk alone, so a row's
+sum is pairwise_sum([S_0, .., S_{q-1}, S_tail]) bit for bit (`averages._fold`),
+and the bits depend neither on the block size nor on the chunk length. The
+window mean divides by H as a multiply of the float64 view by 1/H: numpy
+divides a complex array by a real as (re + 0 im) (1/H), which for finite
+entries has the same bits. Each row's mean is v / N with v the numpy
+complex128 sum, as in `pairwise_mean` (complex(v) / N rounds differently).
 
 Lag sums: `vdc_bound` reads its K + 1 correlations from `_lag_sums`, zero-padded FFT
 correlations over blocks of `_LAG_FFT` points (fewer when N + K is), one block per transform,
@@ -62,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import _times, _weighted, orbit_terms, prefix_means
+from .averages import _BLOCK, _times, _weighted, orbit_terms, prefix_means
 from .errors import DomainError, SequenceTooShortError
 from .nilseq import WeightSequence
 from .numerics import pairwise_mean, pairwise_sum
@@ -72,6 +78,10 @@ from .systems import Observable, System, zk_complement
 MAX_ORDER = 4  # a box walks C(H+k-2, k-1) offset tuples; 4 covers every exponent used here
 _BLOCK_BYTES = 1 << 19  # one block of box products; a box walk peaks at ~4 blocks
 _LAG_FFT = 1 << 13  # FFT length of one block of van der Corput lags
+_NEG_ZERO = complex(-0.0, -0.0)  # x + _NEG_ZERO is x for every complex x, signed zeros too
+# terms per BLAS dot of `cube_average`: OpenBLAS runs a complex dot of more than 10000 terms on
+# its thread pool, which measured up to 60 times slower than one thread on a busy 2-core host
+_DOT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,8 @@ def c_h_estimate(a, k: int, h, N: int) -> CorrelationBox:
 
 
 def _block_rows(reach: int, most: int) -> int:
-    """Rows of one (rows, reach) complex block of the box walk: as many as `_BLOCK_BYTES` holds,
-    at least 1 and at most `most` (the H values the last offset takes)."""
+    """Rows of one block of the box walk: as many rows of reach complex entries as
+    `_BLOCK_BYTES` holds, at least 1 and at most `most` (the H values the last offset takes)."""
     return max(1, min(most, _BLOCK_BYTES // (16 * reach)))
 
 
@@ -161,24 +171,34 @@ def _multiplicity(h: tuple[int, ...]) -> int:
     return math.factorial(len(h)) // math.prod(math.factorial(h.count(v)) for v in set(h))
 
 
+def _product(x, y, out):
+    """x * y into out, each element rounded as in a long 1-d product: numpy rounds a one-element
+    complex product in 2-d, or in place, in its one-element loop, which rounds differently."""
+    if out.size == 1:
+        out[...] = np.multiply(x.reshape(1), y.reshape(1))
+    else:
+        np.multiply(x, y, out=out)
+
+
 def _row_blocks(seq: np.ndarray, depth: int, H: int, reach: int):
-    """Yield (offset tuples, block) for h_1 <= ... <= h_depth in {1..H}, where block row r is
-    D_h[:reach] for the r-th tuple, D_h[n] = D'[n] conj(D'[n + h_depth]) the order-depth cube
-    product of seq (D' the product at the leading offsets).
+    """Yield (offset tuples, windows, level) for h_1 <= ... <= h_depth in {1..H}, where
+    windows[r] * level is D_h[:reach] for the r-th tuple, D_h[n] = D'[n] conj(D'[n + h_depth])
+    the order-depth cube product of seq: level is D'[:reach], D' the product at the leading
+    offsets, and windows[r] is conj(D')[h_depth : h_depth + reach]. A block of one row is 1-d
+    (windows itself is the row), since 1-d arrays take less overhead per operation. At depth 0,
+    D = seq is the one row and level is None.
 
     Level j (1 <= j < depth) writes into one buffer of reach + (depth-j) H entries, what the
     next level reads, and is redone with its conjugate only when h_j changes. For fixed leading
-    offsets the last offset runs in blocks of rows, each row a window of the conjugated level
-    times the level itself. Blocks are views of one buffer, overwritten by the next block.
+    offsets the last offset runs in blocks of `_block_rows` rows.
     """
     if depth == 0:
-        yield [()], seq[None, :reach]
+        yield [()], seq[:reach], None
         return
     levels = [seq] + [np.empty(reach + (depth - j) * H, dtype=np.complex128)
                       for j in range(1, depth)]
     conj = [np.conjugate(seq)] + [np.empty_like(v) for v in levels[1:]]
     rows = _block_rows(reach, H)
-    block = np.empty((rows, reach), dtype=np.complex128)
     last = (0,) * (depth - 1)
     for lead in itertools.combinations_with_replacement(range(1, H + 1), depth - 1):
         changed = next((j for j in range(depth - 1) if lead[j] != last[j]), depth - 1)
@@ -190,21 +210,45 @@ def _row_blocks(seq: np.ndarray, depth: int, H: int, reach: int):
         windows = np.lib.stride_tricks.sliding_window_view(conj[-1], reach)
         for lo in range(lead[-1] if lead else 1, H + 1, rows):
             hi = min(lo + rows, H + 1)
-            one = hi - lo == reach == 1  # in 2-D, one element takes numpy's one-element loop
-            np.multiply(windows[lo] if one else windows[lo:hi], levels[-1][:reach],
-                        out=block[0] if one else block[: hi - lo])
-            yield [lead + (h,) for h in range(lo, hi)], block[: hi - lo]
+            yield ([lead + (h,) for h in range(lo, hi)],
+                   windows[lo] if hi - lo == 1 else windows[lo:hi], levels[-1][:reach])
+
+
+def _rows(windows, *buffers):
+    """The rows of each buffer that a block (`_row_blocks`) fills: the first row as 1-d for a
+    1-d block, else the first len(windows) rows."""
+    return [b[0] if windows.ndim == 1 else b[: len(windows)] for b in buffers]
+
+
+def _chunk(windows, level, lo: int, size: int, out):
+    """D_h[lo : lo + size] of each row of a block (`_row_blocks`) into out."""
+    if level is None:
+        out[...] = windows[..., lo : lo + size]
+    else:
+        _product(windows[..., lo : lo + size], level[lo : lo + size], out)
+
+
+def _row_sums(N: int, chunk_sum):
+    """The pairwise sum over n < N of each row of a block, from chunk_sum(lo, size), the rows'
+    pairwise sums over n in [lo, lo + size), called in order over chunks of `_BLOCK` terms. The
+    tree sums each aligned chunk alone, so this is the tree over the chunk sums, bit for bit.
+    The sums are copied: a one-term chunk's sum is a view of the buffer the next chunk reuses."""
+    if N <= _BLOCK:
+        return chunk_sum(0, N)
+    return pairwise_sum(np.array([chunk_sum(lo, min(_BLOCK, N - lo)).copy()
+                                  for lo in range(0, N, _BLOCK)]))
 
 
 def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
     """Sum of leaf(D_h) over h in {1..H}^depth, D_h[:reach] the order-depth cube product of
     seq (`_row_blocks`). D_h is symmetric in h, so only sorted h are visited, each weighted by
     its multiplicity, in the order of `itertools.combinations_with_replacement`. leaf maps a
-    block of rows D_h to one value per row. A sum that finite entries overflow is a DomainError."""
+    block of rows D_h, given as (windows, level), to one value per row. A sum that finite
+    entries overflow is a DomainError."""
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for hs, block in _row_blocks(seq, depth, H, reach):
-            for h, value in zip(hs, leaf(block)):
+        for hs, windows, level in _row_blocks(seq, depth, H, reach):
+            for h, value in zip(hs, leaf(windows, level)):
                 total += _multiplicity(h) * value
     return _finite(f"order-{depth + 1} box products", total)[0]
 
@@ -212,19 +256,37 @@ def _sorted_offset_sum(seq: np.ndarray, depth: int, H: int, reach: int, leaf):
 def _window_mean_leaf(N: int, H: int):
     """leaf(d) = (1/H) sum_{h=1..H} (1/N) sum_n d_n conj(d_{n+h})
                = (1/N) sum_n d_n conj(mean of d over (n, n+H]), by one cumsum of N + H
-    entries, for every row d of a block."""
-    rows = _block_rows(N + H, H)
-    cs = np.empty((rows, N + H), dtype=np.complex128)
-    window = np.empty((rows, N), dtype=np.complex128)
+    entries, carried from chunk to chunk, for every row d of a block. A row of more than one
+    chunk has a slot before its products that holds the running sum before the chunk (-0 - 0j
+    before the first, which adds exactly); a row of one chunk needs none."""
+    rows, chunk = _block_rows(N + H, H), min(_BLOCK, N)
+    slot = int(N > chunk)
+    prod = np.empty((rows, slot + chunk + H), dtype=np.complex128)
+    prod[:, :slot] = _NEG_ZERO
+    cs = np.empty_like(prod)
+    window = np.empty((rows, chunk), dtype=np.complex128)
     inv = 1.0 / H
 
-    def leaf(d):
-        c, w = cs[: len(d)], window[: len(d)]
-        np.cumsum(d, axis=1, out=c)
-        np.subtract(c[:, H:], c[:, :N], out=w)
-        np.multiply(w.view(np.float64), inv, out=w.view(np.float64))  # w / H, same bits
-        np.multiply(np.conjugate(w, out=w), d[:, :N], out=w)
-        return [complex(v / N) for v in pairwise_sum(w.T)]
+    def leaf(windows, level):
+        d, c, means = _rows(windows, prod, cs, window)
+
+        def chunk_sum(lo, size):
+            w, end = means[..., :size], slot + size + H
+            _chunk(windows, level, lo, size + H, d[..., slot:end])
+            np.cumsum(d[..., :end], axis=-1, out=c[..., :end])
+            if lo + size < N:
+                d[..., 0] = c[..., size]
+            elif lo:
+                d[..., 0] = _NEG_ZERO  # for the next row
+            np.subtract(c[..., slot + H : end], c[..., slot : slot + size], out=w)
+            np.multiply(w.view(np.float64), inv, out=w.view(np.float64))  # w / H, same bits
+            # a one-term row rounds in numpy's one-element loop, as it always has; a one-term
+            # chunk of a longer row rounds as the rest of its row does
+            times = _product if slot else np.multiply
+            times(np.conjugate(w, out=w), d[..., slot : slot + size], out=w)
+            return pairwise_sum(w.T)
+
+        return [complex(v / N) for v in np.atleast_1d(_row_sums(N, chunk_sum))]
 
     return leaf
 
@@ -256,8 +318,19 @@ def ghk_seminorm(system: System, obs: Observable, x0, k: int, H: int, N: int) ->
     _check_order(k)
     _check_box(H)
     u = orbit_terms(system, x0, _times(N + (k - 1) * H, first=0), ((obs, 1),))
-    total = _sorted_offset_sum(
-        u, k - 1, H, N, lambda d: [abs(v / N) ** 2 for v in pairwise_sum(d[:, :N].T)])
+    buf = np.empty((_block_rows(N, H), min(_BLOCK, N)), dtype=np.complex128)
+
+    def leaf(windows, level):
+        (prods,) = _rows(windows, buf)
+
+        def chunk_sum(lo, size):
+            d = prods[..., :size]
+            _chunk(windows, level, lo, size, d)
+            return pairwise_sum(d.T)
+
+        return [abs(v / N) ** 2 for v in np.atleast_1d(_row_sums(N, chunk_sum))]
+
+    total = _sorted_offset_sum(u, k - 1, H, N, leaf)
     avg = float(total / H ** (k - 1))
     return SeminormEstimate("ghk_function", k, H, N, avg ** (1.0 / (1 << k)), False, avg)
 
@@ -389,24 +462,25 @@ def cube_average(s1, s2, H: int) -> complex:
         )
     acc = 0.0 + 0.0j
     length = base + H - 1  # supports correlations at every h3 in [0, H)
-    d1 = np.empty(length, dtype=np.complex128)
-    d2 = np.empty(length, dtype=np.complex128)
-    w1 = np.lib.stride_tricks.sliding_window_view(d1, base)  # row h3 = d1[h3 : h3+base]
-    w2 = np.lib.stride_tricks.sliding_window_view(d2, base)
+    pieces = [(lo, min(lo + _DOT, base)) for lo in range(0, base, _DOT)]
+    p1, p2, d = (np.empty(length, dtype=np.complex128) for _ in range(3))
+    parts1, parts2 = (np.empty((len(pieces), H), dtype=np.complex128) for _ in range(2))
     with np.errstate(over="ignore", invalid="ignore"):
         for h1 in range(H):
+            for s, p in ((s1, p1), (s2, p2)):
+                np.multiply(s[:length], s[h1 : length + h1], out=p)
             for h2 in range(h1, H):  # the product is symmetric in (h1, h2)
-                # the 8-fold product splits on the h3 bit: it equals
-                # d[n] * d[n + h3] for the order-2 product d on offsets (h1, h2),
-                # so one sliding-window matvec yields all h3 at once
-                for s, d in ((s1, d1), (s2, d2)):
-                    np.multiply(s[:length], s[h1 : length + h1], out=d)
-                    np.multiply(d, s[h2 : length + h2], out=d)
+                # the 8-fold product splits on the h3 bit: it equals d[n] * d[n + h3] for the
+                # order-2 product d on offsets (h1, h2), so each h3 is contiguous dots
+                for s, p, parts in ((s1, p1, parts1), (s2, p2, parts2)):
+                    np.multiply(p, s[h2 : length + h2], out=d)
                     np.multiply(d, s[h1 + h2 : length + h1 + h2], out=d)
-                g1 = (w1 @ d1[:base]) / base
-                g2 = (w2 @ d2[:base]) / base
-                g = complex(g1 @ g2)
-                acc += g if h1 == h2 else 2.0 * g
+                    for part, (lo, hi) in zip(parts, pieces):
+                        for h3 in range(H):
+                            part[h3] = np.dot(d[lo + h3 : hi + h3], d[lo:hi])
+                g1, g2 = pairwise_sum(parts1) / base, pairwise_sum(parts2) / base
+                term = complex(g1 @ g2)
+                acc += term if h1 == h2 else 2.0 * term
         value = complex(acc / H**3)
     return _finite("order-3 cube products", value)[0]
 

@@ -240,9 +240,10 @@ _MAX_H = (24, 24, 10, 5)  # per order k, so one example walks at most C(H+k-2, k
 
 
 class TestBlockedWalk:
-    """The walk sums the last offset in blocks of rows; its bits match the one-tuple-at-a-time
-    reference walk for any block size: one row per block, part of the H offsets with a partial
-    last block, or all of them in one block."""
+    """The walk sums the last offset in blocks of rows and each row in chunks of `_BLOCK` terms;
+    its bits match the one-tuple-at-a-time reference walk for any block size (one row per block,
+    part of the H offsets with a partial last block, or all of them in one block) and any
+    power-of-two chunk length."""
 
     @settings(max_examples=80, deadline=None)
     @given(k=st.integers(1, 4), H=st.integers(1, 24), extra=st.integers(0, 48),
@@ -282,6 +283,59 @@ class TestBlockedWalk:
             est = ghk_seminorm(skew, obs, x0, k, H, N)
         want = oracles.ghk_seminorm_walk(u, k, H, N)
         assert _bits(est.value, est.pre_root_average, est.clamped) == _bits(*want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), H=st.integers(1, 24), chunk=st.sampled_from((1, 2, 4, 8, 16)),
+           more=st.integers(0, 4), edge=st.sampled_from((-1, 0, 1)), rows=st.integers(1, 25),
+           kind=st.sampled_from(("unit", "gauss", "zeros")), seed=st.integers(0, 2**32 - 1))
+    @example(k=2, H=24, chunk=16, more=0, edge=1, rows=1, kind="gauss", seed=1)
+    @example(k=2, H=3, chunk=1, more=2, edge=0, rows=3, kind="zeros", seed=2)
+    @example(k=3, H=4, chunk=4, more=1, edge=-1, rows=2, kind="unit", seed=3)
+    @example(k=1, H=5, chunk=8, more=1, edge=1, rows=1, kind="gauss", seed=4)
+    def test_local_seminorm_chunk_edges(self, k, H, chunk, more, edge, rows, kind, seed):
+        # N a multiple of the chunk length or one off it, so the carried cumsum and the tail
+        # chunk (one term when edge = 1) meet every chunk edge
+        H = min(H, _MAX_H[k - 1])
+        N = (-(-H * H // chunk) + 1 + more) * chunk + edge
+        a = _sequence(kind, N + k * H + seed % 3, 0, seed)
+        with mock.patch.object(seminorms, "_BLOCK", chunk), \
+                mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * (N + H) * min(rows, H + 1)):
+            est = local_seminorm(a, k, H, N)
+        want = oracles.local_seminorm_walk(a, k, H, N)
+        assert _bits(est.value, est.pre_root_average, est.clamped) == _bits(*want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 4), H=st.integers(1, 24), chunk=st.sampled_from((1, 2, 4, 8, 16)),
+           more=st.integers(1, 6), edge=st.sampled_from((-1, 0, 1)), rows=st.integers(1, 25),
+           alpha=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    @example(k=3, H=6, chunk=4, more=3, edge=1, rows=1, alpha=PHI, seed=1)
+    @example(k=2, H=24, chunk=16, more=2, edge=-1, rows=5, alpha=0.3, seed=2)
+    @example(k=2, H=2, chunk=1, more=1, edge=0, rows=2, alpha=0.0, seed=3)
+    def test_ghk_seminorm_chunk_edges(self, k, H, chunk, more, edge, rows, alpha, seed):
+        H = min(H, _MAX_H[k - 1])
+        N = max(1, more * chunk + edge)
+        rng = np.random.default_rng(seed)
+        x0 = tuple(rng.random(2))
+        skew = AnzaiSkew(alpha)
+        obs = observable([((0, 1), 1.0), ((1, 2), 0.5 - 0.25j)])
+        u = orbit_terms(skew, x0, np.arange(N + (k - 1) * H), ((obs, 1),))
+        with mock.patch.object(seminorms, "_BLOCK", chunk), \
+                mock.patch.object(seminorms, "_BLOCK_BYTES", 16 * N * min(rows, H + 1)):
+            est = ghk_seminorm(skew, obs, x0, k, H, N)
+        want = oracles.ghk_seminorm_walk(u, k, H, N)
+        assert _bits(est.value, est.pre_root_average, est.clamped) == _bits(*want)
+
+    def test_order_2_walk_streams_its_rows(self):
+        # the benchmark's largest order-2 box: each row runs in cache-sized chunks, so the walk
+        # holds the conjugated sequence and a few chunk buffers, not rows of N + H terms
+        a = linear_phase((1 << 16) + 2 * 256)
+        tracemalloc.start()
+        try:
+            local_seminorm(a, 2, 256, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
     def test_order_3_box_stays_within_4_mib(self):
         # the benchmark's largest order-3 box is N = 2^12, H = 64, as here
@@ -479,6 +533,39 @@ class TestCubeAverage:
     def test_too_short(self):
         with pytest.raises(SequenceTooShortError):
             cube_average(np.ones(10), np.ones(10), 8)
+
+    def test_benchmark_size_matches_bruteforce_without_an_h3_block(self):
+        # the benchmark's cube: H = 16 over N = 2^14 base terms. Each h3 is contiguous dots,
+        # so no (H, base) block (4 MiB here) is ever formed; the buffers are a few N-term rows
+        H, N = 16, 1 << 14
+        rng = np.random.default_rng(53)
+        s1 = np.exp(2j * np.pi * rng.random(N + 3 * (H - 1)))
+        s2 = 0.9 * np.exp(2j * np.pi * rng.random(N + 3 * (H - 1)))
+        tracemalloc.start()
+        try:
+            got = cube_average(s1, s2, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < H * N * 16 // 2
+        assert abs(got - oracles.cube_average_brute_vec(s1, s2, H)) < 1e-10
+
+    def test_dots_stay_on_the_calling_thread(self):
+        # OpenBLAS runs a complex dot of more than 10000 terms on its thread pool, which on a
+        # busy host costs far more than the dot; every dot here is a piece of at most 2^13 terms
+        lengths = []
+
+        def dot(x, y):
+            lengths.append(len(x))
+            return real_dot(x, y)
+
+        real_dot = np.dot
+        rng = np.random.default_rng(59)
+        s = np.exp(2j * np.pi * rng.random(20000 + 3 * 3))
+        with mock.patch.object(np, "dot", dot):
+            got = cube_average(s, s, 4)
+        assert max(lengths) == 1 << 13 and min(lengths) == 20000 - 2 * (1 << 13)
+        assert abs(got - oracles.cube_average_brute_vec(s, s, 4)) < 1e-10
 
 
 class TestVanishingExperiment:
